@@ -10,6 +10,7 @@ against character identities.
 from qgl3.charring import (
     FormalChar,
     chi_l,
+    chi_l_weyl,
     euler_char,
     frobenius_twist,
     restricted_simple_char,
@@ -34,6 +35,7 @@ __all__ = [
     "Weight",
     "chi_decomposition",
     "chi_l",
+    "chi_l_weyl",
     "euler_char",
     "ext1_g",
     "ext1_g1",

@@ -4,6 +4,11 @@ Characters live in the integral group ring ZX with basis e(lam) and product
 e(lam)e(mu) = e(lam+mu).  Everything here is exact integer arithmetic; the
 two independent constructions of the induced-module character (tableau
 enumeration and the alternating-sum quotient) cross-check each other.
+
+W-invariant characters also have a Weyl-basis form, {dominant weight: int}
+in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
+work there by the Brauer-Klimyk rule; the weight-basis chi_l and
+decompose_into_weyl are kept as their independent oracles.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from qgl3.lattice import (
     RHO,
     FacetType,
     Weight,
+    classify_restricted,
     decompose,
     dominance_key,
     dominantize,
@@ -244,20 +250,6 @@ class SimpleCharTable:
             self.cache[lam] = hit
         return hit
 
-    def to_jsonable(self) -> dict:
-        return {
-            "l": self.l,
-            "entries": {f"{w.a},{w.b}": ch.to_triples() for w, ch in self.cache.items()},
-        }
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "SimpleCharTable":
-        table = cls(int(data["l"]))
-        for key, triples in data["entries"].items():
-            a, b = key.split(",")
-            table.cache[Weight(int(a), int(b))] = FormalChar.from_triples(triples)
-        return table
-
 
 _simple_tables: dict[int, SimpleCharTable] = {}
 
@@ -270,31 +262,15 @@ def simple_table(l: int) -> SimpleCharTable:
     return table
 
 
-def load_simple_tables(dirpath) -> None:
-    """Seed the per-l caches from JSON files written by save_simple_tables."""
-    import os
-
-    for name in os.listdir(dirpath):
-        if name.startswith("simple-chars-l") and name.endswith(".json"):
-            with open(os.path.join(dirpath, name)) as fh:
-                table = SimpleCharTable.from_jsonable(json.load(fh))
-            _simple_tables.setdefault(table.l, table)
-
-
-def save_simple_tables(dirpath) -> None:
-    import os
-
-    os.makedirs(dirpath, exist_ok=True)
-    for l, table in _simple_tables.items():
-        if not table.cache:
-            continue
-        path = os.path.join(dirpath, f"simple-chars-l{l}.json")
-        with open(path, "w") as fh:
-            json.dump(table.to_jsonable(), fh)
-
-
 def _is_restricted(lam: Weight, l: int) -> bool:
     return 0 <= lam[0] <= l - 1 and 0 <= lam[1] <= l - 1
+
+
+def up_alcove_mirror(res: Weight, l: int) -> Weight:
+    """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
+    alcove below."""
+    u, v = res
+    return Weight(l - v - 2, l - u - 2)
 
 
 def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:
@@ -303,9 +279,7 @@ def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:
     if facet_classify(lam, l) is FacetType.UP_ALCOVE:
         # Up-alcove induced modules have exactly two composition factors; the
         # head is the mirror weight in the alcove below.
-        u, v = lam
-        mirror = Weight(l - v - 2, l - u - 2)
-        return weyl_char(lam) - weyl_char(mirror)
+        return weyl_char(lam) - weyl_char(up_alcove_mirror(lam, l))
     return weyl_char(lam)
 
 
@@ -327,8 +301,7 @@ def small_nabla_factors(lam: Weight, l: int) -> list[Weight]:
         if not _is_restricted(lam, l):
             raise ValueError(f"{lam} is outside the small induced-module ranges for l={l}")
         if facet_classify(lam, l) is FacetType.UP_ALCOVE:
-            u, v = lam
-            return [lam, Weight(l - v - 2, l - u - 2)]
+            return [lam, up_alcove_mirror(lam, l)]
         return [lam]
     if cls == Weight(1, 0) and res[0] + res[1] <= l - 2:
         r, s = res
@@ -386,6 +359,83 @@ def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
     return out
 
 
+# Weyl basis.  A W-invariant character is also written as a plain dict
+# {dominant weight: int}: its coordinates in the basis of induced characters,
+# the form decompose_into_weyl returns.  Products with an induced character
+# follow the Brauer-Klimyk rule: for a W-invariant family of weights kappa
+# with multiplicities m(kappa),
+#     (sum m(kappa) e(kappa)) * ch(nu) = sum m(kappa) euler(nu + kappa),
+# and each euler term is one closed-form dominantize.
+
+
+def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
+    """Sum of Weyl-basis combinations, zero coefficients dropped."""
+    out: dict[Weight, int] = {}
+    for part in parts:
+        for w, c in part.items():
+            out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
+def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
+    """The weight-basis character sum c * weyl_char(k) of a Weyl-basis
+    combination; inverse to decompose_into_weyl."""
+    out = FormalChar()
+    for k, c in x.items():
+        out = out + weyl_char(k) * c
+    return out
+
+
+_chi_l_weyl_cache: dict[tuple[int, int, int], dict[Weight, int]] = {}
+
+
+def chi_l_weyl(mu: Weight, l: int) -> dict[Weight, int]:
+    """chi_l(mu, l) in the basis of induced characters.
+
+    Write mu = l*c + r, let c' = w.c be the dominantized classical part
+    (sign det w, or zero when c is singular) and rbar the mirror of r when r
+    is up-alcove.  Since L(r) = ch(r) - ch(rbar), with the second term only
+    for up-alcove r, the Brauer-Klimyk rule gives
+
+        chi_l(mu) = sign * sum over kappa in wt(c') of
+                    m(kappa) * [euler(r + l*kappa) - euler(rbar + l*kappa)].
+
+    Memoized on (mu, l); the returned dict is shared and must not be
+    modified.
+    """
+    key = (mu[0], mu[1], l)
+    hit = _chi_l_weyl_cache.get(key)
+    if hit is None:
+        cls, res = decompose(mu, l)
+        sign, top = dominantize(cls)
+        acc: dict[Weight, int] = {}
+        if sign:
+            heads = [(res, sign)]
+            if classify_restricted(res, l) is FacetType.UP_ALCOVE:
+                heads.append((up_alcove_mirror(res, l), -sign))
+            for (ka, kb), m in weyl_char(top).coeffs.items():
+                for (r, s), c in heads:
+                    t, w = dominantize((r + l * ka, s + l * kb))
+                    if t:
+                        acc[w] = acc.get(w, 0) + t * c * m
+        hit = _chi_l_weyl_cache[key] = {w: c for w, c in acc.items() if c}
+    return hit
+
+
 def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
-    """Multiplicity of the induced character of `target` in weyl(x)*weyl(y)."""
-    return decompose_into_weyl(weyl_char(x) * weyl_char(y)).get(Weight(*target), 0)
+    """Multiplicity of the induced character of `target` in weyl(x)*weyl(y).
+
+    Brauer-Klimyk: weyl(x)*weyl(y) = sum over the weights kappa of the
+    smaller factor of m(kappa) * euler(x + kappa), so only the terms whose
+    dot-dominantization lands on `target` count, with their signs.
+    """
+    if not (Weight(*x).is_dominant() and Weight(*y).is_dominant()):
+        raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
+    if weyl_dimension(x) < weyl_dimension(y):
+        x, y = y, x
+    total = 0
+    for (ka, kb), m in weyl_char(y).coeffs.items():
+        sign, w = dominantize((x[0] + ka, x[1] + kb))
+        if sign and w == target:
+            total += sign * m
+    return total

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
-from qgl3 import charring
-from qgl3.charring import chi_l, weyl_char
+from qgl3.charring import chi_l_weyl, weyl_char, weyl_dimension
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b
 from qgl3.homs import hom_exists_mirror
@@ -113,7 +111,7 @@ def cmd_decomp(args, cfg: EngineConfig) -> int:
     else:
         print(f"{lam} (l={cfg.l}): case {dec.case_id} [{dec.facet.value}]")
         for f, alive in zip(dec.factors, dec.nonzero_flags()):
-            dim = chi_l(f, cfg.l).dimension
+            dim = sum(c * weyl_dimension(k) for k, c in chi_l_weyl(f, cfg.l).items())
             note = "" if alive else "  (vanishes)"
             print(f"  {f}  chi_l dim {dim}{note}")
     return 0
@@ -210,7 +208,10 @@ def cmd_verify(args, cfg: EngineConfig) -> int:
     failed = False
     for name in names:
         report = run_suite(name, l_values, args.box, stream=sys.stderr, jobs=args.jobs)
-        status = "ok" if report.passed else f"{len(report.failures)} failures"
+        if report.failures:
+            status = f"{len(report.failures)} failures"
+        else:
+            status = "ok" if report.passed else "failed: no cases checked"
         print(f"{name}: {report.cases_run} cases, {status}")
         failed = failed or not report.passed
     return 1 if failed else 0
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, help="comma list of orders, e.g. 2,3,5")
     p.add_argument("--box", type=int, default=4)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_verify, l_list=True)
+    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -283,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cache_dir = os.environ.get("QGL3_CACHE_DIR")
     try:
         if args.command == "verify":
             cfg = EngineConfig(l=2)  # per-suite l values parsed inside
@@ -291,12 +291,7 @@ def main(argv=None) -> int:
             cfg = EngineConfig(l=args.l, p=args.p, fmt=getattr(args, "format", "text"))
             if cfg.fmt == "dot" and args.command not in ("zhat", "lfilt"):
                 raise ValueError("--format dot is only valid for graph outputs")
-        if cache_dir and os.path.isdir(cache_dir):
-            charring.load_simple_tables(cache_dir)
-        code = args.func(args, cfg)
-        if cache_dir:
-            charring.save_simple_tables(cache_dir)
-        return code
+        return args.func(args, cfg)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from qgl3.charring import FormalChar, chi_l, restricted_simple_char
+from qgl3.charring import FormalChar, chi_l, chi_l_weyl, restricted_simple_char, weyl_sum
 from qgl3.lattice import (
     FacetType,
     POSITIVE_ROOTS,
@@ -110,14 +110,20 @@ class DecompResult:
     factors: tuple[Weight, ...]
 
     def character(self) -> FormalChar:
+        """Sum of the chi_l terms in the weight basis (the oracle route)."""
         out = FormalChar()
         for f in self.factors:
             out = out + chi_l(f, self.l)
         return out
 
+    def weyl_character(self) -> dict[Weight, int]:
+        """Sum of the chi_l terms in the basis of induced characters; the
+        filtration identity says it is {lam: 1}."""
+        return weyl_sum(chi_l_weyl(f, self.l) for f in self.factors)
+
     def nonzero_flags(self) -> list[bool]:
         """Per factor: does its chi_l term survive as a virtual character."""
-        return [bool(chi_l(f, self.l)) for f in self.factors]
+        return [bool(chi_l_weyl(f, self.l)) for f in self.factors]
 
     def surviving_factors(self) -> list[Weight]:
         """Factors that are genuine twisted-tensor modules of the filtration.
@@ -141,10 +147,7 @@ class DecompResult:
             for f, cls, res, sign, rep in rows
             if sign == 1 and cls.is_dominant() and net[(rep, res)] > 0
         ]
-        check = FormalChar()
-        for f in out:
-            check = check + chi_l(f, self.l)
-        if check != self.character():
+        if weyl_sum(chi_l_weyl(f, self.l) for f in out) != self.weyl_character():
             raise AssertionError(f"factor cancellation bookkeeping failed for {self.lam}")
         return out
 

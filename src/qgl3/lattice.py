@@ -113,24 +113,27 @@ def dominantize(lam: Weight) -> tuple[int, Weight]:
     """Normalize lam under the finite dot action.
 
     Returns (0, lam) when lam is singular (some pairing vanishes), otherwise
-    (det w, w . lam) for the unique w making the image dominant; the sign is
-    the parity of the simple dot reflections applied.
+    (det w, w . lam) for the unique w making the image dominant.
+
+    Closed form: in GL3 coordinates lam + rho is (a+b+2, b+1, 0) and the
+    Weyl group permutes the three entries, so sorting them decreasingly is
+    the dominant representative, a tie is a singular weight, and det w is
+    the parity of the sort.
     """
-    cur = Weight(*lam)
+    a, b = lam
+    x, y = a + b + 2, b + 1
+    if x == y or x == 0 or y == 0:
+        return 0, Weight(a, b)
     sign = 1
-    while True:
-        p1 = pairing(cur, PositiveRoot.ALPHA1)
-        p2 = pairing(cur, PositiveRoot.ALPHA2)
-        if p1 == 0 or p2 == 0 or p1 + p2 == 0:
-            return 0, Weight(*lam)
-        if p1 < 0:
-            cur = affine_reflect(cur, PositiveRoot.ALPHA1, 0)
-            sign = -sign
-        elif p2 < 0:
-            cur = affine_reflect(cur, PositiveRoot.ALPHA2, 0)
-            sign = -sign
-        else:
-            return sign, cur
+    z = 0
+    # three-element sorting network; each swap is one transposition
+    if x < y:
+        x, y, sign = y, x, -sign
+    if y < z:
+        y, z, sign = z, y, -sign
+    if x < y:
+        x, y, sign = y, x, -sign
+    return sign, Weight(x - y - 1, y - z - 1)
 
 
 def classify_restricted(res: Weight, l: int) -> FacetType:

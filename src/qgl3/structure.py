@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from qgl3.charring import FormalChar, chi_l, weyl_char
+from qgl3.charring import FormalChar, chi_l, chi_l_weyl, weyl_sum
 from qgl3.decomp import (
     DecompResult,
     chi_decomposition,
@@ -334,7 +334,7 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     else:
         report.add(
             "character-sum",
-            g.character() == weyl_char(g.lam),
+            weyl_sum(chi_l_weyl(n.weight, g.l) for n in g.nodes) == {g.lam: 1},
             "node characters must sum to the induced character",
         )
         expected = sorted(chi_decomposition(g.lam, g.l).surviving_factors())

@@ -17,7 +17,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qgl3.charring import FormalChar, frobenius_twist, restricted_simple_char, weyl_char
+from qgl3.charring import (
+    FormalChar,
+    char_from_weyl,
+    chi_l_weyl,
+    frobenius_twist,
+    restricted_simple_char,
+    weyl_char,
+    weyl_sum,
+)
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
     POSITIVE_ROOTS,
@@ -58,11 +66,17 @@ class OffWallEntry:
         return not self.classical.is_dominant()
 
     def character(self, l: int) -> FormalChar:
+        """Weight-basis character (the oracle route)."""
         if self.vanishes:
             return FormalChar()
         return frobenius_twist(weyl_char(self.classical), l) * restricted_simple_char(
             self.restricted, l
         )
+
+    def weyl_character(self, l: int) -> dict[Weight, int]:
+        """The character in the basis of induced characters: chi_l of the
+        entry's weight, whose classical part is dominant unless it vanishes."""
+        return {} if self.vanishes else chi_l_weyl(self.as_weight(l), l)
 
 
 @dataclass(frozen=True)
@@ -77,6 +91,9 @@ class OffWallFactorList:
         for f in self.factors:
             out = out + f.character(l)
         return out
+
+    def weyl_character(self, l: int) -> dict[Weight, int]:
+        return weyl_sum(f.weyl_character(l) for f in self.factors)
 
     def to_jsonable(self) -> list:
         return [
@@ -373,11 +390,16 @@ def translate_nabla_factor_count(lam: Weight, l: int) -> int:
     return sum(len(lst) for _, lst in lists)
 
 
+def translated_weyl_character(lam: Weight, l: int) -> tuple[dict[Weight, int], Weight]:
+    """Character of the full translate in the basis of induced characters,
+    and the mirror weight; the identity says the character is
+    {lam: 1, mirror: 1}."""
+    lists, _, mirror = translate_factor_lists(lam, l)
+    return weyl_sum(lst.weyl_character(l) for _, lst in lists), mirror
+
+
 def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:
     """Character of the full translate and the mirror weight whose induced
     character it contains alongside lam's."""
-    lists, _, mirror = translate_factor_lists(lam, l)
-    total = FormalChar()
-    for _, lst in lists:
-        total = total + lst.character(l)
-    return total, mirror
+    total, mirror = translated_weyl_character(lam, l)
+    return char_from_weyl(total), mirror

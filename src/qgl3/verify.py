@@ -12,16 +12,31 @@ from typing import Iterator
 
 from qgl3.charring import (
     alt_weyl_sum,
+    chi_l_weyl,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
+    weyl_sum,
 )
 from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_char, zhat_factors
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b, ext1_g1b_general
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
-from qgl3.lattice import RHO, FacetType, PositiveRoot, Weight, facet_classify
+from qgl3.lattice import (
+    RHO,
+    FacetType,
+    PositiveRoot,
+    Weight,
+    facet_classify,
+    facet_windows,
+    fundamental_rep,
+    in_closure,
+)
 from qgl3.structure import nabla_l_filtration, validate_graph, zhat_structure
-from qgl3.translate import translate_nabla_factor_count, translated_character
+from qgl3.translate import (
+    translate_nabla_factor_count,
+    translate_onto_wall,
+    translated_weyl_character,
+)
 
 Case = tuple[str, str, str, bool]
 
@@ -34,19 +49,24 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return not self.failures
-
-    def absorb(self, case: Case) -> None:
-        name, identity, observed, ok = case
-        self.cases_run += 1
-        if not ok:
-            self.failures.append((name, identity, observed))
+        """A sweep passes only when it checked something and nothing failed."""
+        return self.cases_run > 0 and not self.failures
 
 
 def _classical_box(box: int, rows: tuple[int, ...] | None = None) -> Iterator[Weight]:
     first = range(box + 1) if rows is None else rows
     for a, b in itertools.product(first, range(box + 1)):
         yield Weight(a, b)
+
+
+def _weyl_observed(got: dict[Weight, int], want: dict[Weight, int]) -> str:
+    """The string "ok", or the first few Weyl-basis coefficients that differ."""
+    diff = [
+        f"{Weight(*w)}: want {want.get(w, 0)} got {got.get(w, 0)}"
+        for w in sorted(set(got) | set(want))
+        if got.get(w, 0) != want.get(w, 0)
+    ]
+    return "; ".join(diff[:4]) if diff else "ok"
 
 
 def _restricted(l: int) -> Iterator[Weight]:
@@ -74,12 +94,12 @@ def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            ok = chi_decomposition(lam, l).character() == weyl_char(lam)
+            observed = _weyl_observed(chi_decomposition(lam, l).weyl_character(), {lam: 1})
             yield (
                 f"l={l} lam={lam}",
                 "sum of chi_l factors = weyl character",
-                "ok" if ok else "mismatch",
-                ok,
+                observed,
+                observed == "ok",
             )
 
 
@@ -101,14 +121,12 @@ def suite_zhat(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterato
             )
 
 
-def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
-    from qgl3.charring import chi_l
-    from qgl3.lattice import facet_windows, fundamental_rep, in_closure
-    from qgl3.translate import translate_onto_wall
+def _translate_box(box: int) -> int:
+    return max(2, min(box, 3))
 
-    b = max(2, min(box, 3))
-    rows = None if rows is None else tuple(r for r in rows if r <= b)
-    for cls in _classical_box(b, rows):
+
+def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+    for cls in _classical_box(_translate_box(box), rows):
         for res in _restricted(l):
             lam = l * cls + res
             facet = facet_classify(lam, l)
@@ -117,17 +135,17 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
             if l == 2 and facet is FacetType.VERTEX:
                 continue
             try:
-                total, mirror = translated_character(lam, l)
+                total, mirror = translated_weyl_character(lam, l)
             except ValueError:
                 continue  # no dominant wall below
             if not mirror.is_dominant():
                 continue
-            ok = total == weyl_char(lam) + weyl_char(mirror)
+            observed = _weyl_observed(total, {lam: 1, mirror: 1})
             yield (
                 f"l={l} lam={lam}",
                 "translate character = weyl(lam) + weyl(mirror)",
-                "ok" if ok else "mismatch",
-                ok,
+                observed,
+                observed == "ok",
             )
             if l >= 3:
                 # translate the surviving factors onto a wall of the
@@ -139,18 +157,17 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                 if in_closure(wall_rep, facet_windows(rep, l), l):
                     image = translate_onto_wall(lam, rep, wall_rep, l).output
                 if image is not None:
-                    acc = None
-                    for f in chi_decomposition(lam, l).surviving_factors():
-                        r = translate_onto_wall(f, rep, wall_rep, l)
-                        if r.output is not None:
-                            term = chi_l(r.output, l)
-                            acc = term if acc is None else acc + term
-                    ok2 = acc == weyl_char(image)
+                    images = (
+                        translate_onto_wall(f, rep, wall_rep, l).output
+                        for f in chi_decomposition(lam, l).surviving_factors()
+                    )
+                    acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
+                    observed = _weyl_observed(acc, {image: 1})
                     yield (
                         f"l={l} lam={lam}",
                         "onto-wall factor characters = image character",
-                        "ok" if ok2 else "mismatch",
-                        ok2,
+                        observed,
+                        observed == "ok",
                     )
             try:
                 n = translate_nabla_factor_count(lam, l)
@@ -287,6 +304,20 @@ SUITES = {
     "homs": suite_homs,
 }
 
+# The first classical coordinates a suite sweeps, where they are not
+# range(box + 1); ext-lemmas does all of its work in row 0.
+_ROW_DOMAINS = {
+    "translate": lambda box: range(_translate_box(box) + 1),
+    "ext-lemmas": lambda box: range(1),
+}
+
+
+def _suite_rows(name: str, box: int) -> tuple[int, ...]:
+    """The row domain of a suite.  Serial and parallel sweeps both run the
+    suite over exactly these rows; --jobs partitions them."""
+    domain = _ROW_DOMAINS.get(name)
+    return tuple(domain(box) if domain else range(box + 1))
+
 
 def _suite_chunk(name: str, l: int, box: int, rows: tuple[int, ...]) -> tuple[int, list]:
     count = 0
@@ -303,29 +334,35 @@ def run_suite(
 ) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if box < 0:
+        raise ValueError(f"need box >= 0, got {box}")
     report = VerifyReport(name)
+    rows = _suite_rows(name, box)
+
+    def record(failure) -> None:
+        report.failures.append(failure)
+        if stream is not None:
+            print(f"FAIL {name}: {failure[0]}: {failure[1]}: got {failure[2]}", file=stream)
+
     if jobs <= 1:
         for l in l_values:
-            for case in SUITES[name](l, box):
-                report.absorb(case)
-                if stream is not None and not case[3]:
-                    print(f"FAIL {name}: {case[0]}: {case[1]}: got {case[2]}", file=stream)
+            for case in SUITES[name](l, box, rows):
+                report.cases_run += 1
+                if not case[3]:
+                    record(case[:3])
         return report
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    all_rows = list(range(box + 1))
-    chunks = [tuple(all_rows[i::jobs]) for i in range(jobs) if all_rows[i::jobs]]
+    chunks = [rows[i::jobs] for i in range(jobs) if rows[i::jobs]]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [
             pool.submit(_suite_chunk, name, l, box, chunk)
             for l in l_values
             for chunk in chunks
         ]
-        for fut in futures:
+        for fut in as_completed(futures):
             count, failures = fut.result()
             report.cases_run += count
             for f in failures:
-                report.failures.append(f)
-                if stream is not None:
-                    print(f"FAIL {name}: {f[0]}: {f[1]}: got {f[2]}", file=stream)
+                record(f)
     return report

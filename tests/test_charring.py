@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
+    char_from_weyl,
     chi_l,
+    chi_l_weyl,
     decompose_into_weyl,
     dual_char,
     e,
@@ -17,11 +19,21 @@ from qgl3.charring import (
     simple_char_p0,
     simple_table,
     small_nabla_factors,
+    tensor_multiplicity,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
 )
-from qgl3.lattice import RHO, Weight, decompose, ordinary_reflect, PositiveRoot
+from qgl3.lattice import (
+    RHO,
+    PositiveRoot,
+    Weight,
+    affine_reflect,
+    decompose,
+    dominantize,
+    ordinary_reflect,
+    weyl_group_elements,
+)
 
 coords = st.integers(-6, 6)
 weights = st.builds(Weight, coords, coords)
@@ -190,8 +202,8 @@ def test_simple_table_cache_invariants():
         assert all(c > 0 for c in ch.coeffs.values())
         for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
             assert ch.map_support(lambda w: ordinary_reflect(w, root)) == ch
-    rebuilt = type(table).from_jsonable(table.to_jsonable())
-    assert rebuilt.cache == table.cache
+    # a second lookup is a cache hit
+    assert restricted_simple_char(Weight(2, 1), 3) is table.cache[Weight(2, 1)]
 
 
 def test_small_nabla_factors():
@@ -256,3 +268,56 @@ def test_dual_char():
 def test_serialization_roundtrip():
     x = weyl_char(Weight(2, 1)) - 3 * e(-1, -1)
     assert FormalChar.from_triples(x.to_triples()) == x
+
+
+def _dot(word, x):
+    for root in reversed(word):
+        x = affine_reflect(x, root, 0)
+    return x
+
+
+small_dominants = st.builds(Weight, st.integers(0, 2), st.integers(0, 2))
+# w . d for a dominant d and w != 1 is regular and never dominant
+regular_non_dominants = st.builds(
+    _dot, st.sampled_from([w for _, w in weyl_group_elements() if w]), small_dominants
+)
+# weights on the dot-reflection hyperplanes of alpha1, alpha2 and rho
+singulars = st.integers(-3, 3).flatmap(
+    lambda t: st.sampled_from([Weight(-1, t), Weight(t, -1), Weight(t, -t - 2)])
+)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+@given(data=st.data())
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_chi_l_weyl_against_weight_basis(l, data):
+    cls = data.draw(st.one_of(small_dominants, regular_non_dominants, singulars))
+    res = data.draw(st.builds(Weight, st.integers(0, l - 1), st.integers(0, l - 1)))
+    mu = l * cls + res
+    want = decompose_into_weyl(chi_l(mu, l))
+    assert chi_l_weyl(mu, l) == want
+    assert (dominantize(cls)[0] == 0) == (want == {})
+
+
+def test_chi_l_weyl_examples():
+    # classical part (-2,1) dominantizes to (0,0) with sign -1, and (1,1) is
+    # up-alcove at l=3 with mirror (0,0): chi_l = -L(1,1) = -ch(1,1) + ch(0,0)
+    assert chi_l_weyl(3 * Weight(-2, 1) + Weight(1, 1), 3) == {Weight(1, 1): -1, Weight(0, 0): 1}
+    assert chi_l_weyl(Weight(3, -3), 3) == {}
+    assert chi_l_weyl(Weight(-3, 1), 3) == {}
+    for mu, dim in ((Weight(3, 3), 8), (Weight(4, 1), 21), (Weight(1, 1), 7)):
+        x = chi_l_weyl(mu, 3)
+        assert sum(c * weyl_dimension(k) for k, c in x.items()) == dim
+        assert char_from_weyl(x) == chi_l(mu, 3)
+
+
+def test_tensor_multiplicity_against_greedy_peel():
+    for x in itertools.product(range(4), repeat=2):
+        for y in itertools.product(range(3), repeat=2):
+            x, y = Weight(*x), Weight(*y)
+            peeled = decompose_into_weyl(weyl_char(x) * weyl_char(y))
+            for t in itertools.product(range(8), repeat=2):
+                assert tensor_multiplicity(t, x, y) == peeled.get(t, 0), (t, x, y)
+                assert tensor_multiplicity(t, y, x) == peeled.get(t, 0), (t, y, x)
+    with pytest.raises(ValueError):
+        tensor_multiplicity(Weight(0, 0), Weight(-1, 1), Weight(1, 0))

@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 
 import pytest
 
 from qgl3.cli import main, parse_weight
 from qgl3.lattice import Weight
+from qgl3.verify import SUITES, run_suite
 
 
 def run(capsys, *argv):
@@ -144,16 +146,33 @@ def test_invalid_l_and_p(capsys):
     assert code == 2 and "prime" in err
 
 
-def test_cache_dir_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QGL3_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "char", "--l", "3", "4,1")
-    assert code == 0
-    cache_file = tmp_path / "simple-chars-l3.json"
-    assert cache_file.exists()
-    data = json.loads(cache_file.read_text())
-    assert data["l"] == 3
-    assert "4,1" not in data["entries"]  # keys are restricted weights only
-    assert "1,1" in data["entries"]
-    # a fresh run loads the cache without error
-    code, _, _ = run(capsys, "decomp", "--l", "3", "3,3")
-    assert code == 0
+def test_verify_negative_box_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suites", "dimension", "--l", "3", "--box", "-1")
+    assert code == 2 and "box" in err
+    assert "cases" not in out
+
+
+def test_verify_zero_cases_fails(capsys):
+    # the homs suite needs classical parts with both coordinates >= 1
+    code, out, _ = run(capsys, "verify", "--suites", "homs", "--l", "3", "--box", "0")
+    assert code == 1
+    assert "homs: 0 cases" in out and "ok" not in out
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_serial_and_parallel_sweeps_agree(name):
+    serial = run_suite(name, [2, 3], 1)
+    parallel = run_suite(name, [2, 3], 1, jobs=2)
+    assert serial.cases_run > 0
+    assert parallel.cases_run == serial.cases_run
+    assert sorted(parallel.failures) == sorted(serial.failures)
+
+
+def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the corrupted family only when forked")
+    serial = run_suite("decomposition", [2, 3, 5], 2)
+    parallel = run_suite("decomposition", [2, 3, 5], 2, jobs=2)
+    assert serial.failures
+    assert parallel.cases_run == serial.cases_run
+    assert sorted(parallel.failures) == sorted(serial.failures)

@@ -15,6 +15,7 @@ from qgl3.decomp import (
     zhat_factors,
 )
 from qgl3.lattice import Weight, dominance_key
+from qgl3.verify import suite_decomposition
 
 
 def test_worked_instance_down_alcove():
@@ -69,6 +70,22 @@ def test_main_identity_sweep_small():
             for r, s in itertools.product(range(l), repeat=2):
                 lam = l * Weight(a, b) + Weight(r, s)
                 assert chi_decomposition(lam, l).character() == weyl_char(lam)
+
+
+def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):
+    # The decomposition suite checks the identity in the Weyl basis; it must
+    # reject a corrupted factor family on exactly the weights where the
+    # weight-basis identity fails.
+    for l, box in ((3, 3), (5, 2)):
+        weyl_failures = {name for name, _, _, ok in suite_decomposition(l, box) if not ok}
+        weight_failures = set()
+        for a, b in itertools.product(range(box + 1), repeat=2):
+            for r, s in itertools.product(range(l), repeat=2):
+                lam = l * Weight(a, b) + Weight(r, s)
+                if chi_decomposition(lam, l).character() != weyl_char(lam):
+                    weight_failures.add(f"l={l} lam={lam}")
+        assert weight_failures
+        assert weyl_failures == weight_failures
 
 
 def test_boundary_cancellation():

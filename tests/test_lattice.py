@@ -83,6 +83,29 @@ def test_dominantize_examples():
     assert dominantize(Weight(-2, 1)) == (-1, Weight(0, 0))
 
 
+def _dominantize_by_reflections(lam):
+    """Oracle: apply simple dot reflections until the weight is dominant,
+    counting them; a vanishing pairing on the way means singular."""
+    cur, sign = Weight(*lam), 1
+    while True:
+        p1 = pairing(cur, PositiveRoot.ALPHA1)
+        p2 = pairing(cur, PositiveRoot.ALPHA2)
+        if p1 == 0 or p2 == 0 or p1 + p2 == 0:
+            return 0, Weight(*lam)
+        if p1 < 0:
+            cur, sign = affine_reflect(cur, PositiveRoot.ALPHA1, 0), -sign
+        elif p2 < 0:
+            cur, sign = affine_reflect(cur, PositiveRoot.ALPHA2, 0), -sign
+        else:
+            return sign, cur
+
+
+def test_dominantize_closed_form_against_reflection_loop():
+    for a, b in itertools.product(range(-25, 26), repeat=2):
+        lam = Weight(a, b)
+        assert dominantize(lam) == _dominantize_by_reflections(lam), lam
+
+
 @given(weights)
 def test_dominantize_sign_zero_iff_singular(lam):
     sign, rep = dominantize(lam)

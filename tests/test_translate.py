@@ -16,6 +16,7 @@ from qgl3.translate import (
     translate_off_wall,
     translate_onto_wall,
     translated_character,
+    translated_weyl_character,
     wall_weight_below,
 )
 
@@ -144,6 +145,14 @@ def test_translated_character_identity():
     for l, lam in cases:
         total, mirror = translated_character(lam, l)
         assert total == weyl_char(lam) + weyl_char(mirror)
+        assert translated_weyl_character(lam, l) == ({lam: 1, mirror: 1}, mirror)
+        # the weight-basis route through the factor lists, as an oracle
+        lists, _, _ = translate_factor_lists(lam, l)
+        weight_basis = None
+        for _, lst in lists:
+            ch = lst.character(l)
+            weight_basis = ch if weight_basis is None else weight_basis + ch
+        assert weight_basis == total
 
 
 def test_off_wall_lists_against_character_oracle():
