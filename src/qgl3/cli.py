@@ -221,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgl3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_format=True):
+    def common(p, with_p=False):
         p.add_argument("--l", type=int, required=True, help="order of the root of unity (>= 2)")
-        p.add_argument("--p", type=int, default=0, help="base characteristic (0 or a prime)")
+        if with_p:
+            p.add_argument("--p", type=int, default=0, help="base characteristic (0 or a prime)")
         p.add_argument("--gl3", action="store_true", help="parse weights as GL3 triples a,b,c")
-        if with_format:
-            p.add_argument("--format", default="text", choices=("text", "json", "dot"))
+        p.add_argument("--format", default="text", choices=("text", "json", "dot"))
 
     p = sub.add_parser("classify", help="facet type and decomposition of a dominant weight")
     common(p)
@@ -248,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("weight")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--structure", action="store_true")
-    g.add_argument("--factors", action="store_true")
     g.add_argument("--char", action="store_true")
     p.set_defaults(func=cmd_zhat)
 
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lfilt)
 
     p = sub.add_parser("ext", help="Ext^1 lookup")
-    common(p)
+    common(p, with_p=True)
     p.add_argument("--level", choices=("g1", "g1b", "g"), required=True)
     p.add_argument("--mu", help="induced-module weight (g1b level)")
     p.add_argument("alpha")
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("hom", help="mirror-wall witness for a nonzero hom")
-    common(p)
+    common(p, with_p=True)
     p.add_argument("lam")
     p.add_argument("mu")
     p.set_defaults(func=cmd_hom)
@@ -288,8 +287,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cfg = EngineConfig(l=2)  # per-suite l values parsed inside
         else:
-            cfg = EngineConfig(l=args.l, p=args.p, fmt=getattr(args, "format", "text"))
-            if cfg.fmt == "dot" and args.command not in ("zhat", "lfilt"):
+            cfg = EngineConfig(l=args.l, p=getattr(args, "p", 0), fmt=args.format)
+            graph = args.command == "lfilt" or args.command == "zhat" and args.structure
+            if cfg.fmt == "dot" and not graph:
                 raise ValueError("--format dot is only valid for graph outputs")
         return args.func(args, cfg)
     except ValueError as exc:

@@ -30,6 +30,7 @@ _CASE_BY_FACET = {
     FacetType.DOWN_ALCOVE: "v",
     FacetType.UP_ALCOVE: "vi",
 }
+_WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
 
 
 def down_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
@@ -71,36 +72,6 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
     ]
 
 
-def _wall_factors_top_down(cls: Weight, res: Weight, facet: FacetType, l: int) -> list[Weight]:
-    """Wall-case factor weights in displayed order, highest layer first."""
-    a, b = cls
-    if facet is FacetType.RIGHT_WALL:
-        r = res[1]
-        s = l - r - 2
-        return [
-            l * Weight(a, b - 1) + Weight(s, l - 1),
-            l * Weight(a + 1, b - 1) + Weight(r, s),
-            l * Weight(a - 1, b) + Weight(r, s),
-            l * cls + res,
-        ]
-    if facet is FacetType.LEFT_WALL:
-        s = res[0]
-        r = l - s - 2
-        return [
-            l * Weight(a - 1, b) + Weight(l - 1, r),
-            l * Weight(a - 1, b + 1) + Weight(r, s),
-            l * Weight(a, b - 1) + Weight(r, s),
-            l * cls + res,
-        ]
-    r, s = res
-    return [
-        l * Weight(a - 1, b - 1) + Weight(r, s),
-        l * Weight(a, b - 1) + Weight(l - 1, r),
-        l * Weight(a - 1, b) + Weight(s, l - 1),
-        l * cls + res,
-    ]
-
-
 @dataclass(frozen=True)
 class DecompResult:
     lam: Weight
@@ -125,8 +96,9 @@ class DecompResult:
         """Per factor: does its chi_l term survive as a virtual character."""
         return [bool(chi_l_weyl(f, self.l)) for f in self.factors]
 
-    def surviving_factors(self) -> list[Weight]:
-        """Factors that are genuine twisted-tensor modules of the filtration.
+    def surviving_positions(self) -> list[int]:
+        """Positions (1-based, in factors) of the genuine twisted-tensor
+        modules of the filtration.
 
         A factor survives when its classical part is dominant and its chi_l
         is not cancelled by an opposite-sign factor with the same normalized
@@ -138,18 +110,23 @@ class DecompResult:
         for f in self.factors:
             cls, res = decompose(f, self.l)
             sign, rep = dominantize(cls)
-            rows.append((f, cls, res, sign, rep))
+            rows.append((cls, res, sign, rep))
             if sign:
                 key = (rep, res)
                 net[key] = net.get(key, 0) + sign
         out = [
-            f
-            for f, cls, res, sign, rep in rows
+            i
+            for i, (cls, res, sign, rep) in enumerate(rows, start=1)
             if sign == 1 and cls.is_dominant() and net[(rep, res)] > 0
         ]
-        if weyl_sum(chi_l_weyl(f, self.l) for f in out) != self.weyl_character():
+        got = weyl_sum(chi_l_weyl(self.factors[i - 1], self.l) for i in out)
+        if got != self.weyl_character():
             raise AssertionError(f"factor cancellation bookkeeping failed for {self.lam}")
         return out
+
+    def surviving_factors(self) -> list[Weight]:
+        """Factors that are genuine twisted-tensor modules of the filtration."""
+        return [self.factors[i - 1] for i in self.surviving_positions()]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -175,24 +152,61 @@ class DecompResult:
         )
 
 
+def _factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
+    """Facet of the restricted part of lam and the composition-factor
+    weights of the Borel-induced module of weight lam, wall cases socle
+    first."""
+    cls, res = decompose(lam, l)
+    facet = classify_restricted(res, l)
+    if facet is FacetType.VERTEX:
+        return facet, [lam]
+    if facet is FacetType.DOWN_ALCOVE:
+        return facet, down_alcove_family(cls, res, l)
+    if facet is FacetType.UP_ALCOVE:
+        return facet, up_alcove_family(cls, res, l)
+    if facet is FacetType.RIGHT_WALL:
+        r = res[1]
+        s = l - r - 2
+        return facet, [
+            lam,
+            l * (cls - Weight(1, 0)) + Weight(r, s),
+            l * (cls + Weight(1, -1)) + Weight(r, s),
+            l * (cls - Weight(0, 1)) + Weight(s, l - 1),
+        ]
+    if facet is FacetType.LEFT_WALL:
+        s = res[0]
+        r = l - s - 2
+        return facet, [
+            lam,
+            l * (cls - Weight(0, 1)) + Weight(r, s),
+            l * (cls + Weight(-1, 1)) + Weight(r, s),
+            l * (cls - Weight(1, 0)) + Weight(l - 1, r),
+        ]
+    r, s = res
+    return facet, [
+        lam,
+        l * (cls - Weight(1, 0)) + Weight(s, l - 1),
+        l * (cls - Weight(0, 1)) + Weight(l - 1, r),
+        l * (cls - Weight(1, 1)) + Weight(r, s),
+    ]
+
+
 def chi_decomposition(lam: Weight, l: int) -> DecompResult:
     """Factor weights of the good twisted-tensor filtration of the induced
-    module of highest weight lam, raw (vanishing chi_l entries included)."""
+    module of highest weight lam, raw (vanishing chi_l entries included).
+
+    They are the composition-factor weights of the Borel-induced module of
+    weight lam; the wall cases are listed the other way round, highest
+    layer first.
+    """
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"chi_decomposition needs a dominant weight, got {lam}")
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    cls, res = decompose(lam, l)
-    facet = classify_restricted(res, l)
-    if facet is FacetType.VERTEX:
-        factors = [lam]
-    elif facet is FacetType.DOWN_ALCOVE:
-        factors = down_alcove_family(cls, res, l)
-    elif facet is FacetType.UP_ALCOVE:
-        factors = up_alcove_family(cls, res, l)
-    else:
-        factors = _wall_factors_top_down(cls, res, facet, l)
+    facet, factors = _factor_family(lam, l)
+    if facet in _WALLS:
+        factors.reverse()
     return DecompResult(lam, l, facet, _CASE_BY_FACET[facet], tuple(factors))
 
 
@@ -202,40 +216,7 @@ def zhat_factors(lam: Weight, l: int) -> list[Weight]:
     The classical part of lam may be arbitrary; the case split depends only
     on the restricted part.  Wall cases are listed socle first.
     """
-    lam = Weight(*lam)
-    cls, res = decompose(lam, l)
-    facet = classify_restricted(res, l)
-    if facet is FacetType.VERTEX:
-        return [lam]
-    if facet is FacetType.DOWN_ALCOVE:
-        return down_alcove_family(cls, res, l)
-    if facet is FacetType.UP_ALCOVE:
-        return up_alcove_family(cls, res, l)
-    if facet is FacetType.RIGHT_WALL:
-        r = res[1]
-        s = l - r - 2
-        return [
-            lam,
-            l * (cls - Weight(1, 0)) + Weight(r, s),
-            l * (cls + Weight(1, -1)) + Weight(r, s),
-            l * (cls - Weight(0, 1)) + Weight(s, l - 1),
-        ]
-    if facet is FacetType.LEFT_WALL:
-        s = res[0]
-        r = l - s - 2
-        return [
-            lam,
-            l * (cls - Weight(0, 1)) + Weight(r, s),
-            l * (cls + Weight(-1, 1)) + Weight(r, s),
-            l * (cls - Weight(1, 0)) + Weight(l - 1, r),
-        ]
-    r, s = res
-    return [
-        lam,
-        l * (cls - Weight(1, 0)) + Weight(s, l - 1),
-        l * (cls - Weight(0, 1)) + Weight(l - 1, r),
-        l * (cls - Weight(1, 1)) + Weight(r, s),
-    ]
+    return _factor_family(Weight(*lam), l)[1]
 
 
 def hat_simple_char(nu: Weight, l: int) -> FormalChar:

@@ -231,10 +231,13 @@ def ext1_g1b_general(lam: Weight, mu: Weight, l: int, p: int = 0) -> int:
 
 # Extension tables between the composition factors of a Borel-induced
 # module, indexed by (row, column) positions in the socle-first factor list
-# of zhat_factors.  Rows label the upper factor, columns the lower one.
+# of zhat_factors.  Rows label the upper factor, columns the lower one.  On
+# the walls the extending pairs are exactly the edges of the submodule
+# structure graph: a chain on the right and left walls, a diamond on the
+# horizontal one.  The graph lists them in this order.
 
-_CHAIN_PAIRS = {(2, 1), (3, 2), (4, 3)}
-_DIAMOND_PAIRS = {(2, 1), (3, 1), (4, 2), (4, 3)}
+WALL_CHAIN_EDGES = ((4, 3), (3, 2), (2, 1))
+WALL_DIAMOND_EDGES = ((4, 3), (4, 2), (3, 1), (2, 1))
 _DOWN_PAIRS = {
     (2, 1), (2, 6),
     (3, 2),
@@ -263,9 +266,9 @@ _UP_PAIRS = {
 
 _PAIRS_BY_FACET = {
     FacetType.VERTEX: frozenset(),
-    FacetType.RIGHT_WALL: frozenset(_CHAIN_PAIRS),
-    FacetType.LEFT_WALL: frozenset(_CHAIN_PAIRS),
-    FacetType.HORIZONTAL_WALL: frozenset({(3, 1), (2, 1), (4, 3), (4, 2)}),
+    FacetType.RIGHT_WALL: frozenset(WALL_CHAIN_EDGES),
+    FacetType.LEFT_WALL: frozenset(WALL_CHAIN_EDGES),
+    FacetType.HORIZONTAL_WALL: frozenset(WALL_DIAMOND_EDGES),
     FacetType.DOWN_ALCOVE: frozenset(_DOWN_PAIRS),
     FacetType.UP_ALCOVE: frozenset(_UP_PAIRS),
 }

@@ -17,12 +17,12 @@ from dataclasses import dataclass, field
 
 from qgl3.charring import FormalChar, chi_l, chi_l_weyl, weyl_sum
 from qgl3.decomp import (
-    DecompResult,
     chi_decomposition,
     hat_simple_char,
     zhat_char,
     zhat_factors,
 )
+from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext1_g1b
 from qgl3.homs import zhat_head_weight
 from qgl3.lattice import (
     FacetType,
@@ -121,12 +121,11 @@ class ModuleGraph:
 
 # Edge and layer tables by factor position.  For Borel-induced modules the
 # positions index zhat_factors (socle first); for induced-module filtrations
-# they index chi_decomposition factors.
+# they index chi_decomposition factors.  The wall edges are the Ext tables
+# of qgl3.ext.
 
-_ZHAT_CHAIN_EDGES = ((4, 3), (3, 2), (2, 1))
-_ZHAT_CHAIN_LAYERS = {4: 0, 3: 1, 2: 2, 1: 3}
-_ZHAT_DIAMOND_EDGES = ((4, 3), (4, 2), (3, 1), (2, 1))
-_ZHAT_DIAMOND_LAYERS = {4: 0, 3: 1, 2: 1, 1: 2}
+_WALL_CHAIN_LAYERS = {4: 0, 3: 1, 2: 2, 1: 3}
+_WALL_DIAMOND_LAYERS = {4: 0, 3: 1, 2: 1, 1: 2}
 
 _DOWN_EDGES = (
     (9, 6), (9, 7), (9, 8),
@@ -148,11 +147,6 @@ _UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
 _DOWN_LAYERS_LOOSE = {9: 0, 5: 1, 6: 1, 7: 1, 8: 1, 3: 1, 4: 2, 2: 2, 1: 3}
 _UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}
 
-_NABLA_CHAIN_EDGES = ((1, 2), (2, 3), (3, 4))
-_NABLA_CHAIN_LAYERS = {1: 0, 2: 1, 3: 2, 4: 3}
-_NABLA_DIAMOND_EDGES = ((1, 2), (1, 3), (2, 4), (3, 4))
-_NABLA_DIAMOND_LAYERS = {1: 0, 2: 1, 3: 1, 4: 2}
-
 
 def _build(
     lam: Weight,
@@ -161,7 +155,7 @@ def _build(
     factors: list[Weight],
     edges,
     layers: dict[int, int],
-    keep: set[int] | None = None,
+    keep: list[int] | None = None,
 ) -> ModuleGraph:
     indices = sorted(layers) if keep is None else sorted(keep)
     nodes = tuple(
@@ -182,9 +176,9 @@ def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     if facet is FacetType.VERTEX:
         return _build(lam, l, G1B_SIMPLE, factors, (), {1: 0})
     if facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL):
-        return _build(lam, l, G1B_SIMPLE, factors, _ZHAT_CHAIN_EDGES, _ZHAT_CHAIN_LAYERS)
+        return _build(lam, l, G1B_SIMPLE, factors, WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS)
     if facet is FacetType.HORIZONTAL_WALL:
-        return _build(lam, l, G1B_SIMPLE, factors, _ZHAT_DIAMOND_EDGES, _ZHAT_DIAMOND_LAYERS)
+        return _build(lam, l, G1B_SIMPLE, factors, WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS)
     if facet is FacetType.DOWN_ALCOVE:
         return _build(lam, l, G1B_SIMPLE, factors, _DOWN_EDGES, _DOWN_LAYERS)
     return _build(lam, l, G1B_SIMPLE, factors, _UP_EDGES, _UP_LAYERS)
@@ -219,8 +213,9 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     (a, b), _ = decompose(lam, l)
     facet = dec.facet
 
-    if facet is FacetType.VERTEX:
+    if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
         return _build(lam, l, NABLA_L, factors, (), {1: 0})
+    keep = dec.surviving_positions()
 
     if facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL):
         is_chain = (
@@ -229,19 +224,18 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
             or facet is FacetType.LEFT_WALL
             and b % l == l - 1
         )
-        edges = _NABLA_CHAIN_EDGES if is_chain else _NABLA_DIAMOND_EDGES
-        layers = _NABLA_CHAIN_LAYERS if is_chain else _NABLA_DIAMOND_LAYERS
-        keep = _surviving_indices(dec)
+        edges = WALL_CHAIN_EDGES if is_chain else WALL_DIAMOND_EDGES
+        layers = _WALL_CHAIN_LAYERS if is_chain else _WALL_DIAMOND_LAYERS
+        # chi_decomposition lists the wall factors in the reverse of the
+        # zhat_factors order the tables are indexed by
+        edges = tuple((5 - u, 5 - v) for u, v in edges)
+        layers = {5 - i: layer for i, layer in layers.items()}
         return _build(lam, l, NABLA_L, factors, edges, layers, keep)
 
     if facet is FacetType.DOWN_ALCOVE:
-        if a == 0 and b == 0:
-            return _build(lam, l, NABLA_L, factors, (), {1: 0})
         if b == 0:
-            keep = _surviving_indices(dec)
             return _build(lam, l, NABLA_L, factors, ((5, 4), (4, 1)), {5: 0, 4: 1, 1: 2}, keep)
         if a == 0:
-            keep = _surviving_indices(dec)
             return _build(lam, l, NABLA_L, factors, ((3, 2), (2, 1)), {3: 0, 2: 1, 1: 2}, keep)
         ca, cb = a % l == 0, b % l == 0
         edges = _nine_factor_edges(
@@ -250,7 +244,6 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
             (8, 3), ((9, 3), (8, 2)),
         )
         layers = _DOWN_LAYERS if (ca or cb) else _DOWN_LAYERS_LOOSE
-        keep = _surviving_indices(dec)
         return _build(lam, l, NABLA_L, factors, edges, layers, keep)
 
     ca, cb = a % l == l - 1, b % l == l - 1
@@ -260,19 +253,7 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
         (1, 7), ((2, 7), (1, 4)),
     )
     layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
-    keep = _surviving_indices(dec)
     return _build(lam, l, NABLA_L, factors, edges, layers, keep)
-
-
-def _surviving_indices(dec: DecompResult) -> set[int]:
-    surviving = dec.surviving_factors()
-    out = set()
-    pool = list(surviving)
-    for i, f in enumerate(dec.factors, start=1):
-        if f in pool:
-            pool.remove(f)
-            out.add(i)
-    return out
 
 
 def hat_dual_weight(nu: Weight, l: int) -> Weight:
@@ -301,8 +282,6 @@ class ValidationReport:
 def validate_graph(g: ModuleGraph) -> ValidationReport:
     """Cross-check a structure graph against characters, head/socle data,
     the extension tables, and duality."""
-    from qgl3.ext import ext1_g1b
-
     report = ValidationReport(g)
     if g.kind == G1B_SIMPLE:
         report.add(

@@ -354,12 +354,10 @@ def run_suite(
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
     chunks = [rows[i::jobs] for i in range(jobs) if rows[i::jobs]]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(_suite_chunk, name, l, box, chunk)
-            for l in l_values
-            for chunk in chunks
-        ]
+    tasks = [(name, l, box, chunk) for l in l_values for chunk in chunks]
+    # a fork-started pool forks all of its workers on the first submit
+    with ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks)))) as pool:
+        futures = [pool.submit(_suite_chunk, *task) for task in tasks]
         for fut in as_completed(futures):
             count, failures = fut.result()
             report.cases_run += count

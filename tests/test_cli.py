@@ -69,7 +69,7 @@ def test_zhat_outputs(capsys):
     code, out, _ = run(capsys, "zhat", "--l", "2", "1,0", "--char", "--format", "json")
     assert code == 0
     assert sum(c for _, _, c in json.loads(out)) == 8
-    code, out, _ = run(capsys, "zhat", "--l", "2", "1,0", "--factors", "--format", "json")
+    code, out, _ = run(capsys, "zhat", "--l", "2", "1,0", "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == 4
 
@@ -83,6 +83,19 @@ def test_lfilt_dot(capsys):
 def test_dot_rejected_for_non_graph(capsys):
     code, _, err = run(capsys, "char", "--l", "3", "--format", "dot", "1,1")
     assert code == 2 and "dot" in err
+    # zhat draws a graph only with --structure
+    code, out, err = run(capsys, "zhat", "--l", "3", "--format", "dot", "3,3")
+    assert code == 2 and "dot" in err and not out
+    code, _, _ = run(capsys, "zhat", "--l", "3", "--format", "dot", "--char", "3,3")
+    assert code == 2
+
+
+def test_removed_noop_flags_are_usage_errors(capsys):
+    code, out, _ = run(capsys, "zhat", "--l", "2", "--factors", "1,0")
+    assert code == 2 and not out
+    for command in ("classify", "char", "decomp", "zhat", "lfilt"):
+        code, out, err = run(capsys, command, "--l", "3", "--p", "5", "1,1")
+        assert code == 2 and "--p" in err and not out
 
 
 def test_ext_levels(capsys):
@@ -103,7 +116,7 @@ def test_hom(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["witness"] == {"beta": "rho", "m": 2, "e": 0}
-    code, out, _ = run(capsys, "hom", "--l", "3", "3,3", "3,3")
+    code, out, _ = run(capsys, "hom", "--l", "3", "--p", "0", "3,3", "3,3")
     assert code == 0 and "no witness" in out
 
 
@@ -157,6 +170,35 @@ def test_verify_zero_cases_fails(capsys):
     code, out, _ = run(capsys, "verify", "--suites", "homs", "--l", "3", "--box", "0")
     assert code == 1
     assert "homs: 0 cases" in out and "ok" not in out
+
+
+def test_verify_pool_sized_by_task_count(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Records max_workers and completes each task with no cases."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result((0, []))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run_suite("ext-lemmas", [2, 3], 4, jobs=64)  # one row: a task per l
+    run_suite("decomposition", [2, 3, 5], 1, jobs=64)  # two rows per l
+    run_suite("decomposition", [2], 4, jobs=3)  # fewer jobs than rows
+    assert sizes == [2, 6, 3]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))

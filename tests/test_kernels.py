@@ -1,42 +1,24 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgl3 import kernels
-from qgl3._kernels_py import convolve as convolve_py
-from qgl3._kernels_py import ssyt_weight_counts as counts_py
+from qgl3.kernels import convolve, ssyt_weight_counts
 
 coords = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 sparse = st.dictionaries(coords, st.integers(-5, 5).filter(bool), max_size=12)
 
 
-def test_backend_selected():
-    assert kernels.BACKEND in ("cython", "python")
-
-
-@given(sparse, sparse)
-def test_convolve_backends_agree(a, b):
-    assert kernels.convolve(dict(a), dict(b)) == convolve_py(dict(a), dict(b))
-
-
 @given(sparse, sparse)
 def test_convolve_commutes(a, b):
-    assert convolve_py(dict(a), dict(b)) == convolve_py(dict(b), dict(a))
+    assert convolve(dict(a), dict(b)) == convolve(dict(b), dict(a))
 
 
 def test_convolve_identity_and_zero():
     x = {(1, 0): 2, (-1, 3): -1}
-    assert convolve_py(x, {(0, 0): 1}) == x
-    assert convolve_py(x, {}) == {}
+    assert convolve(x, {(0, 0): 1}) == x
+    assert convolve(x, {}) == {}
     # exact cancellation leaves no zero entries
-    out = convolve_py({(0, 0): 1, (1, 0): -1}, {(1, 0): 1, (2, 0): 1})
+    out = convolve({(0, 0): 1, (1, 0): -1}, {(1, 0): 1, (2, 0): 1})
     assert out == {(1, 0): 1, (3, 0): -1}
-
-
-@given(st.integers(0, 12), st.integers(0, 6))
-def test_ssyt_counts_backends_agree(p, q):
-    if q > p:
-        p, q = q, p
-    assert kernels.ssyt_weight_counts(p, q) == counts_py(p, q)
 
 
 def test_ssyt_counts_dimension():
@@ -44,6 +26,6 @@ def test_ssyt_counts_dimension():
     # (p-q, q); check the closed dimension formula
     for p in range(9):
         for q in range(p + 1):
-            total = sum(counts_py(p, q).values())
+            total = sum(ssyt_weight_counts(p, q).values())
             a, b = p - q, q
             assert total == (a + 1) * (b + 1) * (a + b + 2) // 2
