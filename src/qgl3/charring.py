@@ -176,37 +176,42 @@ def weyl_dimension(lam: Weight) -> int:
 
 def alt_weyl_sum(mu: Weight) -> FormalChar:
     """Antisymmetrized orbit sum of e(mu) under the linear Weyl action."""
-    out = FormalChar()
-    for sign, w in ordinary_orbit(mu):
-        out = out + FormalChar.basis(w, sign)
-    return out
+    return char_sum(FormalChar.basis(w, sign) for sign, w in ordinary_orbit(mu))
 
 
-def divide_exact(num: FormalChar, den: FormalChar, max_terms: int = 200000) -> FormalChar:
-    """Exact quotient in the group ring, for divisions known to be exact.
+def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
+    """Exact quotient in the group ring; ValueError when den does not divide num.
 
-    Greedy cancellation of the lexicographically leading terms; each step
-    produces one quotient term, so the loop is bounded by the quotient
-    support size.
+    Peels the lexicographically leading term off one remainder dict in place.
+    Lex order is addition-compatible, so the quotient terms come out strictly
+    lex-decreasing.  Newton polygons add under multiplication, so an exact
+    quotient lies in the box [min_a(num) - min_a(den), max_a(num) - max_a(den)]
+    x (the same in b): a term outside it proves the division inexact, and the
+    loop visits each point of that finite box at most once.
     """
     if not den:
         raise ZeroDivisionError("division by the zero character")
-    lead_d = max(den.coeffs)  # plain lex order is addition-compatible
+    lead_d = max(den.coeffs)
     cd = den.coeffs[lead_d]
-    rem = num
+    rem = dict(num.coeffs)
+    lo = [min((w[i] for w in rem), default=0) - min(w[i] for w in den.coeffs) for i in (0, 1)]
+    hi = [max((w[i] for w in rem), default=0) - max(w[i] for w in den.coeffs) for i in (0, 1)]
     quot: dict[Weight, int] = {}
-    for _ in range(max_terms):
-        if not rem:
-            return FormalChar(quot, _raw=True)
-        lead_r = max(rem.coeffs)
-        cr = rem.coeffs[lead_r]
-        if cr % cd:
+    while rem:
+        lead_r = max(rem)
+        ta, tb = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
+        c, r = divmod(rem[lead_r], cd)
+        if r or not (lo[0] <= ta <= hi[0] and lo[1] <= tb <= hi[1]):
             raise ValueError("inexact division in group ring")
-        t = Weight(lead_r[0] - lead_d[0], lead_r[1] - lead_d[1])
-        c = cr // cd
-        quot[t] = c
-        rem = rem - den * FormalChar.basis(t, c)
-    raise ValueError("inexact division in group ring")
+        quot[Weight(ta, tb)] = c
+        for (da, db), m in den.coeffs.items():
+            k = (ta + da, tb + db)
+            n = rem.get(k, 0) - c * m
+            if n:
+                rem[k] = n
+            else:
+                del rem[k]
+    return FormalChar(quot, _raw=True)
 
 
 def weyl_char_alternating(lam: Weight) -> FormalChar:
@@ -341,22 +346,34 @@ def simple_char_p0(lam: Weight, l: int, p: int = 0) -> FormalChar:
     return frobenius_twist(weyl_char(cls), l) * restricted_simple_char(res, l)
 
 
-def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
-    """Write a W-invariant character as an integer combination of weyl_chars.
+def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[Weight, int]:
+    """Coefficients of x in a basis where basis(k) is e(k) plus weights below
+    k in the dominance order, peeling the dominance-leading weight off one
+    remainder dict in place; ValueError when that weight is not dominant.
 
-    Greedy peeling by the dominance-maximal support weight; exact for any
-    genuine (possibly virtual) finite-dimensional character.
+    Each step removes the lead and adds only lower weights, so the leading
+    dominance_key strictly decreases, and only finitely many dominant
+    weights have height at most the first lead's: the loop ends.
     """
-    rem = x
+    rem = dict(x.coeffs)
     out: dict[Weight, int] = {}
     while rem:
-        top = rem.leading_weight()
+        top = max(rem, key=dominance_key)
         if not top.is_dominant():
-            raise ValueError(f"support is not W-invariant: leading weight {top}")
-        c = rem.coeffs[top]
-        out[top] = c
-        rem = rem - weyl_char(top) * c
+            raise ValueError(f"not expandable: leading weight {top} is not dominant")
+        c = out[top] = rem[top]
+        for w, m in basis(top).coeffs.items():
+            n = rem.get(w, 0) - c * m
+            if n:
+                rem[w] = n
+            else:
+                del rem[w]
     return out
+
+
+def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
+    """Write a W-invariant character as an integer combination of weyl_chars."""
+    return peel_dominant(x, weyl_char)
 
 
 # Weyl basis.  A W-invariant character is also written as a plain dict
@@ -369,7 +386,8 @@ def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
 
 
 def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
-    """Sum of Weyl-basis combinations, zero coefficients dropped."""
+    """Sum of {weight: int} combinations in either basis, zero coefficients
+    dropped."""
     out: dict[Weight, int] = {}
     for part in parts:
         for w, c in part.items():
@@ -377,13 +395,15 @@ def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
     return {w: c for w, c in out.items() if c}
 
 
+def char_sum(parts: Iterable[FormalChar]) -> FormalChar:
+    """Sum of weight-basis characters, accumulated in one dict."""
+    return FormalChar(weyl_sum(p.coeffs for p in parts), _raw=True)
+
+
 def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     """The weight-basis character sum c * weyl_char(k) of a Weyl-basis
     combination; inverse to decompose_into_weyl."""
-    out = FormalChar()
-    for k, c in x.items():
-        out = out + weyl_char(k) * c
-    return out
+    return char_sum(weyl_char(k) * c for k, c in x.items())
 
 
 _chi_l_weyl_cache: dict[tuple[int, int, int], dict[Weight, int]] = {}

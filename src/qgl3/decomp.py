@@ -12,7 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from qgl3.charring import FormalChar, chi_l, chi_l_weyl, restricted_simple_char, weyl_sum
+from qgl3.charring import (
+    FormalChar,
+    char_sum,
+    chi_l,
+    chi_l_weyl,
+    peel_dominant,
+    restricted_simple_char,
+    weyl_sum,
+)
 from qgl3.lattice import (
     FacetType,
     POSITIVE_ROOTS,
@@ -82,10 +90,7 @@ class DecompResult:
 
     def character(self) -> FormalChar:
         """Sum of the chi_l terms in the weight basis (the oracle route)."""
-        out = FormalChar()
-        for f in self.factors:
-            out = out + chi_l(f, self.l)
-        return out
+        return char_sum(chi_l(f, self.l) for f in self.factors)
 
     def weyl_character(self) -> dict[Weight, int]:
         """Sum of the chi_l terms in the basis of induced characters; the
@@ -251,33 +256,8 @@ def nabla_l_char(mu: Weight, l: int) -> FormalChar:
     return chi_l(mu, l)
 
 
-def chi_l_expansion(x: FormalChar, l: int, max_terms: int = 100000) -> list[tuple[Weight, int]]:
-    """Expand a W-invariant character in the chi_l basis by greedy peeling.
-
-    Valid for characters of modules with a good twisted-tensor filtration
-    (and their virtual combinations); terms come out in decreasing
-    dominance-key order of the leading weights.
-    """
-    rem = x
-    out: list[tuple[Weight, int]] = []
-    for _ in range(max_terms):
-        if not rem:
-            return out
-        top = rem.leading_weight()
-        if not top.is_dominant():
-            raise ValueError(f"not expandable: leading weight {top} is not dominant")
-        c = rem.coeffs[top]
-        out.append((top, c))
-        rem = rem - chi_l(top, l) * c
-    raise ValueError("chi_l expansion did not terminate")
-
-
-def filtered_linked(x: FormalChar, orbit_of: Weight, l: int) -> FormalChar:
-    """Part of a filtered character lying in the dot orbit of orbit_of."""
-    from qgl3.lattice import linked
-
-    out = FormalChar()
-    for w, c in chi_l_expansion(x, l):
-        if linked(w, orbit_of, l):
-            out = out + chi_l(w, l) * c
-    return out
+def chi_l_expansion(x: FormalChar, l: int) -> list[tuple[Weight, int]]:
+    """Expand a W-invariant character in the chi_l basis by peel_dominant;
+    valid for characters of modules with a good twisted-tensor filtration
+    and their virtual combinations.  Terms come out leading weight first."""
+    return list(peel_dominant(x, lambda k: chi_l(k, l)).items())

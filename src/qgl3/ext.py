@@ -14,6 +14,7 @@ from typing import Union
 from qgl3.charring import (
     FormalChar,
     ONE_CHAR,
+    char_sum,
     tensor_multiplicity,
     weyl_char,
     weyl_dimension,
@@ -48,10 +49,7 @@ class ExtValue:
         return sum(1 if p == TRIV else weyl_dimension(p) for p in self.parts)
 
     def realization(self) -> FormalChar:
-        out = FormalChar()
-        for p in self.parts:
-            out = out + (ONE_CHAR if p == TRIV else weyl_char(p))
-        return out
+        return char_sum(ONE_CHAR if p == TRIV else weyl_char(p) for p in self.parts)
 
     def labels(self) -> list[str]:
         return sorted(TRIV if p == TRIV else f"nabla({p[0]},{p[1]})" for p in self.parts)

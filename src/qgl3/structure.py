@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from qgl3.charring import FormalChar, chi_l, chi_l_weyl, weyl_sum
+from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, weyl_sum
 from qgl3.decomp import (
     chi_decomposition,
     hat_simple_char,
@@ -71,13 +71,8 @@ class ModuleGraph:
         return [n for n in self.nodes if n.id not in uppers]
 
     def character(self) -> FormalChar:
-        out = FormalChar()
-        for n in self.nodes:
-            if self.kind == G1B_SIMPLE:
-                out = out + hat_simple_char(n.weight, self.l)
-            else:
-                out = out + chi_l(n.weight, self.l)
-        return out
+        node_char = hat_simple_char if self.kind == G1B_SIMPLE else chi_l
+        return char_sum(node_char(n.weight, self.l) for n in self.nodes)
 
     def to_jsonable(self) -> dict:
         return {

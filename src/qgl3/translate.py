@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from qgl3.charring import (
     FormalChar,
     char_from_weyl,
+    char_sum,
     chi_l_weyl,
     frobenius_twist,
     restricted_simple_char,
@@ -87,10 +88,7 @@ class OffWallFactorList:
         return len(self.factors)
 
     def character(self, l: int) -> FormalChar:
-        out = FormalChar()
-        for f in self.factors:
-            out = out + f.character(l)
-        return out
+        return char_sum(f.character(l) for f in self.factors)
 
     def weyl_character(self, l: int) -> dict[Weight, int]:
         return weyl_sum(f.weyl_character(l) for f in self.factors)

@@ -11,6 +11,7 @@ from qgl3.charring import (
     chi_l,
     chi_l_weyl,
     decompose_into_weyl,
+    divide_exact,
     dual_char,
     e,
     euler_char,
@@ -144,6 +145,31 @@ def test_denominator_identity_box():
         lam = Weight(a, b)
         assert alt_weyl_sum(lam + RHO) == weyl_char(lam) * a_rho
         assert weyl_char_alternating(lam) == weyl_char(lam)
+
+
+@given(st.builds(Weight, st.integers(0, 40), st.integers(0, 40)))
+@settings(max_examples=25, derandomize=True, deadline=None)
+def test_alternating_quotient_against_tableaux_large(lam):
+    assert weyl_char_alternating(lam) == weyl_char(lam)
+
+
+def test_divide_exact_error_paths():
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(e(0, 0), FormalChar())
+    # both quotients would be infinite series; the Newton box stops them at once
+    with pytest.raises(ValueError, match="inexact"):
+        divide_exact(e(0, 0), e(1, 0) + e(0, 0))
+    with pytest.raises(ValueError, match="inexact"):
+        divide_exact(e(0, 0) + e(3, -2), e(1, 0) + e(0, 1) + e(0, 0))
+    with pytest.raises(ValueError, match="inexact"):
+        divide_exact(e(0, 0), e(0, 0) * 2)
+    assert divide_exact(FormalChar(), e(1, 0)) == FormalChar()
+
+
+def test_decompose_into_weyl_rejects_non_invariant():
+    # peeling weyl(1,0) off e(1,0) leaves -e(-1,1) - e(0,-1), led by (-1,1)
+    with pytest.raises(ValueError, match=r"leading weight \(-1,1\) is not dominant"):
+        decompose_into_weyl(e(1, 0))
 
 
 def test_euler_char():

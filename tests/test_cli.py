@@ -152,6 +152,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert code == 1 and "1 failures" in out
 
 
+def test_weight_basis_failure_names_the_differing_weights(monkeypatch):
+    from qgl3 import verify
+    from qgl3.charring import e, weyl_char
+
+    monkeypatch.setattr(verify, "weyl_char_alternating", lambda lam: weyl_char(lam) + e(0, 0))
+    report = run_suite("denominator", [2], 1)
+    observed = {case: got for case, identity, got in report.failures}
+    assert report.cases_run == 8 and len(report.failures) == 4
+    assert observed["lam=(0,0)"] == "(0,0): want 1 got 2"
+    assert observed["lam=(1,0)"] == "(0,0): want 0 got 1"
+
+
 def test_invalid_l_and_p(capsys):
     code, _, err = run(capsys, "classify", "--l", "1", "0,0")
     assert code == 2 and "l >= 2" in err

@@ -117,6 +117,11 @@ def test_surviving_factors_match_expansion():
                 )
 
 
+def test_chi_l_expansion_rejects_non_invariant():
+    with pytest.raises(ValueError, match=r"leading weight \(-1,1\) is not dominant"):
+        chi_l_expansion(e(1, 0), 3)
+
+
 def test_zhat_factors_examples():
     for l in (2, 3, 5):
         lam = l * Weight(1, -2) + Weight(l - 1, l - 1)
