@@ -5,6 +5,11 @@ e(lam)e(mu) = e(lam+mu).  Everything here is exact integer arithmetic; the
 two independent constructions of the induced-module character (tableau
 enumeration and the alternating-sum quotient) cross-check each other.
 
+FormalChar.coeffs is keyed by int pairs (a, b): the engine builds plain
+tuples, which hash and compare equal to Weight, and uses Weight only where a
+weight leaves as a value (arguments, the keys of chi_l_weyl and of the peel
+results).
+
 W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
 work there by the Brauer-Klimyk rule; the weight-basis chi_l and
@@ -34,23 +39,23 @@ from qgl3.lattice import (
 class FormalChar:
     """Sparse integer combination of basis elements e(weight).
 
-    Instances are treated as immutable values: no method mutates self, and
-    the wrapped dict must not be modified after construction.
+    coeffs maps int pairs (a, b) to nonzero ints.  The constructor copies
+    its input and drops zero coefficients, and no method mutates self, so
+    every instance is an immutable value.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[Weight, int] | None = None, _raw: bool = False):
-        if coeffs is None:
-            self.coeffs = {}
-        elif _raw:
-            self.coeffs = coeffs
-        else:
-            self.coeffs = {Weight(*w): c for w, c in coeffs.items() if c}
+    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
+        # dict() copies in C; the filtering pass runs only when it has work
+        coeffs = dict(coeffs) if coeffs else {}
+        if 0 in coeffs.values():
+            coeffs = {w: c for w, c in coeffs.items() if c}
+        self.coeffs = coeffs
 
     @classmethod
     def basis(cls, w: Weight, coeff: int = 1) -> "FormalChar":
-        return cls({Weight(*w): coeff} if coeff else {}, _raw=True)
+        return cls({w: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -67,26 +72,19 @@ class FormalChar:
     def __add__(self, other: "FormalChar") -> "FormalChar":
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            n = out.get(w, 0) + c
-            if n:
-                out[w] = n
-            elif w in out:
-                del out[w]
-        return FormalChar(out, _raw=True)
+            out[w] = out.get(w, 0) + c
+        return FormalChar(out)
 
     def __sub__(self, other: "FormalChar") -> "FormalChar":
         return self + (-other)
 
     def __neg__(self) -> "FormalChar":
-        return FormalChar({w: -c for w, c in self.coeffs.items()}, _raw=True)
+        return FormalChar({w: -c for w, c in self.coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            if other == 0:
-                return FormalChar()
-            return FormalChar({w: c * other for w, c in self.coeffs.items()}, _raw=True)
-        raw = kernels.convolve(self.coeffs, other.coeffs)
-        return FormalChar({Weight(*w): c for w, c in raw.items()}, _raw=True)
+            return FormalChar({w: c * other for w, c in self.coeffs.items()})
+        return FormalChar(kernels.convolve(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -94,35 +92,21 @@ class FormalChar:
     def dimension(self) -> int:
         return sum(self.coeffs.values())
 
-    def support(self) -> set[Weight]:
-        return set(self.coeffs)
-
     def map_support(self, f: Callable[[Weight], Weight]) -> "FormalChar":
-        out: dict[Weight, int] = {}
+        out: dict[tuple[int, int], int] = {}
         for w, c in self.coeffs.items():
             k = f(w)
-            n = out.get(k, 0) + c
-            if n:
-                out[k] = n
-            elif k in out:
-                del out[k]
-        return FormalChar(out, _raw=True)
-
-    def leading_weight(self) -> Weight:
-        """Support weight maximal for the dominance-compatible (height, a) key."""
-        if not self.coeffs:
-            raise ValueError("zero character has no leading weight")
-        return max(self.coeffs, key=dominance_key)
+            out[k] = out.get(k, 0) + c
+        return FormalChar(out)
 
     def to_triples(self) -> list[list[int]]:
         return sorted([w[0], w[1], c] for w, c in self.coeffs.items())
 
     @classmethod
     def from_triples(cls, triples: Iterable[Iterable[int]]) -> "FormalChar":
-        out: dict[Weight, int] = {}
+        out: dict[tuple[int, int], int] = {}
         for a, b, c in triples:
-            w = Weight(a, b)
-            out[w] = out.get(w, 0) + c
+            out[a, b] = out.get((a, b), 0) + c
         return cls(out)
 
     def to_json(self) -> str:
@@ -134,19 +118,17 @@ class FormalChar:
         terms = []
         for w in sorted(self.coeffs, key=dominance_key, reverse=True):
             c = self.coeffs[w]
-            if c == 1:
-                terms.append(f"e{w}")
-            else:
-                terms.append(f"{c}*e{w}")
+            e_w = f"e({w[0]},{w[1]})"
+            terms.append(e_w if c == 1 else f"{c}*{e_w}")
         return " + ".join(terms)
 
 
 ZERO_CHAR = FormalChar()
-ONE_CHAR = FormalChar.basis(Weight(0, 0))
+ONE_CHAR = FormalChar({(0, 0): 1})
 
 
 def e(a: int, b: int) -> FormalChar:
-    return FormalChar.basis(Weight(a, b))
+    return FormalChar({(a, b): 1})
 
 
 _weyl_cache: dict[Weight, FormalChar] = {}
@@ -163,9 +145,7 @@ def weyl_char(lam: Weight) -> FormalChar:
         raise ValueError(f"weyl_char needs a dominant weight, got {lam}")
     cached = _weyl_cache.get(lam)
     if cached is None:
-        raw = kernels.ssyt_weight_counts(lam.a + lam.b, lam.b)
-        cached = FormalChar({Weight(*w): c for w, c in raw.items()}, _raw=True)
-        _weyl_cache[lam] = cached
+        cached = _weyl_cache[lam] = FormalChar(kernels.ssyt_weight_counts(lam.a + lam.b, lam.b))
     return cached
 
 
@@ -196,14 +176,22 @@ def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
     rem = dict(num.coeffs)
     lo = [min((w[i] for w in rem), default=0) - min(w[i] for w in den.coeffs) for i in (0, 1)]
     hi = [max((w[i] for w in rem), default=0) - max(w[i] for w in den.coeffs) for i in (0, 1)]
-    quot: dict[Weight, int] = {}
+    quot: dict[tuple[int, int], int] = {}
     while rem:
         lead_r = max(rem)
         ta, tb = lead_r[0] - lead_d[0], lead_r[1] - lead_d[1]
+        if not (lo[0] <= ta <= hi[0] and lo[1] <= tb <= hi[1]):
+            raise ValueError(
+                f"inexact division in group ring: quotient term ({ta},{tb}) lies outside "
+                f"the Newton box [{lo[0]},{hi[0]}] x [{lo[1]},{hi[1]}]"
+            )
         c, r = divmod(rem[lead_r], cd)
-        if r or not (lo[0] <= ta <= hi[0] and lo[1] <= tb <= hi[1]):
-            raise ValueError("inexact division in group ring")
-        quot[Weight(ta, tb)] = c
+        if r:
+            raise ValueError(
+                f"inexact division in group ring: quotient term ({ta},{tb}) has "
+                f"coefficient {rem[lead_r]}/{cd}, not an integer"
+            )
+        quot[ta, tb] = c
         for (da, db), m in den.coeffs.items():
             k = (ta + da, tb + db)
             n = rem.get(k, 0) - c * m
@@ -211,7 +199,7 @@ def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
                 rem[k] = n
             else:
                 del rem[k]
-    return FormalChar(quot, _raw=True)
+    return FormalChar(quot)
 
 
 def weyl_char_alternating(lam: Weight) -> FormalChar:
@@ -233,7 +221,7 @@ def euler_char(mu: Weight) -> FormalChar:
 
 def frobenius_twist(x: FormalChar, l: int) -> FormalChar:
     """Scale every support weight by l."""
-    return FormalChar({Weight(w[0] * l, w[1] * l): c for w, c in x.coeffs.items()}, _raw=True)
+    return FormalChar({(a * l, b * l): c for (a, b), c in x.coeffs.items()})
 
 
 def dual_char(x: FormalChar) -> FormalChar:
@@ -358,7 +346,7 @@ def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[
     rem = dict(x.coeffs)
     out: dict[Weight, int] = {}
     while rem:
-        top = max(rem, key=dominance_key)
+        top = Weight(*max(rem, key=dominance_key))
         if not top.is_dominant():
             raise ValueError(f"not expandable: leading weight {top} is not dominant")
         c = out[top] = rem[top]
@@ -397,7 +385,7 @@ def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
 
 def char_sum(parts: Iterable[FormalChar]) -> FormalChar:
     """Sum of weight-basis characters, accumulated in one dict."""
-    return FormalChar(weyl_sum(p.coeffs for p in parts), _raw=True)
+    return FormalChar(weyl_sum(p.coeffs for p in parts))
 
 
 def char_from_weyl(x: dict[Weight, int]) -> FormalChar:

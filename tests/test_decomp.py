@@ -117,6 +117,18 @@ def test_surviving_factors_match_expansion():
                 )
 
 
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+@given(data=st.data())
+@settings(max_examples=10, derandomize=True, deadline=None)
+def test_surviving_factors_match_expansion_random(l, data):
+    cls = data.draw(st.builds(Weight, st.integers(0, 6), st.integers(0, 6)))
+    res = data.draw(st.builds(Weight, st.integers(0, l - 1), st.integers(0, l - 1)))
+    lam = l * cls + res
+    expansion = chi_l_expansion(weyl_char(lam), l)
+    assert all(c == 1 and type(w) is Weight for w, c in expansion)
+    assert sorted(w for w, _ in expansion) == sorted(chi_decomposition(lam, l).surviving_factors())
+
+
 def test_chi_l_expansion_rejects_non_invariant():
     with pytest.raises(ValueError, match=r"leading weight \(-1,1\) is not dominant"):
         chi_l_expansion(e(1, 0), 3)
