@@ -2,8 +2,13 @@
 
 Characters live in the integral group ring ZX with basis e(lam) and product
 e(lam)e(mu) = e(lam+mu).  Everything here is exact integer arithmetic; the
-two independent constructions of the induced-module character (tableau
-enumeration and the alternating-sum quotient) cross-check each other.
+two independent constructions of the induced-module character cross-check
+each other: Gelfand-Tsetlin counting (kernels.ssyt_weight_counts; the
+patterns are in bijection with semistandard tableaux) and the alternating-sum quotient
+A(lam+rho) / A(rho), divided one factor of the Weyl denominator
+A(rho) = e(rho) * prod over alpha > 0 of (1 - e(-alpha)) at a time by
+running sums down alpha-strings (divide_by_weyl_denominator).  Neither
+route calls the other.
 
 FormalChar.coeffs is keyed by int pairs (a, b): the engine builds plain
 tuples, which hash and compare equal to Weight, and uses Weight only where a
@@ -19,10 +24,12 @@ decompose_into_weyl are kept as their independent oracles.
 from __future__ import annotations
 
 import json
+from itertools import accumulate, repeat
 from typing import Callable, Iterable
 
 from qgl3 import kernels
 from qgl3.lattice import (
+    POSITIVE_ROOTS,
     RHO,
     FacetType,
     Weight,
@@ -137,8 +144,9 @@ _weyl_cache: dict[Weight, FormalChar] = {}
 def weyl_char(lam: Weight) -> FormalChar:
     """Character of the induced module of highest weight lam.
 
-    Computed by counting semistandard tableaux on the two-row shape
-    (a+b, b) in three letters and projecting contents to SL3 coordinates.
+    Computed by counting Gelfand-Tsetlin patterns (equivalently,
+    semistandard tableaux) of the two-row shape (a+b, b) in three letters
+    and projecting contents to SL3 coordinates.
     """
     lam = Weight(*lam)
     if not lam.is_dominant():
@@ -161,6 +169,10 @@ def alt_weyl_sum(mu: Weight) -> FormalChar:
 
 def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
     """Exact quotient in the group ring; ValueError when den does not divide num.
+
+    The engine does not call it (the alternating quotient divides by
+    divide_by_weyl_denominator); it is kept because the benchmark's tracer
+    names it.
 
     Peels the lexicographically leading term off one remainder dict in place.
     Lex order is addition-compatible, so the quotient terms come out strictly
@@ -202,12 +214,67 @@ def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
     return FormalChar(quot)
 
 
+def _divide_by_binomial(x: dict, da: int, db: int) -> dict:
+    """x / (1 - e(-alpha)) for alpha = (da, db); ValueError when inexact.
+
+    The quotient q satisfies x(mu) = q(mu) - q(mu + alpha), so
+    q(mu) = x(mu) + q(mu + alpha): a running sum down each alpha-string
+    from its top support weight.  Below the string's lowest support weight
+    q stays at the string's total, which must be 0 for q to be finite.
+    The result may hold zero coefficients.
+    """
+    # Every positive root has a nonzero first coordinate, so a string is
+    # walked by its first coordinate, from `top` to `bottom` in steps of da.
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for a, b in x:
+        k = db * a - da * b  # constant along the string
+        if k in lo:
+            if a < lo[k]:
+                lo[k] = a
+            elif a > hi[k]:
+                hi[k] = a
+        else:
+            lo[k] = hi[k] = a
+    out: dict[tuple[int, int], int] = {}
+    for k, a_lo in lo.items():
+        top, bottom = (hi[k], a_lo) if da > 0 else (a_lo, hi[k])
+        n = (top - bottom) // da + 1
+        tb = (db * top - k) // da
+        string = list(zip(range(top, top - n * da, -da), range(tb, tb - n * db, -db)))
+        sums = list(accumulate(map(x.get, string, repeat(0))))
+        if sums[-1]:
+            ba, bb = string[-1]
+            raise ValueError(
+                f"inexact division by the Weyl denominator: the string ({ba},{bb}) + "
+                f"N({da},{db}) sums to {sums[-1]}, not 0"
+            )
+        out.update(zip(string, sums))
+    return out
+
+
+def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
+    """num / A(rho), where A(rho) = alt_weyl_sum(RHO); ValueError when A(rho)
+    does not divide num.
+
+    A(rho) = e(rho) * (1 - e(-alpha1)) * (1 - e(-alpha2)) * (1 - e(-alpha1 - alpha2)),
+    so shift by -rho and divide by each binomial in turn.  An inexact
+    division fails at the first alpha-string whose running sum does not
+    return to 0; the message names the string by its lowest weight in the
+    partial quotient and alpha.
+    """
+    x = {(a - RHO.a, b - RHO.b): c for (a, b), c in num.coeffs.items()}
+    for root in POSITIVE_ROOTS:
+        x = _divide_by_binomial(x, *root.vector)
+    return FormalChar(x)
+
+
 def weyl_char_alternating(lam: Weight) -> FormalChar:
     """Second, independent route to weyl_char: quotient of alternating sums."""
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"weyl_char_alternating needs a dominant weight, got {lam}")
-    return divide_exact(alt_weyl_sum(lam + RHO), alt_weyl_sum(RHO))
+    return divide_by_weyl_denominator(alt_weyl_sum(lam + RHO))
 
 
 def euler_char(mu: Weight) -> FormalChar:
@@ -391,7 +458,11 @@ def char_sum(parts: Iterable[FormalChar]) -> FormalChar:
 def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     """The weight-basis character sum c * weyl_char(k) of a Weyl-basis
     combination; inverse to decompose_into_weyl."""
-    return char_sum(weyl_char(k) * c for k, c in x.items())
+    out: dict[tuple[int, int], int] = {}
+    for k, c in x.items():
+        for w, m in weyl_char(k).coeffs.items():
+            out[w] = out.get(w, 0) + c * m
+    return FormalChar(out)
 
 
 _chi_l_weyl_cache: dict[tuple[int, int, int], dict[Weight, int]] = {}

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgl3 import charring, kernels
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
@@ -11,6 +12,7 @@ from qgl3.charring import (
     chi_l,
     chi_l_weyl,
     decompose_into_weyl,
+    divide_by_weyl_denominator,
     divide_exact,
     dual_char,
     e,
@@ -147,10 +149,42 @@ def test_denominator_identity_box():
         assert weyl_char_alternating(lam) == weyl_char(lam)
 
 
-@given(st.builds(Weight, st.integers(0, 40), st.integers(0, 40)))
+@given(st.builds(Weight, st.integers(0, 60), st.integers(0, 60)))
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_alternating_quotient_against_tableaux_large(lam):
     assert weyl_char_alternating(lam) == weyl_char(lam)
+
+
+def test_divide_by_weyl_denominator_error_paths():
+    # e(0,0) shifted by -rho is the lone weight (-1,-1) on its alpha1-string
+    with pytest.raises(ValueError, match=r"^inexact .*string \(-1,-1\) \+ N\(2,-1\) sums to 1, not 0"):
+        divide_by_weyl_denominator(e(0, 0))
+    num = alt_weyl_sum(Weight(3, 2) + RHO)
+    assert divide_by_weyl_denominator(num) == weyl_char(Weight(3, 2))
+    perturbed = dict(num.coeffs)
+    perturbed[4, 3] += 1
+    with pytest.raises(ValueError, match=r"^inexact division by the Weyl denominator: the string"):
+        divide_by_weyl_denominator(FormalChar(perturbed))
+    assert divide_by_weyl_denominator(FormalChar()) == FormalChar()
+
+
+def test_induced_character_routes_are_independent(monkeypatch):
+    """Neither route to the induced character calls the other, so each
+    stays an oracle for the other: the quotient runs with the counting
+    kernel broken, and the counting route with every division broken."""
+
+    def crossed(*args):
+        raise AssertionError("one induced-character route called the other")
+
+    fresh = [Weight(41, 3), Weight(2, 43), Weight(44, 44)]
+    monkeypatch.setattr(charring, "_weyl_cache", {})
+    monkeypatch.setattr(kernels, "ssyt_weight_counts", crossed)
+    quotients = [weyl_char_alternating(lam) for lam in fresh]
+    monkeypatch.undo()
+    monkeypatch.setattr(charring, "_weyl_cache", {})
+    for name in ("divide_by_weyl_denominator", "_divide_by_binomial", "divide_exact"):
+        monkeypatch.setattr(charring, name, crossed)
+    assert [weyl_char(lam) for lam in fresh] == quotients
 
 
 def test_divide_exact_error_paths():
