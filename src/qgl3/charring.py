@@ -263,7 +263,7 @@ def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
     return to 0; the message names the string by its lowest weight in the
     partial quotient and alpha.
     """
-    x = {(a - RHO.a, b - RHO.b): c for (a, b), c in num.coeffs.items()}
+    x = shift(num, -RHO).coeffs
     for root in POSITIVE_ROOTS:
         x = _divide_by_binomial(x, *root.vector)
     return FormalChar(x)
@@ -284,6 +284,12 @@ def euler_char(mu: Weight) -> FormalChar:
         return ZERO_CHAR
     ch = weyl_char(rep)
     return ch if sign == 1 else -ch
+
+
+def shift(x: FormalChar, w: Weight) -> FormalChar:
+    """x * e(w): every support weight moved by w, without a convolution."""
+    a, b = w
+    return FormalChar({(p + a, q + b): c for (p, q), c in x.coeffs.items()})
 
 
 def frobenius_twist(x: FormalChar, l: int) -> FormalChar:
@@ -448,6 +454,20 @@ def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
         for w, c in part.items():
             out[w] = out.get(w, 0) + c
     return {w: c for w, c in out.items() if c}
+
+
+def coeff_diff(got: dict[Weight, int], want: dict[Weight, int]) -> str:
+    """The string "ok", or the first few coefficients that differ; got and
+    want are {weight: int} in the weight basis (FormalChar.coeffs) or in the
+    Weyl basis."""
+    if got == want:
+        return "ok"
+    diff = [
+        f"{Weight(*w)}: want {want.get(w, 0)} got {got.get(w, 0)}"
+        for w in sorted(set(got) | set(want))
+        if got.get(w, 0) != want.get(w, 0)
+    ]
+    return "; ".join(diff[:4]) if diff else "ok"
 
 
 def char_sum(parts: Iterable[FormalChar]) -> FormalChar:

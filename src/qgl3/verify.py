@@ -14,6 +14,7 @@ from qgl3.charring import (
     alt_weyl_sum,
     char_sum,
     chi_l_weyl,
+    coeff_diff,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -60,20 +61,6 @@ def _classical_box(box: int, rows: tuple[int, ...] | None = None) -> Iterator[We
         yield Weight(a, b)
 
 
-def _observed(got: dict[Weight, int], want: dict[Weight, int]) -> str:
-    """The string "ok", or the first few coefficients that differ; got and
-    want are {weight: int} in the weight basis (FormalChar.coeffs) or in the
-    Weyl basis."""
-    if got == want:
-        return "ok"
-    diff = [
-        f"{Weight(*w)}: want {want.get(w, 0)} got {got.get(w, 0)}"
-        for w in sorted(set(got) | set(want))
-        if got.get(w, 0) != want.get(w, 0)
-    ]
-    return "; ".join(diff[:4]) if diff else "ok"
-
-
 def _restricted(l: int) -> Iterator[Weight]:
     for r, s in itertools.product(range(l), repeat=2):
         yield Weight(r, s)
@@ -82,9 +69,9 @@ def _restricted(l: int) -> Iterator[Weight]:
 def suite_denominator(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
     a_rho = alt_weyl_sum(RHO)
     for lam in _classical_box(box, rows):
-        observed = _observed(alt_weyl_sum(lam + RHO).coeffs, (weyl_char(lam) * a_rho).coeffs)
+        observed = coeff_diff(alt_weyl_sum(lam + RHO).coeffs, (weyl_char(lam) * a_rho).coeffs)
         yield (f"lam={lam}", "A(lam+rho) = weyl(lam)*A(rho)", observed, observed == "ok")
-        observed = _observed(weyl_char_alternating(lam).coeffs, weyl_char(lam).coeffs)
+        observed = coeff_diff(weyl_char_alternating(lam).coeffs, weyl_char(lam).coeffs)
         yield (f"lam={lam}", "quotient path = tableau path", observed, observed == "ok")
 
 
@@ -99,7 +86,7 @@ def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            observed = _observed(chi_decomposition(lam, l).weyl_character(), {lam: 1})
+            observed = coeff_diff(chi_decomposition(lam, l).weyl_character(), {lam: 1})
             yield (
                 f"l={l} lam={lam}",
                 "sum of chi_l factors = weyl character",
@@ -114,7 +101,7 @@ def suite_zhat(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterato
             lam = l * cls + res
             zc = zhat_char(lam, l)
             total = char_sum(hat_simple_char(nu, l) for nu in zhat_factors(lam, l))
-            observed = _observed(total.coeffs, zc.coeffs)
+            observed = coeff_diff(total.coeffs, zc.coeffs)
             if zc.dimension != l**3:
                 observed = f"dim {zc.dimension}"
             yield (
@@ -144,7 +131,7 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                 continue  # no dominant wall below
             if not mirror.is_dominant():
                 continue
-            observed = _observed(total, {lam: 1, mirror: 1})
+            observed = coeff_diff(total, {lam: 1, mirror: 1})
             yield (
                 f"l={l} lam={lam}",
                 "translate character = weyl(lam) + weyl(mirror)",
@@ -166,7 +153,7 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                         for f in chi_decomposition(lam, l).surviving_factors()
                     )
                     acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
-                    observed = _observed(acc, {image: 1})
+                    observed = coeff_diff(acc, {image: 1})
                     yield (
                         f"l={l} lam={lam}",
                         "onto-wall factor characters = image character",
@@ -181,24 +168,25 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
             yield (f"l={l} lam={lam}", f"generic factor count = {want}", str(n), n == want)
 
 
+_GRAPH_CASES = (
+    ("zhat", zhat_structure, "all structure-graph checks"),
+    ("lfilt", nabla_l_filtration, "filtration nodes and character"),
+)
+
+
 def suite_graphs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            rep = validate_graph(zhat_structure(lam, l))
-            yield (
-                f"l={l} lam={lam} zhat",
-                "all structure-graph checks",
-                "ok" if rep.ok else str(rep.failures()),
-                rep.ok,
-            )
-            repn = validate_graph(nabla_l_filtration(lam, l))
-            yield (
-                f"l={l} lam={lam} lfilt",
-                "filtration nodes and character",
-                "ok" if repn.ok else str(repn.failures()),
-                repn.ok,
-            )
+            for tag, build, identity in _GRAPH_CASES:
+                case = f"l={l} lam={lam} {tag}"
+                try:
+                    g = build(lam, l)
+                except ValueError as exc:  # a kept factor with no layer
+                    yield (case, identity, str(exc), False)
+                    continue
+                rep = validate_graph(g)
+                yield (case, identity, "ok" if rep.ok else str(rep.failures()), rep.ok)
 
 
 def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:

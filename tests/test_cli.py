@@ -225,8 +225,9 @@ def test_serial_and_parallel_sweeps_agree(name):
 def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the corrupted family only when forked")
-    serial = run_suite("decomposition", [2, 3, 5], 2)
-    parallel = run_suite("decomposition", [2, 3, 5], 2, jobs=2)
-    assert serial.failures
-    assert parallel.cases_run == serial.cases_run
-    assert sorted(parallel.failures) == sorted(serial.failures)
+    for name in ("decomposition", "graphs"):
+        serial = run_suite(name, [2, 3, 5], 2)
+        parallel = run_suite(name, [2, 3, 5], 2, jobs=2)
+        assert serial.failures
+        assert parallel.cases_run == serial.cases_run
+        assert sorted(parallel.failures) == sorted(serial.failures)

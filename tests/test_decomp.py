@@ -4,17 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3.charring import chi_l, e, frobenius_twist, restricted_simple_char, weyl_char
+from qgl3 import charring, decomp, kernels
+from qgl3.charring import FormalChar, chi_l, e, frobenius_twist, restricted_simple_char, weyl_char
 from qgl3.decomp import (
-    DecompResult,
     chi_decomposition,
     chi_l_expansion,
     hat_simple_char,
-    nabla_l_char,
     zhat_char,
     zhat_factors,
 )
-from qgl3.lattice import Weight, dominance_key
+from qgl3.lattice import POSITIVE_ROOTS, Weight, dominance_key
 from qgl3.verify import suite_decomposition
 
 
@@ -179,22 +178,53 @@ def test_zhat_char_shift_rule(lam, nu, l):
     assert zhat_char(lam + l * nu, l) == zhat_char(lam, l) * e(*(l * nu))
 
 
-def test_nabla_l_char():
-    assert nabla_l_char(Weight(4, 1), 3).dimension == 21
-    assert nabla_l_char(Weight(1, 1), 3) == restricted_simple_char(Weight(1, 1), 3)
-    with pytest.raises(ValueError):
-        nabla_l_char(Weight(3, -3), 3)
+def _zhat_char_by_convolution(lam, l):
+    """Oracle for zhat_char: e(lam) times the three geometric series, one
+    group-ring product per positive root."""
+    out = FormalChar.basis(Weight(*lam))
+    for root in POSITIVE_ROOTS:
+        v = root.vector
+        out = out * FormalChar({(-j * v[0], -j * v[1]): 1 for j in range(l)})
+    return out
 
 
-def test_decomp_json_roundtrip():
-    dec = chi_decomposition(Weight(3, 3), 3)
-    back = DecompResult.from_json(dec.to_json())
-    assert back == dec
-    import json
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+def test_zhat_char_matches_convolution(l):
+    for cls in (Weight(0, 0), Weight(2, 1), Weight(-1, 0), Weight(1, -3), Weight(-2, -2)):
+        for res in (Weight(0, 0), Weight(l - 1, 0), Weight(1, l - 2), Weight(l - 1, l - 1)):
+            lam = l * cls + res
+            assert zhat_char(lam, l) == _zhat_char_by_convolution(lam, l), (l, lam)
 
-    data = json.loads(dec.to_json())
-    assert data["case"] == "v"
-    assert data["nonzero"] == [True, True, False, True, False, True, True, True, True]
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+def test_hat_simple_char_is_a_shift(l):
+    for cls in (Weight(0, 0), Weight(3, 1), Weight(-2, 1), Weight(0, -4)):
+        for r, s in itertools.product(range(l), repeat=2):
+            nu = l * cls + Weight(r, s)
+            want = restricted_simple_char(Weight(r, s), l) * e(*(l * cls))
+            assert hat_simple_char(nu, l) == want, (l, nu)
+
+
+def test_zhat_characters_call_no_convolution(monkeypatch):
+    # Empty caches, so the per-l product and the restricted simple
+    # characters are built inside the guard.
+    monkeypatch.setattr(decomp, "_zhat_bases", {})
+    monkeypatch.setattr(charring, "_simple_tables", {})
+
+    def refuse(a, b):
+        raise AssertionError("kernels.convolve called")
+
+    monkeypatch.setattr(kernels, "convolve", refuse)
+    for l in (2, 3, 5):
+        for cls in (Weight(0, 0), Weight(1, -2)):
+            for r, s in itertools.product(range(l), repeat=2):
+                lam = l * cls + Weight(r, s)
+                assert zhat_char(lam, l).dimension == l**3
+                for nu in zhat_factors(lam, l):
+                    hat_simple_char(nu, l)
+    # the guard is live: a group-ring product does reach it
+    with pytest.raises(AssertionError, match="convolve called"):
+        zhat_char(Weight(0, 0), 2) * zhat_char(Weight(0, 0), 2)
 
 
 def test_non_dominant_rejected():

@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 
+from qgl3 import decomp, kernels
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
@@ -12,6 +14,7 @@ from qgl3.structure import (
     validate_graph,
     zhat_structure,
 )
+from qgl3.verify import run_suite
 
 
 def test_zhat_vertex_single_node():
@@ -74,6 +77,54 @@ def test_corrupted_edge_fails_validation():
     rep = validate_graph(bad)
     assert not rep.ok
     assert any(name == "edges-ext-consistent" for name, _ in rep.failures())
+
+
+def test_zhat_node_list_check():
+    g = zhat_structure(Weight(3, 3), 3)
+    gone = g.nodes[0].id
+    edges = tuple(e for e in g.edges if gone not in e)
+    dropped = ModuleGraph(g.lam, g.l, g.kind, g.nodes[1:], edges)
+    assert "nodes-match-factors" in dict(validate_graph(dropped).failures())
+
+
+def test_filtration_character_sum_names_coefficients():
+    lam = Weight(7, 7)
+    g = nabla_l_filtration(lam, 3)
+    top = next(n for n in g.nodes if n.weight == lam)
+    dropped = ModuleGraph(g.lam, g.l, g.kind, tuple(n for n in g.nodes if n is not top), ())
+    detail = dict(validate_graph(dropped).failures())["character-sum"]
+    # the first differing Weyl coefficients, as want/got
+    assert re.fullmatch(
+        r"node characters must sum to the induced character: "
+        r"\(-?\d+,-?\d+\): want -?\d+ got -?\d+(; \(-?\d+,-?\d+\): want -?\d+ got -?\d+){0,3}",
+        detail,
+    ), detail
+
+
+def test_graph_sweeps_call_no_convolution(monkeypatch):
+    monkeypatch.setattr(decomp, "_zhat_bases", {})
+    calls = []
+    convolve = kernels.convolve
+
+    def counted(a, b):
+        calls.append(1)
+        return convolve(a, b)
+
+    monkeypatch.setattr(kernels, "convolve", counted)
+    for name in ("zhat", "graphs"):
+        report = run_suite(name, [2, 3], 2)
+        assert report.passed
+    assert not calls
+
+
+def test_corrupted_family_fails_graph_cases(corrupt_down_alcove):
+    report = run_suite("graphs", [3], 2)
+    assert report.cases_run == 2 * 9 * 9
+    missing = [f for f in report.failures if "has no layer" in f[2]]
+    assert missing
+    case, identity, observed = missing[0]
+    assert case.endswith(" lfilt") and identity == "filtration nodes and character"
+    assert case.split()[1] == f"lam={observed.split()[3]}"
 
 
 def test_nabla_vertex_and_chain_cases():
