@@ -272,22 +272,35 @@ _PAIRS_BY_FACET = {
 }
 
 
+def extending_pairs(mu: Weight, l: int) -> frozenset[tuple[Weight, Weight]]:
+    """The (upper, lower) pairs of composition-factor weights of the
+    Borel-induced module of weight mu between which Ext^1 is nonzero: the
+    facet's table, read on zhat_factors(mu)."""
+    mu = Weight(*mu)
+    factors = zhat_factors(mu, l)
+    if len(set(factors)) != len(factors):
+        raise ValueError(
+            f"degenerate factor list for {mu} (l={l}): {[tuple(f) for f in factors]}"
+        )
+    facet = classify_restricted(decompose(mu, l).restricted, l)
+    return frozenset(
+        (factors[u - 1], factors[v - 1]) for u, v in _PAIRS_BY_FACET[facet]
+    )
+
+
 def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
     """Table lookup: dim Ext^1(upper lam, lower eta) among the composition
     factors of the Borel-induced module of weight mu."""
     mu, lam, eta = Weight(*mu), Weight(*lam), Weight(*eta)
+    pairs = extending_pairs(mu, l)
     factors = zhat_factors(mu, l)
-    index = {f: i + 1 for i, f in enumerate(factors)}
-    if len(index) != len(factors):
-        raise ValueError(f"degenerate factor list for {mu}")
-    missing = [w for w in (lam, eta) if w not in index]
+    missing = [w for w in (lam, eta) if w not in factors]
     if missing:
         raise ValueError(
             f"{missing[0]} is not a composition factor of the induced module of "
             f"weight {mu} (l={l}); factors are {[tuple(f) for f in factors]}"
         )
-    facet = classify_restricted(decompose(mu, l).restricted, l)
-    return int((index[lam], index[eta]) in _PAIRS_BY_FACET[facet])
+    return int((lam, eta) in pairs)
 
 
 # Socle of the tensor with the fundamental three-dimensional module, one row

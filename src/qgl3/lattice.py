@@ -161,45 +161,52 @@ def facet_classify(lam: Weight, l: int) -> FacetType:
     return classify_restricted(decompose(lam, l).restricted, l)
 
 
-def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, list[tuple[PositiveRoot, int]]]:
+class AffineWeylElement(NamedTuple):
+    """An element of the affine Weyl group under the dot action, in GL3
+    coordinates x = lam + rho = (a+b+2, b+1, 0), taken modulo (1,1,1): it
+    sends x to the vector whose k-th entry is (x + shift)[perm[k]].  The
+    shift lies in l*Z^3 with entry sum divisible by 3l."""
+
+    perm: tuple[int, int, int]
+    shift: tuple[int, int, int]
+
+
+def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
     """Pull lam into the fundamental domain 0 <= <x+rho, alpha_i~>, <x+rho, rho~> <= l.
 
-    Returns the representative together with the reflection walls applied, in
-    order, as (root, wall value) pairs.  The loop is capped defensively; the
-    true number of steps is far below the cap.
+    Returns the representative together with an affine Weyl element w with
+    w . lam = representative.
+
+    Closed form (Jantzen II.6): in GL3 coordinates x = lam + rho =
+    (a+b+2, b+1, 0), taken modulo (1,1,1), the group acts by permuting the
+    entries and adding l*v for integer vectors v with entry sum divisible
+    by 3.  Divmod each entry by l and raise the j smallest residues by l,
+    with j the quotient sum mod 3: the result lies in the orbit and its
+    entries are at most l apart, so sorted decreasingly it is the orbit's
+    point of the closed fundamental alcove.  The representative is unique;
+    the element is unique up to the stabilizer of lam.
     """
-    cur = Weight(*lam)
-    moves: list[tuple[PositiveRoot, int]] = []
-    cap = 10 * (abs(lam[0]) + abs(lam[1]) + l) + 20
-    for _ in range(cap):
-        p1 = pairing(cur, PositiveRoot.ALPHA1)
-        p2 = pairing(cur, PositiveRoot.ALPHA2)
-        pr = pairing(cur, PositiveRoot.RHO)
-        if p1 < 0:
-            cur = affine_reflect(cur, PositiveRoot.ALPHA1, 0)
-            moves.append((PositiveRoot.ALPHA1, 0))
-        elif p2 < 0:
-            cur = affine_reflect(cur, PositiveRoot.ALPHA2, 0)
-            moves.append((PositiveRoot.ALPHA2, 0))
-        elif pr > l:
-            cur = affine_reflect(cur, PositiveRoot.RHO, 1, l)
-            moves.append((PositiveRoot.RHO, l))
-        else:
-            return cur, moves
-    raise RuntimeError(f"fundamental_rep did not converge for {lam} (l={l})")
+    x = (lam[0] + lam[1] + 2, lam[1] + 1, 0)
+    q0, r0 = divmod(x[0], l)
+    q1, r1 = divmod(x[1], l)
+    q2, r2 = divmod(x[2], l)
+    z = [r0, r1, r2]
+    for i in sorted(range(3), key=z.__getitem__)[: (q0 + q1 + q2) % 3]:
+        z[i] += l
+    perm = tuple(sorted(range(3), key=z.__getitem__, reverse=True))
+    y0, y1, y2 = z[perm[0]], z[perm[1]], z[perm[2]]
+    shift = (z[0] - x[0], z[1] - x[1], z[2] - x[2])
+    return Weight(y0 - y1 - 1, y1 - y2 - 1), AffineWeylElement(perm, shift)
 
 
-def apply_wall_reflections(moves: list[tuple[PositiveRoot, int]], x: Weight) -> Weight:
-    """Apply the inverse of a recorded reflection word to x.
-
-    If the word s_k ... s_1 maps nu to its representative, this maps
-    representative-side data back to nu's side: x -> s_1 ... s_k (x).
-    Each move is (root, absolute wall value).
-    """
-    cur = Weight(*x)
-    for root, wall in reversed(moves):
-        cur = affine_reflect(cur, root, wall, 1)
-    return cur
+def apply_inverse(w: AffineWeylElement, x: Weight) -> Weight:
+    """w^-1 . x in O(1): if w sends nu to its representative, this maps
+    representative-side data back to nu's side."""
+    y = (x[0] + x[1] + 2, x[1] + 1, 0)
+    v = [0, 0, 0]
+    for k, i in enumerate(w.perm):
+        v[i] = y[k] - w.shift[i]
+    return Weight(v[0] - v[1] - 1, v[1] - v[2] - 1)
 
 
 def linked(lam: Weight, mu: Weight, l: int) -> bool:

@@ -13,11 +13,12 @@ the orphaned nodes one layer further) and are flagged as reconstructions.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_factors
-from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext1_g1b
+from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, extending_pairs
 from qgl3.homs import zhat_head_weight
 from qgl3.lattice import (
     FacetType,
@@ -47,12 +48,6 @@ class ModuleGraph:
     kind: str
     nodes: tuple[GraphNode, ...]
     edges: tuple[tuple[str, str], ...]
-
-    def node_by_id(self, node_id: str) -> GraphNode:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
 
     def node_weights(self) -> list[Weight]:
         return [n.weight for n in self.nodes]
@@ -300,14 +295,16 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
             len(sources) == 1 and sources[0].weight == head,
             f"sources: {[tuple(n.weight) for n in sources]}, head {tuple(head)}",
         )
-        bad_edges = []
-        for u, v in g.edges:
-            wu = g.node_by_id(u).weight
-            wv = g.node_by_id(v).weight
-            if ext1_g1b(g.lam, wu, wv, g.l) != 1:
-                bad_edges.append((tuple(wu), tuple(wv)))
+        pairs = extending_pairs(g.lam, g.l)
+        weight = {n.id: n.weight for n in g.nodes}
+        bad_edges = [
+            (tuple(weight[u]), tuple(weight[v]))
+            for u, v in g.edges
+            if (weight[u], weight[v]) not in pairs
+        ]
         report.add("edges-ext-consistent", not bad_edges, f"bad edges: {bad_edges}")
-        report.add("duality-reversal", _duality_check(g), "dual graph must reverse edges")
+        diff = _duality_diff(g)
+        report.add("duality-reversal", not diff, f"dual graph must reverse edges: {diff}")
     else:
         diff = coeff_diff(weyl_sum(chi_l_weyl(n.weight, g.l) for n in g.nodes), {g.lam: 1})
         report.add(
@@ -324,16 +321,31 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     return report
 
 
-def _duality_check(g: ModuleGraph) -> bool:
-    dual_lam = 2 * (g.l - 1) * RHO - g.lam
-    gd = zhat_structure(dual_lam, g.l)
-    mapped = sorted(hat_dual_weight(w, g.l) for w in g.node_weights())
-    if mapped != sorted(gd.node_weights()):
-        return False
-    id_by_weight = {n.weight: n.id for n in gd.nodes}
-    want = {
-        (id_by_weight[hat_dual_weight(g.node_by_id(v).weight, g.l)],
-         id_by_weight[hat_dual_weight(g.node_by_id(u).weight, g.l)])
-        for u, v in g.edges
-    }
-    return want == set(gd.edges)
+def _duality_diff(g: ModuleGraph) -> str:
+    """Compare g with the graph of the dual module: its nodes must be the
+    dual weights of g's nodes and its edges g's edges reversed.  Returns ""
+    when they match, else the first dual node weights or reversed edges
+    that differ, as want/got."""
+    gd = zhat_structure(2 * (g.l - 1) * RHO - g.lam, g.l)
+    dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
+    got = {n.id: n.weight for n in gd.nodes}
+    return _want_got("dual nodes", dual.values(), got.values(), str) or _want_got(
+        "reversed edges",
+        [(dual[v], dual[u]) for u, v in g.edges],
+        [(got[u], got[v]) for u, v in gd.edges],
+        lambda e: f"{e[0]}->{e[1]}",
+    )
+
+
+def _want_got(what: str, want, got, fmt) -> str:
+    """"" when the two collections agree as multisets, else the first four
+    entries, formatted by fmt, that only one of them holds."""
+    want, got = sorted(want), sorted(got)
+    if want == got:
+        return ""
+    only_want = list((Counter(want) - Counter(got)).elements())[:4]
+    only_got = list((Counter(got) - Counter(want)).elements())[:4]
+    return (
+        f"{what}: want {' '.join(map(fmt, only_want)) or '-'}"
+        f" got {' '.join(map(fmt, only_got)) or '-'}"
+    )

@@ -34,7 +34,7 @@ from qgl3.lattice import (
     PositiveRoot,
     Weight,
     affine_reflect,
-    apply_wall_reflections,
+    apply_inverse,
     classify_restricted,
     decompose,
     facet_classify,
@@ -104,6 +104,17 @@ class OffWallFactorList:
         ]
 
 
+def _orbit_near(nu: Weight, y: Weight, l: int) -> tuple[Weight, set[Weight]]:
+    """The fundamental representative of nu, and the points of the orbit of
+    y next to nu: for w with w . nu = representative and y in the closure of
+    the representative's facet, w^-1 applied to y's orbit under the
+    representative's stabilizer.  The set does not depend on the choice of
+    w, which is unique only up to the stabilizer of nu."""
+    rep, w = fundamental_rep(nu, l)
+    walls = facet_stabilizer_walls(rep, l)
+    return rep, {apply_inverse(w, x) for x in stabilizer_orbit(y, walls, l)}
+
+
 def translate_onto_wall(
     nu: Weight, lam_orbit: Weight, mu_orbit: Weight, l: int
 ) -> WallTranslationResult:
@@ -113,7 +124,7 @@ def translate_onto_wall(
     nu, lam_orbit, mu_orbit = Weight(*nu), Weight(*lam_orbit), Weight(*mu_orbit)
     if not nu.is_dominant():
         raise ValueError(f"translate_onto_wall needs a dominant weight, got {nu}")
-    rep, moves = fundamental_rep(nu, l)
+    rep, candidates = _orbit_near(nu, mu_orbit, l)
     if rep != Weight(*lam_orbit):
         raise ValueError(
             f"{nu} is not in the orbit of {lam_orbit} (representative {rep}, l={l})"
@@ -121,11 +132,6 @@ def translate_onto_wall(
     lam_windows = facet_windows(lam_orbit, l)
     if not in_closure(mu_orbit, lam_windows, l):
         raise ValueError(f"{mu_orbit} is not in the closure of the facet of {lam_orbit}")
-    stab_walls = facet_stabilizer_walls(lam_orbit, l)
-    candidates = {
-        apply_wall_reflections(moves, y)
-        for y in stabilizer_orbit(mu_orbit, stab_walls, l)
-    }
     nu_windows = facet_windows(nu, l)
     survivors = sorted(x for x in candidates if in_upper_closure(x, nu_windows, l))
     if len(survivors) > 1:
@@ -253,19 +259,16 @@ def _admissible_target(nu: Weight, x: Weight, l: int) -> bool:
     return x_wall[0] is not nu_wall[0] and _in_lower_closure(nu, above, l)
 
 
-def local_target(nu: Weight, lam: Weight, l: int) -> Weight:
-    """The weight of lam's orbit adjacent to the wall factor nu in the
-    configuration the off-wall tables cover."""
-    rep_nu, moves = fundamental_rep(nu, l)
-    rep_lam, _ = fundamental_rep(lam, l)
-    walls = facet_stabilizer_walls(rep_nu, l)
-    candidates = {
-        apply_wall_reflections(moves, y) for y in stabilizer_orbit(rep_lam, walls, l)
-    }
+def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
+    """The weight of the orbit with fundamental representative lam_rep
+    adjacent to the wall factor nu in the configuration the off-wall tables
+    cover."""
+    _, candidates = _orbit_near(nu, lam_rep, l)
     good = sorted(x for x in candidates if _admissible_target(nu, x, l))
     if len(good) != 1:
         raise RuntimeError(
-            f"no unique admissible target for factor {nu} toward {lam} (l={l}): {good}"
+            f"no unique admissible target for factor {nu} toward the orbit of "
+            f"{lam_rep} (l={l}): {good}"
         )
     return good[0]
 
@@ -338,66 +341,82 @@ def _wall_point(
     return None
 
 
-def translate_factor_lists(
-    lam: Weight, l: int
-) -> tuple[list[tuple[Weight, OffWallFactorList]], Weight, Weight]:
+@dataclass(frozen=True)
+class WallTranslate:
+    """The translate into lam's facet of the induced module of the wall
+    weight below lam: one (source factor, translated factor list) pair per
+    genuine filtration factor of the wall weight, the wall weight itself,
+    and the mirror image of lam in the wall."""
+
+    l: int
+    lists: tuple[tuple[Weight, OffWallFactorList], ...]
+    wall: Weight
+    mirror: Weight
+
+    def weyl_character(self) -> dict[Weight, int]:
+        """Character of the full translate in the basis of induced
+        characters; the identity says it is {lam: 1, mirror: 1}."""
+        return weyl_sum(lst.weyl_character(self.l) for _, lst in self.lists)
+
+    def generic_factor_count(self) -> int:
+        """Number of translated factors, for generic lam: 18 when l >= 3,
+        8 when l = 2.
+
+        Generic means every source factor and every translated entry has a
+        dominant (hence regular) classical part; non-generic inputs are
+        rejected since the counts are only asserted generically.
+        """
+        l = self.l
+        for nu in chi_decomposition(self.wall, l).factors:
+            if not decompose(nu, l).classical.is_dominant():
+                raise ValueError(
+                    f"non-generic: source factor {nu} has non-dominant classical part"
+                )
+        for _, lst in self.lists:
+            for entry in lst.factors:
+                if entry.vanishes:
+                    raise ValueError(
+                        f"non-generic: translated entry {entry.classical}|{entry.restricted} vanishes"
+                    )
+        return sum(len(lst) for _, lst in self.lists)
+
+
+def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
     """Translate every genuine filtration factor of the wall weight below
-    lam into lam's facet.  Returns (factor, translated list) pairs, the
-    wall weight, and the mirror image of lam in the wall.
+    lam into lam's facet.
 
     Only surviving factors are translated: an entry of the raw weight list
     with non-dominant classical part is the zero module, and the zero
-    module translates to zero.
+    module translates to zero.  lam is reduced to its fundamental
+    representative once, for all factors.
     """
     lam = Weight(*lam)
     mu, (root, value) = wall_weight_below(lam, l)
+    lam_rep, _ = fundamental_rep(lam, l)
     lists = []
     for nu in chi_decomposition(mu, l).surviving_factors():
-        x = local_target(nu, lam, l)
+        x = local_target(nu, lam_rep, l)
         ncls, nres = decompose(nu, l)
         xres = decompose(x, l).restricted
         lists.append((nu, translate_off_wall(ncls, nres, xres, l)))
-    mirror = affine_reflect(lam, root, value, 1)
-    return lists, mu, mirror
+    return WallTranslate(l, tuple(lists), mu, affine_reflect(lam, root, value, 1))
 
 
 def translate_nabla_factor_count(lam: Weight, l: int) -> int:
     """Number of factors of the translate of the wall weight below lam,
-    for generic lam: 18 when l >= 3, 8 when l = 2.
-
-    Generic means every source factor and every translated entry has a
-    dominant (hence regular) classical part; non-generic inputs are
-    rejected since the counts are only asserted generically.
-    """
+    for generic lam (see WallTranslate.generic_factor_count); at l >= 3 lam
+    must be an alcove weight."""
     lam = Weight(*lam)
     if l >= 3 and facet_classify(lam, l) not in (
         FacetType.DOWN_ALCOVE,
         FacetType.UP_ALCOVE,
     ):
         raise ValueError(f"{lam} is not an alcove weight for l={l}")
-    lists, mu, _ = translate_factor_lists(lam, l)
-    for nu in chi_decomposition(mu, l).factors:
-        if not decompose(nu, l).classical.is_dominant():
-            raise ValueError(f"non-generic: source factor {nu} has non-dominant classical part")
-    for _, lst in lists:
-        for entry in lst.factors:
-            if entry.vanishes:
-                raise ValueError(
-                    f"non-generic: translated entry {entry.classical}|{entry.restricted} vanishes"
-                )
-    return sum(len(lst) for _, lst in lists)
-
-
-def translated_weyl_character(lam: Weight, l: int) -> tuple[dict[Weight, int], Weight]:
-    """Character of the full translate in the basis of induced characters,
-    and the mirror weight; the identity says the character is
-    {lam: 1, mirror: 1}."""
-    lists, _, mirror = translate_factor_lists(lam, l)
-    return weyl_sum(lst.weyl_character(l) for _, lst in lists), mirror
+    return translate_factor_lists(lam, l).generic_factor_count()
 
 
 def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:
     """Character of the full translate and the mirror weight whose induced
     character it contains alongside lam's."""
-    total, mirror = translated_weyl_character(lam, l)
-    return char_from_weyl(total), mirror
+    t = translate_factor_lists(lam, l)
+    return char_from_weyl(t.weyl_character()), t.mirror

@@ -21,7 +21,7 @@ from qgl3.charring import (
     weyl_sum,
 )
 from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_char, zhat_factors
-from qgl3.ext import ext1_g, ext1_g1, ext1_g1b, ext1_g1b_general
+from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, extending_pairs
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import (
     RHO,
@@ -34,11 +34,7 @@ from qgl3.lattice import (
     in_closure,
 )
 from qgl3.structure import nabla_l_filtration, validate_graph, zhat_structure
-from qgl3.translate import (
-    translate_nabla_factor_count,
-    translate_onto_wall,
-    translated_weyl_character,
-)
+from qgl3.translate import translate_factor_lists, translate_onto_wall
 
 Case = tuple[str, str, str, bool]
 
@@ -126,12 +122,12 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
             if l == 2 and facet is FacetType.VERTEX:
                 continue
             try:
-                total, mirror = translated_weyl_character(lam, l)
+                t = translate_factor_lists(lam, l)
             except ValueError:
                 continue  # no dominant wall below
-            if not mirror.is_dominant():
+            if not t.mirror.is_dominant():
                 continue
-            observed = coeff_diff(total, {lam: 1, mirror: 1})
+            observed = coeff_diff(t.weyl_character(), {lam: 1, t.mirror: 1})
             yield (
                 f"l={l} lam={lam}",
                 "translate character = weyl(lam) + weyl(mirror)",
@@ -161,7 +157,7 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                         observed == "ok",
                     )
             try:
-                n = translate_nabla_factor_count(lam, l)
+                n = t.generic_factor_count()
             except ValueError:
                 continue  # non-generic
             want = 8 if l == 2 else 18
@@ -250,9 +246,10 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
     for res in _restricted(l):
         mu = l * cls + res
         factors = zhat_factors(mu, l)
+        pairs = extending_pairs(mu, l)
         for a in factors:
             for b in factors:
-                t = ext1_g1b(mu, a, b, l)
+                t = int((a, b) in pairs)
                 g = ext1_g1b_general(a, b, l)
                 yield (
                     f"l={l} table mu={mu} {a}->{b}",

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from qgl3 import ext
 from qgl3.decomp import zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
@@ -133,8 +134,21 @@ def test_g1b_case_tables_examples():
 
 def test_g1b_unknown_factor_diagnostic():
     mu = Weight(3, 3)
-    with pytest.raises(ValueError, match="not a composition factor"):
+    with pytest.raises(ValueError, match="not a composition factor") as err:
         ext1_g1b(mu, Weight(2, 2), Weight(3, 3), 3)
+    # names the stray weight, mu and the factors
+    assert "(2,2) is not" in str(err.value) and "weight (3,3)" in str(err.value)
+    assert str([tuple(f) for f in zhat_factors(mu, 3)]) in str(err.value)
+
+
+def test_g1b_degenerate_factor_list_diagnostic(monkeypatch):
+    mu = Weight(3, 3)
+    fs = zhat_factors(mu, 3)
+    monkeypatch.setattr(ext, "zhat_factors", lambda lam, l: fs[:-1] + fs[:1])
+    with pytest.raises(ValueError, match="degenerate factor list") as err:
+        ext1_g1b(mu, fs[0], fs[1], 3)
+    assert "for (3,3)" in str(err.value)
+    assert str([tuple(f) for f in fs[:-1] + fs[:1]]) in str(err.value)
 
 
 def test_g1b_tables_match_general_rule_everywhere():

@@ -4,16 +4,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgl3 import translate
 from qgl3.lattice import (
     POSITIVE_ROOTS,
+    AffineWeylElement,
     FacetType,
     PositiveRoot,
     Weight,
     affine_reflect,
+    apply_inverse,
     decompose,
     dominantize,
     dual_weight,
     facet_classify,
+    facet_stabilizer_walls,
     fundamental_rep,
     linked,
     pairing,
@@ -181,14 +185,89 @@ def test_linked_with_reflection(lam, beta, m, l):
     assert linked(lam, image, l)
 
 
-@given(weights, ls)
-@settings(max_examples=50)
-def test_fundamental_rep_is_canonical(lam, l):
-    rep, moves = fundamental_rep(lam, l)
-    assert pairing(rep, PositiveRoot.ALPHA1) >= 0
-    assert pairing(rep, PositiveRoot.ALPHA2) >= 0
-    assert pairing(rep, PositiveRoot.RHO) <= l
-    assert linked(lam, rep, l)
+def _fundamental_rep_by_reflections(lam, l):
+    """Oracle: reflect in the first violated wall of the closed fundamental
+    alcove until none is violated.  Returns the representative and the
+    reflection word, as (root, wall value) pairs in the order applied."""
+    cur, moves = Weight(*lam), []
+    while True:
+        if pairing(cur, PositiveRoot.ALPHA1) < 0:
+            move = (PositiveRoot.ALPHA1, 0)
+        elif pairing(cur, PositiveRoot.ALPHA2) < 0:
+            move = (PositiveRoot.ALPHA2, 0)
+        elif pairing(cur, PositiveRoot.RHO) > l:
+            move = (PositiveRoot.RHO, l)
+        else:
+            return cur, moves
+        cur = affine_reflect(cur, *move)
+        moves.append(move)
+
+
+def _undo_reflections(moves, x):
+    """Apply the inverse of a reflection word to x."""
+    for root, wall in reversed(moves):
+        x = affine_reflect(x, root, wall)
+    return x
+
+
+def test_fundamental_rep_examples():
+    # a pure translation: (3,3) = (0,0) + 3*rho
+    assert fundamental_rep(Weight(3, 3), 3) == (
+        Weight(0, 0), AffineWeylElement((0, 1, 2), (-6, -3, 0))
+    )
+    assert fundamental_rep(Weight(0, 0), 3)[0] == Weight(0, 0)
+    assert fundamental_rep(Weight(-1, -1), 5)[0] == Weight(-1, -1)
+    rep, w = fundamental_rep(Weight(-7, 12), 4)
+    assert rep == _fundamental_rep_by_reflections(Weight(-7, 12), 4)[0]
+    assert apply_inverse(w, rep) == Weight(-7, 12)
+
+
+def test_fundamental_rep_against_reflection_walk_box():
+    for l in range(2, 14):
+        for a, b in itertools.product(range(-12, 13), repeat=2):
+            lam = Weight(a, b)
+            rep, w = fundamental_rep(lam, l)
+            assert rep == _fundamental_rep_by_reflections(lam, l)[0], (lam, l)
+            assert apply_inverse(w, rep) == lam, (lam, l)
+
+
+@given(st.builds(Weight, st.integers(-60, 60), st.integers(-60, 60)), st.integers(2, 13))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_fundamental_rep_against_reflection_walk(lam, l):
+    rep, w = fundamental_rep(lam, l)
+    walk_rep, moves = _fundamental_rep_by_reflections(lam, l)
+    assert rep == walk_rep
+    assert apply_inverse(w, rep) == lam
+    # the element and the reflection word agree up to the stabilizer of
+    # lam, so they agree on every point that the stabilizer fixes
+    if not facet_stabilizer_walls(rep, l):
+        for y in (Weight(0, 0), Weight(l, -2), Weight(-3, 2 * l)):
+            assert apply_inverse(w, y) == _undo_reflections(moves, y)
+
+
+def test_orbit_near_candidates_against_reflection_word(monkeypatch):
+    """On a wall the element and the walk's word differ by the stabilizer;
+    the candidate sets that translation reads from them must not.  The
+    orbit points y range over the closed fundamental alcove: the wall's
+    reflections move those off the wall, as they move lam's representative
+    in local_target."""
+    cases = {}
+    for l in (2, 3, 4, 5, 7):
+        closed_alcove = [
+            Weight(a, b)
+            for a, b in itertools.product(range(-1, l), repeat=2)
+            if a + b + 2 <= l
+        ]
+        for a, b in itertools.product(range(-l, 2 * l + 1), repeat=2):
+            nu = Weight(a, b)
+            if facet_stabilizer_walls(fundamental_rep(nu, l)[0], l):
+                for y in closed_alcove:
+                    cases[(l, nu, y)] = translate._orbit_near(nu, y, l)
+    assert sum(len(near) > 1 for _, near in cases.values()) > 1000
+    monkeypatch.setattr(translate, "fundamental_rep", _fundamental_rep_by_reflections)
+    monkeypatch.setattr(translate, "apply_inverse", _undo_reflections)
+    for (l, nu, y), by_element in cases.items():
+        assert translate._orbit_near(nu, y, l) == by_element, (l, nu, y)
 
 
 def test_dual_weight():

@@ -2,12 +2,13 @@ import itertools
 import json
 import re
 
-from qgl3 import decomp, kernels
+from qgl3 import decomp, ext, kernels, structure
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
 from qgl3.lattice import Weight
 from qgl3.structure import (
+    GraphNode,
     ModuleGraph,
     hat_dual_weight,
     nabla_l_filtration,
@@ -77,6 +78,62 @@ def test_corrupted_edge_fails_validation():
     rep = validate_graph(bad)
     assert not rep.ok
     assert any(name == "edges-ext-consistent" for name, _ in rep.failures())
+
+
+def test_edge_to_a_non_factor_is_a_failed_check():
+    g = zhat_structure(Weight(3, 3), 3)
+    stray = GraphNode(g.nodes[0].id, Weight(100, 100), g.nodes[0].kind, g.nodes[0].layer)
+    bad = ModuleGraph(g.lam, g.l, g.kind, (stray,) + g.nodes[1:], g.edges)
+    failures = dict(validate_graph(bad).failures())
+    assert "(100, 100)" in failures["edges-ext-consistent"]
+
+
+def test_duality_check_names_reversed_edges():
+    g = zhat_structure(Weight(3, 3), 3)
+    u, v = g.edges[0]
+    fewer = ModuleGraph(g.lam, g.l, g.kind, g.nodes, g.edges[1:])
+    detail = dict(validate_graph(fewer).failures())["duality-reversal"]
+    dual = {n.id: hat_dual_weight(n.weight, 3) for n in g.nodes}
+    # the dual graph keeps the reversed edge that the edited graph lost
+    assert detail == (
+        f"dual graph must reverse edges: reversed edges: want - got {dual[v]}->{dual[u]}"
+    )
+
+
+def test_corrupted_family_duality_failures_name_weights(corrupt_down_alcove):
+    report = run_suite("graphs", [3], 2)
+    duality = [f for f in report.failures if "duality-reversal" in f[2]]
+    assert duality and all(f[0].endswith(" zhat") for f in duality)
+    for _, _, observed in duality:
+        assert re.search(
+            r"dual graph must reverse edges: dual nodes: want \(-?\d+,-?\d+\)"
+            r"( \(-?\d+,-?\d+\))* got \(-?\d+,-?\d+\)",
+            observed,
+        ), observed
+
+
+def test_graph_sweep_reads_each_factor_list_per_graph(monkeypatch):
+    """The Ext table is read once per graph, not rebuilt for every edge."""
+    edges = 0
+    for l in (3, 5):
+        for a, b in itertools.product(range(3), repeat=2):
+            for r, s in itertools.product(range(l), repeat=2):
+                edges += len(zhat_structure(l * Weight(a, b) + Weight(r, s), l).edges)
+    calls = []
+    zhat_factors = decomp.zhat_factors
+
+    def counted(lam, l):
+        calls.append(1)
+        return zhat_factors(lam, l)
+
+    for module in (decomp, ext, structure):
+        monkeypatch.setattr(module, "zhat_factors", counted)
+    report = run_suite("graphs", [3, 5], 2)
+    assert report.passed
+    zhat_graphs = report.cases_run // 2
+    # zhat_structure for the graph and its dual, nodes-match-factors and
+    # the Ext table: four lists per Borel-induced graph
+    assert len(calls) <= 4 * zhat_graphs < edges
 
 
 def test_zhat_node_list_check():

@@ -1,5 +1,6 @@
 import pytest
 
+from qgl3 import translate, verify
 from qgl3.charring import chi_l, simple_char_p0, weyl_char
 from qgl3.decomp import chi_decomposition, chi_l_expansion
 from qgl3.lattice import (
@@ -16,7 +17,6 @@ from qgl3.translate import (
     translate_off_wall,
     translate_onto_wall,
     translated_character,
-    translated_weyl_character,
     wall_weight_below,
 )
 
@@ -145,11 +145,11 @@ def test_translated_character_identity():
     for l, lam in cases:
         total, mirror = translated_character(lam, l)
         assert total == weyl_char(lam) + weyl_char(mirror)
-        assert translated_weyl_character(lam, l) == ({lam: 1, mirror: 1}, mirror)
+        t = translate_factor_lists(lam, l)
+        assert (t.weyl_character(), t.mirror) == ({lam: 1, mirror: 1}, mirror)
         # the weight-basis route through the factor lists, as an oracle
-        lists, _, _ = translate_factor_lists(lam, l)
         weight_basis = None
-        for _, lst in lists:
+        for _, lst in t.lists:
             ch = lst.character(l)
             weight_basis = ch if weight_basis is None else weight_basis + ch
         assert weight_basis == total
@@ -162,12 +162,12 @@ def test_off_wall_lists_against_character_oracle():
     cases = [(5, 5 * Weight(2, 2) + Weight(1, 1)), (5, 5 * Weight(2, 2) + Weight(2, 2)),
              (3, 3 * Weight(2, 2) + Weight(0, 0)), (2, 2 * Weight(3, 2))]
     for l, lam in cases:
-        lists, mu, _ = translate_factor_lists(lam, l)
+        t = translate_factor_lists(lam, l)
         rep_lam, _ = fundamental_rep(lam, l)
-        rep_mu, _ = fundamental_rep(mu, l)
+        rep_mu, _ = fundamental_rep(t.wall, l)
         nu1 = ordinary_dominant_rep(rep_lam - rep_mu)
         trans_char = simple_char_p0(nu1, l)
-        for nu, lst in lists:
+        for nu, lst in t.lists:
             product = chi_l(nu, l) * trans_char
             expected = sorted(
                 (w, c)
@@ -218,3 +218,24 @@ def test_onto_vertex_from_wall_orbit():
         assert len(images) == 1
         assert facet_classify(images[0], l).value == "vertex"
         assert acc == weyl_char(images[0])
+
+
+def test_translate_sweep_builds_each_factor_list_once(monkeypatch):
+    """The character identity and the generic count of a weight share one
+    translate_factor_lists call."""
+    calls = []
+    build = translate.translate_factor_lists
+
+    def counted(lam, l):
+        calls.append((lam, l))
+        return build(lam, l)
+
+    for module in (translate, verify):
+        monkeypatch.setattr(module, "translate_factor_lists", counted)
+    for l in (3, 5):
+        calls.clear()
+        cases = list(verify.suite_translate(l, 2))
+        assert cases and all(ok for *_, ok in cases)
+        # once per weight, and every checked weight had its call
+        assert len(calls) == len(set(calls))
+        assert {case for case, *_ in cases} <= {f"l={l} lam={lam}" for lam, _ in calls}
