@@ -18,7 +18,7 @@ from qgl3.charring import (
     weyl_char,
 )
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
-from qgl3.ext import ExtValue, ext1_g, ext1_g1, ext1_g1b
+from qgl3.ext import ExtValue, ext1_g, ext1_g1, ext1_g1b, socle_fundamental_tensor
 from qgl3.homs import HomWitness, hom_exists_mirror, zhat_head_weight
 from qgl3.lattice import FacetType, PositiveRoot, Weight, facet_classify, linked
 from qgl3.structure import ModuleGraph, nabla_l_filtration, validate_graph, zhat_structure
@@ -47,6 +47,7 @@ __all__ = [
     "nabla_l_filtration",
     "restricted_simple_char",
     "simple_char_p0",
+    "socle_fundamental_tensor",
     "validate_graph",
     "weyl_char",
     "zhat_char",

@@ -37,8 +37,6 @@ from qgl3.lattice import (
     decompose,
     dominance_key,
     dominantize,
-    dual_weight,
-    facet_classify,
     ordinary_orbit,
 )
 
@@ -99,22 +97,8 @@ class FormalChar:
     def dimension(self) -> int:
         return sum(self.coeffs.values())
 
-    def map_support(self, f: Callable[[Weight], Weight]) -> "FormalChar":
-        out: dict[tuple[int, int], int] = {}
-        for w, c in self.coeffs.items():
-            k = f(w)
-            out[k] = out.get(k, 0) + c
-        return FormalChar(out)
-
     def to_triples(self) -> list[list[int]]:
         return sorted([w[0], w[1], c] for w, c in self.coeffs.items())
-
-    @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[int]]) -> "FormalChar":
-        out: dict[tuple[int, int], int] = {}
-        for a, b, c in triples:
-            out[a, b] = out.get((a, b), 0) + c
-        return cls(out)
 
     def to_json(self) -> str:
         return json.dumps(self.to_triples())
@@ -131,7 +115,6 @@ class FormalChar:
 
 
 ZERO_CHAR = FormalChar()
-ONE_CHAR = FormalChar({(0, 0): 1})
 
 
 def e(a: int, b: int) -> FormalChar:
@@ -297,11 +280,6 @@ def frobenius_twist(x: FormalChar, l: int) -> FormalChar:
     return FormalChar({(a * l, b * l): c for (a, b), c in x.coeffs.items()})
 
 
-def dual_char(x: FormalChar) -> FormalChar:
-    """Contragredient character: swap the two coordinates of every weight."""
-    return x.map_support(dual_weight)
-
-
 class SimpleCharTable:
     """Append-only cache of restricted simple characters for one order l."""
 
@@ -328,10 +306,6 @@ def simple_table(l: int) -> SimpleCharTable:
     return table
 
 
-def _is_restricted(lam: Weight, l: int) -> bool:
-    return 0 <= lam[0] <= l - 1 and 0 <= lam[1] <= l - 1
-
-
 def up_alcove_mirror(res: Weight, l: int) -> Weight:
     """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
     alcove below."""
@@ -340,9 +314,7 @@ def up_alcove_mirror(res: Weight, l: int) -> Weight:
 
 
 def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:
-    if not _is_restricted(lam, l):
-        raise ValueError(f"{lam} is not a restricted weight for l={l}")
-    if facet_classify(lam, l) is FacetType.UP_ALCOVE:
+    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
         # Up-alcove induced modules have exactly two composition factors; the
         # head is the mirror weight in the alcove below.
         return weyl_char(lam) - weyl_char(up_alcove_mirror(lam, l))
@@ -352,33 +324,6 @@ def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:
 def restricted_simple_char(lam: Weight, l: int) -> FormalChar:
     """Character of the restricted simple module of highest weight lam."""
     return simple_table(l).get(Weight(*lam))
-
-
-def small_nabla_factors(lam: Weight, l: int) -> list[Weight]:
-    """Composition factor weights, socle first, of the small induced modules.
-
-    Covers the four ranges where the induced module has at most two factors:
-    restricted non-up-alcove weights, restricted up-alcove weights, and the
-    two strips l(1,0) + C-closure and l(0,1) + C-closure.
-    """
-    lam = Weight(*lam)
-    cls, res = decompose(lam, l)
-    if cls == Weight(0, 0):
-        if not _is_restricted(lam, l):
-            raise ValueError(f"{lam} is outside the small induced-module ranges for l={l}")
-        if facet_classify(lam, l) is FacetType.UP_ALCOVE:
-            return [lam, up_alcove_mirror(lam, l)]
-        return [lam]
-    if cls == Weight(1, 0) and res[0] + res[1] <= l - 2:
-        r, s = res
-        return [lam, Weight(l - r - 2, r + s + 1)]
-    if cls == Weight(0, 1) and res[0] + res[1] <= l - 2:
-        r, s = res
-        return [lam, Weight(r + s + 1, l - r - 2)]
-    raise ValueError(
-        f"{lam} is outside the small induced-module ranges for l={l}: need a "
-        "restricted weight, or l(1,0)+(r,s) or l(0,1)+(r,s) with r+s <= l-2"
-    )
 
 
 def chi_l(mu: Weight, l: int) -> FormalChar:
@@ -392,14 +337,9 @@ def chi_l(mu: Weight, l: int) -> FormalChar:
     return frobenius_twist(eu, l) * restricted_simple_char(res, l)
 
 
-def simple_char_p0(lam: Weight, l: int, p: int = 0) -> FormalChar:
-    """Simple character via the twisted tensor factorization, characteristic 0.
-
-    In positive characteristic the classical factor is no longer an induced
-    module and its character is not available here, so p != 0 is refused.
-    """
-    if p != 0:
-        raise ValueError("simple characters are only computed in characteristic 0")
+def simple_char_p0(lam: Weight, l: int) -> FormalChar:
+    """Simple character via the twisted tensor factorization, in
+    characteristic 0, where the classical factor is an induced module."""
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"simple_char_p0 needs a dominant weight, got {lam}")

@@ -177,7 +177,7 @@ def cmd_ext(args, cfg: EngineConfig) -> int:
         mu = parse_weight(args.mu, args.gl3)
         print(ext1_g1b(mu, alpha, beta, cfg.l))
     else:
-        print(ext1_g(alpha, beta, cfg.l, cfg.p))
+        print(ext1_g(alpha, beta, cfg.l))
     return 0
 
 
@@ -221,10 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qgl3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_p=False):
+    def common(p):
         p.add_argument("--l", type=int, required=True, help="order of the root of unity (>= 2)")
-        if with_p:
-            p.add_argument("--p", type=int, default=0, help="base characteristic (0 or a prime)")
         p.add_argument("--gl3", action="store_true", help="parse weights as GL3 triples a,b,c")
         p.add_argument("--format", default="text", choices=("text", "json", "dot"))
 
@@ -257,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_lfilt)
 
     p = sub.add_parser("ext", help="Ext^1 lookup")
-    common(p, with_p=True)
+    common(p)
     p.add_argument("--level", choices=("g1", "g1b", "g"), required=True)
     p.add_argument("--mu", help="induced-module weight (g1b level)")
     p.add_argument("alpha")
@@ -265,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ext)
 
     p = sub.add_parser("hom", help="mirror-wall witness for a nonzero hom")
-    common(p, with_p=True)
+    common(p)
+    p.add_argument("--p", type=int, default=0, help="base characteristic (0 or a prime)")
     p.add_argument("lam")
     p.add_argument("mu")
     p.set_defaults(func=cmd_hom)

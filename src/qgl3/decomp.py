@@ -24,6 +24,7 @@ from qgl3.charring import (
     peel_dominant,
     restricted_simple_char,
     shift,
+    up_alcove_mirror,
     weyl_sum,
 )
 from qgl3.lattice import (
@@ -69,8 +70,7 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
     """The nine factor weights for lam = l*cls + (l-s-2, l-r-2), subscript
     order (factor 4 is lam itself)."""
     a, b = cls
-    u, v = res
-    r, s = l - v - 2, l - u - 2
+    r, s = up_alcove_mirror(res, l)
     la, lb = l * a, l * b
     return [
         Weight(la - l + s, lb + 2 * l - r - s - 3),

@@ -11,14 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from qgl3.charring import (
-    FormalChar,
-    ONE_CHAR,
-    char_sum,
-    tensor_multiplicity,
-    weyl_char,
-    weyl_dimension,
-)
+from qgl3.charring import tensor_multiplicity, up_alcove_mirror, weyl_dimension
 from qgl3.decomp import zhat_factors
 from qgl3.lattice import (
     FacetType,
@@ -48,24 +41,8 @@ class ExtValue:
     def dimension(self) -> int:
         return sum(1 if p == TRIV else weyl_dimension(p) for p in self.parts)
 
-    def realization(self) -> FormalChar:
-        return char_sum(ONE_CHAR if p == TRIV else weyl_char(p) for p in self.parts)
-
     def labels(self) -> list[str]:
         return sorted(TRIV if p == TRIV else f"nabla({p[0]},{p[1]})" for p in self.parts)
-
-    @classmethod
-    def from_labels(cls, labels) -> "ExtValue":
-        parts = []
-        for label in labels:
-            if label == TRIV:
-                parts.append(TRIV)
-            elif label.startswith("nabla(") and label.endswith(")"):
-                a, b = label[6:-1].split(",")
-                parts.append(Weight(int(a), int(b)))
-            else:
-                raise ValueError(f"bad ext label {label!r}")
-        return cls(_normalize(parts))
 
     def label_dual(self) -> "ExtValue":
         return ExtValue(_normalize(TRIV if p == TRIV else dual_weight(p) for p in self.parts))
@@ -79,13 +56,6 @@ EXT_ZERO = ExtValue()
 _L3_FULL = ExtValue(_normalize([TRIV, NABLA01, NABLA10]))
 
 
-def _require_restricted(w: Weight, l: int) -> Weight:
-    w = Weight(*w)
-    if not (0 <= w.a <= l - 1 and 0 <= w.b <= l - 1):
-        raise ValueError(f"{w} is not restricted for l={l}")
-    return w
-
-
 def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     """Ext^1 over the Frobenius kernel between restricted simples.
 
@@ -95,8 +65,9 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     k + nabla(0,1) + nabla(1,0).  Steinberg rows and columns, and the
     diagonal, vanish.
     """
-    alpha = _require_restricted(alpha, l)
-    beta = _require_restricted(beta, l)
+    alpha, beta = Weight(*alpha), Weight(*beta)
+    facet = classify_restricted(alpha, l)
+    classify_restricted(beta, l)  # ValueError unless beta is restricted
     if alpha == beta:
         return EXT_ZERO
 
@@ -120,7 +91,7 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
         r, s = rs
         if down_to_up:
             cols = {
-                Weight(l - s - 2, l - r - 2): ExtValue((TRIV,)),
+                up_alcove_mirror(rs, l): ExtValue((TRIV,)),
                 Weight(r + s + 1, l - s - 2): ExtValue((NABLA01,)),
                 Weight(l - r - 2, r + s + 1): ExtValue((NABLA10,)),
             }
@@ -135,19 +106,18 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
             return None
         return _L3_FULL if l == 3 else hit
 
-    if classify_restricted(alpha, l) is FacetType.DOWN_ALCOVE:
+    if facet is FacetType.DOWN_ALCOVE:
         hit = alcove_entry(alpha, beta, down_to_up=True)
         if hit is not None:
             return hit
-    if classify_restricted(alpha, l) is FacetType.UP_ALCOVE:
-        rs = Weight(l - alpha.b - 2, l - alpha.a - 2)
-        hit = alcove_entry(rs, beta, down_to_up=False)
+    if facet is FacetType.UP_ALCOVE:
+        hit = alcove_entry(up_alcove_mirror(alpha, l), beta, down_to_up=False)
         if hit is not None:
             return hit
     return EXT_ZERO
 
 
-def ext1_g(mu: Weight, lam: Weight, l: int, p: int = 0) -> int:
+def ext1_g(mu: Weight, lam: Weight, l: int) -> int:
     """dim Ext^1 between full simple modules.  Always 0 or 1.
 
     Equal restricted parts reduce to the classical parts recursively at the
@@ -156,11 +126,8 @@ def ext1_g(mu: Weight, lam: Weight, l: int, p: int = 0) -> int:
     extension families hold uniformly, and the analogue of the l^i rule
     used at the thickened-kernel level); distinct restricted parts pair the
     restricted-kernel table value against the classical parts by exact
-    tensor multiplicities.  Only the characteristic-zero pairing rule is
-    implemented, so p != 0 is refused.
+    tensor multiplicities.  This is the characteristic-zero pairing rule.
     """
-    if p != 0:
-        raise ValueError("ext1_g is only computed in characteristic 0")
     mu, lam = Weight(*mu), Weight(*lam)
     if not (mu.is_dominant() and lam.is_dominant()):
         raise ValueError(f"ext1_g needs dominant weights, got {mu}, {lam}")
@@ -169,7 +136,7 @@ def ext1_g(mu: Weight, lam: Weight, l: int, p: int = 0) -> int:
     mc, mr = decompose(mu, l)
     lc, lr = decompose(lam, l)
     if mr == lr:
-        return ext1_g(mc, lc, l, p)
+        return ext1_g(mc, lc, l)
     total = 0
     for part in ext1_g1(mr, lr, l).parts:
         if part == TRIV:
@@ -189,7 +156,7 @@ def _is_l_power(t: int, l: int) -> bool:
     return t == 1
 
 
-def ext1_g1b_general(lam: Weight, mu: Weight, l: int, p: int = 0) -> int:
+def ext1_g1b_general(lam: Weight, mu: Weight, l: int) -> int:
     """dim Ext^1 between simple thickened-kernel modules, characteristic 0.
 
     Dominant classical difference: pair the restricted-kernel table value
@@ -197,8 +164,6 @@ def ext1_g1b_general(lam: Weight, mu: Weight, l: int, p: int = 0) -> int:
     difference: exactly the pairs with equal restricted parts differing by
     -l^i times a simple root extend, one-dimensionally.
     """
-    if p != 0:
-        raise ValueError("ext1_g1b_general is only computed in characteristic 0")
     lam, mu = Weight(*lam), Weight(*mu)
     lc, lr = decompose(lam, l)
     mc, mr = decompose(mu, l)
@@ -306,12 +271,8 @@ def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
 # Socle of the tensor with the fundamental three-dimensional module, one row
 # per restricted weight pattern.  Each row carries the least l for which it
 # is stated.  The (0, l-1) row is an editorial reconstruction of a malformed
-# printed entry and is excluded from acceptance checks.
-
-
-def socle_editorial_inputs(l: int) -> set[Weight]:
-    return {Weight(0, l - 1)}
-
+# printed entry.  No verify suite checks this table; the tests check that
+# its rows give dominant weights and pin the (0, l-1) row.
 
 def _socle_row(res: Weight, l: int) -> list[Weight]:
     r, s = res

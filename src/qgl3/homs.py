@@ -31,10 +31,6 @@ class HomWitness:
     def to_jsonable(self) -> dict:
         return {"beta": self.beta.name.lower(), "m": self.m, "e": self.e}
 
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "HomWitness":
-        return cls(PositiveRoot[data["beta"].upper()], data["m"], data["e"])
-
 
 def dominance_below(mu: Weight, lam: Weight) -> bool:
     """True when lam - mu is a nonzero nonnegative sum of simple roots."""
@@ -93,40 +89,15 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
     return best
 
 
-def zhat_head_weight(lam: Weight, l: int) -> Weight:
-    """Highest weight of the simple head of the Borel-induced module.
-
-    Computed as the simple dual of weight 2(l-1)rho - lam: swap the
-    restricted part and negate the classical part.  For vertex weights this
-    returns lam itself (the module is simple)."""
-    lam = Weight(*lam)
-    nu = 2 * (l - 1) * RHO - lam
+def hat_dual_weight(nu: Weight, l: int) -> Weight:
+    """Weight of the dual of a thickened-kernel simple: swap the restricted
+    part, negate the classical part."""
     cls, res = decompose(nu, l)
     return dual_weight(res) - l * cls
 
 
-def nabla_g1_head_weight(lam: Weight, l: int) -> Weight:
-    """Weight of the restricted-kernel head of the induced module of lam:
-    lam shifted down by (r+s+2) rho where (r,s) is its restricted part."""
-    lam = Weight(*lam)
-    r, s = decompose(lam, l).restricted
-    eta = lam - (r + s + 2) * RHO
-    if not eta.is_dominant():
-        raise ValueError(f"head weight {eta} of {lam} is not dominant")
-    return eta
-
-
-def enumerate_hom_targets(
-    lam: Weight, l: int, p: int = 0, box: int = 10
-) -> list[tuple[Weight, HomWitness]]:
-    """All dominant mu with coordinates at most box admitting a witness,
-    in lexicographic order.  Existence only; each Hom space has dimension
-    at most one."""
-    out = []
-    for a in range(box + 1):
-        for b in range(box + 1):
-            mu = Weight(a, b)
-            w = hom_exists_mirror(lam, mu, l, p)
-            if w is not None:
-                out.append((mu, w))
-    return out
+def zhat_head_weight(lam: Weight, l: int) -> Weight:
+    """Highest weight of the simple head of the Borel-induced module: the
+    dual weight of 2(l-1)rho - lam.  For vertex weights this returns lam
+    itself (the module is simple)."""
+    return hat_dual_weight(2 * (l - 1) * RHO - Weight(*lam), l)

@@ -60,7 +60,6 @@ _ROOT_VECTORS = {
 }
 
 POSITIVE_ROOTS = (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2, PositiveRoot.RHO)
-SIMPLE_ROOTS = (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2)
 
 
 class FacetType(Enum):
@@ -250,12 +249,6 @@ def ordinary_orbit(lam: Weight) -> list[tuple[int, Weight]]:
             cur = ordinary_reflect(cur, root)
         out.append((sign, cur))
     return out
-
-
-def ordinary_dominant_rep(lam: Weight) -> Weight:
-    """Dominant representative of lam under the linear Weyl action."""
-    x = sorted((lam[0] + lam[1], lam[1], 0), reverse=True)
-    return Weight(x[0] - x[1], x[1] - x[2])
 
 
 def dominance_key(w: Weight) -> tuple[int, int]:

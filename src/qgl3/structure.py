@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_factors
 from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, extending_pairs
-from qgl3.homs import zhat_head_weight
+from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import (
     FacetType,
     RHO,
     Weight,
     classify_restricted,
     decompose,
-    dual_weight,
 )
 
 G1B_SIMPLE = "G1BSimple"
@@ -78,19 +77,6 @@ class ModuleGraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_jsonable())
-
-    @classmethod
-    def from_jsonable(cls, data: dict) -> "ModuleGraph":
-        return cls(
-            lam=Weight(*data["lambda"]),
-            l=data["l"],
-            kind=data["kind"],
-            nodes=tuple(
-                GraphNode(n["id"], Weight(*n["weight"]), n["kind"], n["layer"])
-                for n in data["nodes"]
-            ),
-            edges=tuple((u, v) for u, v in data["edges"]),
-        )
 
     def to_dot(self) -> str:
         name = f"{'zhat' if self.kind == G1B_SIMPLE else 'lfilt'}_{self.lam.a}_{self.lam.b}_l{self.l}"
@@ -242,13 +228,6 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     )
     layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
     return _build(lam, l, NABLA_L, factors, edges, layers, keep)
-
-
-def hat_dual_weight(nu: Weight, l: int) -> Weight:
-    """Weight of the dual of a thickened-kernel simple: swap the restricted
-    part, negate the classical part."""
-    cls, res = decompose(nu, l)
-    return dual_weight(res) - l * cls
 
 
 @dataclass

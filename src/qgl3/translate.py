@@ -24,6 +24,7 @@ from qgl3.charring import (
     chi_l_weyl,
     frobenius_twist,
     restricted_simple_char,
+    up_alcove_mirror,
     weyl_char,
     weyl_sum,
 )
@@ -202,8 +203,7 @@ def translate_off_wall(
             (c, Weight(a + b + 1, l - b - 2)),
         )
     if src is FacetType.HORIZONTAL_WALL and tgt is FacetType.UP_ALCOVE:
-        u, v = target_res
-        mirror = Weight(l - 2 - v, l - 2 - u)
+        mirror = up_alcove_mirror(target_res, l)
         return _entries((c, mirror), (c, target_res), (c, mirror))
     raise ValueError(
         f"unsupported translation {mu_res} ({src.value}) -> {target_res} ({tgt.value}) for l={l}"

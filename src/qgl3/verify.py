@@ -325,6 +325,9 @@ def run_suite(
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if box < 0:
         raise ValueError(f"need box >= 0, got {box}")
+    for l in l_values:
+        if l < 2:
+            raise ValueError(f"need l >= 2, got {l}")
     report = VerifyReport(name)
     rows = _suite_rows(name, box)
 

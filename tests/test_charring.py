@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -14,19 +15,18 @@ from qgl3.charring import (
     decompose_into_weyl,
     divide_by_weyl_denominator,
     divide_exact,
-    dual_char,
     e,
     euler_char,
     frobenius_twist,
     restricted_simple_char,
     simple_char_p0,
     simple_table,
-    small_nabla_factors,
     tensor_multiplicity,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
 )
+from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
     RHO,
     PositiveRoot,
@@ -119,13 +119,18 @@ def test_weyl_char_against_brute_force_tableaux():
         assert weyl_char(lam) == brute_force_ssyt_char(lam)
 
 
+def reflect(x, root):
+    """x with every support weight reflected linearly in root's hyperplane."""
+    return FormalChar({ordinary_reflect(w, root): c for w, c in x.coeffs.items()})
+
+
 @given(dominants)
 @settings(max_examples=40)
 def test_weyl_char_w_invariant_and_dimension(lam):
     ch = weyl_char(lam)
     assert ch.dimension == weyl_dimension(lam)
     for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
-        assert ch.map_support(lambda w: ordinary_reflect(w, root)) == ch
+        assert reflect(ch, root) == ch
     assert ch[lam] == 1
 
 
@@ -137,8 +142,7 @@ def test_alt_weyl_sum():
     assert not alt_weyl_sum(Weight(0, 5))
     assert not alt_weyl_sum(Weight(3, -3))  # fixed by the rho reflection
     # antisymmetry
-    img = a_rho.map_support(lambda w: ordinary_reflect(w, PositiveRoot.ALPHA1))
-    assert img == -a_rho
+    assert reflect(a_rho, PositiveRoot.ALPHA1) == -a_rho
 
 
 def test_denominator_identity_box():
@@ -261,35 +265,42 @@ def test_simple_table_cache_invariants():
     for wt, ch in table.cache.items():
         assert all(c > 0 for c in ch.coeffs.values())
         for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
-            assert ch.map_support(lambda w: ordinary_reflect(w, root)) == ch
+            assert reflect(ch, root) == ch
     # a second lookup is a cache hit
     assert restricted_simple_char(Weight(2, 1), 3) is table.cache[Weight(2, 1)]
 
 
+def small_nabla_modules(l):
+    """The paper's induced modules with at most two composition factors, as
+    (lam, head): head is None when the induced module of lam is simple.
+    Restricted lam, where only the up-alcove weights have a second factor,
+    and the strips l(1,0) + (r,s) and l(0,1) + (r,s) with r+s <= l-2; on
+    the second the head is (r+s+1, l-s-2), e.g. (2,0) for lam = (0,4) at
+    l = 3."""
+    for r, s in itertools.product(range(l), repeat=2):
+        up = r <= l - 2 and s <= l - 2 and r + s >= l - 1
+        yield Weight(r, s), Weight(l - s - 2, l - r - 2) if up else None
+    for r in range(l - 1):
+        for s in range(l - 1 - r):
+            yield l * Weight(1, 0) + Weight(r, s), Weight(l - r - 2, r + s + 1)
+            yield l * Weight(0, 1) + Weight(r, s), Weight(r + s + 1, l - s - 2)
+
+
 def test_small_nabla_factors():
-    # (2,1) at l=3 is a right-wall weight, hence simple; the two-factor
-    # up-alcove instance over (r,s)=(0,1) is (1,2) at l=4
-    assert small_nabla_factors(Weight(2, 1), 3) == [Weight(2, 1)]
-    assert small_nabla_factors(Weight(1, 2), 4) == [Weight(1, 2), Weight(0, 1)]
-    assert small_nabla_factors(Weight(1, 1), 3) == [Weight(1, 1), Weight(0, 0)]
-    for l in (2, 3, 5):
-        assert small_nabla_factors(Weight(l - 1, 0), l) == [Weight(l - 1, 0)]
-    assert small_nabla_factors(Weight(3, 0), 3) == [Weight(3, 0), Weight(1, 1)]
-    assert small_nabla_factors(Weight(0, 3), 3) == [Weight(0, 3), Weight(1, 1)]
-    with pytest.raises(ValueError, match="small induced-module ranges"):
-        small_nabla_factors(Weight(6, 1), 3)
+    # the surviving twisted-tensor factors are the composition factors
+    for l in (2, 3, 5, 7):
+        for lam, head in small_nabla_modules(l):
+            want = sorted([lam] if head is None else [lam, head])
+            assert sorted(chi_decomposition(lam, l).surviving_factors()) == want, (l, lam)
 
 
 def test_small_nabla_factors_character_consistency():
-    # socle char plus head char reconstructs the induced character
-    for l in (3, 5):
-        for r in range(l - 1):
-            for s in range(l - 1 - r):
-                lam = l * Weight(1, 0) + Weight(r, s)
-                socle, head = small_nabla_factors(lam, l)
-                assert socle == lam
+    # socle character plus head character is the induced character
+    for l in (2, 3, 5):
+        for lam, head in small_nabla_modules(l):
+            if head is not None:
                 total = chi_l(lam, l) + simple_char_p0(head, l)
-                assert total == weyl_char(lam)
+                assert total == weyl_char(lam), (l, lam)
 
 
 def test_chi_l_examples():
@@ -313,21 +324,12 @@ def test_simple_char_p0():
     assert simple_char_p0(Weight(3, 3), 3) == frobenius_twist(weyl_char(Weight(1, 1)), 3)
     assert simple_char_p0(Weight(3, 3), 3).dimension == 8
     assert simple_char_p0(Weight(4, 4), 3).dimension == 56
-    with pytest.raises(ValueError):
-        simple_char_p0(Weight(3, 3), 3, p=5)
-
-
-def test_dual_char():
-    assert dual_char(weyl_char(Weight(1, 0))) == weyl_char(Weight(0, 1))
-    assert dual_char(weyl_char(Weight(1, 1))) == weyl_char(Weight(1, 1))
-    assert dual_char(e(2, -1)) == e(-1, 2)
-    x = weyl_char(Weight(3, 1))
-    assert dual_char(dual_char(x)) == x
 
 
 def test_serialization_roundtrip():
     x = weyl_char(Weight(2, 1)) - 3 * e(-1, -1)
-    assert FormalChar.from_triples(x.to_triples()) == x
+    # the JSON triples hold every coefficient
+    assert FormalChar({(a, b): c for a, b, c in json.loads(x.to_json())}) == x
 
 
 def test_constructor_copies_and_drops_zeros():
@@ -338,7 +340,7 @@ def test_constructor_copies_and_drops_zeros():
     src[(2, 2)] = 1
     assert x.coeffs == {(1, 0): 2, (-1, -1): -1}
     assert not FormalChar({(0, 0): 0})
-    assert FormalChar.from_triples([[1, 0, 1], [1, 0, -1]]) == FormalChar()
+    assert FormalChar({(1, 0): 0, (0, 1): 0}) == FormalChar()
 
 
 def test_weight_and_tuple_keys_agree():

@@ -93,8 +93,15 @@ def test_dot_rejected_for_non_graph(capsys):
 def test_removed_noop_flags_are_usage_errors(capsys):
     code, out, _ = run(capsys, "zhat", "--l", "2", "--factors", "1,0")
     assert code == 2 and not out
-    for command in ("classify", "char", "decomp", "zhat", "lfilt"):
-        code, out, err = run(capsys, command, "--l", "3", "--p", "5", "1,1")
+    for args in (
+        ["classify", "1,1"],
+        ["char", "1,1"],
+        ["decomp", "1,1"],
+        ["zhat", "1,1"],
+        ["lfilt", "1,1"],
+        ["ext", "--level", "g", "0,0", "3,3"],
+    ):
+        code, out, err = run(capsys, *args, "--l", "3", "--p", "5")
         assert code == 2 and "--p" in err and not out
 
 
@@ -167,7 +174,7 @@ def test_weight_basis_failure_names_the_differing_weights(monkeypatch):
 def test_invalid_l_and_p(capsys):
     code, _, err = run(capsys, "classify", "--l", "1", "0,0")
     assert code == 2 and "l >= 2" in err
-    code, _, err = run(capsys, "ext", "--l", "3", "--p", "4", "--level", "g", "0,0", "3,3")
+    code, _, err = run(capsys, "hom", "--l", "3", "--p", "4", "3,3", "1,1")
     assert code == 2 and "prime" in err
 
 
@@ -175,6 +182,15 @@ def test_verify_negative_box_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suites", "dimension", "--l", "3", "--box", "-1")
     assert code == 2 and "box" in err
     assert "cases" not in out
+
+
+def test_verify_l_below_two_is_usage_error(capsys):
+    for l in ("1", "0", "-3"):
+        code, out, err = run(
+            capsys, "verify", "--suites", "denominator,dimension", "--l", l, "--box", "1"
+        )
+        assert code == 2 and "l >= 2" in err
+        assert "cases" not in out
 
 
 def test_verify_zero_cases_fails(capsys):

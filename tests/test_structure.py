@@ -286,5 +286,14 @@ def test_dot_export_syntax():
 def test_graph_json_roundtrip():
     for g in (zhat_structure(Weight(3, 3), 3), nabla_l_filtration(Weight(4, 4), 3)):
         data = json.loads(g.to_json())
-        back = ModuleGraph.from_jsonable(data)
+        back = ModuleGraph(
+            lam=Weight(*data["lambda"]),
+            l=data["l"],
+            kind=data["kind"],
+            nodes=tuple(
+                GraphNode(n["id"], Weight(*n["weight"]), n["kind"], n["layer"])
+                for n in data["nodes"]
+            ),
+            edges=tuple((u, v) for u, v in data["edges"]),
+        )
         assert back == g

@@ -8,7 +8,7 @@ from qgl3.lattice import (
     decompose,
     fundamental_rep,
     linked,
-    ordinary_dominant_rep,
+    ordinary_orbit,
 )
 from qgl3.translate import (
     OffWallEntry,
@@ -165,7 +165,7 @@ def test_off_wall_lists_against_character_oracle():
         t = translate_factor_lists(lam, l)
         rep_lam, _ = fundamental_rep(lam, l)
         rep_mu, _ = fundamental_rep(t.wall, l)
-        nu1 = ordinary_dominant_rep(rep_lam - rep_mu)
+        nu1 = next(w for _, w in ordinary_orbit(rep_lam - rep_mu) if w.is_dominant())
         trans_char = simple_char_p0(nu1, l)
         for nu, lst in t.lists:
             product = chi_l(nu, l) * trans_char
