@@ -71,50 +71,38 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     if alpha == beta:
         return EXT_ZERO
 
-    # Wall triples, one per 0 <= r <= l-2.
-    for r in range(l - 1):
-        s = l - 2 - r
-        w_mid, w_right, w_left = Weight(r, s), Weight(l - 1, r), Weight(s, l - 1)
-        entries = {
-            (w_mid, w_right): ExtValue((NABLA01,)),
-            (w_mid, w_left): ExtValue((NABLA10,)),
-            (w_right, w_mid): ExtValue((NABLA10,)),
-            (w_left, w_mid): ExtValue((NABLA01,)),
+    # At most three columns per row, read off alpha's facet: the rest of
+    # its wall triple {(r,s), (l-1,r), (s,l-1)}, r+s = l-2, or the block of
+    # a down-alcove weight and the three weights around its mirror, and the
+    # transposed block.
+    r, s = alpha
+    if facet is FacetType.HORIZONTAL_WALL:
+        cols = {Weight(l - 1, r): NABLA01, Weight(s, l - 1): NABLA10}
+    elif facet is FacetType.RIGHT_WALL:
+        cols = {Weight(s, l - 2 - s): NABLA10}
+    elif facet is FacetType.LEFT_WALL:
+        cols = {Weight(l - 2 - r, r): NABLA01}
+    elif facet is FacetType.DOWN_ALCOVE:
+        cols = {
+            up_alcove_mirror(alpha, l): TRIV,
+            Weight(r + s + 1, l - s - 2): NABLA01,
+            Weight(l - r - 2, r + s + 1): NABLA10,
         }
-        hit = entries.get((alpha, beta))
-        if hit is not None:
-            return hit
-
-    # Alcove pairs: alpha in the open fundamental alcove paired with weights
-    # around its up-alcove mirror, and the transposed block.
-    def alcove_entry(rs: Weight, target: Weight, down_to_up: bool) -> ExtValue | None:
-        r, s = rs
-        if down_to_up:
-            cols = {
-                up_alcove_mirror(rs, l): ExtValue((TRIV,)),
-                Weight(r + s + 1, l - s - 2): ExtValue((NABLA01,)),
-                Weight(l - r - 2, r + s + 1): ExtValue((NABLA10,)),
-            }
-        else:
-            cols = {
-                Weight(r, s): ExtValue((TRIV,)),
-                Weight(s, l - r - s - 3): ExtValue((NABLA01,)),
-                Weight(l - r - s - 3, r): ExtValue((NABLA10,)),
-            }
-        hit = cols.get(target)
-        if hit is None:
-            return None
-        return _L3_FULL if l == 3 else hit
-
-    if facet is FacetType.DOWN_ALCOVE:
-        hit = alcove_entry(alpha, beta, down_to_up=True)
-        if hit is not None:
-            return hit
-    if facet is FacetType.UP_ALCOVE:
-        hit = alcove_entry(up_alcove_mirror(alpha, l), beta, down_to_up=False)
-        if hit is not None:
-            return hit
-    return EXT_ZERO
+    elif facet is FacetType.UP_ALCOVE:
+        r, s = up_alcove_mirror(alpha, l)
+        cols = {
+            Weight(r, s): TRIV,
+            Weight(s, l - r - s - 3): NABLA01,
+            Weight(l - r - s - 3, r): NABLA10,
+        }
+    else:
+        cols = {}
+    part = cols.get(beta)
+    if part is None:
+        return EXT_ZERO
+    if l == 3 and facet in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
+        return _L3_FULL
+    return ExtValue((part,))
 
 
 def ext1_g(mu: Weight, lam: Weight, l: int) -> int:

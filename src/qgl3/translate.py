@@ -30,7 +30,6 @@ from qgl3.charring import (
 )
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
-    POSITIVE_ROOTS,
     FacetType,
     PositiveRoot,
     Weight,
@@ -210,135 +209,48 @@ def translate_off_wall(
     )
 
 
-def _alcove_windows(x: Weight, wall: tuple[PositiveRoot, int], side: str, l: int):
-    """Windows of the alcove adjacent to the single-wall weight x, on the
-    given side ('above' or 'below') of its wall."""
-    root0, value = wall
-    out = []
-    for root in POSITIVE_ROOTS:
-        p = pairing(x, root)
-        if root is root0:
-            n = value // l + (1 if side == "above" else 0)
-        else:
-            if p % l == 0:
-                raise ValueError(f"{x} lies on more than one wall")
-            n = -(-p // l)
-        out.append((False, n))
-    return tuple(out)
-
-
-def _single_wall(x: Weight, l: int) -> tuple[PositiveRoot, int] | None:
-    walls = facet_stabilizer_walls(x, l)
-    return walls[0] if len(walls) == 1 else None
-
-
-def _in_lower_closure(nu: Weight, windows, l: int) -> bool:
-    return in_closure(nu, windows, l) and not in_upper_closure(nu, windows, l)
-
-
-def _admissible_target(nu: Weight, x: Weight, l: int) -> bool:
-    """Does (source nu on a wall, target x) form a supported configuration:
-    x inside an alcove with nu in its lower closure, or (walls only) x on a
-    wall of an alcove having nu in its lower closure."""
-    x_walls = facet_stabilizer_walls(x, l)
-    nu_wall = _single_wall(nu, l)
-    if nu_wall is None:
-        return False
-    if not x_walls:
-        return _in_lower_closure(nu, facet_windows(x, l), l)
-    if len(x_walls) > 1:
-        return False
-    x_wall = x_walls[0]
-    # Target on the upper closure of the alcove below its wall, source on a
-    # lower wall of that alcove.
-    below = _alcove_windows(x, x_wall, "below", l)
-    if _in_lower_closure(nu, below, l):
-        return True
-    # Both on lower walls of the alcove above the target's wall.
-    above = _alcove_windows(x, x_wall, "above", l)
-    return x_wall[0] is not nu_wall[0] and _in_lower_closure(nu, above, l)
-
-
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
     """The weight of the orbit with fundamental representative lam_rep
     adjacent to the wall factor nu in the configuration the off-wall tables
-    cover."""
-    _, candidates = _orbit_near(nu, lam_rep, l)
-    good = sorted(x for x in candidates if _admissible_target(nu, x, l))
-    if len(good) != 1:
+    cover: the orbit point in the alcove over nu's one wall.
+
+    Closed form: w^-1 . lam_rep, for w with w . nu = nu's representative,
+    lies in an alcove with nu in its closure; reflected in nu's wall when it
+    lies below it, it lies in the alcove above.
+    """
+    walls = facet_stabilizer_walls(nu, l)
+    if len(walls) != 1:
         raise RuntimeError(
-            f"no unique admissible target for factor {nu} toward the orbit of "
-            f"{lam_rep} (l={l}): {good}"
+            f"no target for factor {nu} toward the orbit of {lam_rep} (l={l}): "
+            f"{nu} is not on exactly one wall"
         )
-    return good[0]
+    root, value = walls[0]
+    x = apply_inverse(fundamental_rep(nu, l)[1], lam_rep)
+    return x if pairing(x, root) > value else affine_reflect(x, root, value)
 
 
 def wall_weight_below(lam: Weight, l: int) -> tuple[Weight, tuple[PositiveRoot, int]]:
     """A dominant single-wall weight on a lower wall of the alcove whose
-    upper closure contains lam, together with its wall."""
+    upper closure contains lam, together with its wall.
+
+    Closed form, for lam = l*(ca, cb) + restricted: from a down alcove or a
+    horizontal wall the wall is alpha1 at l*ca, or alpha2 at l*cb when
+    ca = 0, and the point is l*(ca, cb) - (1, 0), resp. - (0, 1); from
+    every other facet the wall is rho at l*(ca+cb+1) and the point is
+    l*(ca, cb) + (0, l-2).
+    """
     lam = Weight(*lam)
     facet = facet_classify(lam, l)
-    cls, _ = decompose(lam, l)
-    if facet is FacetType.DOWN_ALCOVE:
-        walls = [
-            (PositiveRoot.ALPHA1, l * cls.a),
-            (PositiveRoot.ALPHA2, l * cls.b),
-        ]
-        windows = facet_windows(lam, l)
-    elif facet is FacetType.UP_ALCOVE:
-        walls = [(PositiveRoot.RHO, l * (cls.a + cls.b + 1))]
-        windows = facet_windows(lam, l)
-    elif facet is FacetType.VERTEX:
+    ca, cb = decompose(lam, l).classical
+    if facet is FacetType.VERTEX:
         raise ValueError(f"{lam} is a vertex weight; no wall below")
-    else:
-        wall0 = _single_wall(lam, l)
-        if wall0 is None:
-            raise ValueError(f"{lam} lies on more than one wall")
-        windows = _alcove_windows(lam, wall0, "below", l)
-        walls = [
-            (root, (n - 1) * l)
-            for root, (_, n) in zip(POSITIVE_ROOTS, windows)
-            if root is not wall0[0]
-        ]
-    for root, value in walls:
-        mu = _wall_point(root, value, windows, l)
-        if mu is not None:
-            return mu, (root, value)
-    raise ValueError(f"no dominant wall point below {lam} (l={l})")
-
-
-def _wall_point(
-    root: PositiveRoot, value: int, windows, l: int
-) -> Weight | None:
-    """A dominant weight with pairing value `value` against `root`, inside
-    the closed windows, and on no other wall."""
-    if value < 1:
-        return None
-    w1 = windows[0]
-    w2 = windows[1]
-    ranges = {
-        PositiveRoot.ALPHA1: ((w1[1] - 1) * l, w1[1] * l),
-        PositiveRoot.ALPHA2: ((w2[1] - 1) * l, w2[1] * l),
-        PositiveRoot.RHO: ((windows[2][1] - 1) * l, windows[2][1] * l),
-    }
-    if root is PositiveRoot.RHO:
-        lo, hi = ranges[PositiveRoot.ALPHA1]
-        for p1 in range(max(lo, 1), hi + 1):
-            p2 = value - p1
-            lo2, hi2 = ranges[PositiveRoot.ALPHA2]
-            if p1 % l and p2 % l and lo2 <= p2 <= hi2 and p2 >= 1:
-                return Weight(p1 - 1, p2 - 1)
-        return None
-    other = PositiveRoot.ALPHA2 if root is PositiveRoot.ALPHA1 else PositiveRoot.ALPHA1
-    lo2, hi2 = ranges[other]
-    lor, hir = ranges[PositiveRoot.RHO]
-    for p2 in range(max(lo2, 1), hi2 + 1):
-        pr = value + p2
-        if p2 % l and pr % l and lor <= pr <= hir:
-            if root is PositiveRoot.ALPHA1:
-                return Weight(value - 1, p2 - 1)
-            return Weight(p2 - 1, value - 1)
-    return None
+    if facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
+        if ca > 0:
+            return Weight(l * ca - 1, l * cb), (PositiveRoot.ALPHA1, l * ca)
+        if cb > 0:
+            return Weight(0, l * cb - 1), (PositiveRoot.ALPHA2, l * cb)
+        raise ValueError(f"no dominant wall point below {lam} (l={l})")
+    return Weight(l * ca, l * cb + l - 2), (PositiveRoot.RHO, l * (ca + cb + 1))
 
 
 @dataclass(frozen=True)

@@ -121,19 +121,19 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                 continue
             if l == 2 and facet is FacetType.VERTEX:
                 continue
+            if cls == Weight(0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
+                continue  # no dominant wall point below
+            case = f"l={l} lam={lam}"
+            identity = "translate character = weyl(lam) + weyl(mirror)"
             try:
                 t = translate_factor_lists(lam, l)
-            except ValueError:
-                continue  # no dominant wall below
+            except ValueError as exc:
+                yield (case, identity, str(exc), False)
+                continue
             if not t.mirror.is_dominant():
                 continue
             observed = coeff_diff(t.weyl_character(), {lam: 1, t.mirror: 1})
-            yield (
-                f"l={l} lam={lam}",
-                "translate character = weyl(lam) + weyl(mirror)",
-                observed,
-                observed == "ok",
-            )
+            yield (case, identity, observed, observed == "ok")
             if l >= 3:
                 # translate the surviving factors onto a wall of the
                 # fundamental domain and compare with the image module;
@@ -151,7 +151,7 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                     acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
                     observed = coeff_diff(acc, {image: 1})
                     yield (
-                        f"l={l} lam={lam}",
+                        case,
                         "onto-wall factor characters = image character",
                         observed,
                         observed == "ok",
@@ -161,7 +161,7 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
             except ValueError:
                 continue  # non-generic
             want = 8 if l == 2 else 18
-            yield (f"l={l} lam={lam}", f"generic factor count = {want}", str(n), n == want)
+            yield (case, f"generic factor count = {want}", str(n), n == want)
 
 
 _GRAPH_CASES = (

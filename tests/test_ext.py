@@ -3,9 +3,13 @@ import itertools
 import pytest
 
 from qgl3 import ext
+from qgl3.charring import up_alcove_mirror
 from qgl3.decomp import zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
+    NABLA01,
+    NABLA10,
+    TRIV,
     ExtValue,
     ext1_g,
     ext1_g1,
@@ -13,7 +17,7 @@ from qgl3.ext import (
     ext1_g1b_general,
     socle_fundamental_tensor,
 )
-from qgl3.lattice import Weight, dual_weight
+from qgl3.lattice import FacetType, Weight, classify_restricted, dual_weight
 
 
 def test_g1_wall_triple_entries():
@@ -59,6 +63,51 @@ def test_g1_swap_duality_on_triples():
             triple = (Weight(r, s), Weight(l - 1, r), Weight(s, l - 1))
             for alpha, beta in itertools.product(triple, repeat=2):
                 assert ext1_g1(alpha, beta, l) == ext1_g1(beta, alpha, l).label_dual()
+
+
+def _ext1_g1_table(l):
+    """The nonzero entries of the restricted-kernel table as the wall-triple
+    search ext1_g1 replaced builds them: four entries per triple over the
+    l - 1 triples, then the down-alcove block and its transpose."""
+    table = {}
+    for r in range(l - 1):
+        s = l - 2 - r
+        w_mid, w_right, w_left = Weight(r, s), Weight(l - 1, r), Weight(s, l - 1)
+        table[w_mid, w_right] = ExtValue((NABLA01,))
+        table[w_mid, w_left] = ExtValue((NABLA10,))
+        table[w_right, w_mid] = ExtValue((NABLA10,))
+        table[w_left, w_mid] = ExtValue((NABLA01,))
+    for r, s in itertools.product(range(l), repeat=2):
+        down = Weight(r, s)
+        if classify_restricted(down, l) is not FacetType.DOWN_ALCOVE:
+            continue
+        up = up_alcove_mirror(down, l)
+        for alpha, cols in (
+            (down, {
+                up: TRIV,
+                Weight(r + s + 1, l - s - 2): NABLA01,
+                Weight(l - r - 2, r + s + 1): NABLA10,
+            }),
+            (up, {
+                down: TRIV,
+                Weight(s, l - r - s - 3): NABLA01,
+                Weight(l - r - s - 3, r): NABLA10,
+            }),
+        ):
+            for beta, part in cols.items():
+                table[alpha, beta] = ExtValue((TRIV, NABLA01, NABLA10) if l == 3 else (part,))
+    return table
+
+
+def test_g1_lookup_against_triple_search():
+    """The facet lookup against the table of the wall-triple search, on
+    every pair of restricted weights."""
+    for l in range(2, 14):
+        table = _ext1_g1_table(l)
+        box = [Weight(r, s) for r, s in itertools.product(range(l), repeat=2)]
+        for alpha, beta in itertools.product(box, repeat=2):
+            want = table.get((alpha, beta), EXT_ZERO)
+            assert ext1_g1(alpha, beta, l) == want, (l, alpha, beta)
 
 
 def test_g1_rejects_non_restricted():

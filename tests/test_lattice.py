@@ -247,10 +247,10 @@ def test_fundamental_rep_against_reflection_walk(lam, l):
 
 def test_orbit_near_candidates_against_reflection_word(monkeypatch):
     """On a wall the element and the walk's word differ by the stabilizer;
-    the candidate sets that translation reads from them must not.  The
-    orbit points y range over the closed fundamental alcove: the wall's
-    reflections move those off the wall, as they move lam's representative
-    in local_target."""
+    the candidate sets that translate_onto_wall reads from them must not.
+    The orbit points y range over the closed fundamental alcove, where
+    translate_onto_wall takes its target representative, and the wall's
+    reflections move those off the wall."""
     cases = {}
     for l in (2, 3, 4, 5, 7):
         closed_alcove = [

@@ -109,3 +109,26 @@ def test_allowlist_names_exist():
         obj = importlib.import_module(f"qgl3.{module}")
         for attr in attrs:
             obj = getattr(obj, attr)
+
+
+def unused_imports() -> list[str]:
+    """module.name for every top-level `from ... import` name of a module of
+    src/qgl3, other than the package's __init__, that the module never
+    uses."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {name for name, _ in _uses(tree, strings=False)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if name not in used:
+                        out.append(f"{path.stem}.{name}")
+    return out
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

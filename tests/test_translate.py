@@ -1,17 +1,29 @@
+import itertools
+
 import pytest
 
 from qgl3 import translate, verify
 from qgl3.charring import chi_l, simple_char_p0, weyl_char
 from qgl3.decomp import chi_decomposition, chi_l_expansion
 from qgl3.lattice import (
+    POSITIVE_ROOTS,
+    FacetType,
+    PositiveRoot,
     Weight,
     decompose,
+    facet_classify,
+    facet_stabilizer_walls,
+    facet_windows,
     fundamental_rep,
+    in_closure,
+    in_upper_closure,
     linked,
     ordinary_orbit,
+    pairing,
 )
 from qgl3.translate import (
     OffWallEntry,
+    local_target,
     translate_factor_lists,
     translate_nabla_factor_count,
     translate_off_wall,
@@ -182,15 +194,166 @@ def test_off_wall_lists_against_character_oracle():
             assert sorted(got.items()) == expected, (l, lam, nu)
 
 
-def test_wall_weight_below_is_on_one_wall():
-    for l, lam in ((5, 5 * Weight(2, 2) + Weight(1, 1)), (3, Weight(3, 3)), (2, Weight(6, 4))):
-        mu, (root, value) = wall_weight_below(lam, l)
-        assert mu.is_dominant()
-        from qgl3.lattice import POSITIVE_ROOTS, pairing
+# The oracle of the closed forms wall_weight_below and local_target: a
+# search over facet windows.  A facet window is, per positive root, either
+# the wall value or the open range ((n-1)l, nl) containing the pairing.
 
-        on_walls = [b for b in POSITIVE_ROOTS if pairing(mu, b) % l == 0]
-        assert on_walls == [root]
-        assert pairing(mu, root) == value
+
+def _alcove_windows(x, wall, side, l):
+    """Windows of the alcove adjacent to the single-wall weight x, on the
+    given side ('above' or 'below') of its wall."""
+    root0, value = wall
+    out = []
+    for root in POSITIVE_ROOTS:
+        p = pairing(x, root)
+        if root is root0:
+            n = value // l + (1 if side == "above" else 0)
+        else:
+            if p % l == 0:
+                raise ValueError(f"{x} lies on more than one wall")
+            n = -(-p // l)
+        out.append((False, n))
+    return tuple(out)
+
+
+def _single_wall(x, l):
+    walls = facet_stabilizer_walls(x, l)
+    return walls[0] if len(walls) == 1 else None
+
+
+def _in_lower_closure(nu, windows, l):
+    return in_closure(nu, windows, l) and not in_upper_closure(nu, windows, l)
+
+
+def _admissible_target(nu, x, l):
+    """Does (source nu on a wall, target x) form a supported configuration:
+    x inside an alcove with nu in its lower closure, or (walls only) x on a
+    wall of an alcove having nu in its lower closure."""
+    x_walls = facet_stabilizer_walls(x, l)
+    nu_wall = _single_wall(nu, l)
+    if nu_wall is None:
+        return False
+    if not x_walls:
+        return _in_lower_closure(nu, facet_windows(x, l), l)
+    if len(x_walls) > 1:
+        return False
+    x_wall = x_walls[0]
+    if _in_lower_closure(nu, _alcove_windows(x, x_wall, "below", l), l):
+        return True
+    above = _alcove_windows(x, x_wall, "above", l)
+    return x_wall[0] is not nu_wall[0] and _in_lower_closure(nu, above, l)
+
+
+def _local_target_by_search(nu, lam_rep, l):
+    _, candidates = translate._orbit_near(nu, lam_rep, l)
+    good = sorted(x for x in candidates if _admissible_target(nu, x, l))
+    if len(good) != 1:
+        raise RuntimeError(f"no unique admissible target for {nu}: {good}")
+    return good[0]
+
+
+def _wall_point(root, value, windows, l):
+    """A dominant weight with pairing value `value` against `root`, inside
+    the closed windows, and on no other wall."""
+    if value < 1:
+        return None
+    ranges = {
+        r: ((n - 1) * l, n * l) for r, (_, n) in zip(POSITIVE_ROOTS, windows)
+    }
+    if root is PositiveRoot.RHO:
+        lo, hi = ranges[PositiveRoot.ALPHA1]
+        lo2, hi2 = ranges[PositiveRoot.ALPHA2]
+        for p1 in range(max(lo, 1), hi + 1):
+            p2 = value - p1
+            if p1 % l and p2 % l and lo2 <= p2 <= hi2 and p2 >= 1:
+                return Weight(p1 - 1, p2 - 1)
+        return None
+    other = PositiveRoot.ALPHA2 if root is PositiveRoot.ALPHA1 else PositiveRoot.ALPHA1
+    lo2, hi2 = ranges[other]
+    lor, hir = ranges[PositiveRoot.RHO]
+    for p2 in range(max(lo2, 1), hi2 + 1):
+        pr = value + p2
+        if p2 % l and pr % l and lor <= pr <= hir:
+            if root is PositiveRoot.ALPHA1:
+                return Weight(value - 1, p2 - 1)
+            return Weight(p2 - 1, value - 1)
+    return None
+
+
+def _wall_weight_below_by_search(lam, l):
+    facet = facet_classify(lam, l)
+    cls, _ = decompose(lam, l)
+    if facet is FacetType.DOWN_ALCOVE:
+        walls = [(PositiveRoot.ALPHA1, l * cls.a), (PositiveRoot.ALPHA2, l * cls.b)]
+        windows = facet_windows(lam, l)
+    elif facet is FacetType.UP_ALCOVE:
+        walls = [(PositiveRoot.RHO, l * (cls.a + cls.b + 1))]
+        windows = facet_windows(lam, l)
+    elif facet is FacetType.VERTEX:
+        raise ValueError(f"{lam} is a vertex weight; no wall below")
+    else:
+        wall0 = _single_wall(lam, l)
+        windows = _alcove_windows(lam, wall0, "below", l)
+        walls = [
+            (root, (n - 1) * l)
+            for root, (_, n) in zip(POSITIVE_ROOTS, windows)
+            if root is not wall0[0]
+        ]
+    for root, value in walls:
+        mu = _wall_point(root, value, windows, l)
+        if mu is not None:
+            return mu, (root, value)
+    raise ValueError(f"no dominant wall point below {lam} (l={l})")
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+def test_closed_forms_against_window_search():
+    """wall_weight_below and local_target against the window search, on
+    every weight with classical part in [0,3]^2 for l in 2..11: the same
+    wall weight and wall, or a ValueError on the same inputs, and the same
+    local target for every surviving factor of the wall weight."""
+    pinned = {
+        (5, 5 * Weight(2, 2) + Weight(1, 1)): (Weight(9, 10), (PositiveRoot.ALPHA1, 10)),
+        (3, Weight(3, 3)): (Weight(2, 3), (PositiveRoot.ALPHA1, 3)),
+        (2, Weight(6, 4)): (Weight(5, 4), (PositiveRoot.ALPHA1, 6)),
+    }
+    raised = 0
+    targets = set()  # (l, factor, representative) triples, each checked once
+    for l in range(2, 12):
+        for a, b, r, s in itertools.product(range(4), range(4), range(l), range(l)):
+            lam = l * Weight(a, b) + Weight(r, s)
+            got = _outcome(wall_weight_below, lam, l)
+            assert got == _outcome(_wall_weight_below_by_search, lam, l), (l, lam)
+            assert got == pinned.get((l, lam), got)
+            if got is ValueError:
+                raised += 1
+                continue
+            mu, (root, value) = got
+            assert mu.is_dominant()
+            assert [b for b in POSITIVE_ROOTS if pairing(mu, b) % l == 0] == [root]
+            assert pairing(mu, root) == value
+            lam_rep, _ = fundamental_rep(lam, l)
+            for nu in chi_decomposition(mu, l).surviving_factors():
+                targets.add((l, nu, lam_rep))
+    for l, nu, lam_rep in sorted(targets):
+        want = _outcome(_local_target_by_search, nu, lam_rep, l)
+        assert _outcome(local_target, nu, lam_rep, l) == want, (l, nu, lam_rep)
+    # 160 vertices, and 220 class-(0,0) weights on or below the horizontal wall
+    assert raised == 380 and len(targets) > 10000
+    for lam in (Weight(-1, 0), Weight(3, -2)):
+        with pytest.raises(ValueError):
+            wall_weight_below(lam, 5)
+    # a factor off the walls, and one on all three, has no target
+    for nu in (Weight(0, 0), Weight(2, 2)):
+        assert _outcome(_local_target_by_search, nu, Weight(0, 0), 3) is RuntimeError
+        with pytest.raises(RuntimeError):
+            local_target(nu, Weight(0, 0), 3)
 
 
 def test_onto_vertex_from_wall_orbit():
@@ -239,3 +402,28 @@ def test_translate_sweep_builds_each_factor_list_once(monkeypatch):
         # once per weight, and every checked weight had its call
         assert len(calls) == len(set(calls))
         assert {case for case, *_ in cases} <= {f"l={l} lam={lam}" for lam, _ in calls}
+
+
+def test_translate_sweep_records_a_failed_translation(monkeypatch):
+    """A ValueError from the factor lists of a weight is a failed case that
+    carries its message; the sweep skips only the weights with no dominant
+    wall point below."""
+    off_wall = translate.translate_off_wall
+    calls = []
+
+    def failing_once(mu_cls, mu_res, target_res, l):
+        calls.append(mu_cls)
+        if len(calls) == 1:
+            raise ValueError("unsupported translation (injected)")
+        return off_wall(mu_cls, mu_res, target_res, l)
+
+    monkeypatch.setattr(translate, "translate_off_wall", failing_once)
+    report = verify.run_suite("translate", [3], 2)
+    assert not report.passed
+    assert report.failures == [
+        (
+            "l=3 lam=(1,1)",
+            "translate character = weyl(lam) + weyl(mirror)",
+            "unsupported translation (injected)",
+        )
+    ]
