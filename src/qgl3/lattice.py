@@ -256,43 +256,6 @@ def dominance_key(w: Weight) -> tuple[int, int]:
     return (w[0] + w[1], w[0])
 
 
-# Facet windows: for each positive root either the wall value (on_wall) or the
-# open window ((n-1)l, nl) containing the pairing.
-
-
-def facet_windows(lam: Weight, l: int) -> tuple[tuple[bool, int], ...]:
-    out = []
-    for root in POSITIVE_ROOTS:
-        p = pairing(lam, root)
-        if p % l == 0:
-            out.append((True, p // l))
-        else:
-            out.append((False, -(-p // l)))
-    return tuple(out)
-
-
-def in_closure(x: Weight, windows: tuple[tuple[bool, int], ...], l: int) -> bool:
-    for root, (on_wall, n) in zip(POSITIVE_ROOTS, windows):
-        p = pairing(x, root)
-        if on_wall:
-            if p != n * l:
-                return False
-        elif not (n - 1) * l <= p <= n * l:
-            return False
-    return True
-
-
-def in_upper_closure(x: Weight, windows: tuple[tuple[bool, int], ...], l: int) -> bool:
-    for root, (on_wall, n) in zip(POSITIVE_ROOTS, windows):
-        p = pairing(x, root)
-        if on_wall:
-            if p != n * l:
-                return False
-        elif not (n - 1) * l < p <= n * l:
-            return False
-    return True
-
-
 def facet_stabilizer_walls(lam: Weight, l: int) -> list[tuple[PositiveRoot, int]]:
     """Walls through lam, as (root, wall value) reflection data."""
     return [
@@ -300,20 +263,3 @@ def facet_stabilizer_walls(lam: Weight, l: int) -> list[tuple[PositiveRoot, int]
         for root in POSITIVE_ROOTS
         if pairing(lam, root) % l == 0
     ]
-
-
-def stabilizer_orbit(x: Weight, walls: list[tuple[PositiveRoot, int]], l: int) -> set[Weight]:
-    """Orbit of x under the reflections in the given walls (closed under words)."""
-    for _, value in walls:
-        if value % l != 0:
-            raise ValueError("stabilizer wall value must be a multiple of l")
-    seen = {Weight(*x)}
-    frontier = [Weight(*x)]
-    while frontier:
-        cur = frontier.pop()
-        for root, value in walls:
-            img = affine_reflect(cur, root, value, 1)
-            if img not in seen:
-                seen.add(img)
-                frontier.append(img)
-    return seen

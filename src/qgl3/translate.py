@@ -1,7 +1,8 @@
 """Translation of twisted-tensor filtration factors between facets.
 
 Translating onto a wall either relabels a factor or kills it, depending on
-whether the image lies in the upper closure of the source facet.  Off a
+whether the image lies in the upper closure of the source alcove; the
+source must be regular, and a singular one is rejected.  Off a
 wall, the translate of a single factor carries a good filtration whose
 (classical, restricted) factor pairs are given by fixed case tables; an
 entry with non-dominant classical part stands for the zero module but is
@@ -30,6 +31,7 @@ from qgl3.charring import (
 )
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
+    POSITIVE_ROOTS,
     FacetType,
     PositiveRoot,
     Weight,
@@ -39,19 +41,9 @@ from qgl3.lattice import (
     decompose,
     facet_classify,
     facet_stabilizer_walls,
-    facet_windows,
     fundamental_rep,
-    in_closure,
-    in_upper_closure,
     pairing,
-    stabilizer_orbit,
 )
-
-
-@dataclass(frozen=True)
-class WallTranslationResult:
-    input: Weight
-    output: Weight | None
 
 
 @dataclass(frozen=True)
@@ -104,39 +96,37 @@ class OffWallFactorList:
         ]
 
 
-def _orbit_near(nu: Weight, y: Weight, l: int) -> tuple[Weight, set[Weight]]:
-    """The fundamental representative of nu, and the points of the orbit of
-    y next to nu: for w with w . nu = representative and y in the closure of
-    the representative's facet, w^-1 applied to y's orbit under the
-    representative's stabilizer.  The set does not depend on the choice of
-    w, which is unique only up to the stabilizer of nu."""
-    rep, w = fundamental_rep(nu, l)
-    walls = facet_stabilizer_walls(rep, l)
-    return rep, {apply_inverse(w, x) for x in stabilizer_orbit(y, walls, l)}
-
-
 def translate_onto_wall(
     nu: Weight, lam_orbit: Weight, mu_orbit: Weight, l: int
-) -> WallTranslationResult:
-    """Translate the factor of weight nu from the orbit of lam_orbit to the
-    orbit of mu_orbit; the image survives exactly when it lies in the upper
-    closure of nu's facet."""
+) -> Weight | None:
+    """Translate the factor of regular weight nu from the orbit of
+    lam_orbit to the orbit of mu_orbit, a point of the closed bottom
+    alcove; None when the translate is zero.
+
+    Closed form (Jantzen II.7.11-7.15): with w . nu = lam_orbit, the image
+    is x = w^-1 . mu_orbit, the orbit point in the closure of nu's alcove,
+    and it survives exactly when it lies in the upper closure of that
+    alcove: (n-1)l < <x+rho, alpha~> <= nl for every positive root alpha,
+    where n = ceil(<nu+rho, alpha~>/l).
+    """
     nu, lam_orbit, mu_orbit = Weight(*nu), Weight(*lam_orbit), Weight(*mu_orbit)
     if not nu.is_dominant():
         raise ValueError(f"translate_onto_wall needs a dominant weight, got {nu}")
-    rep, candidates = _orbit_near(nu, mu_orbit, l)
-    if rep != Weight(*lam_orbit):
+    if facet_stabilizer_walls(nu, l):
+        raise ValueError(f"translate_onto_wall needs a regular weight, got {nu} (l={l})")
+    rep, w = fundamental_rep(nu, l)
+    if rep != lam_orbit:
         raise ValueError(
             f"{nu} is not in the orbit of {lam_orbit} (representative {rep}, l={l})"
         )
-    lam_windows = facet_windows(lam_orbit, l)
-    if not in_closure(mu_orbit, lam_windows, l):
-        raise ValueError(f"{mu_orbit} is not in the closure of the facet of {lam_orbit}")
-    nu_windows = facet_windows(nu, l)
-    survivors = sorted(x for x in candidates if in_upper_closure(x, nu_windows, l))
-    if len(survivors) > 1:
-        raise RuntimeError(f"ambiguous wall translation for {nu}: {survivors}")
-    return WallTranslationResult(nu, survivors[0] if survivors else None)
+    if not all(0 <= pairing(mu_orbit, root) <= l for root in POSITIVE_ROOTS):
+        raise ValueError(f"{mu_orbit} is not in the closed bottom alcove (l={l})")
+    x = apply_inverse(w, mu_orbit)
+    for root in POSITIVE_ROOTS:
+        n = -(-pairing(nu, root) // l)
+        if not (n - 1) * l < pairing(x, root) <= n * l:
+            return None
+    return x
 
 
 def _entries(*pairs: tuple[Weight, Weight]) -> OffWallFactorList:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3 import translate
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     AffineWeylElement,
@@ -22,6 +21,8 @@ from qgl3.lattice import (
     linked,
     pairing,
 )
+
+import test_translate
 
 coords = st.integers(-30, 30)
 weights = st.builds(Weight, coords, coords)
@@ -247,10 +248,11 @@ def test_fundamental_rep_against_reflection_walk(lam, l):
 
 def test_orbit_near_candidates_against_reflection_word(monkeypatch):
     """On a wall the element and the walk's word differ by the stabilizer;
-    the candidate sets that translate_onto_wall reads from them must not.
-    The orbit points y range over the closed fundamental alcove, where
-    translate_onto_wall takes its target representative, and the wall's
-    reflections move those off the wall."""
+    the candidate sets that the window search of test_translate (the
+    oracle of translate_onto_wall and local_target) reads from them must
+    not.  The orbit points y range over the closed fundamental alcove,
+    where translate_onto_wall takes its target representative, and the
+    wall's reflections move those off the wall."""
     cases = {}
     for l in (2, 3, 4, 5, 7):
         closed_alcove = [
@@ -262,12 +264,12 @@ def test_orbit_near_candidates_against_reflection_word(monkeypatch):
             nu = Weight(a, b)
             if facet_stabilizer_walls(fundamental_rep(nu, l)[0], l):
                 for y in closed_alcove:
-                    cases[(l, nu, y)] = translate._orbit_near(nu, y, l)
+                    cases[(l, nu, y)] = test_translate._orbit_near(nu, y, l)
     assert sum(len(near) > 1 for _, near in cases.values()) > 1000
-    monkeypatch.setattr(translate, "fundamental_rep", _fundamental_rep_by_reflections)
-    monkeypatch.setattr(translate, "apply_inverse", _undo_reflections)
+    monkeypatch.setattr(test_translate, "fundamental_rep", _fundamental_rep_by_reflections)
+    monkeypatch.setattr(test_translate, "apply_inverse", _undo_reflections)
     for (l, nu, y), by_element in cases.items():
-        assert translate._orbit_near(nu, y, l) == by_element, (l, nu, y)
+        assert test_translate._orbit_near(nu, y, l) == by_element, (l, nu, y)
 
 
 def test_dual_weight():

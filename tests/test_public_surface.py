@@ -20,6 +20,7 @@ import qgl3
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "qgl3"
 BENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 # The weight-basis routes the tests compare the engine's Weyl-basis
 # identities against; the engine itself never takes them.
@@ -113,10 +114,10 @@ def test_allowlist_names_exist():
 
 def unused_imports() -> list[str]:
     """module.name for every top-level `from ... import` name of a module of
-    src/qgl3, other than the package's __init__, that the module never
-    uses."""
+    src/qgl3 or tests/, other than the package's __init__, that the module
+    never uses."""
     out = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())

@@ -3,20 +3,19 @@ import itertools
 import pytest
 
 from qgl3 import translate, verify
-from qgl3.charring import chi_l, simple_char_p0, weyl_char
+from qgl3.charring import chi_l, chi_l_weyl, simple_char_p0, weyl_char, weyl_sum
 from qgl3.decomp import chi_decomposition, chi_l_expansion
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     FacetType,
     PositiveRoot,
     Weight,
+    affine_reflect,
+    apply_inverse,
     decompose,
     facet_classify,
     facet_stabilizer_walls,
-    facet_windows,
     fundamental_rep,
-    in_closure,
-    in_upper_closure,
     linked,
     ordinary_orbit,
     pairing,
@@ -34,23 +33,28 @@ from qgl3.translate import (
 
 
 def test_onto_wall_identity_translation():
-    r = translate_onto_wall(Weight(1, 0), Weight(1, 0), Weight(1, 0), 5)
-    assert r.output == Weight(1, 0)
+    assert translate_onto_wall(Weight(1, 0), Weight(1, 0), Weight(1, 0), 5) == Weight(1, 0)
 
 
 def test_onto_wall_present_and_absent():
     # down-alcove weight onto the horizontal wall above it: survives
-    r = translate_onto_wall(Weight(3, 3), Weight(0, 0), Weight(1, 0), 3)
-    assert r.output == Weight(4, 3)
+    assert translate_onto_wall(Weight(3, 3), Weight(0, 0), Weight(1, 0), 3) == Weight(4, 3)
     # the up-alcove mirror sees that wall from above, outside its upper
     # closure, so its translate dies
-    r2 = translate_onto_wall(Weight(4, 4), Weight(0, 0), Weight(1, 0), 3)
-    assert r2.output is None
+    assert translate_onto_wall(Weight(4, 4), Weight(0, 0), Weight(1, 0), 3) is None
 
 
 def test_onto_wall_rejects_bad_orbit():
-    with pytest.raises(ValueError):
-        translate_onto_wall(Weight(3, 3), Weight(1, 0), Weight(1, 0), 3)
+    singular = Weight(4, 3)  # on the rho wall at l = 3
+    for nu, lam_orbit, mu_orbit, match in (
+        (Weight(-2, 1), Weight(0, 0), Weight(1, 0), "dominant"),
+        (singular, fundamental_rep(singular, 3)[0], Weight(1, 0), "regular"),
+        (Weight(3, 3), Weight(1, 0), Weight(1, 0), "not in the orbit"),
+        (Weight(3, 3), Weight(0, 0), Weight(2, 1), "closed bottom alcove"),
+        (Weight(3, 3), Weight(0, 0), Weight(-2, 1), "closed bottom alcove"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            translate_onto_wall(nu, lam_orbit, mu_orbit, 3)
 
 
 def test_onto_wall_character_consistency():
@@ -62,12 +66,12 @@ def test_onto_wall_character_consistency():
     ):
         lam_rep, _ = fundamental_rep(lam, l)
         dec = chi_decomposition(lam, l)
-        image = translate_onto_wall(lam, lam_rep, wall_rep, l).output
+        image = translate_onto_wall(lam, lam_rep, wall_rep, l)
         total = None
         for f in dec.surviving_factors():
-            r = translate_onto_wall(f, lam_rep, wall_rep, l)
-            if r.output is not None:
-                term = chi_l(r.output, l)
+            x = translate_onto_wall(f, lam_rep, wall_rep, l)
+            if x is not None:
+                term = chi_l(x, l)
                 total = term if total is None else total + term
         assert total == weyl_char(image)
 
@@ -194,9 +198,91 @@ def test_off_wall_lists_against_character_oracle():
             assert sorted(got.items()) == expected, (l, lam, nu)
 
 
-# The oracle of the closed forms wall_weight_below and local_target: a
-# search over facet windows.  A facet window is, per positive root, either
-# the wall value or the open range ((n-1)l, nl) containing the pairing.
+# The oracle of the closed forms translate_onto_wall, wall_weight_below and
+# local_target: a search over facet windows.  A facet window is, per
+# positive root, either the wall value (on_wall) or the open range
+# ((n-1)l, nl) containing the pairing.
+
+
+def facet_windows(lam, l):
+    out = []
+    for root in POSITIVE_ROOTS:
+        p = pairing(lam, root)
+        if p % l == 0:
+            out.append((True, p // l))
+        else:
+            out.append((False, -(-p // l)))
+    return tuple(out)
+
+
+def in_closure(x, windows, l):
+    for root, (on_wall, n) in zip(POSITIVE_ROOTS, windows):
+        p = pairing(x, root)
+        if on_wall:
+            if p != n * l:
+                return False
+        elif not (n - 1) * l <= p <= n * l:
+            return False
+    return True
+
+
+def in_upper_closure(x, windows, l):
+    for root, (on_wall, n) in zip(POSITIVE_ROOTS, windows):
+        p = pairing(x, root)
+        if on_wall:
+            if p != n * l:
+                return False
+        elif not (n - 1) * l < p <= n * l:
+            return False
+    return True
+
+
+def stabilizer_orbit(x, walls, l):
+    """Orbit of x under the reflections in the given walls (closed under words)."""
+    for _, value in walls:
+        if value % l != 0:
+            raise ValueError("stabilizer wall value must be a multiple of l")
+    seen = {Weight(*x)}
+    frontier = [Weight(*x)]
+    while frontier:
+        cur = frontier.pop()
+        for root, value in walls:
+            img = affine_reflect(cur, root, value, 1)
+            if img not in seen:
+                seen.add(img)
+                frontier.append(img)
+    return seen
+
+
+def _orbit_near(nu, y, l):
+    """The fundamental representative of nu, and the points of the orbit of
+    y next to nu: for w with w . nu = representative and y in the closure of
+    the representative's facet, w^-1 applied to y's orbit under the
+    representative's stabilizer.  The set does not depend on the choice of
+    w, which is unique only up to the stabilizer of nu."""
+    rep, w = fundamental_rep(nu, l)
+    walls = facet_stabilizer_walls(rep, l)
+    return rep, {apply_inverse(w, x) for x in stabilizer_orbit(y, walls, l)}
+
+
+def _translate_onto_wall_by_search(nu, lam_orbit, mu_orbit, l):
+    """The translate of the factor nu from the orbit of lam_orbit to the
+    orbit of mu_orbit: the one point of the orbit next to nu that lies in
+    the upper closure of nu's facet, or None.  Unlike the closed form it
+    also takes a singular nu."""
+    nu = Weight(*nu)
+    if not nu.is_dominant():
+        raise ValueError(f"needs a dominant weight, got {nu}")
+    rep, candidates = _orbit_near(nu, mu_orbit, l)
+    if rep != lam_orbit:
+        raise ValueError(f"{nu} is not in the orbit of {lam_orbit} (l={l})")
+    if not in_closure(mu_orbit, facet_windows(lam_orbit, l), l):
+        raise ValueError(f"{mu_orbit} is not in the closure of the facet of {lam_orbit}")
+    nu_windows = facet_windows(nu, l)
+    survivors = sorted(x for x in candidates if in_upper_closure(x, nu_windows, l))
+    if len(survivors) > 1:
+        raise RuntimeError(f"ambiguous wall translation for {nu}: {survivors}")
+    return survivors[0] if survivors else None
 
 
 def _alcove_windows(x, wall, side, l):
@@ -245,7 +331,7 @@ def _admissible_target(nu, x, l):
 
 
 def _local_target_by_search(nu, lam_rep, l):
-    _, candidates = translate._orbit_near(nu, lam_rep, l)
+    _, candidates = _orbit_near(nu, lam_rep, l)
     good = sorted(x for x in candidates if _admissible_target(nu, x, l))
     if len(good) != 1:
         raise RuntimeError(f"no unique admissible target for {nu}: {good}")
@@ -359,9 +445,8 @@ def test_closed_forms_against_window_search():
 def test_onto_vertex_from_wall_orbit():
     # translating the filtration of a wall weight onto a vertex orbit in its
     # wall's closure leaves exactly one factor, and exercises the stabilizer
-    # candidates of the singular source representative
-    from qgl3.lattice import facet_classify
-
+    # candidates of the singular source representative; the closed form
+    # takes regular sources only, so this checks the search
     cases = (
         (3, Weight(4, 3), Weight(2, -1)),
         (3, Weight(4, 3), Weight(-1, 2)),
@@ -373,14 +458,67 @@ def test_onto_vertex_from_wall_orbit():
         images = []
         acc = None
         for f in chi_decomposition(mu, l).surviving_factors():
-            r = translate_onto_wall(f, rep, vertex_rep, l)
-            if r.output is not None:
-                images.append(r.output)
-                term = chi_l(r.output, l)
+            x = _translate_onto_wall_by_search(f, rep, vertex_rep, l)
+            if x is not None:
+                images.append(x)
+                term = chi_l(x, l)
                 acc = term if acc is None else acc + term
         assert len(images) == 1
         assert facet_classify(images[0], l).value == "vertex"
         assert acc == weyl_char(images[0])
+
+
+def test_onto_wall_closed_form_against_window_search():
+    """The closed form equals the search on every regular surviving factor
+    of the weights with classical part in [0,2]^2, onto every wall point of
+    the closed bottom alcove."""
+    pairs = survived = 0
+    for l in (3, 4, 5, 7):
+        walls = [  # pairings (p1, p2, p1 + p2) with one of them 0 or l
+            Weight(p1 - 1, p2 - 1)
+            for p1 in range(l + 1)
+            for p2 in range(l + 1 - p1)
+            if p1 == 0 or p2 == 0 or p1 + p2 == l
+        ]
+        factors = set()
+        for a, b, r, s in itertools.product(range(3), range(3), range(l), range(l)):
+            lam = l * Weight(a, b) + Weight(r, s)
+            if not facet_stabilizer_walls(lam, l):
+                factors.update(chi_decomposition(lam, l).surviving_factors())
+        for nu in sorted(factors):
+            rep, _ = fundamental_rep(nu, l)
+            for y in walls:
+                got = translate_onto_wall(nu, rep, y, l)
+                assert got == _translate_onto_wall_by_search(nu, rep, y, l), (l, nu, y)
+                pairs += 1
+                survived += got is not None
+    assert (pairs, survived) == (9900, 4100)
+
+
+def test_onto_wall_translates_nabla_for_every_regular_weight():
+    """Translation onto a wall takes nabla(lam) to nabla(x), for x the orbit
+    point in the closure of lam's alcove (Jantzen II.7.11), and chi(x) = 0
+    when x is not dominant.  So for every regular lam the onto-wall images
+    of the surviving factors sum to chi(x), also where the image of lam
+    itself dies, which the translate sweep does not check."""
+    cases = died = 0
+    for l in (3, 5, 7):
+        # a point on each wall of the bottom alcove, and its vertex -rho
+        walls = (Weight(0, l - 2), Weight(-1, 1), Weight(1, -1), Weight(-1, -1))
+        for a, b, r, s in itertools.product(range(3), range(3), range(l), range(l)):
+            lam = l * Weight(a, b) + Weight(r, s)
+            if facet_stabilizer_walls(lam, l):
+                continue
+            rep, w = fundamental_rep(lam, l)
+            factors = chi_decomposition(lam, l).surviving_factors()
+            for y in walls:
+                x = apply_inverse(w, y)
+                images = (translate_onto_wall(f, rep, y, l) for f in factors)
+                got = weyl_sum(chi_l_weyl(z, l) for z in images if z is not None)
+                assert got == ({x: 1} if x.is_dominant() else {}), (l, lam, y)
+                cases += 1
+                died += translate_onto_wall(lam, rep, y, l) is None
+    assert (cases, died) == (1584, 924)
 
 
 def test_translate_sweep_builds_each_factor_list_once(monkeypatch):
@@ -427,3 +565,23 @@ def test_translate_sweep_records_a_failed_translation(monkeypatch):
             "unsupported translation (injected)",
         )
     ]
+
+
+def test_translate_sweep_records_a_failed_generic_count(monkeypatch):
+    """The sweep skips a generic count only when the weight is
+    non-generic; any other ValueError is a failed case that carries its
+    message."""
+
+    def boom(self):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(translate.WallTranslate, "generic_factor_count", boom)
+    report = verify.run_suite("translate", [5], 3)
+    # every one of the 186 weights that reach the count fails; an unpatched
+    # sweep counts the 48 generic ones and skips the rest (324 cases)
+    assert report.cases_run == 462 and not report.passed
+    assert len(report.failures) == 186
+    assert all(
+        identity == "generic factor count = 18" and observed == "boom"
+        for _, identity, observed in report.failures
+    )
