@@ -117,10 +117,6 @@ class FormalChar:
 ZERO_CHAR = FormalChar()
 
 
-def e(a: int, b: int) -> FormalChar:
-    return FormalChar({(a, b): 1})
-
-
 _weyl_cache: dict[Weight, FormalChar] = {}
 
 
@@ -343,8 +339,7 @@ def simple_char_p0(lam: Weight, l: int) -> FormalChar:
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"simple_char_p0 needs a dominant weight, got {lam}")
-    cls, res = decompose(lam, l)
-    return frobenius_twist(weyl_char(cls), l) * restricted_simple_char(res, l)
+    return chi_l(lam, l)
 
 
 def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[Weight, int]:

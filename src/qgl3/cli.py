@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from qgl3.charring import chi_l_weyl, weyl_char, weyl_dimension
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
@@ -25,22 +24,7 @@ from qgl3.lattice import (
     pairing,
 )
 from qgl3.structure import nabla_l_filtration, validate_graph, zhat_structure
-from qgl3.verify import SUITES, run_suite
-
-
-@dataclass
-class EngineConfig:
-    l: int
-    p: int = 0
-    fmt: str = "text"
-
-    def __post_init__(self):
-        if self.l < 2:
-            raise ValueError(f"need l >= 2, got {self.l}")
-        if self.p < 0 or (self.p > 0 and not _is_prime(self.p)):
-            raise ValueError(f"p must be 0 or a prime, got {self.p}")
-        if self.fmt not in ("text", "json", "dot"):
-            raise ValueError(f"unknown format {self.fmt!r}")
+from qgl3.verify import SUITES, check_sweep, run_suite
 
 
 def _is_prime(n: int) -> bool:
@@ -65,24 +49,24 @@ def parse_weight(text: str, gl3: bool = False) -> Weight:
     return Weight(nums[0], nums[1])
 
 
-def _print_char(x, cfg: EngineConfig) -> None:
-    if cfg.fmt == "json":
+def _print_char(x, fmt: str) -> None:
+    if fmt == "json":
         print(x.to_json())
     else:
         print(f"dim {x.dimension}: {x!r}")
 
 
-def cmd_classify(args, cfg: EngineConfig) -> int:
+def cmd_classify(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
-    facet = facet_classify(lam, cfg.l)
-    cls, res = decompose(lam, cfg.l)
+    facet = facet_classify(lam, args.l)
+    cls, res = decompose(lam, args.l)
     pairings = {root.name.lower(): pairing(lam, root) for root in POSITIVE_ROOTS}
-    if cfg.fmt == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
                     "lambda": list(lam),
-                    "l": cfg.l,
+                    "l": args.l,
                     "facet": facet.value,
                     "classical": list(cls),
                     "restricted": list(res),
@@ -97,46 +81,46 @@ def cmd_classify(args, cfg: EngineConfig) -> int:
     return 0
 
 
-def cmd_char(args, cfg: EngineConfig) -> int:
+def cmd_char(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
-    _print_char(weyl_char(lam), cfg)
+    _print_char(weyl_char(lam), args.format)
     return 0
 
 
-def cmd_decomp(args, cfg: EngineConfig) -> int:
+def cmd_decomp(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
-    dec = chi_decomposition(lam, cfg.l)
-    if cfg.fmt == "json":
+    dec = chi_decomposition(lam, args.l)
+    if args.format == "json":
         print(dec.to_json())
     else:
-        print(f"{lam} (l={cfg.l}): case {dec.case_id} [{dec.facet.value}]")
+        print(f"{lam} (l={args.l}): case {dec.case_id} [{dec.facet.value}]")
         for f, alive in zip(dec.factors, dec.nonzero_flags()):
-            dim = sum(c * weyl_dimension(k) for k, c in chi_l_weyl(f, cfg.l).items())
+            dim = sum(c * weyl_dimension(k) for k, c in chi_l_weyl(f, args.l).items())
             note = "" if alive else "  (vanishes)"
             print(f"  {f}  chi_l dim {dim}{note}")
     return 0
 
 
-def cmd_zhat(args, cfg: EngineConfig) -> int:
+def cmd_zhat(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
     if args.structure:
-        g = zhat_structure(lam, cfg.l)
-        if cfg.fmt == "dot":
+        g = zhat_structure(lam, args.l)
+        if args.format == "dot":
             print(g.to_dot())
-        elif cfg.fmt == "json":
+        elif args.format == "json":
             print(g.to_json())
         else:
-            print(f"structure of the induced module of weight {lam} (l={cfg.l}):")
+            print(f"structure of the induced module of weight {lam} (l={args.l}):")
             for n in g.nodes:
                 print(f"  layer {n.layer}: {n.id} = {n.weight}")
             for u, v in g.edges:
                 print(f"  {u} -> {v}")
         return 0
     if args.char:
-        _print_char(zhat_char(lam, cfg.l), cfg)
+        _print_char(zhat_char(lam, args.l), args.format)
         return 0
-    factors = zhat_factors(lam, cfg.l)
-    if cfg.fmt == "json":
+    factors = zhat_factors(lam, args.l)
+    if args.format == "json":
         print(json.dumps([list(f) for f in factors]))
     else:
         for f in factors:
@@ -144,16 +128,16 @@ def cmd_zhat(args, cfg: EngineConfig) -> int:
     return 0
 
 
-def cmd_lfilt(args, cfg: EngineConfig) -> int:
+def cmd_lfilt(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
-    g = nabla_l_filtration(lam, cfg.l)
-    if cfg.fmt == "dot":
+    g = nabla_l_filtration(lam, args.l)
+    if args.format == "dot":
         print(g.to_dot())
-    elif cfg.fmt == "json":
+    elif args.format == "json":
         print(g.to_json())
     else:
         report = validate_graph(g)
-        print(f"good filtration of the induced module of weight {lam} (l={cfg.l}):")
+        print(f"good filtration of the induced module of weight {lam} (l={args.l}):")
         for n in g.nodes:
             print(f"  layer {n.layer}: {n.id} = {n.weight}")
         for u, v in g.edges:
@@ -162,12 +146,12 @@ def cmd_lfilt(args, cfg: EngineConfig) -> int:
     return 0
 
 
-def cmd_ext(args, cfg: EngineConfig) -> int:
+def cmd_ext(args) -> int:
     alpha = parse_weight(args.alpha, args.gl3)
     beta = parse_weight(args.beta, args.gl3)
     if args.level == "g1":
-        val = ext1_g1(alpha, beta, cfg.l)
-        if cfg.fmt == "json":
+        val = ext1_g1(alpha, beta, args.l)
+        if args.format == "json":
             print(json.dumps(val.labels()))
         else:
             print(" + ".join(f"{s}^F" if s != "k" else s for s in val.labels()) or "0")
@@ -175,17 +159,19 @@ def cmd_ext(args, cfg: EngineConfig) -> int:
         if args.mu is None:
             raise ValueError("--level g1b needs --mu (the induced-module weight)")
         mu = parse_weight(args.mu, args.gl3)
-        print(ext1_g1b(mu, alpha, beta, cfg.l))
+        print(ext1_g1b(mu, alpha, beta, args.l))
     else:
-        print(ext1_g(alpha, beta, cfg.l))
+        print(ext1_g(alpha, beta, args.l))
     return 0
 
 
-def cmd_hom(args, cfg: EngineConfig) -> int:
+def cmd_hom(args) -> int:
     lam = parse_weight(args.lam, args.gl3)
     mu = parse_weight(args.mu, args.gl3)
-    w = hom_exists_mirror(lam, mu, cfg.l, cfg.p)
-    if cfg.fmt == "json":
+    if args.p < 0 or (args.p > 0 and not _is_prime(args.p)):
+        raise ValueError(f"p must be 0 or a prime, got {args.p}")
+    w = hom_exists_mirror(lam, mu, args.l, args.p)
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -202,9 +188,11 @@ def cmd_hom(args, cfg: EngineConfig) -> int:
     return 0
 
 
-def cmd_verify(args, cfg: EngineConfig) -> int:
+def cmd_verify(args) -> int:
     names = args.suites.split(",")
     l_values = [int(t) for t in args.l.split(",")]
+    for name in names:
+        check_sweep(name, l_values, args.box)
     failed = False
     for name in names:
         report = run_suite(name, l_values, args.box, stream=sys.stderr, jobs=args.jobs)
@@ -283,14 +271,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            cfg = EngineConfig(l=2)  # per-suite l values parsed inside
-        else:
-            cfg = EngineConfig(l=args.l, p=getattr(args, "p", 0), fmt=args.format)
+        if args.command != "verify":  # verify reads a list of l values
+            if args.l < 2:
+                raise ValueError(f"need l >= 2, got {args.l}")
             graph = args.command == "lfilt" or args.command == "zhat" and args.structure
-            if cfg.fmt == "dot" and not graph:
+            if args.format == "dot" and not graph:
                 raise ValueError("--format dot is only valid for graph outputs")
-        return args.func(args, cfg)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,7 @@ from qgl3.lattice import (
     classify_restricted,
     decompose,
     dominantize,
+    dual_weight,
 )
 
 _CASE_BY_FACET = {
@@ -147,10 +148,23 @@ class DecompResult:
         )
 
 
-def _factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
+def _right_wall_family(cls: Weight, r: int, l: int) -> list[Weight]:
+    """The four factor weights for lam = l*cls + (l-1, r), socle first
+    (factor 1 is lam itself)."""
+    s = l - r - 2
+    return [
+        l * cls + Weight(l - 1, r),
+        l * (cls - Weight(1, 0)) + Weight(r, s),
+        l * (cls + Weight(1, -1)) + Weight(r, s),
+        l * (cls - Weight(0, 1)) + Weight(s, l - 1),
+    ]
+
+
+def factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
     """Facet of the restricted part of lam and the composition-factor
     weights of the Borel-induced module of weight lam, wall cases socle
-    first."""
+    first.  The left wall is the coordinate swap of the right wall: the
+    swap fixes rho, dominance and the split lam = l*classical + restricted."""
     cls, res = decompose(lam, l)
     facet = classify_restricted(res, l)
     if facet is FacetType.VERTEX:
@@ -160,23 +174,10 @@ def _factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
     if facet is FacetType.UP_ALCOVE:
         return facet, up_alcove_family(cls, res, l)
     if facet is FacetType.RIGHT_WALL:
-        r = res[1]
-        s = l - r - 2
-        return facet, [
-            lam,
-            l * (cls - Weight(1, 0)) + Weight(r, s),
-            l * (cls + Weight(1, -1)) + Weight(r, s),
-            l * (cls - Weight(0, 1)) + Weight(s, l - 1),
-        ]
+        return facet, _right_wall_family(cls, res[1], l)
     if facet is FacetType.LEFT_WALL:
-        s = res[0]
-        r = l - s - 2
-        return facet, [
-            lam,
-            l * (cls - Weight(0, 1)) + Weight(r, s),
-            l * (cls + Weight(-1, 1)) + Weight(r, s),
-            l * (cls - Weight(1, 0)) + Weight(l - 1, r),
-        ]
+        swapped = _right_wall_family(dual_weight(cls), res[0], l)
+        return facet, [dual_weight(w) for w in swapped]
     r, s = res
     return facet, [
         lam,
@@ -199,7 +200,7 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
         raise ValueError(f"chi_decomposition needs a dominant weight, got {lam}")
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    facet, factors = _factor_family(lam, l)
+    facet, factors = factor_family(lam, l)
     if facet in _WALLS:
         factors.reverse()
     return DecompResult(lam, l, facet, _CASE_BY_FACET[facet], tuple(factors))
@@ -211,7 +212,7 @@ def zhat_factors(lam: Weight, l: int) -> list[Weight]:
     The classical part of lam may be arbitrary; the case split depends only
     on the restricted part.  Wall cases are listed socle first.
     """
-    return _factor_family(Weight(*lam), l)[1]
+    return factor_family(Weight(*lam), l)[1]
 
 
 def hat_simple_char(nu: Weight, l: int) -> FormalChar:

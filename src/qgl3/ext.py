@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from qgl3.charring import tensor_multiplicity, up_alcove_mirror, weyl_dimension
-from qgl3.decomp import zhat_factors
+from qgl3.decomp import factor_family, zhat_factors
 from qgl3.lattice import (
     FacetType,
     Weight,
@@ -228,14 +228,13 @@ _PAIRS_BY_FACET = {
 def extending_pairs(mu: Weight, l: int) -> frozenset[tuple[Weight, Weight]]:
     """The (upper, lower) pairs of composition-factor weights of the
     Borel-induced module of weight mu between which Ext^1 is nonzero: the
-    facet's table, read on zhat_factors(mu)."""
+    facet's table, read on the factor list of factor_family(mu)."""
     mu = Weight(*mu)
-    factors = zhat_factors(mu, l)
+    facet, factors = factor_family(mu, l)
     if len(set(factors)) != len(factors):
         raise ValueError(
             f"degenerate factor list for {mu} (l={l}): {[tuple(f) for f in factors]}"
         )
-    facet = classify_restricted(decompose(mu, l).restricted, l)
     return frozenset(
         (factors[u - 1], factors[v - 1]) for u, v in _PAIRS_BY_FACET[facet]
     )

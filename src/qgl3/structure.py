@@ -17,16 +17,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_factors
+from qgl3.decomp import chi_decomposition, factor_family, hat_simple_char, zhat_factors
 from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, extending_pairs
 from qgl3.homs import hat_dual_weight, zhat_head_weight
-from qgl3.lattice import (
-    FacetType,
-    RHO,
-    Weight,
-    classify_restricted,
-    decompose,
-)
+from qgl3.lattice import FacetType, RHO, Weight, decompose
 
 G1B_SIMPLE = "G1BSimple"
 NABLA_L = "NablaL"
@@ -118,6 +112,16 @@ _UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
 _DOWN_LAYERS_LOOSE = {9: 0, 5: 1, 6: 1, 7: 1, 8: 1, 3: 1, 4: 2, 2: 2, 1: 3}
 _UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}
 
+# (edges, layers) of the Borel-induced structure graph, by facet.
+_ZHAT_TABLES = {
+    FacetType.VERTEX: ((), {1: 0}),
+    FacetType.RIGHT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
+    FacetType.LEFT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
+    FacetType.HORIZONTAL_WALL: (WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS),
+    FacetType.DOWN_ALCOVE: (_DOWN_EDGES, _DOWN_LAYERS),
+    FacetType.UP_ALCOVE: (_UP_EDGES, _UP_LAYERS),
+}
+
 
 def _build(
     lam: Weight,
@@ -145,17 +149,8 @@ def _build(
 def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     """Submodule-structure graph of the Borel-induced module of weight lam."""
     lam = Weight(*lam)
-    factors = zhat_factors(lam, l)
-    facet = classify_restricted(decompose(lam, l).restricted, l)
-    if facet is FacetType.VERTEX:
-        return _build(lam, l, G1B_SIMPLE, factors, (), {1: 0})
-    if facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL):
-        return _build(lam, l, G1B_SIMPLE, factors, WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS)
-    if facet is FacetType.HORIZONTAL_WALL:
-        return _build(lam, l, G1B_SIMPLE, factors, WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS)
-    if facet is FacetType.DOWN_ALCOVE:
-        return _build(lam, l, G1B_SIMPLE, factors, _DOWN_EDGES, _DOWN_LAYERS)
-    return _build(lam, l, G1B_SIMPLE, factors, _UP_EDGES, _UP_LAYERS)
+    facet, factors = factor_family(lam, l)
+    return _build(lam, l, G1B_SIMPLE, factors, *_ZHAT_TABLES[facet])
 
 
 def _nine_factor_edges(base, congruent_a, congruent_b, drop_a, add_a, drop_b, add_b):

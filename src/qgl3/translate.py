@@ -21,12 +21,9 @@ from dataclasses import dataclass
 from qgl3.charring import (
     FormalChar,
     char_from_weyl,
-    char_sum,
+    chi_l,
     chi_l_weyl,
-    frobenius_twist,
-    restricted_simple_char,
     up_alcove_mirror,
-    weyl_char,
     weyl_sum,
 )
 from qgl3.decomp import chi_decomposition
@@ -39,6 +36,7 @@ from qgl3.lattice import (
     apply_inverse,
     classify_restricted,
     decompose,
+    dual_weight,
     facet_classify,
     facet_stabilizer_walls,
     fundamental_rep,
@@ -60,40 +58,12 @@ class OffWallEntry:
 
     def character(self, l: int) -> FormalChar:
         """Weight-basis character (the oracle route)."""
-        if self.vanishes:
-            return FormalChar()
-        return frobenius_twist(weyl_char(self.classical), l) * restricted_simple_char(
-            self.restricted, l
-        )
+        return FormalChar() if self.vanishes else chi_l(self.as_weight(l), l)
 
     def weyl_character(self, l: int) -> dict[Weight, int]:
         """The character in the basis of induced characters: chi_l of the
         entry's weight, whose classical part is dominant unless it vanishes."""
         return {} if self.vanishes else chi_l_weyl(self.as_weight(l), l)
-
-
-@dataclass(frozen=True)
-class OffWallFactorList:
-    factors: tuple[OffWallEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-    def character(self, l: int) -> FormalChar:
-        return char_sum(f.character(l) for f in self.factors)
-
-    def weyl_character(self, l: int) -> dict[Weight, int]:
-        return weyl_sum(f.weyl_character(l) for f in self.factors)
-
-    def to_jsonable(self) -> list:
-        return [
-            {
-                "classical": list(f.classical),
-                "restricted": list(f.restricted),
-                "vanishes": f.vanishes,
-            }
-            for f in self.factors
-        ]
 
 
 def translate_onto_wall(
@@ -129,74 +99,75 @@ def translate_onto_wall(
     return x
 
 
-def _entries(*pairs: tuple[Weight, Weight]) -> OffWallFactorList:
-    return OffWallFactorList(tuple(OffWallEntry(c, r) for c, r in pairs))
-
-
-def translate_off_wall(
-    mu_cls: Weight, mu_res: Weight, target_res: Weight, l: int
-) -> OffWallFactorList:
-    """Factor list, top layer first, of the translate of the twisted-tensor
-    factor with classical part mu_cls and wall-type restricted part mu_res
-    into the adjacent facet of restricted type target_res."""
-    mu_cls = Weight(*mu_cls)
-    mu_res = Weight(*mu_res)
-    target_res = Weight(*target_res)
-
+def _off_wall_pairs(
+    c: Weight, mu_res: Weight, target_res: Weight, l: int
+) -> list[tuple[Weight, Weight]] | None:
+    """The (classical, restricted) pairs of translate_off_wall for a source
+    off the left wall; None when no case table covers the combination."""
     if l == 2:
         key = (tuple(mu_res), tuple(target_res))
-        c = mu_cls
         if key == ((1, 0), (0, 0)):
-            return _entries(
+            return [
                 (c, Weight(0, 1)),
                 (c + Weight(1, 0), Weight(0, 0)),
                 (c + Weight(-1, 1), Weight(0, 0)),
                 (c + Weight(0, -1), Weight(0, 0)),
                 (c, Weight(0, 1)),
-            )
-        if key == ((0, 1), (0, 0)):
-            return _entries(
-                (c, Weight(1, 0)),
-                (c + Weight(0, 1), Weight(0, 0)),
-                (c + Weight(1, -1), Weight(0, 0)),
-                (c + Weight(-1, 0), Weight(0, 0)),
-                (c, Weight(1, 0)),
-            )
+            ]
         if key in (((0, 0), (1, 0)), ((0, 0), (0, 1))):
-            return _entries((c, target_res))
-        if key in (((1, 0), (0, 1)), ((0, 1), (1, 0))):
-            return _entries((c, Weight(0, 0)))
-        raise ValueError(f"unsupported l=2 translation {mu_res} -> {target_res}")
-
+            return [(c, target_res)]
+        if key == ((1, 0), (0, 1)):
+            return [(c, Weight(0, 0))]
+        return None
     src = classify_restricted(mu_res, l)
     tgt = classify_restricted(target_res, l)
-    c = mu_cls
     if src is FacetType.RIGHT_WALL and tgt is FacetType.DOWN_ALCOVE:
         a, b = target_res
-        return _entries(
+        return [
             (c, Weight(l - a - 2, a + b + 1)),
             (c + Weight(1, 0), target_res),
             (c + Weight(-1, 1), target_res),
             (c + Weight(0, -1), target_res),
             (c, Weight(l - a - b - 3, a)),
             (c, Weight(l - a - 2, a + b + 1)),
-        )
-    if src is FacetType.LEFT_WALL and tgt is FacetType.DOWN_ALCOVE:
-        a, b = target_res
-        return _entries(
-            (c, Weight(a + b + 1, l - b - 2)),
-            (c + Weight(0, 1), target_res),
-            (c + Weight(1, -1), target_res),
-            (c + Weight(-1, 0), target_res),
-            (c, Weight(b, l - a - b - 3)),
-            (c, Weight(a + b + 1, l - b - 2)),
-        )
+        ]
     if src is FacetType.HORIZONTAL_WALL and tgt is FacetType.UP_ALCOVE:
         mirror = up_alcove_mirror(target_res, l)
-        return _entries((c, mirror), (c, target_res), (c, mirror))
-    raise ValueError(
-        f"unsupported translation {mu_res} ({src.value}) -> {target_res} ({tgt.value}) for l={l}"
-    )
+        return [(c, mirror), (c, target_res), (c, mirror)]
+    return None
+
+
+def translate_off_wall(
+    mu_cls: Weight, mu_res: Weight, target_res: Weight, l: int
+) -> tuple[OffWallEntry, ...]:
+    """Factor list, top layer first, of the translate of the twisted-tensor
+    factor with classical part mu_cls and wall-type restricted part mu_res
+    into the adjacent facet of restricted type target_res.
+
+    A left-wall source, (0, 1) at l = 2, is the coordinate swap of the
+    right-wall case; errors name the weights as given.
+    """
+    mu_cls = Weight(*mu_cls)
+    mu_res = Weight(*mu_res)
+    target_res = Weight(*target_res)
+    if l > 2:  # validated before any swap, so that errors name these weights
+        src = classify_restricted(mu_res, l)
+        tgt = classify_restricted(target_res, l)
+    if mu_res[1] == l - 1 and 0 <= mu_res[0] < l - 1:  # the left wall
+        pairs = _off_wall_pairs(
+            dual_weight(mu_cls), dual_weight(mu_res), dual_weight(target_res), l
+        )
+        if pairs is not None:
+            pairs = [(dual_weight(c), dual_weight(r)) for c, r in pairs]
+    else:
+        pairs = _off_wall_pairs(mu_cls, mu_res, target_res, l)
+    if pairs is None:
+        if l == 2:
+            raise ValueError(f"unsupported l=2 translation {mu_res} -> {target_res}")
+        raise ValueError(
+            f"unsupported translation {mu_res} ({src.value}) -> {target_res} ({tgt.value}) for l={l}"
+        )
+    return tuple(OffWallEntry(c, r) for c, r in pairs)
 
 
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
@@ -251,14 +222,16 @@ class WallTranslate:
     and the mirror image of lam in the wall."""
 
     l: int
-    lists: tuple[tuple[Weight, OffWallFactorList], ...]
+    lists: tuple[tuple[Weight, tuple[OffWallEntry, ...]], ...]
     wall: Weight
     mirror: Weight
 
     def weyl_character(self) -> dict[Weight, int]:
         """Character of the full translate in the basis of induced
         characters; the identity says it is {lam: 1, mirror: 1}."""
-        return weyl_sum(lst.weyl_character(self.l) for _, lst in self.lists)
+        return weyl_sum(
+            entry.weyl_character(self.l) for _, lst in self.lists for entry in lst
+        )
 
     def generic_factor_count(self) -> int:
         """Number of translated factors, for generic lam: 18 when l >= 3,
@@ -275,7 +248,7 @@ class WallTranslate:
                     f"non-generic: source factor {nu} has non-dominant classical part"
                 )
         for _, lst in self.lists:
-            for entry in lst.factors:
+            for entry in lst:
                 if entry.vanishes:
                     raise ValueError(
                         f"non-generic: translated entry {entry.classical}|{entry.restricted} vanishes"

@@ -317,9 +317,9 @@ def _suite_chunk(name: str, l: int, box: int, rows: tuple[int, ...]) -> tuple[in
     return count, failures
 
 
-def run_suite(
-    name: str, l_values: list[int], box: int, stream=None, jobs: int = 1
-) -> VerifyReport:
+def check_sweep(name: str, l_values: list[int], box: int) -> None:
+    """ValueError when name is not a suite, box is negative or an l is
+    below 2; run_suite runs nothing until these hold."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if box < 0:
@@ -327,6 +327,12 @@ def run_suite(
     for l in l_values:
         if l < 2:
             raise ValueError(f"need l >= 2, got {l}")
+
+
+def run_suite(
+    name: str, l_values: list[int], box: int, stream=None, jobs: int = 1
+) -> VerifyReport:
+    check_sweep(name, l_values, box)
     report = VerifyReport(name)
     rows = _suite_rows(name, box)
 

@@ -9,9 +9,9 @@ import itertools
 from contextlib import contextmanager
 
 from qgl3.charring import (
+    FormalChar,
     alt_weyl_sum,
     chi_l,
-    e,
     restricted_simple_char,
     weyl_char,
     weyl_char_alternating,
@@ -77,8 +77,8 @@ def test_criterion_3_worked_instance():
 
 def test_criterion_4_seven_term_simple_character():
     with criterion(4, "restricted simple character of (1,1) at l=3, seven terms"):
-        want = (
-            e(1, 1) + e(2, -1) + e(1, -2) + e(-1, -1) + e(-2, 1) + e(-1, 2) + e(0, 0)
+        want = FormalChar(
+            {(1, 1): 1, (2, -1): 1, (1, -2): 1, (-1, -1): 1, (-2, 1): 1, (-1, 2): 1, (0, 0): 1}
         )
         assert restricted_simple_char(Weight(1, 1), 3) == want
 

@@ -15,7 +15,6 @@ from qgl3.charring import (
     decompose_into_weyl,
     divide_by_weyl_denominator,
     divide_exact,
-    e,
     euler_char,
     frobenius_twist,
     restricted_simple_char,
@@ -41,6 +40,10 @@ from qgl3.lattice import (
 coords = st.integers(-6, 6)
 weights = st.builds(Weight, coords, coords)
 dominants = st.builds(Weight, st.integers(0, 7), st.integers(0, 7))
+
+
+def e(a: int, b: int) -> FormalChar:
+    return FormalChar.basis(Weight(a, b))
 
 
 def brute_force_ssyt_char(lam: Weight) -> FormalChar:

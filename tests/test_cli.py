@@ -161,9 +161,12 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_weight_basis_failure_names_the_differing_weights(monkeypatch):
     from qgl3 import verify
-    from qgl3.charring import e, weyl_char
+    from qgl3.charring import FormalChar, weyl_char
 
-    monkeypatch.setattr(verify, "weyl_char_alternating", lambda lam: weyl_char(lam) + e(0, 0))
+    def shifted(lam):
+        return weyl_char(lam) + FormalChar.basis(Weight(0, 0))
+
+    monkeypatch.setattr(verify, "weyl_char_alternating", shifted)
     report = run_suite("denominator", [2], 1)
     observed = {case: got for case, identity, got in report.failures}
     assert report.cases_run == 8 and len(report.failures) == 4
@@ -191,6 +194,12 @@ def test_verify_l_below_two_is_usage_error(capsys):
         )
         assert code == 2 and "l >= 2" in err
         assert "cases" not in out
+
+
+def test_verify_unknown_suite_runs_nothing(capsys):
+    code, out, err = run(capsys, "verify", "--suites", "dimension,nosuch", "--l", "3", "--box", "1")
+    assert code == 2 and "unknown suite 'nosuch'" in err
+    assert "cases" not in out
 
 
 def test_verify_zero_cases_fails(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgl3 import charring, decomp, kernels
-from qgl3.charring import FormalChar, chi_l, e, frobenius_twist, restricted_simple_char, weyl_char
+from qgl3.charring import FormalChar, chi_l, frobenius_twist, restricted_simple_char, weyl_char
 from qgl3.decomp import (
     chi_decomposition,
     chi_l_expansion,
@@ -130,7 +130,7 @@ def test_surviving_factors_match_expansion_random(l, data):
 
 def test_chi_l_expansion_rejects_non_invariant():
     with pytest.raises(ValueError, match=r"leading weight \(-1,1\) is not dominant"):
-        chi_l_expansion(e(1, 0), 3)
+        chi_l_expansion(FormalChar.basis(Weight(1, 0)), 3)
 
 
 def test_zhat_factors_examples():
@@ -175,7 +175,7 @@ def test_zhat_char_shape():
 )
 @settings(max_examples=40)
 def test_zhat_char_shift_rule(lam, nu, l):
-    assert zhat_char(lam + l * nu, l) == zhat_char(lam, l) * e(*(l * nu))
+    assert zhat_char(lam + l * nu, l) == zhat_char(lam, l) * FormalChar.basis(l * nu)
 
 
 def _zhat_char_by_convolution(lam, l):
@@ -201,7 +201,7 @@ def test_hat_simple_char_is_a_shift(l):
     for cls in (Weight(0, 0), Weight(3, 1), Weight(-2, 1), Weight(0, -4)):
         for r, s in itertools.product(range(l), repeat=2):
             nu = l * cls + Weight(r, s)
-            want = restricted_simple_char(Weight(r, s), l) * e(*(l * cls))
+            want = restricted_simple_char(Weight(r, s), l) * FormalChar.basis(l * cls)
             assert hat_simple_char(nu, l) == want, (l, nu)
 
 

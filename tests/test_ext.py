@@ -4,7 +4,7 @@ import pytest
 
 from qgl3 import ext
 from qgl3.charring import up_alcove_mirror
-from qgl3.decomp import zhat_factors
+from qgl3.decomp import factor_family, zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
     NABLA01,
@@ -187,8 +187,8 @@ def test_g1b_unknown_factor_diagnostic():
 
 def test_g1b_degenerate_factor_list_diagnostic(monkeypatch):
     mu = Weight(3, 3)
-    fs = zhat_factors(mu, 3)
-    monkeypatch.setattr(ext, "zhat_factors", lambda lam, l: fs[:-1] + fs[:1])
+    facet, fs = factor_family(mu, 3)
+    monkeypatch.setattr(ext, "factor_family", lambda lam, l: (facet, fs[:-1] + fs[:1]))
     with pytest.raises(ValueError, match="degenerate factor list") as err:
         ext1_g1b(mu, fs[0], fs[1], 3)
     assert "for (3,3)" in str(err.value)

@@ -35,7 +35,6 @@ ALLOWED = {
     "structure.ModuleGraph.character",
     # test_translate::test_translated_character_identity
     "translate.OffWallEntry.character",
-    "translate.OffWallFactorList.character",
 }
 
 

@@ -120,20 +120,21 @@ def test_graph_sweep_reads_each_factor_list_per_graph(monkeypatch):
             for r, s in itertools.product(range(l), repeat=2):
                 edges += len(zhat_structure(l * Weight(a, b) + Weight(r, s), l).edges)
     calls = []
-    zhat_factors = decomp.zhat_factors
+    factor_family = decomp.factor_family
 
     def counted(lam, l):
         calls.append(1)
-        return zhat_factors(lam, l)
+        return factor_family(lam, l)
 
     for module in (decomp, ext, structure):
-        monkeypatch.setattr(module, "zhat_factors", counted)
+        monkeypatch.setattr(module, "factor_family", counted)
     report = run_suite("graphs", [3, 5], 2)
     assert report.passed
-    zhat_graphs = report.cases_run // 2
+    graphs = report.cases_run // 2  # of each kind
     # zhat_structure for the graph and its dual, nodes-match-factors and
-    # the Ext table: four lists per Borel-induced graph
-    assert len(calls) <= 4 * zhat_graphs < edges
+    # the Ext table: four lists per Borel-induced graph; the decomposition
+    # for the graph and for its node check: two per filtration graph
+    assert len(calls) <= 6 * graphs < edges
 
 
 def test_zhat_node_list_check():

@@ -78,7 +78,7 @@ def test_onto_wall_character_consistency():
 
 def test_off_wall_right_list_l3():
     lst = translate_off_wall(Weight(0, 1), Weight(2, 0), Weight(0, 0), 3)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst.factors] == [
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
         ((0, 1), (1, 1)),
         ((1, 1), (0, 0)),
         ((-1, 2), (0, 0)),
@@ -86,13 +86,13 @@ def test_off_wall_right_list_l3():
         ((0, 1), (0, 0)),
         ((0, 1), (1, 1)),
     ]
-    assert [f.vanishes for f in lst.factors] == [False, False, True, False, False, False]
+    assert [f.vanishes for f in lst] == [False, False, True, False, False, False]
 
 
 def test_off_wall_left_list_l5():
     c = Weight(2, 2)
     lst = translate_off_wall(c, Weight(1, 4), Weight(1, 1), 5)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst.factors] == [
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
         ((2, 2), (3, 2)),
         ((2, 3), (1, 1)),
         ((3, 1), (1, 1)),
@@ -105,7 +105,7 @@ def test_off_wall_left_list_l5():
 def test_off_wall_horizontal_three_term_list():
     # repeated outer factor around the target
     lst = translate_off_wall(Weight(2, 2), Weight(1, 2), Weight(2, 2), 5)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst.factors] == [
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
         ((2, 2), (1, 1)),
         ((2, 2), (2, 2)),
         ((2, 2), (1, 1)),
@@ -115,7 +115,7 @@ def test_off_wall_horizontal_three_term_list():
 def test_off_wall_l2_lists():
     c = Weight(3, 2)
     lst = translate_off_wall(c, Weight(1, 0), Weight(0, 0), 2)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst.factors] == [
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
         ((3, 2), (0, 1)),
         ((4, 2), (0, 0)),
         ((2, 3), (0, 0)),
@@ -123,11 +123,19 @@ def test_off_wall_l2_lists():
         ((3, 2), (0, 1)),
     ]
     lst = translate_off_wall(c, Weight(0, 1), Weight(0, 0), 2)
-    assert len(lst) == 5 and lst.factors[0].restricted == Weight(1, 0)
-    assert translate_off_wall(c, Weight(0, 0), Weight(1, 0), 2).factors == (
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+        ((3, 2), (1, 0)),
+        ((3, 3), (0, 0)),
+        ((4, 1), (0, 0)),
+        ((2, 2), (0, 0)),
+        ((3, 2), (1, 0)),
+    ]
+    lst = translate_off_wall(c, Weight(0, 1), Weight(1, 0), 2)
+    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [((3, 2), (0, 0))]
+    assert translate_off_wall(c, Weight(0, 0), Weight(1, 0), 2) == (
         OffWallEntry(c, Weight(1, 0)),
     )
-    assert translate_off_wall(c, Weight(1, 0), Weight(0, 1), 2).factors == (
+    assert translate_off_wall(c, Weight(1, 0), Weight(0, 1), 2) == (
         OffWallEntry(c, Weight(0, 0)),
     )
 
@@ -166,8 +174,9 @@ def test_translated_character_identity():
         # the weight-basis route through the factor lists, as an oracle
         weight_basis = None
         for _, lst in t.lists:
-            ch = lst.character(l)
-            weight_basis = ch if weight_basis is None else weight_basis + ch
+            for entry in lst:
+                ch = entry.character(l)
+                weight_basis = ch if weight_basis is None else weight_basis + ch
         assert weight_basis == total
 
 
@@ -191,7 +200,7 @@ def test_off_wall_lists_against_character_oracle():
                 if linked(w, lam, l) and decompose(w, l).classical.is_dominant()
             )
             got = {}
-            for entry in lst.factors:
+            for entry in lst:
                 if not entry.vanishes:
                     w = entry.as_weight(l)
                     got[w] = got.get(w, 0) + 1

@@ -1,6 +1,7 @@
 """Literal pins of the three wall cases at l = 3: the factor order of the
 decomposition, the good-filtration graph (node ids, layers, edges) and the
-thickened-kernel Ext pairs against the Borel-induced structure graph."""
+thickened-kernel Ext pairs against the Borel-induced structure graph; and
+left-wall Borel-induced factor lists at l = 2 and l = 5."""
 
 import itertools
 
@@ -58,6 +59,20 @@ WALL_CASES = {
         DIAMOND,
     ),
 }
+
+
+# (l, lam): zhat_factors, socle first
+LEFT_WALL_ZHAT = {
+    (2, (4, 3)): [(4, 3), (4, 0), (2, 4), (3, 2)],
+    (5, (12, 9)): [(12, 9), (11, 2), (6, 12), (9, 6)],
+}
+
+
+@pytest.mark.parametrize("l, lam", sorted(LEFT_WALL_ZHAT))
+def test_left_wall_zhat_factors(l, lam):
+    dec = chi_decomposition(Weight(*lam), l)
+    assert dec.facet is FacetType.LEFT_WALL
+    assert [tuple(f) for f in zhat_factors(Weight(*lam), l)] == LEFT_WALL_ZHAT[l, lam]
 
 
 @pytest.mark.parametrize("lam", sorted(WALL_CASES))
