@@ -8,12 +8,23 @@ Borel to the first-kernel thickening; zhat_char and hat_simple_char are key
 shifts of characters that depend only on l and the restricted part.  Each
 identity has one check: the decomposition suite (sum of chi_l terms),
 validate_graph (sum of surviving terms) and the zhat suite (sum of simples).
+
+Both lists are read off one factor family per (lam, l).  One in-process
+memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
+carries the Borel-induced list that factor_family returns for a dominant
+weight and computes its surviving positions at most once.  So the
+structure graphs, the translation tables and the Ext tables of a weight
+share one copy.  The decomposition and zhat suites read each weight once:
+they build their results with fresh_decomposition and zhat_factors, which
+leave the memo alone.  The memoized values (a frozen DecompResult and its
+tuples) are shared and immutable; the memo only grows, and nothing
+persists between runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from qgl3.charring import (
@@ -48,13 +59,13 @@ _CASE_BY_FACET = {
 _WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
 
 
-def down_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
+def down_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
     """The nine factor weights for lam = l*cls + res with res in the open
     fundamental alcove, in subscript order (factor 1 is lam itself)."""
     a, b = cls
     r, s = res
     la, lb = l * a, l * b
-    return [
+    return (
         Weight(la + r, lb + s),
         Weight(la + r + s + 1, lb - s - 2),
         Weight(la + l - r - s - 3, lb - 2 * l + r),
@@ -64,16 +75,16 @@ def down_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
         Weight(la - l + r, lb - l + s),
         Weight(la - r - s - 3, lb + r),
         Weight(la - s - 2, lb - r - 2),
-    ]
+    )
 
 
-def up_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
+def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
     """The nine factor weights for lam = l*cls + (l-s-2, l-r-2), subscript
     order (factor 4 is lam itself)."""
     a, b = cls
     r, s = up_alcove_mirror(res, l)
     la, lb = l * a, l * b
-    return [
+    return (
         Weight(la - l + s, lb + 2 * l - r - s - 3),
         Weight(la - r - 2, lb + r + s + 1),
         Weight(la - l + r, lb - l + s),
@@ -83,16 +94,22 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> list[Weight]:
         Weight(la + s, lb - r - s - 3),
         Weight(la + r, lb + s),
         Weight(la + r + s + 1, lb - s - 2),
-    ]
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecompResult:
     lam: Weight
     l: int
     facet: FacetType
     case_id: str
     factors: tuple[Weight, ...]
+    # factor_family(lam, l), set by fresh_decomposition
+    _family: tuple[FacetType, tuple[Weight, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # surviving_positions, set on its first call
+    _positions: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def character(self) -> FormalChar:
         """Sum of the chi_l terms in the weight basis (the oracle route)."""
@@ -115,26 +132,19 @@ class DecompResult:
         is not cancelled by an opposite-sign factor with the same normalized
         classical part and restricted part (such pairs occur exactly when
         the classical part of lam touches the dominant boundary).  The sum of
-        their chi_l terms is checked by structure.validate_graph.
+        their chi_l terms is checked by structure.validate_graph.  Computed
+        once per result.
         """
-        net: dict[tuple[Weight, Weight], int] = {}
-        rows = []
-        for f in self.factors:
-            cls, res = decompose(f, self.l)
-            sign, rep = dominantize(cls)
-            rows.append((cls, res, sign, rep))
-            if sign:
-                key = (rep, res)
-                net[key] = net.get(key, 0) + sign
-        return [
-            i
-            for i, (cls, res, sign, rep) in enumerate(rows, start=1)
-            if sign == 1 and cls.is_dominant() and net[(rep, res)] > 0
-        ]
+        return list(self._surviving())
 
     def surviving_factors(self) -> list[Weight]:
         """Factors that are genuine twisted-tensor modules of the filtration."""
-        return [self.factors[i - 1] for i in self.surviving_positions()]
+        return [self.factors[i - 1] for i in self._surviving()]
+
+    def _surviving(self) -> tuple[int, ...]:
+        if self._positions is None:
+            object.__setattr__(self, "_positions", _surviving_positions(self.factors, self.l))
+        return self._positions
 
     def to_json(self) -> str:
         return json.dumps(
@@ -148,27 +158,60 @@ class DecompResult:
         )
 
 
-def _right_wall_family(cls: Weight, r: int, l: int) -> list[Weight]:
+def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]:
+    """The bookkeeping behind DecompResult.surviving_positions."""
+    net: dict[tuple[Weight, Weight], int] = {}
+    rows = []
+    for f in factors:
+        cls, res = decompose(f, l)
+        sign, rep = dominantize(cls)
+        rows.append((cls, res, sign, rep))
+        if sign:
+            key = (rep, res)
+            net[key] = net.get(key, 0) + sign
+    return tuple(
+        i
+        for i, (cls, res, sign, rep) in enumerate(rows, start=1)
+        if sign == 1 and cls.is_dominant() and net[(rep, res)] > 0
+    )
+
+
+def _right_wall_family(cls: Weight, r: int, l: int) -> tuple[Weight, ...]:
     """The four factor weights for lam = l*cls + (l-1, r), socle first
     (factor 1 is lam itself)."""
     s = l - r - 2
-    return [
+    return (
         l * cls + Weight(l - 1, r),
         l * (cls - Weight(1, 0)) + Weight(r, s),
         l * (cls + Weight(1, -1)) + Weight(r, s),
         l * (cls - Weight(0, 1)) + Weight(s, l - 1),
-    ]
+    )
 
 
-def factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
+def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
     """Facet of the restricted part of lam and the composition-factor
     weights of the Borel-induced module of weight lam, wall cases socle
-    first.  The left wall is the coordinate swap of the right wall: the
-    swap fixes rho, dominance and the split lam = l*classical + restricted."""
+    first.
+
+    For dominant lam this is read off the memoized chi_decomposition(lam),
+    which the filtration, translation, graph and Ext consumers share; the
+    returned tuple is shared.  The list of a non-dominant weight (the dual
+    weight of a duality check) is read once per graph and built on each
+    call.
+    """
+    if lam[0] >= 0 and lam[1] >= 0:
+        return chi_decomposition(lam, l)._family
+    return _family(lam if type(lam) is Weight else Weight(*lam), l)
+
+
+def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
+    """factor_family, built.  The left wall is the coordinate swap of the
+    right wall: the swap fixes rho, dominance and the split
+    lam = l*classical + restricted."""
     cls, res = decompose(lam, l)
     facet = classify_restricted(res, l)
     if facet is FacetType.VERTEX:
-        return facet, [lam]
+        return facet, (lam,)
     if facet is FacetType.DOWN_ALCOVE:
         return facet, down_alcove_family(cls, res, l)
     if facet is FacetType.UP_ALCOVE:
@@ -177,14 +220,17 @@ def factor_family(lam: Weight, l: int) -> tuple[FacetType, list[Weight]]:
         return facet, _right_wall_family(cls, res[1], l)
     if facet is FacetType.LEFT_WALL:
         swapped = _right_wall_family(dual_weight(cls), res[0], l)
-        return facet, [dual_weight(w) for w in swapped]
+        return facet, tuple([dual_weight(w) for w in swapped])
     r, s = res
-    return facet, [
+    return facet, (
         lam,
         l * (cls - Weight(1, 0)) + Weight(s, l - 1),
         l * (cls - Weight(0, 1)) + Weight(l - 1, r),
         l * (cls - Weight(1, 1)) + Weight(r, s),
-    ]
+    )
+
+
+_decompositions: dict[tuple[int, int, int], DecompResult] = {}
 
 
 def chi_decomposition(lam: Weight, l: int) -> DecompResult:
@@ -193,26 +239,44 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
 
     They are the composition-factor weights of the Borel-induced module of
     weight lam; the wall cases are listed the other way round, highest
-    layer first.
+    layer first.  Memoized on (lam, l); the result is shared.
     """
-    lam = Weight(*lam)
+    key = (lam[0], lam[1], l)
+    hit = _decompositions.get(key)
+    if hit is None:
+        hit = _decompositions[key] = fresh_decomposition(lam, l)
+    return hit
+
+
+def fresh_decomposition(lam: Weight, l: int) -> DecompResult:
+    """chi_decomposition(lam, l), built without reading or filling the
+    memo.  For a sweep that decomposes each weight once (the decomposition
+    suite): there a memo entry is never read again, and keeping it alive
+    only adds work for the garbage collector."""
+    if type(lam) is not Weight:
+        lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"chi_decomposition needs a dominant weight, got {lam}")
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    facet, factors = factor_family(lam, l)
+    family = _family(lam, l)
+    facet, factors = family
     if facet in _WALLS:
-        factors.reverse()
-    return DecompResult(lam, l, facet, _CASE_BY_FACET[facet], tuple(factors))
+        factors = factors[::-1]
+    result = DecompResult(lam, l, facet, _CASE_BY_FACET[facet], factors)
+    object.__setattr__(result, "_family", family)
+    return result
 
 
 def zhat_factors(lam: Weight, l: int) -> list[Weight]:
     """Composition-factor weights of the Borel-induced module of weight lam.
 
     The classical part of lam may be arbitrary; the case split depends only
-    on the restricted part.  Wall cases are listed socle first.
+    on the restricted part.  Wall cases are listed socle first.  Built on
+    each call, without the memo: its callers (the zhat suite, the command
+    line) read each weight's list once, and it returns a list of its own.
     """
-    return factor_family(Weight(*lam), l)[1]
+    return list(_family(lam if type(lam) is Weight else Weight(*lam), l)[1])
 
 
 def hat_simple_char(nu: Weight, l: int) -> FormalChar:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from qgl3.charring import tensor_multiplicity, up_alcove_mirror, weyl_dimension
-from qgl3.decomp import factor_family, zhat_factors
+from qgl3.decomp import factor_family
 from qgl3.lattice import (
     FacetType,
     Weight,
@@ -225,27 +225,36 @@ _PAIRS_BY_FACET = {
 }
 
 
-def extending_pairs(mu: Weight, l: int) -> frozenset[tuple[Weight, Weight]]:
-    """The (upper, lower) pairs of composition-factor weights of the
-    Borel-induced module of weight mu between which Ext^1 is nonzero: the
-    facet's table, read on the factor list of factor_family(mu)."""
+def ext_table(
+    mu: Weight, l: int
+) -> tuple[tuple[Weight, ...], frozenset[tuple[Weight, Weight]]]:
+    """The composition-factor weights of the Borel-induced module of weight
+    mu, as factor_family lists them (a shared tuple), and the (upper, lower)
+    pairs of them between which Ext^1 is nonzero.  A caller checks its
+    weights against the list the table was read on."""
     mu = Weight(*mu)
     facet, factors = factor_family(mu, l)
     if len(set(factors)) != len(factors):
         raise ValueError(
             f"degenerate factor list for {mu} (l={l}): {[tuple(f) for f in factors]}"
         )
-    return frozenset(
+    return factors, frozenset(
         (factors[u - 1], factors[v - 1]) for u, v in _PAIRS_BY_FACET[facet]
     )
+
+
+def extending_pairs(mu: Weight, l: int) -> frozenset[tuple[Weight, Weight]]:
+    """The (upper, lower) pairs of composition-factor weights of the
+    Borel-induced module of weight mu between which Ext^1 is nonzero: the
+    facet's table, read on the factor list of factor_family(mu)."""
+    return ext_table(mu, l)[1]
 
 
 def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
     """Table lookup: dim Ext^1(upper lam, lower eta) among the composition
     factors of the Borel-induced module of weight mu."""
     mu, lam, eta = Weight(*mu), Weight(*lam), Weight(*eta)
-    pairs = extending_pairs(mu, l)
-    factors = zhat_factors(mu, l)
+    factors, pairs = ext_table(mu, l)
     missing = [w for w in (lam, eta) if w not in factors]
     if missing:
         raise ValueError(

@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 from qgl3.lattice import (
     POSITIVE_ROOTS,
-    RHO,
     PositiveRoot,
     Weight,
-    decompose,
-    dual_weight,
     pairing,
 )
 
@@ -92,12 +89,15 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
 def hat_dual_weight(nu: Weight, l: int) -> Weight:
     """Weight of the dual of a thickened-kernel simple: swap the restricted
     part, negate the classical part."""
-    cls, res = decompose(nu, l)
-    return dual_weight(res) - l * cls
+    a, b = nu
+    ra, rb = a % l, b % l
+    return Weight(rb - (a - ra), ra - (b - rb))
 
 
 def zhat_head_weight(lam: Weight, l: int) -> Weight:
     """Highest weight of the simple head of the Borel-induced module: the
     dual weight of 2(l-1)rho - lam.  For vertex weights this returns lam
     itself (the module is simple)."""
-    return hat_dual_weight(2 * (l - 1) * RHO - Weight(*lam), l)
+    a, b = lam
+    top = 2 * (l - 1)
+    return hat_dual_weight((top - a, top - b), l)

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import chi_decomposition, factor_family, hat_simple_char, zhat_factors
+from qgl3.decomp import chi_decomposition, factor_family, hat_simple_char
 from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, extending_pairs
 from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, RHO, Weight, decompose
@@ -123,11 +123,14 @@ _ZHAT_TABLES = {
 }
 
 
+_IDS = tuple(f"mu{i}" for i in range(10))
+
+
 def _build(
     lam: Weight,
     l: int,
     kind: str,
-    factors: list[Weight],
+    factors: tuple[Weight, ...],
     edges,
     layers: dict[int, int],
     keep: list[int] | None = None,
@@ -138,10 +141,10 @@ def _build(
     if missing:
         raise ValueError(f"{kind} graph of {lam} (l={l}): kept position {missing[0]} has no layer")
     nodes = tuple(
-        GraphNode(f"mu{i}", factors[i - 1], kind, layers[i]) for i in indices
+        GraphNode(_IDS[i], factors[i - 1], kind, layers[i]) for i in indices
     )
     edge_ids = tuple(
-        (f"mu{u}", f"mu{v}") for u, v in edges if u in kept and v in kept
+        (_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept
     )
     return ModuleGraph(Weight(*lam), l, kind, nodes, edge_ids)
 
@@ -178,7 +181,7 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     if not lam.is_dominant():
         raise ValueError(f"nabla_l_filtration needs a dominant weight, got {lam}")
     dec = chi_decomposition(lam, l)
-    factors = list(dec.factors)
+    factors = dec.factors
     (a, b), _ = decompose(lam, l)
     facet = dec.facet
 
@@ -250,7 +253,7 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     """
     report = ValidationReport(g)
     if g.kind == G1B_SIMPLE:
-        expected = sorted(zhat_factors(g.lam, g.l))
+        expected = sorted(factor_family(g.lam, g.l)[1])
         report.add(
             "nodes-match-factors",
             sorted(g.node_weights()) == expected,

@@ -20,8 +20,14 @@ from qgl3.charring import (
     weyl_dimension,
     weyl_sum,
 )
-from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_char, zhat_factors
-from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, extending_pairs
+from qgl3.decomp import (
+    chi_decomposition,
+    fresh_decomposition,
+    hat_simple_char,
+    zhat_char,
+    zhat_factors,
+)
+from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import (
     RHO,
@@ -80,7 +86,7 @@ def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            observed = coeff_diff(chi_decomposition(lam, l).weyl_character(), {lam: 1})
+            observed = coeff_diff(fresh_decomposition(lam, l).weyl_character(), {lam: 1})
             yield (
                 f"l={l} lam={lam}",
                 "sum of chi_l factors = weyl character",
@@ -244,8 +250,7 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
     cls = Weight(2, 2)
     for res in _restricted(l):
         mu = l * cls + res
-        factors = zhat_factors(mu, l)
-        pairs = extending_pairs(mu, l)
+        factors, pairs = ext_table(mu, l)
         for a in factors:
             for b in factors:
                 t = int((a, b) in pairs)

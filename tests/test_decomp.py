@@ -9,6 +9,7 @@ from qgl3.charring import FormalChar, chi_l, frobenius_twist, restricted_simple_
 from qgl3.decomp import (
     chi_decomposition,
     chi_l_expansion,
+    fresh_decomposition,
     hat_simple_char,
     zhat_char,
     zhat_factors,
@@ -69,6 +70,24 @@ def test_main_identity_sweep_small():
             for r, s in itertools.product(range(l), repeat=2):
                 lam = l * Weight(a, b) + Weight(r, s)
                 assert chi_decomposition(lam, l).character() == weyl_char(lam)
+
+
+def test_fresh_decomposition_equals_the_memoized_one(fresh_memo):
+    """fresh_decomposition builds what chi_decomposition memoizes, and
+    neither reads nor fills the memo."""
+    for l in (2, 3, 5):
+        for a, b in itertools.product(range(3), repeat=2):
+            for r, s in itertools.product(range(l), repeat=2):
+                lam = l * Weight(a, b) + Weight(r, s)
+                fresh = fresh_decomposition(lam, l)
+                assert not decomp._decompositions
+                memo = chi_decomposition(lam, l)
+                assert fresh == memo and fresh is not memo
+                assert fresh_decomposition(lam, l) is not memo
+                assert fresh.surviving_positions() == memo.surviving_positions()
+                decomp._decompositions.clear()
+    with pytest.raises(ValueError, match="needs a dominant weight"):
+        fresh_decomposition(Weight(-1, 0), 3)
 
 
 def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):

@@ -18,6 +18,7 @@ from qgl3.ext import (
     socle_fundamental_tensor,
 )
 from qgl3.lattice import FacetType, Weight, classify_restricted, dual_weight
+from qgl3.verify import suite_ext_lemmas
 
 
 def test_g1_wall_triple_entries():
@@ -185,7 +186,7 @@ def test_g1b_unknown_factor_diagnostic():
     assert str([tuple(f) for f in zhat_factors(mu, 3)]) in str(err.value)
 
 
-def test_g1b_degenerate_factor_list_diagnostic(monkeypatch):
+def test_g1b_degenerate_factor_list_diagnostic(monkeypatch, fresh_memo):
     mu = Weight(3, 3)
     facet, fs = factor_family(mu, 3)
     monkeypatch.setattr(ext, "factor_family", lambda lam, l: (facet, fs[:-1] + fs[:1]))
@@ -193,6 +194,27 @@ def test_g1b_degenerate_factor_list_diagnostic(monkeypatch):
         ext1_g1b(mu, fs[0], fs[1], 3)
     assert "for (3,3)" in str(err.value)
     assert str([tuple(f) for f in fs[:-1] + fs[:1]]) in str(err.value)
+
+
+def test_g1b_lookups_read_each_factor_list_once(monkeypatch, fresh_memo):
+    """ext1_g1b and the ext-lemmas table check read the factor list once per
+    weight and check membership against the list the table was read on."""
+    calls = []
+    family = ext.factor_family
+
+    def counted(mu, l):
+        calls.append((mu, l))
+        return family(mu, l)
+
+    monkeypatch.setattr(ext, "factor_family", counted)
+    mu = Weight(7, 7)
+    fs = zhat_factors(mu, 3)
+    assert ext1_g1b(mu, fs[1], fs[0], 3) == 1
+    assert calls == [(mu, 3)]
+    calls.clear()
+    cases = list(suite_ext_lemmas(5, 4))
+    assert all(ok for *_, ok in cases)
+    assert len(calls) == 25 and len(set(calls)) == 25
 
 
 def test_g1b_tables_match_general_rule_everywhere():

@@ -6,11 +6,20 @@ import pytest
 from qgl3.homs import (
     HomWitness,
     dominance_below,
+    hat_dual_weight,
     hom_exists_mirror,
     witness_valid,
     zhat_head_weight,
 )
-from qgl3.lattice import FacetType, PositiveRoot, Weight, facet_classify
+from qgl3.lattice import (
+    RHO,
+    FacetType,
+    PositiveRoot,
+    Weight,
+    decompose,
+    dual_weight,
+    facet_classify,
+)
 from qgl3.structure import zhat_structure
 
 
@@ -68,6 +77,22 @@ def test_zhat_head_weight_examples():
         lam = l * Weight(2, 1) + st_wt
         assert zhat_head_weight(lam, l) == lam
     assert zhat_head_weight(Weight(1, 0), 2) == Weight(0, -1)
+
+
+def _hat_dual_by_decompose(nu, l):
+    """The dual weight through the restricted decomposition: swap the
+    restricted part, negate l times the classical part."""
+    cls, res = decompose(nu, l)
+    return dual_weight(res) - l * cls
+
+
+def test_hat_dual_weight_against_decomposition():
+    for l in range(2, 14):
+        for a, b in itertools.product(range(-3 * l, 3 * l + 1), repeat=2):
+            nu = Weight(a, b)
+            assert hat_dual_weight(nu, l) == _hat_dual_by_decompose(nu, l), (nu, l)
+            head = _hat_dual_by_decompose(2 * (l - 1) * RHO - nu, l)
+            assert zhat_head_weight(nu, l) == head, (nu, l)
 
 
 def test_zhat_head_matches_structure_source():

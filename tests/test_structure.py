@@ -1,8 +1,9 @@
 import itertools
 import json
 import re
+from collections import Counter
 
-from qgl3 import decomp, ext, kernels, structure
+from qgl3 import decomp, ext, kernels
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
@@ -112,29 +113,55 @@ def test_corrupted_family_duality_failures_name_weights(corrupt_down_alcove):
         ), observed
 
 
-def test_graph_sweep_reads_each_factor_list_per_graph(monkeypatch):
-    """The Ext table is read once per graph, not rebuilt for every edge."""
-    edges = 0
-    for l in (3, 5):
-        for a, b in itertools.product(range(3), repeat=2):
-            for r, s in itertools.product(range(l), repeat=2):
-                edges += len(zhat_structure(l * Weight(a, b) + Weight(r, s), l).edges)
-    calls = []
-    factor_family = decomp.factor_family
+def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
+    """From empty memos, the graphs sweep builds two factor families per
+    weight (the weight's and its dual's, shared by the Borel-induced graph
+    and the filtration graph), runs the surviving-position bookkeeping at
+    most once per weight and reads one Ext table per Borel-induced graph."""
+    builds, positions, tables = Counter(), Counter(), Counter()
+    family = decomp._family
+    surviving = decomp._surviving_positions
+    ext_table = ext.ext_table
 
-    def counted(lam, l):
-        calls.append(1)
-        return factor_family(lam, l)
+    def counted_family(lam, l):
+        builds[lam, l] += 1
+        return family(lam, l)
 
-    for module in (decomp, ext, structure):
-        monkeypatch.setattr(module, "factor_family", counted)
+    def counted_positions(factors, l):
+        positions[factors, l] += 1
+        return surviving(factors, l)
+
+    def counted_table(mu, l):
+        tables[mu, l] += 1
+        return ext_table(mu, l)
+
+    monkeypatch.setattr(decomp, "_family", counted_family)
+    monkeypatch.setattr(decomp, "_surviving_positions", counted_positions)
+    monkeypatch.setattr(ext, "ext_table", counted_table)
     report = run_suite("graphs", [3, 5], 2)
     assert report.passed
     graphs = report.cases_run // 2  # of each kind
-    # zhat_structure for the graph and its dual, nodes-match-factors and
-    # the Ext table: four lists per Borel-induced graph; the decomposition
-    # for the graph and for its node check: two per filtration graph
-    assert len(calls) <= 6 * graphs < edges
+    assert graphs == 9 * (9 + 25)
+    assert set(builds.values()) == {1}
+    assert sum(builds.values()) <= 2 * graphs
+    assert set(positions.values()) == {1}
+    assert sum(positions.values()) <= graphs
+    assert sum(tables.values()) == graphs
+
+
+def test_warm_memo_does_not_hide_a_corrupted_family(request):
+    """A memo warmed by clean sweeps must not answer for a corrupted family
+    producer: with the corruption applied, the sweeps fail on exactly the
+    cases of a cold run."""
+    sweeps = ("graphs", "decomposition")
+    for name in sweeps:
+        assert run_suite(name, [3], 2).passed
+    request.getfixturevalue("corrupt_down_alcove")
+    warm = {name: run_suite(name, [3], 2).failures for name in sweeps}
+    decomp._decompositions.clear()
+    cold = {name: run_suite(name, [3], 2).failures for name in sweeps}
+    assert all(cold.values())
+    assert warm == cold
 
 
 def test_zhat_node_list_check():
