@@ -12,12 +12,12 @@ route calls the other.
 
 FormalChar.coeffs is keyed by int pairs (a, b): the engine builds plain
 tuples, which hash and compare equal to Weight, and uses Weight only where a
-weight leaves as a value (arguments, the keys of chi_l_weyl and of the peel
-results).
+weight leaves as a value (arguments, the keys of the peel results).
 
 W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
-work there by the Brauer-Klimyk rule; the weight-basis chi_l and
+work there by the Brauer-Klimyk rule, one kernels.brauer_klimyk call each,
+whose keys are plain int pairs; the weight-basis chi_l and
 decompose_into_weyl are kept as their independent oracles.
 """
 
@@ -378,7 +378,7 @@ def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
 # follow the Brauer-Klimyk rule: for a W-invariant family of weights kappa
 # with multiplicities m(kappa),
 #     (sum m(kappa) e(kappa)) * ch(nu) = sum m(kappa) euler(nu + kappa),
-# and each euler term is one closed-form dominantize.
+# which kernels.brauer_klimyk sums on int pairs.
 
 
 def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
@@ -420,11 +420,11 @@ def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     return FormalChar(out)
 
 
-_chi_l_weyl_cache: dict[tuple[int, int, int], dict[Weight, int]] = {}
+_chi_l_weyl_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 
 
-def chi_l_weyl(mu: Weight, l: int) -> dict[Weight, int]:
-    """chi_l(mu, l) in the basis of induced characters.
+def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
+    """chi_l(mu, l) in the basis of induced characters, keyed by int pairs.
 
     Write mu = l*c + r, let c' = w.c be the dominantized classical part
     (sign det w, or zero when c is singular) and rbar the mirror of r when r
@@ -432,27 +432,24 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[Weight, int]:
     for up-alcove r, the Brauer-Klimyk rule gives
 
         chi_l(mu) = sign * sum over kappa in wt(c') of
-                    m(kappa) * [euler(r + l*kappa) - euler(rbar + l*kappa)].
+                    m(kappa) * [euler(r + l*kappa) - euler(rbar + l*kappa)],
 
-    Memoized on (mu, l); the returned dict is shared and must not be
-    modified.
+    which kernels.brauer_klimyk sums with (r, sign) and (rbar, -sign) as
+    heads.  Memoized on (mu, l); the returned dict is shared and must not
+    be modified.
     """
     key = (mu[0], mu[1], l)
     hit = _chi_l_weyl_cache.get(key)
     if hit is None:
         cls, res = decompose(mu, l)
         sign, top = dominantize(cls)
-        acc: dict[Weight, int] = {}
+        hit = {}
         if sign:
             heads = [(res, sign)]
             if classify_restricted(res, l) is FacetType.UP_ALCOVE:
                 heads.append((up_alcove_mirror(res, l), -sign))
-            for (ka, kb), m in weyl_char(top).coeffs.items():
-                for (r, s), c in heads:
-                    t, w = dominantize((r + l * ka, s + l * kb))
-                    if t:
-                        acc[w] = acc.get(w, 0) + t * c * m
-        hit = _chi_l_weyl_cache[key] = {w: c for w, c in acc.items() if c}
+            hit = kernels.brauer_klimyk(weyl_char(top).coeffs, heads, l)
+        _chi_l_weyl_cache[key] = hit
     return hit
 
 
@@ -460,16 +457,11 @@ def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
     """Multiplicity of the induced character of `target` in weyl(x)*weyl(y).
 
     Brauer-Klimyk: weyl(x)*weyl(y) = sum over the weights kappa of the
-    smaller factor of m(kappa) * euler(x + kappa), so only the terms whose
-    dot-dominantization lands on `target` count, with their signs.
+    smaller factor of m(kappa) * euler(x + kappa); the coefficient of
+    `target` in that sum is the multiplicity.
     """
     if not (Weight(*x).is_dominant() and Weight(*y).is_dominant()):
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):
         x, y = y, x
-    total = 0
-    for (ka, kb), m in weyl_char(y).coeffs.items():
-        sign, w = dominantize((x[0] + ka, x[1] + kb))
-        if sign and w == target:
-            total += sign * m
-    return total
+    return kernels.brauer_klimyk(weyl_char(y).coeffs, [(x, 1)], 1).get(target, 0)

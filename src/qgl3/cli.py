@@ -192,7 +192,7 @@ def cmd_verify(args) -> int:
     names = args.suites.split(",")
     l_values = [int(t) for t in args.l.split(",")]
     for name in names:
-        check_sweep(name, l_values, args.box)
+        check_sweep(name, l_values, args.box, args.jobs)
     failed = False
     for name in names:
         report = run_suite(name, l_values, args.box, stream=sys.stderr, jobs=args.jobs)

@@ -1,7 +1,8 @@
 """Kernels backing the character arithmetic hot loops.
 
-charring calls them through this module (kernels.convolve), so a wrapper
-bound here, e.g. by a tracer, sees every call.
+They work on plain int pairs (a, b) and build no Weight.  charring calls
+them through this module (kernels.convolve), so a wrapper bound here, e.g.
+by a tracer, sees every call.
 """
 
 from itertools import repeat
@@ -23,6 +24,44 @@ def convolve(a, b):
                 out[key] = c
             elif key in out:
                 del out[key]
+    return out
+
+
+def brauer_klimyk(weights, heads, l):
+    """Brauer-Klimyk sum over heads (h, c) of c * sum over kappa of
+    m(kappa) * euler(h + l*kappa), for weights = {kappa: m(kappa)}, as
+    {(a, b): int} in the basis of induced characters, zero coefficients
+    dropped.
+
+    euler(nu) is the induced character of the dot-dominantization of nu,
+    signed by its parity, and zero for a singular nu.  In GL3 coordinates
+    nu + rho is (a+b+2, b+1, 0): it is singular when two entries tie, and
+    sorting the entries decreasingly, one sign flip per transposition,
+    gives the dominant weight (x - y - 1, y - z - 1).  Each kappa is scaled
+    to its GL3 offset (l*(ka+kb), l*kb) once per call.
+    """
+    offsets = [(l * (ka + kb), l * kb, m) for (ka, kb), m in weights.items()]
+    out = {}
+    for (ha, hb), c in heads:
+        hx, hy = ha + hb + 2, hb + 1
+        for dx, dy, m in offsets:
+            x, y = hx + dx, hy + dy
+            if x == y or x == 0 or y == 0:
+                continue
+            s = c * m
+            z = 0
+            # three-element sorting network; each swap is one transposition
+            if x < y:
+                x, y, s = y, x, -s
+            if y < 0:
+                y, z, s = 0, y, -s
+                if x < 0:
+                    x, y, s = 0, x, -s
+            key = (x - y - 1, y - z - 1)
+            out[key] = out.get(key, 0) + s
+    # the filtering pass runs only when it has work
+    if 0 in out.values():
+        out = {w: c for w, c in out.items() if c}
     return out
 
 

@@ -322,13 +322,15 @@ def _suite_chunk(name: str, l: int, box: int, rows: tuple[int, ...]) -> tuple[in
     return count, failures
 
 
-def check_sweep(name: str, l_values: list[int], box: int) -> None:
-    """ValueError when name is not a suite, box is negative or an l is
-    below 2; run_suite runs nothing until these hold."""
+def check_sweep(name: str, l_values: list[int], box: int, jobs: int = 1) -> None:
+    """ValueError when name is not a suite, box is negative, jobs is below 1
+    or an l is below 2; run_suite runs nothing until these hold."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if box < 0:
         raise ValueError(f"need box >= 0, got {box}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     for l in l_values:
         if l < 2:
             raise ValueError(f"need l >= 2, got {l}")
@@ -337,7 +339,7 @@ def check_sweep(name: str, l_values: list[int], box: int) -> None:
 def run_suite(
     name: str, l_values: list[int], box: int, stream=None, jobs: int = 1
 ) -> VerifyReport:
-    check_sweep(name, l_values, box)
+    check_sweep(name, l_values, box, jobs)
     report = VerifyReport(name)
     rows = _suite_rows(name, box)
 
@@ -346,7 +348,7 @@ def run_suite(
         if stream is not None:
             print(f"FAIL {name}: {failure[0]}: {failure[1]}: got {failure[2]}", file=stream)
 
-    if jobs <= 1:
+    if jobs == 1:
         for l in l_values:
             for case in SUITES[name](l, box, rows):
                 report.cases_run += 1

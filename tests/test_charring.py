@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 
@@ -21,6 +22,7 @@ from qgl3.charring import (
     simple_char_p0,
     simple_table,
     tensor_multiplicity,
+    up_alcove_mirror,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -28,9 +30,11 @@ from qgl3.charring import (
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
     RHO,
+    FacetType,
     PositiveRoot,
     Weight,
     affine_reflect,
+    classify_restricted,
     decompose,
     dominantize,
     ordinary_reflect,
@@ -394,6 +398,57 @@ def test_chi_l_weyl_examples():
         x = chi_l_weyl(mu, 3)
         assert sum(c * weyl_dimension(k) for k, c in x.items()) == dim
         assert char_from_weyl(x) == chi_l(mu, 3)
+
+
+def _brauer_klimyk_reference(weights, heads, l):
+    """Oracle for kernels.brauer_klimyk: one lattice.dominantize per kappa
+    and head."""
+    acc = {}
+    for (ka, kb), m in weights.items():
+        for (r, s), c in heads:
+            t, w = dominantize((r + l * ka, s + l * kb))
+            if t:
+                acc[w] = acc.get(w, 0) + t * c * m
+    return {w: c for w, c in acc.items() if c}
+
+
+def _chi_l_weyl_reference(mu, l):
+    cls, res = decompose(mu, l)
+    sign, top = dominantize(cls)
+    if not sign:
+        return {}
+    heads = [(res, sign)]
+    if classify_restricted(res, l) is FacetType.UP_ALCOVE:
+        heads.append((up_alcove_mirror(res, l), -sign))
+    return _brauer_klimyk_reference(weyl_char(top).coeffs, heads, l)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7])
+def test_chi_l_weyl_against_dominantize_loop(l, monkeypatch):
+    # classical parts in [-3, 6)^2: dominant, regular non-dominant and
+    # singular, each with every restricted part (walls, vertex, up alcove)
+    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    for mu in itertools.product(range(-3 * l, 6 * l), repeat=2):
+        assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
+
+
+def test_chi_l_weyl_keys_are_plain_tuples(monkeypatch):
+    # a Weight is a tuple subclass, which the collector never untracks
+    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    results = [chi_l_weyl(mu, 5) for mu in itertools.product(range(-5, 20), repeat=2)]
+    keys = [k for x in results for k in x]
+    assert keys and all(type(k) is tuple for k in keys)
+    gc.collect()
+    assert not any(gc.is_tracked(k) for k in keys)
+
+
+def test_tensor_multiplicity_against_dominantize_loop():
+    box = list(itertools.product(range(4), repeat=2))
+    for x, y in itertools.product(box, repeat=2):
+        small, big = (y, x) if weyl_dimension(x) >= weyl_dimension(y) else (x, y)
+        want = _brauer_klimyk_reference(weyl_char(small).coeffs, [(big, 1)], 1)
+        for t in itertools.product(range(8), repeat=2):
+            assert tensor_multiplicity(t, x, y) == want.get(t, 0), (t, x, y)
 
 
 def test_tensor_multiplicity_against_greedy_peel():

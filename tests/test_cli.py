@@ -196,6 +196,17 @@ def test_verify_l_below_two_is_usage_error(capsys):
         assert "cases" not in out
 
 
+def test_verify_jobs_below_one_is_usage_error(capsys):
+    for jobs in ("0", "-4"):
+        code, out, err = run(
+            capsys, "verify", "--suites", "dimension", "--l", "3", "--box", "1", "--jobs", jobs
+        )
+        assert code == 2 and "jobs >= 1" in err
+        assert "cases" not in out
+    with pytest.raises(ValueError, match="jobs >= 1"):
+        run_suite("dimension", [3], 1, jobs=0)
+
+
 def test_verify_unknown_suite_runs_nothing(capsys):
     code, out, err = run(capsys, "verify", "--suites", "dimension,nosuch", "--l", "3", "--box", "1")
     assert code == 2 and "unknown suite 'nosuch'" in err
