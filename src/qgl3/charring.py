@@ -322,6 +322,17 @@ def restricted_simple_char(lam: Weight, l: int) -> FormalChar:
     return simple_table(l).get(Weight(*lam))
 
 
+def restricted_simple_numerator(lam: Weight, l: int) -> FormalChar:
+    """restricted_simple_char(lam, l) * A(rho), where A(rho) = alt_weyl_sum(RHO):
+    A(lam + rho) - A(mirror + rho) by the Weyl character formula, the
+    second term only for up-alcove lam.  At most 12 terms."""
+    lam = Weight(*lam)
+    num = alt_weyl_sum(lam + RHO)
+    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
+        num = num - alt_weyl_sum(up_alcove_mirror(lam, l) + RHO)
+    return num
+
+
 def chi_l(mu: Weight, l: int) -> FormalChar:
     """Twisted-tensor character: euler_char of the classical part, twisted,
     times the restricted simple character.  Zero when the classical part is

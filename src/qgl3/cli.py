@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from qgl3.charring import chi_l_weyl, weyl_char, weyl_dimension
@@ -205,8 +206,19 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads a weight with a negative first entry,
+    such as -1,2 or -1,-2,-3, as an argument, the way it reads -1; argparse
+    itself takes only a plain negative number for one and reads the rest as
+    an unknown option.  Subcommand parsers are of the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qgl3", description=__doc__)
+    parser = _Parser(prog="qgl3", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -5,9 +5,11 @@ signed sum of chi_l terms, one family of factor weights per facet type, and
 surviving_positions picks the genuine modules among them by bookkeeping.
 zhat_factors gives the composition factors of the modules induced from the
 Borel to the first-kernel thickening; zhat_char and hat_simple_char are key
-shifts of characters that depend only on l and the restricted part.  Each
+shifts of characters that depend only on l and the restricted part, and
+zhat_numerator is zhat_char times the Weyl denominator A(rho).  Each
 identity has one check: the decomposition suite (sum of chi_l terms),
-validate_graph (sum of surviving terms) and the zhat suite (sum of simples).
+validate_graph (sum of surviving terms) and the zhat suite (sum of simples,
+multiplied by A(rho): a sum of numerators, at most 12 terms per factor).
 
 Both lists are read off one factor family per (lam, l).  One in-process
 memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
@@ -286,6 +288,7 @@ def hat_simple_char(nu: Weight, l: int) -> FormalChar:
     return shift(restricted_simple_char(res, l), l * cls)
 
 
+_ROOT_VECTORS = tuple(root.vector for root in POSITIVE_ROOTS)
 _zhat_bases: dict[int, FormalChar] = {}
 
 
@@ -298,13 +301,29 @@ def zhat_char(lam: Weight, l: int) -> FormalChar:
     """
     base = _zhat_bases.get(l)
     if base is None:
-        (a1, b1), (a2, b2), (a3, b3) = (root.vector for root in POSITIVE_ROOTS)
+        (a1, b1), (a2, b2), (a3, b3) = _ROOT_VECTORS
         out: dict[tuple[int, int], int] = {}
         for i, j, k in product(range(l), repeat=3):
             w = (-i * a1 - j * a2 - k * a3, -i * b1 - j * b2 - k * b3)
             out[w] = out.get(w, 0) + 1
         base = _zhat_bases[l] = FormalChar(out)
     return shift(base, lam)
+
+
+def zhat_numerator(lam: Weight, l: int) -> FormalChar:
+    """zhat_char(lam, l) * A(rho), where A(rho) = alt_weyl_sum(RHO): each
+    geometric series times its factor 1 - e(-root) of A(rho) telescopes,
+    leaving e(lam + rho) * prod over positive roots of (1 - e(-l root)).
+
+    The product is expanded term by term, eight terms of which two cancel.
+    """
+    a, b = lam
+    out = {(a + 1, b + 1): 1}  # e(lam + rho)
+    for da, db in _ROOT_VECTORS:
+        for (x, y), c in list(out.items()):
+            k = (x - l * da, y - l * db)
+            out[k] = out.get(k, 0) - c
+    return FormalChar(out)
 
 
 def chi_l_expansion(x: FormalChar, l: int) -> list[tuple[Weight, int]]:

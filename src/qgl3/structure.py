@@ -249,7 +249,9 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     head/socle data, the extension tables, and duality.
 
     For Borel-induced modules the nodes must be the zhat_factors; that
-    their characters sum to zhat_char is checked by the zhat suite.
+    their characters sum to zhat_char is checked by the zhat suite, in the
+    numerator form (both sides times A(rho)); the weight-basis sum stays in
+    the tests as its oracle.
     """
     report = ValidationReport(g)
     if g.kind == G1B_SIMPLE:

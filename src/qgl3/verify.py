@@ -12,9 +12,10 @@ from typing import Iterator
 
 from qgl3.charring import (
     alt_weyl_sum,
-    char_sum,
     chi_l_weyl,
     coeff_diff,
+    restricted_simple_char,
+    restricted_simple_numerator,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -23,9 +24,9 @@ from qgl3.charring import (
 from qgl3.decomp import (
     chi_decomposition,
     fresh_decomposition,
-    hat_simple_char,
     zhat_char,
     zhat_factors,
+    zhat_numerator,
 )
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
@@ -96,14 +97,54 @@ def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -
 
 
 def suite_zhat(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+    """The identity sum of ch L^(nu) over zhat_factors(lam) = zhat_char(lam),
+    multiplied by A(rho), which is injective on ZX.  A factor nu = l*c + r
+    then contributes e(l*c) times the numerator of L(r), at most 12 terms,
+    and the right side is zhat_numerator(lam).  Each numerator is checked
+    against its character once per l, and a case fails with every part
+    that differs: its own sum, the checks of the L(r) its factors use, the
+    check of zhat_char and the dimension count."""
+    a_rho = alt_weyl_sum(RHO)
+    numerators: dict[Weight, dict[tuple[int, int], int]] = {}
+    dims: dict[Weight, int] = {}
+    wrong: dict[Weight, str] = {}
+    for r in _restricted(l):
+        simple = restricted_simple_char(r, l)
+        num = numerators[r] = restricted_simple_numerator(r, l).coeffs
+        dims[r] = simple.dimension
+        observed = coeff_diff((simple * a_rho).coeffs, num)
+        if observed != "ok":
+            wrong[r] = f"L{r} times A(rho): {observed}"
+    zc = zhat_char(Weight(0, 0), l)
+    shared = []
+    observed = coeff_diff((zc * a_rho).coeffs, zhat_numerator(Weight(0, 0), l).coeffs)
+    if observed != "ok":
+        shared.append(f"zhat_char times A(rho): {observed}")
+    if zc.dimension != l**3:
+        shared.append(f"zhat_char dim {zc.dimension}")
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            zc = zhat_char(lam, l)
-            total = char_sum(hat_simple_char(nu, l) for nu in zhat_factors(lam, l))
-            observed = coeff_diff(total.coeffs, zc.coeffs)
-            if zc.dimension != l**3:
-                observed = f"dim {zc.dimension}"
+            acc: dict[tuple[int, int], int] = {}
+            get = acc.get
+            dim = 0
+            used = {}  # the restricted parts of the factors, in order
+            for a, b in zhat_factors(lam, l):
+                r = (a % l, b % l)
+                ta, tb = a - r[0], b - r[1]
+                for (x, y), m in numerators[r].items():
+                    k = (x + ta, y + tb)
+                    acc[k] = get(k, 0) + m
+                dim += dims[r]
+                used[r] = None
+            got = {k: c for k, c in acc.items() if c}
+            observed = coeff_diff(got, zhat_numerator(lam, l).coeffs)
+            parts = [] if observed == "ok" else [f"times A(rho): {observed}"]
+            parts += [wrong[r] for r in used if r in wrong]
+            parts += shared
+            if dim != l**3:
+                parts.append(f"dim {dim}")
+            observed = "; ".join(parts) or "ok"
             yield (
                 f"l={l} lam={lam}",
                 "sum of simple characters = induced character, dim l^3",

@@ -1,7 +1,32 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 from qgl3 import decomp
 from qgl3.lattice import Weight
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    """Load a module of the benchmark directory by path: perfbench("tracing").
+    The test skips when the directory is absent (an installed copy).  The
+    module is in sys.modules while the test runs, as dataclasses need."""
+
+    def load(name):
+        path = PERFBENCH / f"{name}.py"
+        if not path.exists():
+            pytest.skip("needs the perfbench directory of a checkout")
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    return load
 
 
 @pytest.fixture

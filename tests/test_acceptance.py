@@ -193,9 +193,16 @@ def test_criterion_10_negative_controls():
 
 
 def test_extended_order_spot_checks():
-    """Identities beyond the required sweep: order seven, larger weights."""
-    l = 7
-    for lam in (Weight(20, 13), 7 * Weight(2, 1) + Weight(3, 2), Weight(6, 6)):
+    """Identities beyond the required sweep: order seven, larger weights, and
+    order eleven, one weight per facet type."""
+    spots = [(7, Weight(20, 13)), (7, 7 * Weight(2, 1) + Weight(3, 2)), (7, Weight(6, 6))]
+    facets = set()
+    for r, s in ((10, 10), (10, 3), (3, 10), (4, 5), (2, 3), (6, 7)):
+        lam = 11 * Weight(1, 1) + Weight(r, s)
+        facets.add(facet_classify(lam, 11))
+        spots.append((11, lam))
+    assert facets == set(FacetType)
+    for l, lam in spots:
         assert chi_decomposition(lam, l).character() == weyl_char(lam)
         total = None
         for nu in zhat_factors(lam, l):

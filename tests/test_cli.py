@@ -1,10 +1,13 @@
+import itertools
 import json
 import multiprocessing
 
 import pytest
 
+from qgl3.charring import FormalChar, restricted_simple_char
 from qgl3.cli import main, parse_weight
-from qgl3.lattice import Weight
+from qgl3.decomp import zhat_factors
+from qgl3.lattice import FacetType, Weight, decompose, facet_classify
 from qgl3.verify import SUITES, run_suite
 
 
@@ -38,6 +41,20 @@ def test_classify_rejects_non_dominant(capsys):
     code, _, err = run(capsys, "classify", "--l", "3", "--", "-1,0")
     assert code == 2
     assert "dominant" in err
+    code, _, err = run(capsys, "classify", "--l", "3", "-1,0")
+    assert code == 2 and "dominant" in err and "required" not in err
+
+
+def test_weights_with_a_leading_minus_are_arguments(capsys):
+    code, out, err = run(capsys, "char", "--l", "3", "--gl3", "-1,-2,-3")
+    assert code == 0, err
+    assert out == run(capsys, "char", "--l", "3", "1,1")[1]
+    code, out, err = run(capsys, "zhat", "--l", "3", "-1,2", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out) == [list(f) for f in zhat_factors(Weight(-1, 2), 3)]
+    assert out == run(capsys, "zhat", "--l", "3", "--format", "json", "--", "-1,2")[1]
+    code, out, err = run(capsys, "ext", "--l", "3", "--level", "g1", "-1,0", "1,1")
+    assert code == 2 and "restricted" in err
 
 
 def test_char_json(capsys):
@@ -174,6 +191,63 @@ def test_weight_basis_failure_names_the_differing_weights(monkeypatch):
     assert observed["lam=(1,0)"] == "(0,0): want 0 got 1"
 
 
+def _zhat_cases(l, box, count):
+    """{case name: count(lam)} over the zhat suite's weights where count(lam)
+    is nonzero."""
+    lams = (
+        l * Weight(a, b) + Weight(r, s)
+        for a, b in itertools.product(range(box + 1), repeat=2)
+        for r, s in itertools.product(range(l), repeat=2)
+    )
+    return {f"l={l} lam={lam}": n for lam in lams if (n := count(lam))}
+
+
+def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
+    from qgl3 import verify
+
+    l, bad = 3, Weight(1, 1)
+
+    def wrong(r, l):
+        ch = restricted_simple_char(r, l)
+        return ch + FormalChar.basis(Weight(0, 0)) if r == bad else ch
+
+    monkeypatch.setattr(verify, "restricted_simple_char", wrong)
+    report = run_suite("zhat", [l], 1)
+    users = _zhat_cases(
+        l, 1, lambda lam: sum(decompose(nu, l).restricted == bad for nu in zhat_factors(lam, l))
+    )
+    assert report.cases_run == 36 and users
+    assert {case for case, _, _ in report.failures} == set(users)
+    # the extra e(0,0) adds A(rho) to L(1,1) * A(rho), whose numerator
+    # A(2,2) - A(1,1) holds -A(rho); the sums of numerators still agree,
+    # and each use of L(1,1) adds 1 to the dimension count
+    want = "L(1,1) times A(rho): (-2,1): want -1 got 0; (-1,-1): want 1 got 0; "
+    for case, _, got in report.failures:
+        assert got.startswith(want) and got.endswith(f"; dim {27 + users[case]}"), got
+
+
+@pytest.mark.parametrize("fault", ["drop", "move"])
+def test_zhat_suite_shows_a_wrong_factor_list(monkeypatch, fresh_memo, fault):
+    from qgl3 import decomp
+
+    family = decomp.down_alcove_family
+
+    def wrong(cls, res, l):
+        factors = family(cls, res, l)
+        if fault == "drop":
+            return factors[:-1]
+        return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
+
+    monkeypatch.setattr(decomp, "down_alcove_family", wrong)
+    report = run_suite("zhat", [5], 1)
+    down = _zhat_cases(5, 1, lambda lam: facet_classify(lam, 5) is FacetType.DOWN_ALCOVE)
+    assert {case for case, _, _ in report.failures} == set(down)
+    for _, _, got in report.failures:
+        assert got.startswith("times A(rho): (") and " want " in got and " got " in got, got
+        if fault == "drop":
+            assert "; dim " in got, got
+
+
 def test_invalid_l_and_p(capsys):
     code, _, err = run(capsys, "classify", "--l", "1", "0,0")
     assert code == 2 and "l >= 2" in err
@@ -261,7 +335,7 @@ def test_serial_and_parallel_sweeps_agree(name):
 def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the corrupted family only when forked")
-    for name in ("decomposition", "graphs"):
+    for name in ("decomposition", "zhat", "graphs"):
         serial = run_suite(name, [2, 3, 5], 2)
         parallel = run_suite(name, [2, 3, 5], 2, jobs=2)
         assert serial.failures

@@ -5,7 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgl3 import charring, decomp, kernels
-from qgl3.charring import FormalChar, chi_l, frobenius_twist, restricted_simple_char, weyl_char
+from qgl3.charring import (
+    FormalChar,
+    alt_weyl_sum,
+    chi_l,
+    frobenius_twist,
+    restricted_simple_char,
+    restricted_simple_numerator,
+    weyl_char,
+)
 from qgl3.decomp import (
     chi_decomposition,
     chi_l_expansion,
@@ -13,8 +21,9 @@ from qgl3.decomp import (
     hat_simple_char,
     zhat_char,
     zhat_factors,
+    zhat_numerator,
 )
-from qgl3.lattice import POSITIVE_ROOTS, Weight, dominance_key
+from qgl3.lattice import POSITIVE_ROOTS, RHO, FacetType, Weight, classify_restricted, dominance_key
 from qgl3.verify import suite_decomposition
 
 
@@ -222,6 +231,20 @@ def test_hat_simple_char_is_a_shift(l):
             nu = l * cls + Weight(r, s)
             want = restricted_simple_char(Weight(r, s), l) * FormalChar.basis(l * cls)
             assert hat_simple_char(nu, l) == want, (l, nu)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 11])
+def test_numerators_are_characters_times_the_weyl_denominator(l):
+    a_rho = alt_weyl_sum(RHO)
+    for r, s in itertools.product(range(l), repeat=2):
+        res = Weight(r, s)
+        num = restricted_simple_numerator(res, l)
+        assert num == restricted_simple_char(res, l) * a_rho, (l, res)
+        assert len(num.coeffs) == (12 if classify_restricted(res, l) is FacetType.UP_ALCOVE else 6)
+    for lam in (Weight(0, 0), Weight(l - 1, 2), l * Weight(-1, 3) + Weight(1, 0)):
+        num = zhat_numerator(lam, l)
+        assert num == zhat_char(lam, l) * a_rho, (l, lam)
+        assert len(num.coeffs) == 6
 
 
 def test_zhat_characters_call_no_convolution(monkeypatch):

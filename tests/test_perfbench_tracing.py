@@ -2,25 +2,10 @@
 must still resolve, or a rename would surface only in a traced benchmark run."""
 
 import importlib
-import importlib.util
-from pathlib import Path
-
-import pytest
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def load_tracing():
-    if not TRACING.exists():
-        pytest.skip("needs the perfbench directory of a checkout")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_traced_names_resolve():
-    tracing = load_tracing()
+def test_traced_names_resolve(perfbench):
+    tracing = perfbench("tracing")
     assert tracing.TRACED
     for module_name, qualname, _ in tracing.TRACED:
         module = importlib.import_module(module_name)

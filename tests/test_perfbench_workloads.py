@@ -1,0 +1,16 @@
+"""The benchmark's sweeps pin the serial case count of each suite, and an
+iteration fails when a count differs or a case fails.  Either shows here
+first instead of in every benchmark iteration."""
+
+from qgl3.verify import run_suite
+
+
+def test_pinned_case_counts(perfbench):
+    workloads = perfbench("workloads")
+    sweeps = [s for s in workloads.WORKLOADS["full"].values() if isinstance(s, workloads.Sweep)]
+    assert sweeps
+    for sweep in sweeps:
+        for name, count in sweep.expect_cases.items():
+            report = run_suite(name, list(sweep.l_values), sweep.box)
+            assert report.cases_run == count, (name, sweep.l_values, sweep.box)
+            assert not report.failures, (name, report.failures[:3])

@@ -196,10 +196,14 @@ def test_graph_sweeps_call_no_convolution(monkeypatch):
         return convolve(a, b)
 
     monkeypatch.setattr(kernels, "convolve", counted)
-    for name in ("zhat", "graphs"):
-        report = run_suite(name, [2, 3], 2)
-        assert report.passed
+    assert run_suite("graphs", [2, 3], 2).passed
     assert not calls
+    # the zhat suite multiplies by A(rho) once per restricted weight and
+    # once for zhat_char, per l and whatever the box; its cases convolve nothing
+    for box in (0, 2):
+        calls.clear()
+        assert run_suite("zhat", [2, 3], box).passed
+        assert len(calls) == (4 + 1) + (9 + 1)
 
 
 def test_corrupted_family_fails_graph_cases(corrupt_down_alcove):
