@@ -32,7 +32,9 @@ from qgl3.lattice import (
     POSITIVE_ROOTS,
     RHO,
     FacetType,
+    PositiveRoot,
     Weight,
+    affine_reflect,
     classify_restricted,
     decompose,
     dominance_key,
@@ -57,10 +59,6 @@ class FormalChar:
         if 0 in coeffs.values():
             coeffs = {w: c for w, c in coeffs.items() if c}
         self.coeffs = coeffs
-
-    @classmethod
-    def basis(cls, w: Weight, coeff: int = 1) -> "FormalChar":
-        return cls({w: coeff})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -142,8 +140,12 @@ def weyl_dimension(lam: Weight) -> int:
 
 
 def alt_weyl_sum(mu: Weight) -> FormalChar:
-    """Antisymmetrized orbit sum of e(mu) under the linear Weyl action."""
-    return char_sum(FormalChar.basis(w, sign) for sign, w in ordinary_orbit(mu))
+    """Antisymmetrized orbit sum of e(mu) under the linear Weyl action, keyed
+    by int pairs."""
+    out: dict[tuple[int, int], int] = {}
+    for sign, (a, b) in ordinary_orbit(mu):
+        out[a, b] = out.get((a, b), 0) + sign
+    return FormalChar(out)
 
 
 def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
@@ -304,9 +306,8 @@ def simple_table(l: int) -> SimpleCharTable:
 
 def up_alcove_mirror(res: Weight, l: int) -> Weight:
     """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
-    alcove below."""
-    u, v = res
-    return Weight(l - v - 2, l - u - 2)
+    alcove below: its reflection in the rho wall at level l."""
+    return affine_reflect(res, PositiveRoot.RHO, 1, l)
 
 
 def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:

@@ -28,17 +28,6 @@ from qgl3.structure import nabla_l_filtration, validate_graph, zhat_structure
 from qgl3.verify import SUITES, check_sweep, run_suite
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def parse_weight(text: str, gl3: bool = False) -> Weight:
     parts = text.split(",")
     want = 3 if gl3 else 2
@@ -169,9 +158,7 @@ def cmd_ext(args) -> int:
 def cmd_hom(args) -> int:
     lam = parse_weight(args.lam, args.gl3)
     mu = parse_weight(args.mu, args.gl3)
-    if args.p < 0 or (args.p > 0 and not _is_prime(args.p)):
-        raise ValueError(f"p must be 0 or a prime, got {args.p}")
-    w = hom_exists_mirror(lam, mu, args.l, args.p)
+    w = hom_exists_mirror(lam, mu, args.l)
     if args.format == "json":
         print(
             json.dumps(
@@ -185,7 +172,7 @@ def cmd_hom(args) -> int:
     elif w is None:
         print("no witness")
     else:
-        print(f"witness: beta={w.beta.name.lower()} m={w.m} e={w.e}")
+        print(f"witness: beta={w.beta.name.lower()} m={w.m}")
     return 0
 
 
@@ -264,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hom", help="mirror-wall witness for a nonzero hom")
     common(p)
-    p.add_argument("--p", type=int, default=0, help="base characteristic (0 or a prime)")
     p.add_argument("lam")
     p.add_argument("mu")
     p.set_defaults(func=cmd_hom)

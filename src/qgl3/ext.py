@@ -243,13 +243,6 @@ def ext_table(
     )
 
 
-def extending_pairs(mu: Weight, l: int) -> frozenset[tuple[Weight, Weight]]:
-    """The (upper, lower) pairs of composition-factor weights of the
-    Borel-induced module of weight mu between which Ext^1 is nonzero: the
-    facet's table, read on the factor list of factor_family(mu)."""
-    return ext_table(mu, l)[1]
-
-
 def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
     """Table lookup: dim Ext^1(upper lam, lower eta) among the composition
     factors of the Borel-induced module of weight mu."""

@@ -2,9 +2,11 @@
 
 A nonzero map from the induced module of lam to that of mu is guaranteed
 when mu lies strictly below lam in the dominance order and the two weights
-are mirror images in the unique wall of level l*p^e between them.  In
-characteristic zero only e = 0 walls occur and the criterion is complete
-at the level of existence; the spaces are at most one-dimensional.
+are dot-mirror images in the unique wall of level l between them.  The
+criterion is sufficient, not complete: at l = 5, L(2,0) lies in the head of
+nabla(0,10) (ext1_g((2,0), (0,10), 5) is 0) and (2,0) is in the bottom
+alcove, so Hom(nabla(0,10), nabla(2,0)) is nonzero, yet (0,10) - (2,0) is
+not a multiple of one root and no witness exists.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from qgl3.lattice import (
     POSITIVE_ROOTS,
     PositiveRoot,
     Weight,
+    affine_reflect,
     pairing,
 )
 
@@ -23,10 +26,14 @@ from qgl3.lattice import (
 class HomWitness:
     beta: PositiveRoot
     m: int
-    e: int
 
     def to_jsonable(self) -> dict:
-        return {"beta": self.beta.name.lower(), "m": self.m, "e": self.e}
+        return {"beta": self.beta.name.lower(), "m": self.m}
+
+
+def _characteristic_zero(p: int) -> None:
+    if p != 0:
+        raise ValueError(f"mirror witnesses are computed in characteristic 0 only, got p={p}")
 
 
 def dominance_below(mu: Weight, lam: Weight) -> bool:
@@ -38,52 +45,45 @@ def dominance_below(mu: Weight, lam: Weight) -> bool:
     return c1 >= 0 and c2 >= 0 and c1 % 3 == 0 and c2 % 3 == 0
 
 
-def witness_valid(lam: Weight, mu: Weight, w: HomWitness, l: int, p: int) -> bool:
-    """Re-verify a witness independently of the search that produced it."""
-    step = l * (p ** w.e if p else 1)
-    if p == 0 and w.e != 0:
-        return False
-    c = pairing(lam, w.beta) - w.m * step
-    v = w.beta.vector
-    if Weight(lam[0] - c * v[0], lam[1] - c * v[1]) != Weight(*mu):
+def witness_valid(lam: Weight, mu: Weight, w: HomWitness, l: int, p: int = 0) -> bool:
+    """Re-verify a witness independently of the search that produced it:
+    mu is lam reflected in the wall <x + rho, beta~> = m*l, and that wall is
+    the only multiple of l between the two pairings.
+
+    p must be 0: the engine computes in characteristic 0, and the parameter
+    is kept because the benchmark passes it.
+    """
+    _characteristic_zero(p)
+    if affine_reflect(lam, w.beta, w.m, l) != Weight(*mu):
         return False
     lo = min(pairing(lam, w.beta), pairing(mu, w.beta))
     hi = max(pairing(lam, w.beta), pairing(mu, w.beta))
-    walls_between = hi // step - (lo - 1) // step  # multiples of step in [lo, hi]
-    return walls_between == 1
+    return hi // l - (lo - 1) // l == 1  # multiples of l in [lo, hi]
 
 
 def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness | None:
     """Search for a mirror-wall witness forcing Hom(nabla(lam), nabla(mu)) != 0.
 
-    Returns the lexicographically least witness by (e, root, m), or None.
-    The criterion is sufficient; for p > 0 no completeness is claimed.
+    Returns the first valid witness in root order (alpha1, alpha2, rho), or
+    None.  Each root has at most one candidate wall, the midpoint of the two
+    pairings.  The criterion is sufficient only (see the module docstring).
+
+    p must be 0: the engine computes in characteristic 0, and the parameter
+    is kept because the benchmark passes it.
     """
+    _characteristic_zero(p)
     lam, mu = Weight(*lam), Weight(*mu)
     if not (lam.is_dominant() and mu.is_dominant()):
         raise ValueError(f"hom_exists_mirror needs dominant weights, got {lam}, {mu}")
     if not dominance_below(mu, lam):
         return None
-    best = None
     for beta in POSITIVE_ROOTS:
-        p_lam = pairing(lam, beta)
-        p_mu = pairing(mu, beta)
-        total = p_lam + p_mu
-        e = 0
-        while True:
-            step = l * (p ** e if p else 1)
-            if step > p_lam:
-                break
-            if total % (2 * step) == 0:
-                cand = HomWitness(beta, total // (2 * step), e)
-                if witness_valid(lam, mu, cand, l, p) and (
-                    best is None or (cand.e, cand.beta.value, cand.m) < (best.e, best.beta.value, best.m)
-                ):
-                    best = cand
-            if p == 0:
-                break
-            e += 1
-    return best
+        total = pairing(lam, beta) + pairing(mu, beta)
+        if total % (2 * l) == 0:
+            w = HomWitness(beta, total // (2 * l))
+            if witness_valid(lam, mu, w, l):
+                return w
+    return None
 
 
 def hat_dual_weight(nu: Weight, l: int) -> Weight:

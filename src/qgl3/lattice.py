@@ -10,7 +10,7 @@ w . x = w(x + rho) - rho, so the relevant pairing is <x + rho, beta~>.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class Weight(NamedTuple):
@@ -218,37 +218,26 @@ def dual_weight(lam: Weight) -> Weight:
     return Weight(lam[1], lam[0])
 
 
-def ordinary_pairing(lam: Weight, root: PositiveRoot) -> int:
-    return pairing(lam, root) - pairing(Weight(0, 0), root)
-
-
-def ordinary_reflect(lam: Weight, root: PositiveRoot) -> Weight:
-    """Linear (non-dot) reflection in the hyperplane <x, root~> = 0."""
-    c = ordinary_pairing(lam, root)
-    v = root.vector
-    return Weight(lam[0] - c * v[0], lam[1] - c * v[1])
-
-
-def weyl_group_elements() -> Iterator[tuple[int, tuple[PositiveRoot, ...]]]:
-    """The six elements of the finite Weyl group as reduced words with signs."""
-    s1, s2 = PositiveRoot.ALPHA1, PositiveRoot.ALPHA2
-    yield 1, ()
-    yield -1, (s1,)
-    yield -1, (s2,)
-    yield 1, (s1, s2)
-    yield 1, (s2, s1)
-    yield -1, (s1, s2, s1)
+# The finite Weyl group as signed permutations of GL3 coordinates, in the
+# order of the reduced words 1, s1, s2, s1s2, s2s1, s1s2s1: (sign, (i, j, k))
+# sends x to (x_i, x_j, x_k).
+_WEYL_PERMUTATIONS = (
+    (1, (0, 1, 2)),
+    (-1, (1, 0, 2)),
+    (-1, (0, 2, 1)),
+    (1, (2, 0, 1)),
+    (1, (1, 2, 0)),
+    (-1, (2, 1, 0)),
+)
 
 
 def ordinary_orbit(lam: Weight) -> list[tuple[int, Weight]]:
-    """All (sign, w(lam)) pairs over the finite Weyl group, with repeats."""
-    out = []
-    for sign, word in weyl_group_elements():
-        cur = Weight(*lam)
-        for root in reversed(word):
-            cur = ordinary_reflect(cur, root)
-        out.append((sign, cur))
-    return out
+    """All (sign, w(lam)) pairs over the finite Weyl group, with repeats,
+    under the linear (non-dot) action: in GL3 coordinates lam is
+    (a+b, b, 0), w permutes the entries, and sign is det w."""
+    a, b = lam
+    x = (a + b, b, 0)
+    return [(sign, Weight(x[i] - x[j], x[j] - x[k])) for sign, (i, j, k) in _WEYL_PERMUTATIONS]
 
 
 def dominance_key(w: Weight) -> tuple[int, int]:

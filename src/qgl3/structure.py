@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import chi_decomposition, factor_family, hat_simple_char
-from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, extending_pairs
+from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, RHO, Weight, decompose
 
@@ -255,7 +255,8 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     """
     report = ValidationReport(g)
     if g.kind == G1B_SIMPLE:
-        expected = sorted(factor_family(g.lam, g.l)[1])
+        factors, pairs = ext_table(g.lam, g.l)
+        expected = sorted(factors)
         report.add(
             "nodes-match-factors",
             sorted(g.node_weights()) == expected,
@@ -274,7 +275,6 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
             len(sources) == 1 and sources[0].weight == head,
             f"sources: {[tuple(n.weight) for n in sources]}, head {tuple(head)}",
         )
-        pairs = extending_pairs(g.lam, g.l)
         weight = {n.id: n.weight for n in g.nodes}
         bad_edges = [
             (tuple(weight[u]), tuple(weight[v]))

@@ -313,17 +313,12 @@ def suite_homs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterato
             if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
                 continue
             head = zhat_head_weight(lam, l)
-            w = hom_exists_mirror(lam, head, l, 0)
-            ok = (
-                w is not None
-                and w.beta is PositiveRoot.RHO
-                and w.e == 0
-                and witness_valid(lam, head, w, l, 0)
-            )
+            w = hom_exists_mirror(lam, head, l)
+            ok = w is not None and w.beta is PositiveRoot.RHO and witness_valid(lam, head, w, l)
             yield (f"l={l} lam={lam}", "rho witness onto the head weight", str(w), ok)
-            back = hom_exists_mirror(head, lam, l, 0) if head.is_dominant() else None
+            back = hom_exists_mirror(head, lam, l) if head.is_dominant() else None
             yield (f"l={l} lam={lam}", "antisymmetric", str(back), back is None)
-            same = hom_exists_mirror(lam, lam, l, 0)
+            same = hom_exists_mirror(lam, lam, l)
             yield (f"l={l} lam={lam}", "no witness on the diagonal", str(same), same is None)
 
 

@@ -168,11 +168,11 @@ def test_criterion_9_hom_predicate():
             if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
                 continue
             head = zhat_head_weight(lam, l)
-            w = hom_exists_mirror(lam, head, l, 0)
-            assert w is not None and w.beta is PositiveRoot.RHO and w.e == 0
-            assert witness_valid(lam, head, w, l, 0)
-            assert hom_exists_mirror(head, lam, l, 0) is None
-            assert hom_exists_mirror(lam, lam, l, 0) is None
+            w = hom_exists_mirror(lam, head, l)
+            assert w is not None and w.beta is PositiveRoot.RHO
+            assert witness_valid(lam, head, w, l)
+            assert hom_exists_mirror(head, lam, l) is None
+            assert hom_exists_mirror(lam, lam, l) is None
 
 
 def test_criterion_10_negative_controls():

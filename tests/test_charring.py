@@ -37,8 +37,8 @@ from qgl3.lattice import (
     classify_restricted,
     decompose,
     dominantize,
-    ordinary_reflect,
-    weyl_group_elements,
+    ordinary_orbit,
+    pairing,
 )
 
 coords = st.integers(-6, 6)
@@ -47,7 +47,7 @@ dominants = st.builds(Weight, st.integers(0, 7), st.integers(0, 7))
 
 
 def e(a: int, b: int) -> FormalChar:
-    return FormalChar.basis(Weight(a, b))
+    return FormalChar({(a, b): 1})
 
 
 def brute_force_ssyt_char(lam: Weight) -> FormalChar:
@@ -126,6 +126,34 @@ def test_weyl_char_against_brute_force_tableaux():
         assert weyl_char(lam) == brute_force_ssyt_char(lam)
 
 
+def ordinary_reflect(lam: Weight, root: PositiveRoot) -> Weight:
+    """Linear (non-dot) reflection in the hyperplane <x, root~> = 0."""
+    c = pairing(lam, root) - pairing(Weight(0, 0), root)
+    v = root.vector
+    return Weight(lam[0] - c * v[0], lam[1] - c * v[1])
+
+
+S1, S2 = PositiveRoot.ALPHA1, PositiveRoot.ALPHA2
+# The six elements of the finite Weyl group as reduced words with signs.
+WEYL_WORDS = ((1, ()), (-1, (S1,)), (-1, (S2,)), (1, (S1, S2)), (1, (S2, S1)), (-1, (S1, S2, S1)))
+
+
+def apply_word(word, lam: Weight) -> Weight:
+    for root in reversed(word):
+        lam = ordinary_reflect(lam, root)
+    return lam
+
+
+def test_ordinary_orbit_against_reflection_words():
+    # the box holds dominant, non-dominant and singular weights
+    for lam in itertools.starmap(Weight, itertools.product(range(-6, 7), repeat=2)):
+        want = [(sign, apply_word(word, lam)) for sign, word in WEYL_WORDS]
+        assert ordinary_orbit(lam) == want, lam
+        got = alt_weyl_sum(lam)
+        assert got == sum([FormalChar({w: sign}) for sign, w in want], FormalChar()), lam
+        assert all(type(k) is tuple for k in got.coeffs), lam
+
+
 def reflect(x, root):
     """x with every support weight reflected linearly in root's hyperplane."""
     return FormalChar({ordinary_reflect(w, root): c for w, c in x.coeffs.items()})
@@ -144,12 +172,19 @@ def test_weyl_char_w_invariant_and_dimension(lam):
 def test_alt_weyl_sum():
     a_rho = alt_weyl_sum(RHO)
     assert len(a_rho.coeffs) == 6
+    assert all(type(k) is tuple for k in a_rho.coeffs)
     assert sorted(a_rho.coeffs.values()) == [-1, -1, -1, 1, 1, 1]
     # vanishing on reflection hyperplanes
     assert not alt_weyl_sum(Weight(0, 5))
     assert not alt_weyl_sum(Weight(3, -3))  # fixed by the rho reflection
     # antisymmetry
     assert reflect(a_rho, PositiveRoot.ALPHA1) == -a_rho
+
+
+def test_up_alcove_mirror_closed_form():
+    for l in range(2, 12):
+        for u, v in itertools.product(range(l), repeat=2):
+            assert up_alcove_mirror(Weight(u, v), l) == (l - v - 2, l - u - 2)
 
 
 def test_denominator_identity_box():
@@ -368,7 +403,7 @@ def _dot(word, x):
 small_dominants = st.builds(Weight, st.integers(0, 2), st.integers(0, 2))
 # w . d for a dominant d and w != 1 is regular and never dominant
 regular_non_dominants = st.builds(
-    _dot, st.sampled_from([w for _, w in weyl_group_elements() if w]), small_dominants
+    _dot, st.sampled_from([w for _, w in WEYL_WORDS if w]), small_dominants
 )
 # weights on the dot-reflection hyperplanes of alpha1, alpha2 and rho
 singulars = st.integers(-3, 3).flatmap(

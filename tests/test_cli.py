@@ -117,6 +117,7 @@ def test_removed_noop_flags_are_usage_errors(capsys):
         ["zhat", "1,1"],
         ["lfilt", "1,1"],
         ["ext", "--level", "g", "0,0", "3,3"],
+        ["hom", "3,3", "1,1"],
     ):
         code, out, err = run(capsys, *args, "--l", "3", "--p", "5")
         assert code == 2 and "--p" in err and not out
@@ -139,8 +140,10 @@ def test_hom(capsys):
     code, out, _ = run(capsys, "hom", "--l", "3", "--format", "json", "3,3", "1,1")
     assert code == 0
     data = json.loads(out)
-    assert data["witness"] == {"beta": "rho", "m": 2, "e": 0}
-    code, out, _ = run(capsys, "hom", "--l", "3", "--p", "0", "3,3", "3,3")
+    assert data["witness"] == {"beta": "rho", "m": 2}
+    code, out, _ = run(capsys, "hom", "--l", "3", "3,3", "1,1")
+    assert code == 0 and out.strip() == "witness: beta=rho m=2"
+    code, out, _ = run(capsys, "hom", "--l", "3", "3,3", "3,3")
     assert code == 0 and "no witness" in out
 
 
@@ -181,7 +184,7 @@ def test_weight_basis_failure_names_the_differing_weights(monkeypatch):
     from qgl3.charring import FormalChar, weyl_char
 
     def shifted(lam):
-        return weyl_char(lam) + FormalChar.basis(Weight(0, 0))
+        return weyl_char(lam) + FormalChar({Weight(0, 0): 1})
 
     monkeypatch.setattr(verify, "weyl_char_alternating", shifted)
     report = run_suite("denominator", [2], 1)
@@ -209,7 +212,7 @@ def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
 
     def wrong(r, l):
         ch = restricted_simple_char(r, l)
-        return ch + FormalChar.basis(Weight(0, 0)) if r == bad else ch
+        return ch + FormalChar({Weight(0, 0): 1}) if r == bad else ch
 
     monkeypatch.setattr(verify, "restricted_simple_char", wrong)
     report = run_suite("zhat", [l], 1)
@@ -251,8 +254,8 @@ def test_zhat_suite_shows_a_wrong_factor_list(monkeypatch, fresh_memo, fault):
 def test_invalid_l_and_p(capsys):
     code, _, err = run(capsys, "classify", "--l", "1", "0,0")
     assert code == 2 and "l >= 2" in err
-    code, _, err = run(capsys, "hom", "--l", "3", "--p", "4", "3,3", "1,1")
-    assert code == 2 and "prime" in err
+    code, out, err = run(capsys, "hom", "--l", "3", "--p", "2", "3,3", "1,1")
+    assert code == 2 and "--p" in err and not out
 
 
 def test_verify_negative_box_is_usage_error(capsys):

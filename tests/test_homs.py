@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from qgl3.decomp import chi_decomposition
+from qgl3.ext import ext1_g
 from qgl3.homs import (
     HomWitness,
     dominance_below,
@@ -32,14 +34,14 @@ def test_dominance_below():
 
 
 def test_witness_example():
-    w = hom_exists_mirror(Weight(3, 3), Weight(1, 1), 3, 0)
-    assert w == HomWitness(PositiveRoot.RHO, 2, 0)
-    assert witness_valid(Weight(3, 3), Weight(1, 1), w, 3, 0)
+    w = hom_exists_mirror(Weight(3, 3), Weight(1, 1), 3)
+    assert w == HomWitness(PositiveRoot.RHO, 2)
+    assert witness_valid(Weight(3, 3), Weight(1, 1), w, 3)
 
 
 def test_no_witness_on_diagonal_or_upward():
-    assert hom_exists_mirror(Weight(3, 3), Weight(3, 3), 3, 0) is None
-    assert hom_exists_mirror(Weight(1, 1), Weight(3, 3), 3, 0) is None
+    assert hom_exists_mirror(Weight(3, 3), Weight(3, 3), 3) is None
+    assert hom_exists_mirror(Weight(1, 1), Weight(3, 3), 3) is None
 
 
 def test_no_witness_when_wall_not_unique():
@@ -47,26 +49,37 @@ def test_no_witness_when_wall_not_unique():
     # interval [2, 16] contains five multiples of 3
     assert dominance_below(Weight(0, 0), Weight(7, 7))
     assert (16 + 2) % (2 * 3) == 0
-    assert hom_exists_mirror(Weight(7, 7), Weight(0, 0), 3, 0) is None
+    assert hom_exists_mirror(Weight(7, 7), Weight(0, 0), 3) is None
 
 
 def test_simple_root_witness():
     # mirror in a single alpha1 wall
     lam = Weight(4, 1)
     mu = Weight(0, 3)  # lam - 2*alpha1
-    w = hom_exists_mirror(lam, mu, 3, 0)
-    assert w is not None and w.beta is PositiveRoot.ALPHA1 and w.e == 0
-    assert witness_valid(lam, mu, w, 3, 0)
+    w = hom_exists_mirror(lam, mu, 3)
+    assert w is not None and w.beta is PositiveRoot.ALPHA1
+    assert witness_valid(lam, mu, w, 3)
 
 
-def test_witness_positive_characteristic_level():
-    # mirrored in the unique 6-wall at pairing 12 but three 3-walls intervene
-    lam, mu = Weight(7, 7), Weight(3, 3)
-    assert hom_exists_mirror(lam, mu, 3, 0) is None
-    w = hom_exists_mirror(lam, mu, 3, 2)
-    assert w == HomWitness(PositiveRoot.RHO, 2, 1)
-    assert witness_valid(lam, mu, w, 3, 2)
-    assert not witness_valid(lam, mu, HomWitness(PositiveRoot.RHO, 2, 1), 3, 0)
+def test_positive_characteristic_is_rejected():
+    lam, mu = Weight(3, 3), Weight(1, 1)
+    w = hom_exists_mirror(lam, mu, 3)
+    for p in (2, 3, -1):
+        with pytest.raises(ValueError, match="characteristic 0"):
+            hom_exists_mirror(lam, mu, 3, p)
+        with pytest.raises(ValueError, match="characteristic 0"):
+            witness_valid(lam, mu, w, 3, p)
+
+
+def test_mirror_criterion_is_not_complete():
+    # L(2,0) is a composition factor of nabla(0,10) at l = 5 with no Ext^1
+    # to the socle L(0,10), so it lies in the head; (2,0) is in the bottom
+    # alcove, so nabla(2,0) = L(2,0) and Hom(nabla(0,10), nabla(2,0)) != 0.
+    # (0,10) - (2,0) = 2 alpha1 + 6 alpha2 is no multiple of one root.
+    lam, mu, l = Weight(0, 10), Weight(2, 0), 5
+    assert mu in chi_decomposition(lam, l).surviving_factors()
+    assert ext1_g(mu, lam, l) == 0
+    assert hom_exists_mirror(lam, mu, l) is None
 
 
 def test_zhat_head_weight_examples():
@@ -112,26 +125,27 @@ def test_head_witness_sweep():
                 if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
                     continue
                 head = zhat_head_weight(lam, l)
-                w = hom_exists_mirror(lam, head, l, 0)
-                assert w is not None and w.beta is PositiveRoot.RHO and w.e == 0
-                assert witness_valid(lam, head, w, l, 0)
-                assert hom_exists_mirror(head, lam, l, 0) is None
+                w = hom_exists_mirror(lam, head, l)
+                assert w is not None and w.beta is PositiveRoot.RHO
+                assert witness_valid(lam, head, w, l)
+                assert hom_exists_mirror(head, lam, l) is None
 
 
 def test_translation_pair_consistency():
     # adjacent alcove weights mirrored in the wall between them
-    w = hom_exists_mirror(Weight(4, 4), Weight(3, 3), 3, 0)
-    assert w == HomWitness(PositiveRoot.RHO, 3, 0)
-    w = hom_exists_mirror(5 * Weight(2, 2) + Weight(2, 2), 5 * Weight(2, 2) + Weight(1, 1), 5, 0)
-    assert w is not None and w.beta is PositiveRoot.RHO and w.e == 0
+    w = hom_exists_mirror(Weight(4, 4), Weight(3, 3), 3)
+    assert w == HomWitness(PositiveRoot.RHO, 3)
+    w = hom_exists_mirror(5 * Weight(2, 2) + Weight(2, 2), 5 * Weight(2, 2) + Weight(1, 1), 5)
+    assert w is not None and w.beta is PositiveRoot.RHO
 
 
 def test_enumerate_rejects_nothing_dominant():
     with pytest.raises(ValueError):
-        hom_exists_mirror(Weight(-1, 0), Weight(0, 0), 3, 0)
+        hom_exists_mirror(Weight(-1, 0), Weight(0, 0), 3)
 
 
 def test_witness_json_roundtrip():
-    w = hom_exists_mirror(Weight(3, 3), Weight(1, 1), 3, 0)
+    w = hom_exists_mirror(Weight(3, 3), Weight(1, 1), 3)
     data = json.loads(json.dumps(w.to_jsonable()))
-    assert HomWitness(PositiveRoot[data["beta"].upper()], data["m"], data["e"]) == w
+    assert data == {"beta": "rho", "m": 2}
+    assert HomWitness(PositiveRoot[data["beta"].upper()], data["m"]) == w

@@ -3,7 +3,7 @@ import json
 import re
 from collections import Counter
 
-from qgl3 import decomp, ext, kernels
+from qgl3 import decomp, ext, kernels, structure
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
@@ -138,6 +138,7 @@ def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
     monkeypatch.setattr(decomp, "_family", counted_family)
     monkeypatch.setattr(decomp, "_surviving_positions", counted_positions)
     monkeypatch.setattr(ext, "ext_table", counted_table)
+    monkeypatch.setattr(structure, "ext_table", counted_table)
     report = run_suite("graphs", [3, 5], 2)
     assert report.passed
     graphs = report.cases_run // 2  # of each kind
