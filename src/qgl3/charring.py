@@ -19,6 +19,10 @@ in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
 work there by the Brauer-Klimyk rule, one kernels.brauer_klimyk call each,
 whose keys are plain int pairs; the weight-basis chi_l and
 decompose_into_weyl are kept as their independent oracles.
+
+Induced characters are not memoized: both routes build each one afresh.
+The only memo of them is _bk_weights, the tableau counts of the classical
+parts and small tensor factors that the Brauer-Klimyk rule expands.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class FormalChar:
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
         # dict() copies in C; the filtering pass runs only when it has work
         coeffs = dict(coeffs) if coeffs else {}
-        if 0 in coeffs.values():
+        if not all(coeffs.values()):
             coeffs = {w: c for w, c in coeffs.items() if c}
         self.coeffs = coeffs
 
@@ -115,23 +119,37 @@ class FormalChar:
 ZERO_CHAR = FormalChar()
 
 
-_weyl_cache: dict[Weight, FormalChar] = {}
-
-
 def weyl_char(lam: Weight) -> FormalChar:
     """Character of the induced module of highest weight lam.
 
     Computed by counting Gelfand-Tsetlin patterns (equivalently,
     semistandard tableaux) of the two-row shape (a+b, b) in three letters
-    and projecting contents to SL3 coordinates.
+    and projecting contents to SL3 coordinates.  Not memoized: each call
+    builds the character afresh.
     """
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"weyl_char needs a dominant weight, got {lam}")
-    cached = _weyl_cache.get(lam)
-    if cached is None:
-        cached = _weyl_cache[lam] = FormalChar(kernels.ssyt_weight_counts(lam.a + lam.b, lam.b))
-    return cached
+    return FormalChar(kernels.ssyt_weight_counts(lam.a + lam.b, lam.b))
+
+
+# Weight multiplicities {(a, b): int} of the induced characters that
+# chi_l_weyl and tensor_multiplicity expand by the Brauer-Klimyk rule, keyed
+# by dominant weight.  These are the only induced characters the engine
+# reads again and again, and they are small: the dominantized classical
+# parts of chi_l_weyl's arguments and the smaller factor of a tensor product.
+_bk_weights: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+
+
+def _weights_of(lam: tuple[int, int]) -> dict[tuple[int, int], int]:
+    """The weight multiplicities of weyl_char(lam) for a dominant lam,
+    memoized in _bk_weights; the returned dict is shared and must not be
+    modified."""
+    key = (lam[0], lam[1])
+    hit = _bk_weights.get(key)
+    if hit is None:
+        hit = _bk_weights[key] = kernels.ssyt_weight_counts(key[0] + key[1], key[1])
+    return hit
 
 
 def weyl_dimension(lam: Weight) -> int:
@@ -201,8 +219,9 @@ def _divide_by_binomial(x: dict, da: int, db: int) -> dict:
     The quotient q satisfies x(mu) = q(mu) - q(mu + alpha), so
     q(mu) = x(mu) + q(mu + alpha): a running sum down each alpha-string
     from its top support weight.  Below the string's lowest support weight
-    q stays at the string's total, which must be 0 for q to be finite.
-    The result may hold zero coefficients.
+    q stays at the string's total, which must be 0 for q to be finite, so
+    the string's lowest weight is not stored.  Only a zero sum inside a
+    string can leave a zero coefficient in the result.
     """
     # Every positive root has a nonzero first coordinate, so a string is
     # walked by its first coordinate, from `top` to `bottom` in steps of da.
@@ -230,7 +249,8 @@ def _divide_by_binomial(x: dict, da: int, db: int) -> dict:
                 f"inexact division by the Weyl denominator: the string ({ba},{bb}) + "
                 f"N({da},{db}) sums to {sums[-1]}, not 0"
             )
-        out.update(zip(string, sums))
+        # the bottom entry's sum was just shown to be 0: leave it out
+        out.update(zip(string[:-1], sums))
     return out
 
 
@@ -424,11 +444,21 @@ def char_sum(parts: Iterable[FormalChar]) -> FormalChar:
 
 def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     """The weight-basis character sum c * weyl_char(k) of a Weyl-basis
-    combination; inverse to decompose_into_weyl."""
-    out: dict[tuple[int, int], int] = {}
+    combination; inverse to decompose_into_weyl.
+
+    Each induced character is built afresh.  The tableau counts of the
+    largest unit-coefficient term become the sum's dict as they are, with
+    no copy, and the other terms are added into it.
+    """
+    for k in x:
+        if k[0] < 0 or k[1] < 0:
+            raise ValueError(f"char_from_weyl needs dominant weights, got {Weight(*k)}")
+    base = max((k for k, c in x.items() if c == 1), key=weyl_dimension, default=None)
+    out = {} if base is None else kernels.ssyt_weight_counts(base[0] + base[1], base[1])
     for k, c in x.items():
-        for w, m in weyl_char(k).coeffs.items():
-            out[w] = out.get(w, 0) + c * m
+        if k != base:
+            for w, m in kernels.ssyt_weight_counts(k[0] + k[1], k[1]).items():
+                out[w] = out.get(w, 0) + c * m
     return FormalChar(out)
 
 
@@ -460,7 +490,7 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
             heads = [(res, sign)]
             if classify_restricted(res, l) is FacetType.UP_ALCOVE:
                 heads.append((up_alcove_mirror(res, l), -sign))
-            hit = kernels.brauer_klimyk(weyl_char(top).coeffs, heads, l)
+            hit = kernels.brauer_klimyk(_weights_of(top), heads, l)
         _chi_l_weyl_cache[key] = hit
     return hit
 
@@ -476,4 +506,4 @@ def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):
         x, y = y, x
-    return kernels.brauer_klimyk(weyl_char(y).coeffs, [(x, 1)], 1).get(target, 0)
+    return kernels.brauer_klimyk(_weights_of(y), [(x, 1)], 1).get(target, 0)

@@ -5,7 +5,7 @@ them through this module (kernels.convolve), so a wrapper bound here, e.g.
 by a tracer, sees every call.
 """
 
-from itertools import repeat
+from itertools import chain, repeat
 
 BACKEND = "python"
 
@@ -81,24 +81,27 @@ def ssyt_weight_counts(p, q):
     On each row s the count is piecewise linear in m1: it rises by one per
     step while s - m1 is the largest lower bound on x, is flat while
     max(q, s - q) is, and falls by one per step while m1 is.  Each piece
-    goes into the dict as one run of keys and counts, so there is no step
-    per tableau and no Python step per weight.
+    goes into the dict as one run of keys and counts, and each row as one
+    dict.update of the chained runs, so there is no step per tableau and no
+    Python step per weight.
     """
     n = p + q
     out = {}
     for s in range(q, n + 1):
-        hi = min(p, s)
-        base = max(q, s - q)
+        # min and max written out: a builtin call per bound costs more
+        hi = p if p < s else s
+        base = q if q > s - q else s - q
         lo = s - hi
-        cut = max(lo, s - base)
-        end = min(base, hi)
-        _add_run(out, n, s, lo, cut, range(hi + 1 - s + lo, hi + 1 - s + cut))
-        _add_run(out, n, s, cut, end + 1, repeat(hi + 1 - base))
-        _add_run(out, n, s, end + 1, hi + 1, range(hi - end, 0, -1))
+        cut = s - base if s - base > lo else lo
+        end = base if base < hi else hi
+        # the weights (2*m1 - s, 2*s - n - m1) for m1 = lo..hi, and their counts
+        # on the rising piece [lo, cut), the flat one [cut, end] and the falling
+        # one (end, hi]; lo <= cut <= end + 1 <= hi + 1
+        keys = zip(range(2 * lo - s, 2 * hi - s + 1, 2), range(2 * s - n - lo, 2 * s - n - hi - 1, -1))
+        counts = chain(
+            range(hi + 1 - s + lo, hi + 1 - s + cut),
+            repeat(hi + 1 - base, end + 1 - cut),
+            range(hi - end, 0, -1),
+        )
+        out.update(zip(keys, counts))
     return out
-
-
-def _add_run(out, n, s, first, stop, counts):
-    """Store counts at the weights (2*m1 - s, 2*s - n - m1), m1 in [first, stop)."""
-    keys = zip(range(2 * first - s, 2 * stop - s, 2), range(2 * s - n - first, 2 * s - n - stop, -1))
-    out.update(zip(keys, counts))

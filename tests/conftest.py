@@ -6,6 +6,7 @@ import pytest
 
 from qgl3 import decomp
 from qgl3.lattice import Weight
+from qgl3.verify import run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -27,6 +28,22 @@ def perfbench(monkeypatch):
         return module
 
     return load
+
+
+@pytest.fixture(scope="session")
+def suite_report():
+    """run_suite(name, l_values, box), run once per session: the tests that
+    check the same sweep (the benchmark's pinned counts, the acceptance
+    criteria) share its report instead of running it again."""
+    reports = {}
+
+    def get(name, l_values, box):
+        key = (name, tuple(l_values), box)
+        if key not in reports:
+            reports[key] = run_suite(name, list(l_values), box)
+        return reports[key]
+
+    return get
 
 
 @pytest.fixture

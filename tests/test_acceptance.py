@@ -110,13 +110,12 @@ def test_criterion_6_translation_counts():
             assert total == weyl_char(lam) + weyl_char(mirror)
 
 
-def test_criterion_7_graph_validation():
+def test_criterion_7_graph_validation(suite_report):
+    # the graphs suite validates both graphs of every weight of the sweep
     with criterion(7, "structure graphs pass all checks over the full sweep"):
-        for l, lam in sweep():
-            rep = validate_graph(zhat_structure(lam, l))
-            assert rep.ok, (l, lam, rep.failures())
-            repn = validate_graph(nabla_l_filtration(lam, l))
-            assert repn.ok, (l, lam, repn.failures())
+        report = suite_report("graphs", L_VALUES, BOX)
+        assert report.cases_run == 2 * len(list(sweep())) == 1900
+        assert not report.failures, report.failures[:3]
 
 
 def test_criterion_8_ext_families():

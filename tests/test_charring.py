@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from qgl3.charring import (
     euler_char,
     frobenius_twist,
     restricted_simple_char,
+    shift,
     simple_char_p0,
     simple_table,
     tensor_multiplicity,
@@ -29,6 +31,7 @@ from qgl3.charring import (
 )
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
+    POSITIVE_ROOTS,
     RHO,
     FacetType,
     PositiveRoot,
@@ -40,6 +43,7 @@ from qgl3.lattice import (
     ordinary_orbit,
     pairing,
 )
+from qgl3.translate import translated_character
 
 coords = st.integers(-6, 6)
 weights = st.builds(Weight, coords, coords)
@@ -214,23 +218,86 @@ def test_divide_by_weyl_denominator_error_paths():
     assert divide_by_weyl_denominator(FormalChar()) == FormalChar()
 
 
+def test_divide_by_weyl_denominator_stores_no_zeros():
+    # each string's bottom entry sums to 0 and is left out, so the quotient
+    # dict is the induced character's, with no zero for FormalChar to drop
+    for a, b in itertools.product(range(7), repeat=2):
+        lam = Weight(a, b)
+        x = shift(alt_weyl_sum(lam + RHO), -RHO).coeffs
+        for root in POSITIVE_ROOTS:
+            x = charring._divide_by_binomial(x, *root.vector)
+        assert x == weyl_char(lam).coeffs, lam
+        assert divide_by_weyl_denominator(alt_weyl_sum(lam + RHO)).coeffs == weyl_char(lam).coeffs
+
+
 def test_induced_character_routes_are_independent(monkeypatch):
     """Neither route to the induced character calls the other, so each
     stays an oracle for the other: the quotient runs with the counting
-    kernel broken, and the counting route with every division broken."""
+    kernel broken, and the counting route with every division broken.
+    Neither memoizes, so each call below builds its character afresh."""
 
     def crossed(*args):
         raise AssertionError("one induced-character route called the other")
 
-    fresh = [Weight(41, 3), Weight(2, 43), Weight(44, 44)]
-    monkeypatch.setattr(charring, "_weyl_cache", {})
+    weights = [Weight(41, 3), Weight(2, 43), Weight(44, 44)]
     monkeypatch.setattr(kernels, "ssyt_weight_counts", crossed)
-    quotients = [weyl_char_alternating(lam) for lam in fresh]
+    quotients = [weyl_char_alternating(lam) for lam in weights]
+    with pytest.raises(AssertionError, match="called the other"):
+        weyl_char(weights[0])
     monkeypatch.undo()
-    monkeypatch.setattr(charring, "_weyl_cache", {})
     for name in ("divide_by_weyl_denominator", "_divide_by_binomial", "divide_exact"):
         monkeypatch.setattr(charring, name, crossed)
-    assert [weyl_char(lam) for lam in fresh] == quotients
+    assert [weyl_char(lam) for lam in weights] == quotients
+    with pytest.raises(AssertionError, match="called the other"):
+        weyl_char_alternating(weights[0])
+
+
+def _held_dicts(obj, seen):
+    """Every dict reachable from obj through containers and the attributes
+    of qgl3 objects, FormalChar.coeffs included."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        yield obj
+        items = itertools.chain(obj.keys(), obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        items = obj
+    elif type(obj).__module__.startswith("qgl3") and not isinstance(obj, type):
+        names = getattr(obj, "__slots__", ()) or vars(obj)
+        items = (getattr(obj, name, None) for name in names)
+    else:
+        return
+    for item in items:
+        yield from _held_dicts(item, seen)
+
+
+def test_no_memo_holds_an_induced_character(monkeypatch):
+    """Induced characters are not memoized.  After building a large weight's
+    character both ways and its translate at l = 11, no module-level value
+    of qgl3 holds the weight-basis character of the weight or of its
+    mirror, and the Brauer-Klimyk memo holds exactly the dominantized
+    classical parts passed to chi_l_weyl."""
+    l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
+    monkeypatch.setattr(charring, "_bk_weights", {})
+    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    ch = weyl_char(lam)
+    assert weyl_char_alternating(lam) == ch
+    total, mirror = translated_character(lam, l)
+    assert total == ch + weyl_char(mirror)
+    big = [ch.coeffs, weyl_char(mirror).coeffs]
+    seen = set()
+    modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "qgl3"]
+    for module in modules:
+        for name, value in vars(module).items():
+            for held in _held_dicts(value, seen):
+                assert all(held != x for x in big), f"{module.__name__}.{name}"
+    tops = set()
+    for a, b, _ in charring._chi_l_weyl_cache:
+        sign, top = dominantize(decompose(Weight(a, b), l).classical)
+        if sign:
+            tops.add(top)
+    assert tops and set(charring._bk_weights) == tops
 
 
 def test_divide_exact_error_paths():

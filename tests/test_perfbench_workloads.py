@@ -4,16 +4,14 @@ the engine through ``workloads.answer``.  Either kind of failure, or a
 changed engine signature, shows here first instead of in every benchmark
 iteration."""
 
-from qgl3.verify import run_suite
 
-
-def test_pinned_case_counts(perfbench):
+def test_pinned_case_counts(perfbench, suite_report):
     workloads = perfbench("workloads")
     sweeps = [s for s in workloads.WORKLOADS["full"].values() if isinstance(s, workloads.Sweep)]
     assert sweeps
     for sweep in sweeps:
         for name, count in sweep.expect_cases.items():
-            report = run_suite(name, list(sweep.l_values), sweep.box)
+            report = suite_report(name, sweep.l_values, sweep.box)
             assert report.cases_run == count, (name, sweep.l_values, sweep.box)
             assert not report.failures, (name, report.failures[:3])
 
