@@ -3,12 +3,9 @@
 Characters live in the integral group ring ZX with basis e(lam) and product
 e(lam)e(mu) = e(lam+mu).  Everything here is exact integer arithmetic; the
 two independent constructions of the induced-module character cross-check
-each other: Gelfand-Tsetlin counting (kernels.ssyt_weight_counts; the
-patterns are in bijection with semistandard tableaux) and the alternating-sum quotient
-A(lam+rho) / A(rho), divided one factor of the Weyl denominator
-A(rho) = e(rho) * prod over alpha > 0 of (1 - e(-alpha)) at a time by
-running sums down alpha-strings (divide_by_weyl_denominator).  Neither
-route calls the other.
+each other and neither calls the other: Gelfand-Tsetlin counting
+(kernels.ssyt_weight_counts) and the quotient A(lam+rho) / A(rho) by the
+factored Weyl denominator, in runs along root strings (divide_by_weyl_denominator).
 
 FormalChar.coeffs is keyed by int pairs (a, b): the engine builds plain
 tuples, which hash and compare equal to Weight, and uses Weight only where a
@@ -33,7 +30,6 @@ from typing import Callable, Iterable
 
 from qgl3 import kernels
 from qgl3.lattice import (
-    POSITIVE_ROOTS,
     RHO,
     FacetType,
     PositiveRoot,
@@ -99,11 +95,8 @@ class FormalChar:
     def dimension(self) -> int:
         return sum(self.coeffs.values())
 
-    def to_triples(self) -> list[list[int]]:
-        return sorted([w[0], w[1], c] for w, c in self.coeffs.items())
-
     def to_json(self) -> str:
-        return json.dumps(self.to_triples())
+        return json.dumps(sorted([w[0], w[1], c] for w, c in self.coeffs.items()))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -120,24 +113,18 @@ ZERO_CHAR = FormalChar()
 
 
 def weyl_char(lam: Weight) -> FormalChar:
-    """Character of the induced module of highest weight lam.
-
-    Computed by counting Gelfand-Tsetlin patterns (equivalently,
-    semistandard tableaux) of the two-row shape (a+b, b) in three letters
-    and projecting contents to SL3 coordinates.  Not memoized: each call
-    builds the character afresh.
-    """
+    """Character of the induced module of highest weight lam, built afresh
+    by counting Gelfand-Tsetlin patterns (equivalently, semistandard
+    tableaux) of the two-row shape (a+b, b) in three letters."""
     lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"weyl_char needs a dominant weight, got {lam}")
     return FormalChar(kernels.ssyt_weight_counts(lam.a + lam.b, lam.b))
 
 
-# Weight multiplicities {(a, b): int} of the induced characters that
-# chi_l_weyl and tensor_multiplicity expand by the Brauer-Klimyk rule, keyed
-# by dominant weight.  These are the only induced characters the engine
-# reads again and again, and they are small: the dominantized classical
-# parts of chi_l_weyl's arguments and the smaller factor of a tensor product.
+# Weight multiplicities of the induced characters that the Brauer-Klimyk
+# rule expands, keyed by dominant weight: the only ones read again and again,
+# and small (chi_l_weyl's classical parts, a tensor product's smaller factor).
 _bk_weights: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 
@@ -168,17 +155,13 @@ def alt_weyl_sum(mu: Weight) -> FormalChar:
 
 def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
     """Exact quotient in the group ring; ValueError when den does not divide num.
-
-    The engine does not call it (the alternating quotient divides by
-    divide_by_weyl_denominator); it is kept because the benchmark's tracer
+    The engine does not call it; it is kept because the benchmark's tracer
     names it.
 
-    Peels the lexicographically leading term off one remainder dict in place.
-    Lex order is addition-compatible, so the quotient terms come out strictly
-    lex-decreasing.  Newton polygons add under multiplication, so an exact
-    quotient lies in the box [min_a(num) - min_a(den), max_a(num) - max_a(den)]
-    x (the same in b): a term outside it proves the division inexact, and the
-    loop visits each point of that finite box at most once.
+    Peels the lex-leading term off one remainder dict in place.  Newton
+    polygons add under multiplication, so an exact quotient lies in the box
+    [min_a(num) - min_a(den), max_a(num) - max_a(den)] x (the same in b): a
+    term outside it proves the division inexact, and the loop ends.
     """
     if not den:
         raise ZeroDivisionError("division by the zero character")
@@ -213,61 +196,81 @@ def divide_exact(num: FormalChar, den: FormalChar) -> FormalChar:
     return FormalChar(quot)
 
 
-def _divide_by_binomial(x: dict, da: int, db: int) -> dict:
-    """x / (1 - e(-alpha)) for alpha = (da, db); ValueError when inexact.
-
-    The quotient q satisfies x(mu) = q(mu) - q(mu + alpha), so
-    q(mu) = x(mu) + q(mu + alpha): a running sum down each alpha-string
-    from its top support weight.  Below the string's lowest support weight
-    q stays at the string's total, which must be 0 for q to be finite, so
-    the string's lowest weight is not stored.  Only a zero sum inside a
-    string can leave a zero coefficient in the result.
-    """
-    # Every positive root has a nonzero first coordinate, so a string is
-    # walked by its first coordinate, from `top` to `bottom` in steps of da.
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for a, b in x:
-        k = db * a - da * b  # constant along the string
-        if k in lo:
-            if a < lo[k]:
-                lo[k] = a
-            elif a > hi[k]:
-                hi[k] = a
-        else:
-            lo[k] = hi[k] = a
-    out: dict[tuple[int, int], int] = {}
-    for k, a_lo in lo.items():
-        top, bottom = (hi[k], a_lo) if da > 0 else (a_lo, hi[k])
-        n = (top - bottom) // da + 1
-        tb = (db * top - k) // da
-        string = list(zip(range(top, top - n * da, -da), range(tb, tb - n * db, -db)))
-        sums = list(accumulate(map(x.get, string, repeat(0))))
-        if sums[-1]:
-            ba, bb = string[-1]
-            raise ValueError(
-                f"inexact division by the Weyl denominator: the string ({ba},{bb}) + "
-                f"N({da},{db}) sums to {sums[-1]}, not 0"
-            )
-        # the bottom entry's sum was just shown to be 0: leave it out
-        out.update(zip(string[:-1], sums))
-    return out
-
-
 def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
     """num / A(rho), where A(rho) = alt_weyl_sum(RHO); ValueError when A(rho)
     does not divide num.
 
-    A(rho) = e(rho) * (1 - e(-alpha1)) * (1 - e(-alpha2)) * (1 - e(-alpha1 - alpha2)),
-    so shift by -rho and divide by each binomial in turn.  An inexact
-    division fails at the first alpha-string whose running sum does not
-    return to 0; the message names the string by its lowest weight in the
-    partial quotient and alpha.
+    A(rho) = e(rho)(1 - e(-alpha1))(1 - e(-alpha2))(1 - e(-theta)); dividing
+    by 1 - e(-alpha) takes running sums down alpha-strings, finite only when
+    each string sums to 0.  Only the alpha1 pass reads keys; its running sums
+    are constant runs.  A run divides by 1 - e(-alpha2) to its value on the
+    half-strip below it: an alpha2-string (2a + b fixed) sums to the runs it
+    crosses, checked by a sorted sweep of run ends per coset mod 3, and a
+    theta-string (a - b = f, bounded by Newton polygons) meets a half-strip
+    in an interval, so the quotient is piecewise linear there, one
+    dict.update per piece.  An inexact division names a string that does not
+    sum to 0 by its lowest weight in the partial quotient and its root.
     """
-    x = shift(num, -RHO).coeffs
-    for root in POSITIVE_ROOTS:
-        x = _divide_by_binomial(x, *root.vector)
-    return FormalChar(x)
+    inexact = "inexact division by the Weyl denominator: the string ({},{}) + N({},{}) sums to {}, not 0"
+    strings: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), c in num.coeffs.items():  # keyed on x = num * e(-rho)
+        strings.setdefault(a + 2 * b - 3, []).append((a - 1, c))
+    runs = []  # (top a, top a - b, length, value)
+    for h, string in strings.items():
+        string.sort(reverse=True)
+        total = 0
+        for (a, c), (a_next, _) in zip(string, string[1:]):
+            total += c
+            if total:
+                runs.append((a, (3 * a - h) // 2, (a - a_next) // 2, total))
+        a, c = string[-1]
+        if total + c:
+            raise ValueError(inexact.format(a, (h - a) // 2, 2, -1, total + c))
+
+    ends: dict[tuple[int, int], int] = {}  # (coset, 2a + b) -> change of the alpha2-string sums
+    cosets: dict[int, list[tuple[int, int, int, int]]] = {}
+    for ta, ft, n, v in runs:
+        g = 3 * ta - ft
+        for key, dv in (((ft % 3, g - 3 * n + 3), v), ((ft % 3, g + 3), -v)):
+            ends[key] = ends.get(key, 0) + dv
+        cosets.setdefault(ft % 3, []).append((ta, ft, n, v))
+    marks = sorted(ends)
+    for (_, g), total in zip(marks, accumulate(map(ends.get, marks))):
+        if total:  # the string's lowest weight is its crossing with the largest a
+            crossings = ((ta, n, *divmod(3 * ta - ft - g, 3)) for ta, ft, n, _ in runs)
+            a = max(ta - 2 * j for ta, n, j, r in crossings if not r and 0 <= j < n)
+            raise ValueError(inexact.format(a, g - 2 * a, -1, 2, total))
+
+    out: dict[tuple[int, int], int] = {}
+    for tops in cosets.values():
+        for f in range(min(ft - 3 * n for _, ft, n, _ in tops) + 3, max(ft for _, ft, _, _ in tops) - 2, 3):
+            # a run's half-strip meets the string at a = ta - d - j, max(0, d) <= j < n
+            events = []
+            for ta, ft, n, v in tops:
+                d = (ft - f) // 3
+                if d < n:
+                    events.append((ta - d if d < 0 else ta - 2 * d, v))
+                    events.append((ta - d - n, -v))
+            events.sort(reverse=True)
+            total = step = 0
+            for (p, dv), (p_next, _) in zip(events, events[1:]):
+                step += dv
+                if p == p_next:
+                    continue
+                n = p - p_next
+                keys = zip(range(p, p_next, -1), range(p - f, p_next - f, -1))
+                if step:
+                    out.update(zip(keys, range(total + step, total + (n + 1) * step, step)))
+                    k, r = divmod(-total, step)
+                    if not r and 0 < k <= n:  # the running sum passes through 0
+                        del out[p + 1 - k, p + 1 - k - f]
+                    total += n * step
+                    low = p_next + 1
+                elif total:
+                    out.update(zip(keys, repeat(total, n)))
+            if total:
+                raise ValueError(inexact.format(low, low - f, 1, 1, total))
+    return FormalChar(out)
 
 
 def weyl_char_alternating(lam: Weight) -> FormalChar:
@@ -308,7 +311,11 @@ class SimpleCharTable:
     def get(self, lam: Weight) -> FormalChar:
         hit = self.cache.get(lam)
         if hit is None:
-            hit = _restricted_simple_char_uncached(lam, self.l)
+            hit = weyl_char(lam)
+            if classify_restricted(lam, self.l) is FacetType.UP_ALCOVE:
+                # Up-alcove induced modules have exactly two composition
+                # factors; the head is the mirror weight in the alcove below.
+                hit = hit - weyl_char(up_alcove_mirror(lam, self.l))
             self.cache[lam] = hit
         return hit
 
@@ -328,14 +335,6 @@ def up_alcove_mirror(res: Weight, l: int) -> Weight:
     """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
     alcove below: its reflection in the rho wall at level l."""
     return affine_reflect(res, PositiveRoot.RHO, 1, l)
-
-
-def _restricted_simple_char_uncached(lam: Weight, l: int) -> FormalChar:
-    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
-        # Up-alcove induced modules have exactly two composition factors; the
-        # head is the mirror weight in the alcove below.
-        return weyl_char(lam) - weyl_char(up_alcove_mirror(lam, l))
-    return weyl_char(lam)
 
 
 def restricted_simple_char(lam: Weight, l: int) -> FormalChar:
@@ -379,23 +378,32 @@ def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[
     k in the dominance order, peeling the dominance-leading weight off one
     remainder dict in place; ValueError when that weight is not dominant.
 
-    Each step removes the lead and adds only lower weights, so the leading
-    dominance_key strictly decreases, and only finitely many dominant
-    weights have height at most the first lead's: the loop ends.
+    Leads come off a heap of negated dominance_keys, skipping keys whose
+    weight has left the remainder; each step removes the lead and adds only
+    lower weights, so the leads strictly decrease and the loop ends.
     """
+    from heapq import heapify, heappop, heappush  # on first use: only the oracles peel
     rem = dict(x.coeffs)
+    heap = [(-a - b, -a) for a, b in rem]
+    heapify(heap)
     out: dict[Weight, int] = {}
     while rem:
-        top = Weight(*max(rem, key=dominance_key))
+        s, a = heappop(heap)
+        if (-a, a - s) not in rem:
+            continue
+        top = Weight(-a, a - s)
         if not top.is_dominant():
             raise ValueError(f"not expandable: leading weight {top} is not dominant")
         c = out[top] = rem[top]
         for w, m in basis(top).coeffs.items():
-            n = rem.get(w, 0) - c * m
-            if n:
-                rem[w] = n
-            else:
+            n = rem.get(w)
+            if n is None:
+                rem[w] = -c * m
+                heappush(heap, (-w[0] - w[1], -w[0]))
+            elif n == c * m:
                 del rem[w]
+            else:
+                rem[w] = n - c * m
     return out
 
 
@@ -404,11 +412,9 @@ def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
     return peel_dominant(x, weyl_char)
 
 
-# Weyl basis.  A W-invariant character is also written as a plain dict
-# {dominant weight: int}: its coordinates in the basis of induced characters,
-# the form decompose_into_weyl returns.  Products with an induced character
-# follow the Brauer-Klimyk rule: for a W-invariant family of weights kappa
-# with multiplicities m(kappa),
+# Weyl basis: {dominant weight: int}, as decompose_into_weyl returns.
+# Products with an induced character follow the Brauer-Klimyk rule: for a
+# W-invariant family of weights kappa with multiplicities m(kappa),
 #     (sum m(kappa) e(kappa)) * ch(nu) = sum m(kappa) euler(nu + kappa),
 # which kernels.brauer_klimyk sums on int pairs.
 
@@ -444,12 +450,9 @@ def char_sum(parts: Iterable[FormalChar]) -> FormalChar:
 
 def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     """The weight-basis character sum c * weyl_char(k) of a Weyl-basis
-    combination; inverse to decompose_into_weyl.
-
-    Each induced character is built afresh.  The tableau counts of the
-    largest unit-coefficient term become the sum's dict as they are, with
-    no copy, and the other terms are added into it.
-    """
+    combination; inverse to decompose_into_weyl.  The tableau counts of the
+    largest unit-coefficient term become the sum's dict without a copy, and
+    the other terms, each built afresh, are added into it."""
     for k in x:
         if k[0] < 0 or k[1] < 0:
             raise ValueError(f"char_from_weyl needs dominant weights, got {Weight(*k)}")
@@ -496,12 +499,9 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
 
 
 def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
-    """Multiplicity of the induced character of `target` in weyl(x)*weyl(y).
-
-    Brauer-Klimyk: weyl(x)*weyl(y) = sum over the weights kappa of the
-    smaller factor of m(kappa) * euler(x + kappa); the coefficient of
-    `target` in that sum is the multiplicity.
-    """
+    """Multiplicity of the induced character of `target` in weyl(x)*weyl(y),
+    the coefficient of `target` in the Brauer-Klimyk sum over the weights
+    kappa of the smaller factor of m(kappa) * euler(x + kappa)."""
     if not (Weight(*x).is_dominant() and Weight(*y).is_dominant()):
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):

@@ -12,6 +12,7 @@ from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
     char_from_weyl,
+    char_sum,
     chi_l,
     chi_l_weyl,
     decompose_into_weyl,
@@ -20,7 +21,6 @@ from qgl3.charring import (
     euler_char,
     frobenius_twist,
     restricted_simple_char,
-    shift,
     simple_char_p0,
     simple_table,
     tensor_multiplicity,
@@ -31,7 +31,6 @@ from qgl3.charring import (
 )
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
-    POSITIVE_ROOTS,
     RHO,
     FacetType,
     PositiveRoot,
@@ -199,7 +198,7 @@ def test_denominator_identity_box():
         assert weyl_char_alternating(lam) == weyl_char(lam)
 
 
-@given(st.builds(Weight, st.integers(0, 60), st.integers(0, 60)))
+@given(st.builds(Weight, st.integers(0, 100), st.integers(0, 100)))
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_alternating_quotient_against_tableaux_large(lam):
     assert weyl_char_alternating(lam) == weyl_char(lam)
@@ -209,6 +208,12 @@ def test_divide_by_weyl_denominator_error_paths():
     # e(0,0) shifted by -rho is the lone weight (-1,-1) on its alpha1-string
     with pytest.raises(ValueError, match=r"^inexact .*string \(-1,-1\) \+ N\(2,-1\) sums to 1, not 0"):
         divide_by_weyl_denominator(e(0, 0))
+    # the alpha1 quotient is e(2,2) alone, whose alpha2-string sums to 1
+    with pytest.raises(ValueError, match=r"^inexact .*string \(2,2\) \+ N\(-1,2\) sums to 1, not 0$"):
+        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (1, 4): -1}))
+    # the alpha2 quotient is e(2,2) alone on the theta-string a - b = 0
+    with pytest.raises(ValueError, match=r"^inexact .*string \(2,2\) \+ N\(1,1\) sums to 1, not 0$"):
+        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (1, 4): -1, (4, 1): -1, (2, 2): 1}))
     num = alt_weyl_sum(Weight(3, 2) + RHO)
     assert divide_by_weyl_denominator(num) == weyl_char(Weight(3, 2))
     perturbed = dict(num.coeffs)
@@ -218,16 +223,47 @@ def test_divide_by_weyl_denominator_error_paths():
     assert divide_by_weyl_denominator(FormalChar()) == FormalChar()
 
 
-def test_divide_by_weyl_denominator_stores_no_zeros():
-    # each string's bottom entry sums to 0 and is left out, so the quotient
-    # dict is the induced character's, with no zero for FormalChar to drop
-    for a, b in itertools.product(range(7), repeat=2):
-        lam = Weight(a, b)
-        x = shift(alt_weyl_sum(lam + RHO), -RHO).coeffs
-        for root in POSITIVE_ROOTS:
-            x = charring._divide_by_binomial(x, *root.vector)
-        assert x == weyl_char(lam).coeffs, lam
-        assert divide_by_weyl_denominator(alt_weyl_sum(lam + RHO)).coeffs == weyl_char(lam).coeffs
+class _NoZeroChar(FormalChar):
+    """A FormalChar that fails when built from a dict that stores a zero."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs=None):
+        assert all((coeffs or {}).values()), "a zero coefficient was stored"
+        super().__init__(coeffs)
+
+
+def test_divide_by_weyl_denominator_stores_no_zeros(monkeypatch):
+    # every string's running sum ends at 0 and is not written, so the
+    # quotient dict is the induced character's, with no zero for FormalChar
+    # to drop
+    nums = {Weight(a, b): alt_weyl_sum(Weight(a, b) + RHO) for a, b in itertools.product(range(7), repeat=2)}
+    monkeypatch.setattr(charring, "FormalChar", _NoZeroChar)
+    for lam, num in nums.items():
+        assert divide_by_weyl_denominator(num).coeffs == weyl_char(lam).coeffs, lam
+
+
+@pytest.mark.parametrize(
+    "combo",
+    [
+        # an alpha1 running sum returns to 0 inside its string, and the
+        # quotient is 0 at (1,1) and (-1,-1), inside linear pieces of their
+        # theta-string
+        {(1, 1): 1, (2, 2): 1, (3, 3): -1},
+        {(1, 1): 1, (0, 0): -2},
+        {(2, 2): 1, (3, 0): -1, (0, 3): -1},
+        {(3, 3): 1, (1, 1): -3, (4, 1): -1},
+        {(5, 0): 2, (0, 5): -2, (2, 2): 3, (4, 1): -1, (1, 4): 1},
+        {(9, 4): 1, (4, 9): -1, (6, 6): -1, (7, 5): 1, (0, 0): 5},
+    ],
+)
+def test_divide_by_weyl_denominator_virtual_numerators(monkeypatch, combo):
+    """sum c_k A(k + rho) / A(rho) = sum c_k weyl_char(k), with mixed-sign and
+    cancelling c_k, and the quotient dict stores no zero."""
+    num = char_sum(c * alt_weyl_sum(Weight(*k) + RHO) for k, c in combo.items())
+    want = char_sum(c * weyl_char(Weight(*k)) for k, c in combo.items())
+    monkeypatch.setattr(charring, "FormalChar", _NoZeroChar)
+    assert divide_by_weyl_denominator(num).coeffs == want.coeffs
 
 
 def test_induced_character_routes_are_independent(monkeypatch):
@@ -245,7 +281,9 @@ def test_induced_character_routes_are_independent(monkeypatch):
     with pytest.raises(AssertionError, match="called the other"):
         weyl_char(weights[0])
     monkeypatch.undo()
-    for name in ("divide_by_weyl_denominator", "_divide_by_binomial", "divide_exact"):
+    divisions = [name for name in vars(charring) if "divide" in name]
+    assert "divide_by_weyl_denominator" in divisions
+    for name in divisions:
         monkeypatch.setattr(charring, name, crossed)
     assert [weyl_char(lam) for lam in weights] == quotients
     with pytest.raises(AssertionError, match="called the other"):
