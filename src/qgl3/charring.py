@@ -15,11 +15,15 @@ W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
 work there by the Brauer-Klimyk rule, one kernels.brauer_klimyk call each,
 whose keys are plain int pairs; the weight-basis chi_l and
-decompose_into_weyl are kept as their independent oracles.
+decompose_into_weyl are kept as their independent oracles.  The restricted
+simple characters are written once in that form, by restricted_simple_weyl;
+their weight-basis characters, their numerators and the heads of
+chi_l_weyl are all read off it.
 
-Induced characters are not memoized: both routes build each one afresh.
-The only memo of them is _bk_weights, the tableau counts of the classical
-parts and small tensor factors that the Brauer-Klimyk rule expands.
+Induced and restricted simple characters are not memoized: each call
+builds its character afresh.  The memos are _bk_weights, the tableau counts
+of the classical parts and small tensor factors that the Brauer-Klimyk
+rule expands, and _chi_l_weyl_cache.
 """
 
 from __future__ import annotations
@@ -290,45 +294,9 @@ def euler_char(mu: Weight) -> FormalChar:
     return ch if sign == 1 else -ch
 
 
-def shift(x: FormalChar, w: Weight) -> FormalChar:
-    """x * e(w): every support weight moved by w, without a convolution."""
-    a, b = w
-    return FormalChar({(p + a, q + b): c for (p, q), c in x.coeffs.items()})
-
-
 def frobenius_twist(x: FormalChar, l: int) -> FormalChar:
     """Scale every support weight by l."""
     return FormalChar({(a * l, b * l): c for (a, b), c in x.coeffs.items()})
-
-
-class SimpleCharTable:
-    """Append-only cache of restricted simple characters for one order l."""
-
-    def __init__(self, l: int):
-        self.l = l
-        self.cache: dict[Weight, FormalChar] = {}
-
-    def get(self, lam: Weight) -> FormalChar:
-        hit = self.cache.get(lam)
-        if hit is None:
-            hit = weyl_char(lam)
-            if classify_restricted(lam, self.l) is FacetType.UP_ALCOVE:
-                # Up-alcove induced modules have exactly two composition
-                # factors; the head is the mirror weight in the alcove below.
-                hit = hit - weyl_char(up_alcove_mirror(lam, self.l))
-            self.cache[lam] = hit
-        return hit
-
-
-_simple_tables: dict[int, SimpleCharTable] = {}
-
-
-def simple_table(l: int) -> SimpleCharTable:
-    table = _simple_tables.get(l)
-    if table is None:
-        table = SimpleCharTable(l)
-        _simple_tables[l] = table
-    return table
 
 
 def up_alcove_mirror(res: Weight, l: int) -> Weight:
@@ -337,20 +305,34 @@ def up_alcove_mirror(res: Weight, l: int) -> Weight:
     return affine_reflect(res, PositiveRoot.RHO, 1, l)
 
 
+def restricted_simple_weyl(lam: Weight, l: int) -> dict[tuple[int, int], int]:
+    """The restricted simple character L(lam) in the basis of induced
+    characters, keyed by int pairs: {lam: 1}, and for up-alcove lam also
+    {mirror: -1}, since an up-alcove induced module has exactly two
+    composition factors, the head at the mirror weight in the alcove below.
+    The one place this rule is written; ValueError when lam is not
+    restricted."""
+    key = (lam[0], lam[1])
+    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
+        a, b = up_alcove_mirror(lam, l)
+        return {key: 1, (a, b): -1}
+    return {key: 1}
+
+
 def restricted_simple_char(lam: Weight, l: int) -> FormalChar:
-    """Character of the restricted simple module of highest weight lam."""
-    return simple_table(l).get(Weight(*lam))
+    """Character of the restricted simple module of highest weight lam,
+    built afresh from restricted_simple_weyl."""
+    return char_from_weyl(restricted_simple_weyl(Weight(*lam), l))
 
 
 def restricted_simple_numerator(lam: Weight, l: int) -> FormalChar:
     """restricted_simple_char(lam, l) * A(rho), where A(rho) = alt_weyl_sum(RHO):
-    A(lam + rho) - A(mirror + rho) by the Weyl character formula, the
-    second term only for up-alcove lam.  At most 12 terms."""
-    lam = Weight(*lam)
-    num = alt_weyl_sum(lam + RHO)
-    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
-        num = num - alt_weyl_sum(up_alcove_mirror(lam, l) + RHO)
-    return num
+    the sum of c * A(k + rho) over restricted_simple_weyl(lam, l), by the
+    Weyl character formula.  At most 12 terms."""
+    return char_sum(
+        c * alt_weyl_sum(Weight(a + 1, b + 1))
+        for (a, b), c in restricted_simple_weyl(Weight(*lam), l).items()
+    )
 
 
 def chi_l(mu: Weight, l: int) -> FormalChar:
@@ -471,17 +453,16 @@ _chi_l_weyl_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
 def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     """chi_l(mu, l) in the basis of induced characters, keyed by int pairs.
 
-    Write mu = l*c + r, let c' = w.c be the dominantized classical part
-    (sign det w, or zero when c is singular) and rbar the mirror of r when r
-    is up-alcove.  Since L(r) = ch(r) - ch(rbar), with the second term only
-    for up-alcove r, the Brauer-Klimyk rule gives
+    Write mu = l*c + r and let c' = w.c be the dominantized classical part
+    (sign det w, or zero when c is singular).  With L(r) = sum of
+    d * ch(k) over restricted_simple_weyl(r, l), the Brauer-Klimyk rule gives
 
-        chi_l(mu) = sign * sum over kappa in wt(c') of
-                    m(kappa) * [euler(r + l*kappa) - euler(rbar + l*kappa)],
+        chi_l(mu) = sign * sum over kappa in wt(c') and (k, d) of
+                    m(kappa) * d * euler(k + l*kappa),
 
-    which kernels.brauer_klimyk sums with (r, sign) and (rbar, -sign) as
-    heads.  Memoized on (mu, l); the returned dict is shared and must not
-    be modified.
+    which kernels.brauer_klimyk sums with the heads (k, sign * d).
+    Memoized on (mu, l); the returned dict is shared and must not be
+    modified.
     """
     key = (mu[0], mu[1], l)
     hit = _chi_l_weyl_cache.get(key)
@@ -490,9 +471,7 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
         sign, top = dominantize(cls)
         hit = {}
         if sign:
-            heads = [(res, sign)]
-            if classify_restricted(res, l) is FacetType.UP_ALCOVE:
-                heads.append((up_alcove_mirror(res, l), -sign))
+            heads = [(k, sign * c) for k, c in restricted_simple_weyl(res, l).items()]
             hit = kernels.brauer_klimyk(_weights_of(top), heads, l)
         _chi_l_weyl_cache[key] = hit
     return hit

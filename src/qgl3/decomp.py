@@ -4,12 +4,12 @@ chi_decomposition writes the induced character of a dominant weight as a
 signed sum of chi_l terms, one family of factor weights per facet type, and
 surviving_positions picks the genuine modules among them by bookkeeping.
 zhat_factors gives the composition factors of the modules induced from the
-Borel to the first-kernel thickening; zhat_char and hat_simple_char are key
-shifts of characters that depend only on l and the restricted part, and
-zhat_numerator is zhat_char times the Weyl denominator A(rho).  Each
-identity has one check: the decomposition suite (sum of chi_l terms),
-validate_graph (sum of surviving terms) and the zhat suite (sum of simples,
-multiplied by A(rho): a sum of numerators, at most 12 terms per factor).
+Borel to the first-kernel thickening, zhat_char their l^3-dimensional
+character, summed afresh on each call, and zhat_numerator is zhat_char
+times the Weyl denominator A(rho).  Each identity has one check: the
+decomposition suite (sum of chi_l terms), validate_graph (sum of surviving
+terms) and the zhat suite (sum of simples, multiplied by A(rho): a sum of
+numerators, at most 12 terms per factor).
 
 Both lists are read off one factor family per (lam, l).  One in-process
 memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
@@ -34,9 +34,6 @@ from qgl3.charring import (
     char_sum,
     chi_l,
     chi_l_weyl,
-    peel_dominant,
-    restricted_simple_char,
-    shift,
     up_alcove_mirror,
     weyl_sum,
 )
@@ -281,33 +278,20 @@ def zhat_factors(lam: Weight, l: int) -> list[Weight]:
     return list(_family(lam if type(lam) is Weight else Weight(*lam), l)[1])
 
 
-def hat_simple_char(nu: Weight, l: int) -> FormalChar:
-    """Character of the simple thickened-kernel module of weight nu:
-    restricted simple character shifted by the twisted classical part."""
-    cls, res = decompose(nu, l)
-    return shift(restricted_simple_char(res, l), l * cls)
-
-
 _ROOT_VECTORS = tuple(root.vector for root in POSITIVE_ROOTS)
-_zhat_bases: dict[int, FormalChar] = {}
 
 
 def zhat_char(lam: Weight, l: int) -> FormalChar:
     """Character e(lam) * prod over positive roots of (1 + e(-root) + ... +
-    e(-(l-1) root)); total dimension l^3.
-
-    The product depends only on l: it is summed term by term over the
-    exponents (i, j, k) in [0, l)^3 once per l, then shifted by lam.
-    """
-    base = _zhat_bases.get(l)
-    if base is None:
-        (a1, b1), (a2, b2), (a3, b3) = _ROOT_VECTORS
-        out: dict[tuple[int, int], int] = {}
-        for i, j, k in product(range(l), repeat=3):
-            w = (-i * a1 - j * a2 - k * a3, -i * b1 - j * b2 - k * b3)
-            out[w] = out.get(w, 0) + 1
-        base = _zhat_bases[l] = FormalChar(out)
-    return shift(base, lam)
+    e(-(l-1) root)); total dimension l^3, summed term by term over the
+    exponents (i, j, k) in [0, l)^3 on each call."""
+    (a1, b1), (a2, b2), (a3, b3) = _ROOT_VECTORS
+    a, b = lam
+    out: dict[tuple[int, int], int] = {}
+    for i, j, k in product(range(l), repeat=3):
+        w = (a - i * a1 - j * a2 - k * a3, b - i * b1 - j * b2 - k * b3)
+        out[w] = out.get(w, 0) + 1
+    return FormalChar(out)
 
 
 def zhat_numerator(lam: Weight, l: int) -> FormalChar:
@@ -324,10 +308,3 @@ def zhat_numerator(lam: Weight, l: int) -> FormalChar:
             k = (x - l * da, y - l * db)
             out[k] = out.get(k, 0) - c
     return FormalChar(out)
-
-
-def chi_l_expansion(x: FormalChar, l: int) -> list[tuple[Weight, int]]:
-    """Expand a W-invariant character in the chi_l basis by peel_dominant;
-    valid for characters of modules with a good twisted-tensor filtration
-    and their virtual combinations.  Terms come out leading weight first."""
-    return list(peel_dominant(x, lambda k: chi_l(k, l)).items())

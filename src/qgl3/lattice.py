@@ -163,11 +163,11 @@ def facet_classify(lam: Weight, l: int) -> FacetType:
 class AffineWeylElement(NamedTuple):
     """An element of the affine Weyl group under the dot action, in GL3
     coordinates x = lam + rho = (a+b+2, b+1, 0), taken modulo (1,1,1): it
-    sends x to the vector whose k-th entry is (x + shift)[perm[k]].  The
-    shift lies in l*Z^3 with entry sum divisible by 3l."""
+    sends x to the vector whose k-th entry is (x + translation)[perm[k]].
+    The translation lies in l*Z^3 with entry sum divisible by 3l."""
 
     perm: tuple[int, int, int]
-    shift: tuple[int, int, int]
+    translation: tuple[int, int, int]
 
 
 def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
@@ -194,8 +194,8 @@ def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
         z[i] += l
     perm = tuple(sorted(range(3), key=z.__getitem__, reverse=True))
     y0, y1, y2 = z[perm[0]], z[perm[1]], z[perm[2]]
-    shift = (z[0] - x[0], z[1] - x[1], z[2] - x[2])
-    return Weight(y0 - y1 - 1, y1 - y2 - 1), AffineWeylElement(perm, shift)
+    translation = (z[0] - x[0], z[1] - x[1], z[2] - x[2])
+    return Weight(y0 - y1 - 1, y1 - y2 - 1), AffineWeylElement(perm, translation)
 
 
 def apply_inverse(w: AffineWeylElement, x: Weight) -> Weight:
@@ -204,7 +204,7 @@ def apply_inverse(w: AffineWeylElement, x: Weight) -> Weight:
     y = (x[0] + x[1] + 2, x[1] + 1, 0)
     v = [0, 0, 0]
     for k, i in enumerate(w.perm):
-        v[i] = y[k] - w.shift[i]
+        v[i] = y[k] - w.translation[i]
     return Weight(v[0] - v[1] - 1, v[1] - v[2] - 1)
 
 

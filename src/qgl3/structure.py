@@ -16,8 +16,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 
-from qgl3.charring import FormalChar, char_sum, chi_l, chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import chi_decomposition, factor_family, hat_simple_char
+from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
+from qgl3.decomp import chi_decomposition, factor_family
 from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, RHO, Weight, decompose
@@ -52,10 +52,6 @@ class ModuleGraph:
     def sinks(self) -> list[GraphNode]:
         uppers = {u for u, _ in self.edges}
         return [n for n in self.nodes if n.id not in uppers]
-
-    def character(self) -> FormalChar:
-        node_char = hat_simple_char if self.kind == G1B_SIMPLE else chi_l
-        return char_sum(node_char(n.weight, self.l) for n in self.nodes)
 
     def to_jsonable(self) -> dict:
         return {

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from qgl3.charring import (
     FormalChar,
     char_from_weyl,
-    chi_l,
     chi_l_weyl,
     up_alcove_mirror,
     weyl_sum,
@@ -55,10 +54,6 @@ class OffWallEntry:
     @property
     def vanishes(self) -> bool:
         return not self.classical.is_dominant()
-
-    def character(self, l: int) -> FormalChar:
-        """Weight-basis character (the oracle route)."""
-        return FormalChar() if self.vanishes else chi_l(self.as_weight(l), l)
 
     def weyl_character(self, l: int) -> dict[Weight, int]:
         """The character in the basis of induced characters: chi_l of the

@@ -11,18 +11,21 @@ from contextlib import contextmanager
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
+    char_sum,
     chi_l,
     restricted_simple_char,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
 )
-from qgl3.decomp import chi_decomposition, hat_simple_char, zhat_char, zhat_factors
+from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
 from qgl3.ext import ext1_g
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import RHO, FacetType, PositiveRoot, Weight, facet_classify
 from qgl3.structure import ModuleGraph, nabla_l_filtration, validate_graph, zhat_structure
 from qgl3.translate import translate_nabla_factor_count, translated_character
+
+import oracles
 
 L_VALUES = (2, 3, 5)
 BOX = 4
@@ -48,7 +51,8 @@ def sweep():
 def test_criterion_1_decomposition_identity():
     with criterion(1, "decomposition identity over the full sweep, exact"):
         for l, lam in sweep():
-            assert chi_decomposition(lam, l).character() == weyl_char(lam), (l, lam)
+            factors = chi_decomposition(lam, l).factors
+            assert char_sum(oracles.chi_l(f, l) for f in factors) == weyl_char(lam), (l, lam)
 
 
 def test_criterion_2_zhat_identity():
@@ -56,7 +60,7 @@ def test_criterion_2_zhat_identity():
         for l, lam in sweep():
             total = None
             for nu in zhat_factors(lam, l):
-                h = hat_simple_char(nu, l)
+                h = oracles.hat_simple_char(nu, l)
                 total = h if total is None else total + h
             zc = zhat_char(lam, l)
             assert total == zc, (l, lam)
@@ -205,7 +209,7 @@ def test_extended_order_spot_checks():
         assert chi_decomposition(lam, l).character() == weyl_char(lam)
         total = None
         for nu in zhat_factors(lam, l):
-            h = hat_simple_char(nu, l)
+            h = oracles.hat_simple_char(nu, l)
             total = h if total is None else total + h
         assert total == zhat_char(lam, l) and total.dimension == l**3
         assert validate_graph(zhat_structure(lam, l)).ok

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3 import charring, kernels
+from qgl3 import charring, decomp, kernels, verify
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
@@ -21,8 +21,8 @@ from qgl3.charring import (
     euler_char,
     frobenius_twist,
     restricted_simple_char,
+    restricted_simple_weyl,
     simple_char_p0,
-    simple_table,
     tensor_multiplicity,
     up_alcove_mirror,
     weyl_char,
@@ -338,6 +338,46 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
     assert tops and set(charring._bk_weights) == tops
 
 
+# The engine's memos, each measured to pay for itself on the sweeps that
+# read it again.  A new one has to be named here.
+MEMOS = {
+    (charring, "_bk_weights"),
+    (charring, "_chi_l_weyl_cache"),
+    (decomp, "_decompositions"),
+}
+
+
+def _container_sizes() -> dict[str, int]:
+    """The size of every module-level dict, list and set of qgl3, and of the
+    cache of every functools-memoized function, by qualified name."""
+    sizes = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] != "qgl3":
+            continue
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                sizes[f"{module_name}.{name}"] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[f"{module_name}.{name}"] = value.cache_info().currsize
+    return sizes
+
+
+def test_only_the_named_memos_grow(monkeypatch):
+    """After a small sweep of every suite, the module-level containers of
+    qgl3 that grew are exactly the named memos (emptied first, so each
+    shows its growth)."""
+    for module, name in MEMOS:
+        monkeypatch.setattr(module, name, {})
+    before = _container_sizes()
+    for suite in verify.SUITES:
+        assert verify.run_suite(suite, [2, 3], 1).passed, suite
+    after = _container_sizes()
+    grew = {name for name, n in after.items() if n != before.get(name)}
+    assert grew == {f"{module.__name__}.{name}" for module, name in MEMOS}
+
+
 def test_divide_exact_error_paths():
     with pytest.raises(ZeroDivisionError):
         divide_exact(e(0, 0), FormalChar())
@@ -396,25 +436,56 @@ def test_restricted_simple_char_steinberg_and_trivial():
 
 
 def test_restricted_simple_char_positivity_bounded_by_weyl():
+    # positive, W-invariant, at most the induced character, highest weight once
     for l in (2, 3, 5):
         for r, s in itertools.product(range(l), repeat=2):
             lp = Weight(r, s)
             ch = restricted_simple_char(lp, l)
             full = weyl_char(lp)
             assert all(c > 0 for c in ch.coeffs.values())
+            for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
+                assert reflect(ch, root) == ch
             assert all(ch[w] <= full[w] for w in ch.coeffs)
             assert ch[lp] == 1
 
 
-def test_simple_table_cache_invariants():
-    table = simple_table(3)
-    restricted_simple_char(Weight(2, 1), 3)
-    for wt, ch in table.cache.items():
-        assert all(c > 0 for c in ch.coeffs.values())
-        for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
-            assert reflect(ch, root) == ch
-    # a second lookup is a cache hit
-    assert restricted_simple_char(Weight(2, 1), 3) is table.cache[Weight(2, 1)]
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_restricted_simple_weyl_against_alcove_geometry(l):
+    """{r: 1}, with {mirror: -1} exactly when r + rho lies strictly between
+    the rho walls at levels l and 2l and off the alpha walls at level l;
+    the mirror is r's reflection in the rho wall at level l, a down-alcove
+    weight.  Keys are plain int pairs."""
+    for r in itertools.product(range(l), repeat=2):
+        pairings = [pairing(Weight(*r), root) for root in PositiveRoot]
+        up = all(0 < p < l for p in pairings[:2]) and l < pairings[2] < 2 * l
+        want = {r: 1}
+        if up:
+            mirror = affine_reflect(Weight(*r), PositiveRoot.RHO, 1, l)
+            assert mirror.is_dominant() and pairing(mirror, PositiveRoot.RHO) < l
+            want[tuple(mirror)] = -1
+        got = restricted_simple_weyl(Weight(*r), l)
+        assert got == want, (l, r)
+        assert all(type(k) is tuple for k in got)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_chi_l_weyl_of_a_restricted_weight_is_its_simple(l):
+    for r in itertools.product(range(l), repeat=2):
+        assert chi_l_weyl(r, l) == restricted_simple_weyl(Weight(*r), l), (l, r)
+
+
+def test_suites_catch_a_simple_without_its_mirror(monkeypatch):
+    """The character and the numerator of L(r) are read off the same Weyl
+    form, so a wrong form passes the zhat suite's check of the one against
+    the other; the sum over the factors and the decomposition identity
+    still catch it."""
+    for name in ("zhat", "decomposition"):
+        assert verify.run_suite(name, [3], 1).passed, name
+    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    monkeypatch.setattr(charring, "restricted_simple_weyl", lambda r, l: {(r[0], r[1]): 1})
+    for name in ("zhat", "decomposition"):
+        report = verify.run_suite(name, [3], 1)
+        assert report.cases_run == 36 and report.failures, name
 
 
 def small_nabla_modules(l):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3 import charring, decomp, kernels
+from qgl3 import decomp, kernels
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
@@ -16,15 +16,23 @@ from qgl3.charring import (
 )
 from qgl3.decomp import (
     chi_decomposition,
-    chi_l_expansion,
     fresh_decomposition,
-    hat_simple_char,
     zhat_char,
     zhat_factors,
     zhat_numerator,
 )
-from qgl3.lattice import POSITIVE_ROOTS, RHO, FacetType, Weight, classify_restricted, dominance_key
+from qgl3.lattice import (
+    POSITIVE_ROOTS,
+    RHO,
+    FacetType,
+    Weight,
+    classify_restricted,
+    decompose,
+    dominance_key,
+)
 from qgl3.verify import suite_decomposition
+
+from oracles import chi_l_expansion, hat_simple_char, restricted_simple
 
 
 def test_worked_instance_down_alcove():
@@ -229,7 +237,7 @@ def test_hat_simple_char_is_a_shift(l):
     for cls in (Weight(0, 0), Weight(3, 1), Weight(-2, 1), Weight(0, -4)):
         for r, s in itertools.product(range(l), repeat=2):
             nu = l * cls + Weight(r, s)
-            want = restricted_simple_char(Weight(r, s), l) * FormalChar({l * cls: 1})
+            want = restricted_simple(Weight(r, s), l) * FormalChar({l * cls: 1})
             assert hat_simple_char(nu, l) == want, (l, nu)
 
 
@@ -248,11 +256,8 @@ def test_numerators_are_characters_times_the_weyl_denominator(l):
 
 
 def test_zhat_characters_call_no_convolution(monkeypatch):
-    # Empty caches, so the per-l product and the restricted simple
-    # characters are built inside the guard.
-    monkeypatch.setattr(decomp, "_zhat_bases", {})
-    monkeypatch.setattr(charring, "_simple_tables", {})
-
+    # Neither zhat_char nor restricted_simple_char is memoized, so each
+    # call below builds its character inside the guard.
     def refuse(a, b):
         raise AssertionError("kernels.convolve called")
 
@@ -263,7 +268,7 @@ def test_zhat_characters_call_no_convolution(monkeypatch):
                 lam = l * cls + Weight(r, s)
                 assert zhat_char(lam, l).dimension == l**3
                 for nu in zhat_factors(lam, l):
-                    hat_simple_char(nu, l)
+                    restricted_simple_char(decompose(nu, l).restricted, l)
     # the guard is live: a group-ring product does reach it
     with pytest.raises(AssertionError, match="convolve called"):
         zhat_char(Weight(0, 0), 2) * zhat_char(Weight(0, 0), 2)

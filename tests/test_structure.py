@@ -18,6 +18,8 @@ from qgl3.structure import (
 )
 from qgl3.verify import run_suite
 
+from oracles import graph_character
+
 
 def test_zhat_vertex_single_node():
     for l in (2, 3, 5):
@@ -68,7 +70,7 @@ def test_zhat_node_counts_by_case():
             kind = chi_decomposition(lam, l).case_id if lam.is_dominant() else None
             want = {"i": 1, "ii": 4, "iii": 4, "iv": 4, "v": 9, "vi": 9}[kind]
             assert len(g.nodes) == want
-            assert g.character() == zhat_char(lam, l)
+            assert graph_character(g) == zhat_char(lam, l)
 
 
 def test_corrupted_edge_fails_validation():
@@ -188,7 +190,6 @@ def test_filtration_character_sum_names_coefficients():
 
 
 def test_graph_sweeps_call_no_convolution(monkeypatch):
-    monkeypatch.setattr(decomp, "_zhat_bases", {})
     calls = []
     convolve = kernels.convolve
 
@@ -286,7 +287,7 @@ def test_nabla_sweep():
                 g = nabla_l_filtration(lam, l)
                 rep = validate_graph(g)
                 assert rep.ok, (lam, l, rep.failures())
-                assert g.character() == weyl_char(lam)
+                assert graph_character(g) == weyl_char(lam)
 
 
 def test_hat_dual_weight():

@@ -4,7 +4,7 @@ import pytest
 
 from qgl3 import translate, verify
 from qgl3.charring import chi_l, chi_l_weyl, simple_char_p0, weyl_char, weyl_sum
-from qgl3.decomp import chi_decomposition, chi_l_expansion
+from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     FacetType,
@@ -30,6 +30,8 @@ from qgl3.translate import (
     translated_character,
     wall_weight_below,
 )
+
+from oracles import chi_l_expansion, off_wall_character
 
 
 def test_onto_wall_identity_translation():
@@ -175,7 +177,7 @@ def test_translated_character_identity():
         weight_basis = None
         for _, lst in t.lists:
             for entry in lst:
-                ch = entry.character(l)
+                ch = off_wall_character(entry, l)
                 weight_basis = ch if weight_basis is None else weight_basis + ch
         assert weight_basis == total
 
