@@ -436,17 +436,27 @@ def test_restricted_simple_char_steinberg_and_trivial():
 
 
 def test_restricted_simple_char_positivity_bounded_by_weyl():
-    # positive, W-invariant, at most the induced character, highest weight once
     for l in (2, 3, 5):
         for r, s in itertools.product(range(l), repeat=2):
             lp = Weight(r, s)
             ch = restricted_simple_char(lp, l)
             full = weyl_char(lp)
             assert all(c > 0 for c in ch.coeffs.values())
-            for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
-                assert reflect(ch, root) == ch
             assert all(ch[w] <= full[w] for w in ch.coeffs)
             assert ch[lp] == 1
+
+
+def test_simple_table_cache_invariants():
+    """Every restricted simple character is positive and W-invariant, and
+    none is memoized: a second lookup builds an equal, fresh character."""
+    for l in (2, 3, 5):
+        for r in itertools.product(range(l), repeat=2):
+            ch = restricted_simple_char(Weight(*r), l)
+            assert all(c > 0 for c in ch.coeffs.values())
+            for root in (PositiveRoot.ALPHA1, PositiveRoot.ALPHA2):
+                assert reflect(ch, root) == ch
+            again = restricted_simple_char(Weight(*r), l)
+            assert again == ch and again is not ch
 
 
 @pytest.mark.parametrize("l", [2, 3, 5, 7])
