@@ -44,7 +44,6 @@ from qgl3.lattice import (
     classify_restricted,
     decompose,
     dominantize,
-    dual_weight,
 )
 
 _CASE_BY_FACET = {
@@ -175,16 +174,12 @@ def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]
     )
 
 
-def _right_wall_family(cls: Weight, r: int, l: int) -> tuple[Weight, ...]:
-    """The four factor weights for lam = l*cls + (l-1, r), socle first
-    (factor 1 is lam itself)."""
+def _right_wall_family(a: int, b: int, r: int, l: int) -> tuple[tuple[int, int], ...]:
+    """The four factor weights, as int pairs, for lam = l*(a, b) + (l-1, r),
+    socle first (factor 1 is lam itself)."""
     s = l - r - 2
-    return (
-        l * cls + Weight(l - 1, r),
-        l * (cls - Weight(1, 0)) + Weight(r, s),
-        l * (cls + Weight(1, -1)) + Weight(r, s),
-        l * (cls - Weight(0, 1)) + Weight(s, l - 1),
-    )
+    la, lb = l * a, l * b
+    return (la + l - 1, lb + r), (la - l + r, lb + s), (la + l + r, lb - l + s), (la + s, lb - 1)
 
 
 def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
@@ -204,9 +199,9 @@ def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
 
 
 def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
-    """factor_family, built.  The left wall is the coordinate swap of the
-    right wall: the swap fixes rho, dominance and the split
-    lam = l*classical + restricted."""
+    """factor_family, built.  Every factor is written in int coordinates.
+    The left wall is the coordinate swap of the right wall: the swap fixes
+    rho, dominance and the split lam = l*classical + restricted."""
     cls, res = decompose(lam, l)
     facet = classify_restricted(res, l)
     if facet is FacetType.VERTEX:
@@ -215,17 +210,18 @@ def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
         return facet, down_alcove_family(cls, res, l)
     if facet is FacetType.UP_ALCOVE:
         return facet, up_alcove_family(cls, res, l)
+    a, b = cls
     if facet is FacetType.RIGHT_WALL:
-        return facet, _right_wall_family(cls, res[1], l)
+        return facet, tuple([Weight(x, y) for x, y in _right_wall_family(a, b, res[1], l)])
     if facet is FacetType.LEFT_WALL:
-        swapped = _right_wall_family(dual_weight(cls), res[0], l)
-        return facet, tuple([dual_weight(w) for w in swapped])
+        return facet, tuple([Weight(y, x) for x, y in _right_wall_family(b, a, res[0], l)])
     r, s = res
+    la, lb = l * a, l * b
     return facet, (
         lam,
-        l * (cls - Weight(1, 0)) + Weight(s, l - 1),
-        l * (cls - Weight(0, 1)) + Weight(l - 1, r),
-        l * (cls - Weight(1, 1)) + Weight(r, s),
+        Weight(la - l + s, lb + l - 1),
+        Weight(la + l - 1, lb - l + r),
+        Weight(la - l + r, lb - l + s),
     )
 
 

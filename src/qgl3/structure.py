@@ -8,6 +8,9 @@ transcribed case by case from the known diagrams; the mixed congruence
 variants of the nine-factor filtrations interpolate the two printed
 extremes (deleting the edge named by the violated congruence and attaching
 the orphaned nodes one layer further) and are flagged as reconstructions.
+validate_graph formats a check's failure text only when the check fails, and
+checks duality on the dual weight's factor family and edge table, without
+building the dual graph.
 """
 
 from __future__ import annotations
@@ -15,19 +18,19 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import chi_decomposition, factor_family
 from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
-from qgl3.lattice import FacetType, RHO, Weight, decompose
+from qgl3.lattice import FacetType, Weight, decompose
 
 G1B_SIMPLE = "G1BSimple"
 NABLA_L = "NablaL"
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     id: str
     weight: Weight
     kind: str
@@ -186,12 +189,8 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     keep = dec.surviving_positions()
 
     if facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL):
-        is_chain = (
-            facet is FacetType.RIGHT_WALL
-            and a % l == l - 1
-            or facet is FacetType.LEFT_WALL
-            and b % l == l - 1
-        )
+        side = a if facet is FacetType.RIGHT_WALL else b
+        is_chain = facet is not FacetType.HORIZONTAL_WALL and side % l == l - 1
         edges = WALL_CHAIN_EDGES if is_chain else WALL_DIAMOND_EDGES
         layers = _WALL_CHAIN_LAYERS if is_chain else _WALL_DIAMOND_LAYERS
         # chi_decomposition lists the wall factors in the reverse of the
@@ -236,8 +235,9 @@ class ValidationReport:
     def failures(self) -> list[tuple[str, str]]:
         return [(name, detail) for name, passed, detail in self.checks if not passed]
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
-        self.checks.append((name, passed, detail))
+    def add(self, name: str, passed: bool, detail: Callable[[], str]) -> None:
+        """detail() formats the failure text; a passing check records ""."""
+        self.checks.append((name, passed, "" if passed else detail()))
 
 
 def validate_graph(g: ModuleGraph) -> ValidationReport:
@@ -247,29 +247,28 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     For Borel-induced modules the nodes must be the zhat_factors; that
     their characters sum to zhat_char is checked by the zhat suite, in the
     numerator form (both sides times A(rho)); the weight-basis sum stays in
-    the tests as its oracle.
+    the tests as its oracle.  The duality check reads the dual family and
+    table without building a graph; failure text is formatted only on failure.
     """
     report = ValidationReport(g)
+    weights = sorted(g.node_weights())
     if g.kind == G1B_SIMPLE:
         factors, pairs = ext_table(g.lam, g.l)
         expected = sorted(factors)
         report.add(
             "nodes-match-factors",
-            sorted(g.node_weights()) == expected,
-            f"nodes {sorted(map(tuple, g.node_weights()))} vs {list(map(tuple, expected))}",
+            weights == expected,
+            lambda: f"nodes {list(map(tuple, weights))} vs {list(map(tuple, expected))}",
         )
         sinks = g.sinks()
-        report.add(
-            "unique-sink",
-            len(sinks) == 1 and sinks[0].weight == g.lam,
-            f"sinks: {[tuple(n.weight) for n in sinks]}",
-        )
+        ok = len(sinks) == 1 and sinks[0].weight == g.lam
+        report.add("unique-sink", ok, lambda: f"sinks: {[tuple(n.weight) for n in sinks]}")
         sources = g.sources()
         head = zhat_head_weight(g.lam, g.l)
         report.add(
             "unique-source",
             len(sources) == 1 and sources[0].weight == head,
-            f"sources: {[tuple(n.weight) for n in sources]}, head {tuple(head)}",
+            lambda: f"sources: {[tuple(n.weight) for n in sources]}, head {tuple(head)}",
         )
         weight = {n.id: n.weight for n in g.nodes}
         bad_edges = [
@@ -277,37 +276,38 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
             for u, v in g.edges
             if (weight[u], weight[v]) not in pairs
         ]
-        report.add("edges-ext-consistent", not bad_edges, f"bad edges: {bad_edges}")
+        report.add("edges-ext-consistent", not bad_edges, lambda: f"bad edges: {bad_edges}")
         diff = _duality_diff(g)
-        report.add("duality-reversal", not diff, f"dual graph must reverse edges: {diff}")
+        report.add("duality-reversal", not diff, lambda: f"dual graph must reverse edges: {diff}")
     else:
         diff = coeff_diff(weyl_sum(chi_l_weyl(n.weight, g.l) for n in g.nodes), {g.lam: 1})
         report.add(
             "character-sum",
             diff == "ok",
-            f"node characters must sum to the induced character: {diff}",
+            lambda: f"node characters must sum to the induced character: {diff}",
         )
         expected = sorted(chi_decomposition(g.lam, g.l).surviving_factors())
         report.add(
             "nodes-match-decomposition",
-            sorted(g.node_weights()) == expected,
-            f"nodes {sorted(map(tuple, g.node_weights()))} vs {list(map(tuple, expected))}",
+            weights == expected,
+            lambda: f"nodes {list(map(tuple, weights))} vs {list(map(tuple, expected))}",
         )
     return report
 
 
 def _duality_diff(g: ModuleGraph) -> str:
-    """Compare g with the graph of the dual module: its nodes must be the
-    dual weights of g's nodes and its edges g's edges reversed.  Returns ""
-    when they match, else the first dual node weights or reversed edges
-    that differ, as want/got."""
-    gd = zhat_structure(2 * (g.l - 1) * RHO - g.lam, g.l)
+    """Compare g with the graph of the dual module, read off the family and
+    edge table of 2(l-1)rho - lam: its nodes must be the dual weights of g's
+    nodes and its edges g's edges reversed.  Returns "" when they match,
+    else the first dual node weights or reversed edges that differ."""
+    top = 2 * (g.l - 1)
+    facet, got = factor_family(Weight(top - g.lam[0], top - g.lam[1]), g.l)
+    edges, layers = _ZHAT_TABLES[facet]
     dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
-    got = {n.id: n.weight for n in gd.nodes}
-    return _want_got("dual nodes", dual.values(), got.values(), str) or _want_got(
+    return _want_got("dual nodes", dual.values(), [got[i - 1] for i in layers], str) or _want_got(
         "reversed edges",
         [(dual[v], dual[u]) for u, v in g.edges],
-        [(got[u], got[v]) for u, v in gd.edges],
+        [(got[u - 1], got[v - 1]) for u, v in edges],
         lambda e: f"{e[0]}->{e[1]}",
     )
 

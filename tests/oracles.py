@@ -1,11 +1,13 @@
-"""The weight-basis routes the tests compare the engine's identities against.
+"""The slow routes the tests compare the engine's fast ones against.
 
 The engine checks its character identities in the basis of induced
 characters (chi_l_weyl) or times the Weyl denominator (the zhat suite); the
 functions here build the same characters weight by weight, as independent
 oracles, and the engine never takes them.  They read each restricted simple
 character many times, so restricted_simple is memoized here, not in the
-engine.
+engine.  The engine builds the wall factor families by int arithmetic and
+checks duality without building the dual graph; wall_family and
+duality_diff are the Weight-arithmetic and built-graph routes.
 """
 
 import functools
@@ -18,8 +20,9 @@ from qgl3.charring import (
     peel_dominant,
     restricted_simple_char,
 )
-from qgl3.lattice import Weight, decompose
-from qgl3.structure import G1B_SIMPLE
+from qgl3.homs import hat_dual_weight
+from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
+from qgl3.structure import G1B_SIMPLE, _want_got, zhat_structure
 
 
 @functools.cache
@@ -69,3 +72,48 @@ def off_wall_character(entry, l: int) -> FormalChar:
     """Weight-basis character of a translate_off_wall entry: zero when it
     vanishes, else chi_l of its weight."""
     return FormalChar() if entry.vanishes else chi_l(entry.as_weight(l), l)
+
+
+def right_wall_family(cls: Weight, r: int, l: int) -> tuple[Weight, ...]:
+    """The four factor weights for lam = l*cls + (l-1, r), socle first, by
+    Weight arithmetic."""
+    s = l - r - 2
+    return (
+        l * cls + Weight(l - 1, r),
+        l * (cls - Weight(1, 0)) + Weight(r, s),
+        l * (cls + Weight(1, -1)) + Weight(r, s),
+        l * (cls - Weight(0, 1)) + Weight(s, l - 1),
+    )
+
+
+def wall_family(lam: Weight, l: int) -> tuple[Weight, ...]:
+    """The factor family of a wall weight, socle first, by Weight
+    arithmetic; the left wall is the coordinate swap of the right wall."""
+    cls, res = decompose(lam, l)
+    facet = classify_restricted(res, l)
+    if facet is FacetType.RIGHT_WALL:
+        return right_wall_family(cls, res[1], l)
+    if facet is FacetType.LEFT_WALL:
+        return tuple(dual_weight(w) for w in right_wall_family(dual_weight(cls), res[0], l))
+    assert facet is FacetType.HORIZONTAL_WALL, (lam, l, facet)
+    r, s = res
+    return (
+        lam,
+        l * (cls - Weight(1, 0)) + Weight(s, l - 1),
+        l * (cls - Weight(0, 1)) + Weight(l - 1, r),
+        l * (cls - Weight(1, 1)) + Weight(r, s),
+    )
+
+
+def duality_diff(g) -> str:
+    """structure._duality_diff by building the dual module's graph,
+    zhat_structure(2(l-1)rho - lam), and reading its nodes and edges back."""
+    gd = zhat_structure(2 * (g.l - 1) * RHO - g.lam, g.l)
+    dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
+    got = {n.id: n.weight for n in gd.nodes}
+    return _want_got("dual nodes", dual.values(), got.values(), str) or _want_got(
+        "reversed edges",
+        [(dual[v], dual[u]) for u, v in g.edges],
+        [(got[u], got[v]) for u, v in gd.edges],
+        lambda e: f"{e[0]}->{e[1]}",
+    )

@@ -32,7 +32,7 @@ from qgl3.lattice import (
 )
 from qgl3.verify import suite_decomposition
 
-from oracles import chi_l_expansion, hat_simple_char, restricted_simple
+from oracles import chi_l_expansion, hat_simple_char, restricted_simple, wall_family
 
 
 def test_worked_instance_down_alcove():
@@ -121,6 +121,24 @@ def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):
                     weight_failures.add(f"l={l} lam={lam}")
         assert weight_failures
         assert weyl_failures == weight_failures
+
+
+_WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+def test_wall_families_against_weight_arithmetic(l):
+    """The int-arithmetic wall families equal the Weight-operator formulas
+    on every wall weight of [-2l, 4l]^2, dominant or not."""
+    seen = set()
+    for a, b in itertools.product(range(-2 * l, 4 * l + 1), repeat=2):
+        lam = Weight(a, b)
+        facet, factors = decomp._family(lam, l)
+        if facet in _WALLS:
+            seen.add(facet)
+            assert factors == wall_family(lam, l), (lam, l)
+            assert all(type(f) is Weight for f in factors)
+    assert seen == set(_WALLS)
 
 
 def test_boundary_cancellation():

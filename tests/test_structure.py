@@ -2,12 +2,15 @@ import itertools
 import json
 import re
 from collections import Counter
+from dataclasses import replace
+
+import pytest
 
 from qgl3 import decomp, ext, kernels, structure
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
-from qgl3.lattice import Weight
+from qgl3.lattice import Weight, classify_restricted, decompose
 from qgl3.structure import (
     GraphNode,
     ModuleGraph,
@@ -18,7 +21,7 @@ from qgl3.structure import (
 )
 from qgl3.verify import run_suite
 
-from oracles import graph_character
+from oracles import duality_diff, graph_character
 
 
 def test_zhat_vertex_single_node():
@@ -103,6 +106,30 @@ def test_duality_check_names_reversed_edges():
     )
 
 
+@pytest.mark.parametrize("l", [2, 3, 5, 7])
+def test_duality_check_against_the_built_dual_graph(l):
+    """The duality check reads the dual family and edge table; the oracle
+    builds the dual graph.  Both agree on every weight of a box that holds
+    non-dominant weights, and give the same want/got text on graphs with one
+    edge dropped or one node weight changed, for each facet type (one
+    dominant and one non-dominant weight each)."""
+    samples = {}
+    for a, b in itertools.product(range(-l, 3 * l), repeat=2):
+        g = zhat_structure(Weight(a, b), l)
+        assert structure._duality_diff(g) == duality_diff(g) == "", (g.lam, l)
+        facet = classify_restricted(decompose(g.lam, l).restricted, l)
+        samples.setdefault((facet, g.lam.is_dominant()), g)
+    facets = {facet for facet, _ in samples}
+    assert len(samples) == 2 * len(facets) == (8 if l == 2 else 12)
+    for g in samples.values():
+        mutants = [replace(g, edges=g.edges[:i] + g.edges[i + 1:]) for i in range(len(g.edges))]
+        for i, n in enumerate(g.nodes):
+            moved = n._replace(weight=n.weight + Weight(1, 0))
+            mutants.append(replace(g, nodes=g.nodes[:i] + (moved,) + g.nodes[i + 1:]))
+        for bad in mutants:
+            assert structure._duality_diff(bad) == duality_diff(bad) != "", (bad, l)
+
+
 def test_corrupted_family_duality_failures_name_weights(corrupt_down_alcove):
     report = run_suite("graphs", [3], 2)
     duality = [f for f in report.failures if "duality-reversal" in f[2]]
@@ -173,6 +200,78 @@ def test_zhat_node_list_check():
     edges = tuple(e for e in g.edges if gone not in e)
     dropped = ModuleGraph(g.lam, g.l, g.kind, g.nodes[1:], edges)
     assert "nodes-match-factors" in dict(validate_graph(dropped).failures())
+
+
+ZHAT_CHECKS = [
+    "nodes-match-factors",
+    "unique-sink",
+    "unique-source",
+    "edges-ext-consistent",
+    "duality-reversal",
+]
+LFILT_CHECKS = ["character-sum", "nodes-match-decomposition"]
+
+
+def test_passing_reports_list_every_check_in_order():
+    for l in (2, 3):
+        for a, b in itertools.product(range(3 * l), repeat=2):
+            lam = Weight(a, b)
+            for g, names in (
+                (zhat_structure(lam, l), ZHAT_CHECKS),
+                (nabla_l_filtration(lam, l), LFILT_CHECKS),
+            ):
+                assert validate_graph(g).checks == [(name, True, "") for name in names], (lam, l)
+
+
+def test_forced_failure_texts():
+    """Each forced failure lists every failing check with its exact text."""
+    g = zhat_structure(Weight(3, 3), 3)
+    top = g.nodes[0]
+    assert (top.id, top.weight) == ("mu1", Weight(3, 3))
+    dropped = replace(g, nodes=g.nodes[1:], edges=tuple(e for e in g.edges if top.id not in e))
+    assert validate_graph(dropped).failures() == [
+        (
+            "nodes-match-factors",
+            "nodes [(-3, 3), (0, 0), (0, 3), (1, 1), (1, 4), (3, -3), (3, 0), (4, 1)]"
+            " vs [(-3, 3), (0, 0), (0, 3), (1, 1), (1, 4), (3, -3), (3, 0), (3, 3), (4, 1)]",
+        ),
+        ("unique-sink", "sinks: [(4, 1), (1, 4)]"),
+        ("duality-reversal", "dual graph must reverse edges: dual nodes: want - got (-3,-3)"),
+    ]
+    # mu5 = (-3,3) loses its one edge down and becomes a second sink
+    no_out = replace(g, edges=tuple(e for e in g.edges if e[0] != "mu5"))
+    assert validate_graph(no_out).failures() == [
+        ("unique-sink", "sinks: [(3, 3), (-3, 3)]"),
+        (
+            "duality-reversal",
+            "dual graph must reverse edges: reversed edges: want - got (1,-2)->(3,-3)",
+        ),
+    ]
+    # mu6 = (3,0) loses its one edge from above and becomes a second source
+    no_in = replace(g, edges=tuple(e for e in g.edges if e[1] != "mu6"))
+    assert validate_graph(no_in).failures() == [
+        ("unique-source", "sources: [(3, 0), (1, 1)], head (1, 1)"),
+        (
+            "duality-reversal",
+            "dual graph must reverse edges: reversed edges: want - got (-3,0)->(1,1)",
+        ),
+    ]
+    f = nabla_l_filtration(Weight(7, 7), 3)
+    first = f.nodes[0]
+    assert (first.id, first.weight) == ("mu1", Weight(3, 9))
+    moved = replace(f, nodes=(first._replace(weight=Weight(4, 9)),) + f.nodes[1:])
+    assert validate_graph(moved).failures() == [
+        (
+            "character-sum",
+            "node characters must sum to the induced character: (0,0): want 0 got -2;"
+            " (0,3): want 0 got -2; (0,6): want 0 got -2; (0,9): want 0 got -1",
+        ),
+        (
+            "nodes-match-decomposition",
+            "nodes [(3, 3), (3, 6), (4, 7), (4, 9), (6, 3), (6, 6), (7, 4), (7, 7), (9, 3)]"
+            " vs [(3, 3), (3, 6), (3, 9), (4, 7), (6, 3), (6, 6), (7, 4), (7, 7), (9, 3)]",
+        ),
+    ]
 
 
 def test_filtration_character_sum_names_coefficients():
