@@ -46,6 +46,19 @@ def _print_char(x, fmt: str) -> None:
         print(f"dim {x.dimension}: {x!r}")
 
 
+def _print_graph(g, fmt: str, title: str) -> None:
+    if fmt == "dot":
+        print(g.to_dot())
+    elif fmt == "json":
+        print(g.to_json())
+    else:
+        print(f"{title} of the induced module of weight {g.lam} (l={g.l}):")
+        for n in g.nodes:
+            print(f"  layer {n.layer}: {n.id} = {n.weight}")
+        for u, v in g.edges:
+            print(f"  {u} -> {v}")
+
+
 def cmd_classify(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
     facet = facet_classify(lam, args.l)
@@ -94,17 +107,7 @@ def cmd_decomp(args) -> int:
 def cmd_zhat(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
     if args.structure:
-        g = zhat_structure(lam, args.l)
-        if args.format == "dot":
-            print(g.to_dot())
-        elif args.format == "json":
-            print(g.to_json())
-        else:
-            print(f"structure of the induced module of weight {lam} (l={args.l}):")
-            for n in g.nodes:
-                print(f"  layer {n.layer}: {n.id} = {n.weight}")
-            for u, v in g.edges:
-                print(f"  {u} -> {v}")
+        _print_graph(zhat_structure(lam, args.l), args.format, "structure")
         return 0
     if args.char:
         _print_char(zhat_char(lam, args.l), args.format)
@@ -121,17 +124,9 @@ def cmd_zhat(args) -> int:
 def cmd_lfilt(args) -> int:
     lam = parse_weight(args.weight, args.gl3)
     g = nabla_l_filtration(lam, args.l)
-    if args.format == "dot":
-        print(g.to_dot())
-    elif args.format == "json":
-        print(g.to_json())
-    else:
+    _print_graph(g, args.format, "good filtration")
+    if args.format == "text":
         report = validate_graph(g)
-        print(f"good filtration of the induced module of weight {lam} (l={args.l}):")
-        for n in g.nodes:
-            print(f"  layer {n.layer}: {n.id} = {n.weight}")
-        for u, v in g.edges:
-            print(f"  {u} -> {v}")
         print(f"  checks: {'ok' if report.ok else report.failures()}")
     return 0
 

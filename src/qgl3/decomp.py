@@ -16,11 +16,12 @@ memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
 carries the Borel-induced list that factor_family returns for a dominant
 weight and computes its surviving positions at most once.  So the
 structure graphs, the translation tables and the Ext tables of a weight
-share one copy.  The decomposition and zhat suites read each weight once:
-they build their results with fresh_decomposition and zhat_factors, which
-leave the memo alone.  The memoized values (a frozen DecompResult and its
-tuples) are shared and immutable; the memo only grows, and nothing
-persists between runs.
+share one copy.  Two routes build a family afresh and leave the memo
+alone: zhat_factors, which the decomposition and zhat suites read once per
+weight (the filtration factors are the same list, reversed on the walls),
+and factor_family for a non-dominant weight.  The memoized values (a
+frozen DecompResult and its tuples) are shared and immutable; the memo
+only grows, and nothing persists between runs.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from qgl3.charring import (
     chi_l,
     chi_l_weyl,
     up_alcove_mirror,
-    weyl_sum,
 )
 from qgl3.lattice import (
     FacetType,
@@ -102,21 +102,14 @@ class DecompResult:
     facet: FacetType
     case_id: str
     factors: tuple[Weight, ...]
-    # factor_family(lam, l), set by fresh_decomposition
-    _family: tuple[FacetType, tuple[Weight, ...]] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    # factor_family(lam, l)
+    _family: tuple[FacetType, tuple[Weight, ...]] = field(repr=False, compare=False)
     # surviving_positions, set on its first call
     _positions: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def character(self) -> FormalChar:
         """Sum of the chi_l terms in the weight basis (the oracle route)."""
         return char_sum(chi_l(f, self.l) for f in self.factors)
-
-    def weyl_character(self) -> dict[Weight, int]:
-        """Sum of the chi_l terms in the basis of induced characters; the
-        filtration identity says it is {lam: 1}."""
-        return weyl_sum(chi_l_weyl(f, self.l) for f in self.factors)
 
     def nonzero_flags(self) -> list[bool]:
         """Per factor: does its chi_l term survive as a virtual character."""
@@ -234,20 +227,15 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
 
     They are the composition-factor weights of the Borel-induced module of
     weight lam; the wall cases are listed the other way round, highest
-    layer first.  Memoized on (lam, l); the result is shared.
+    layer first.  Memoized on (lam, l); the result is shared.  Of the two
+    routes that build a family without the memo, zhat_factors gives the
+    same list for a dominant lam (reversed on the walls), and factor_family
+    the list of a non-dominant one.
     """
     key = (lam[0], lam[1], l)
     hit = _decompositions.get(key)
-    if hit is None:
-        hit = _decompositions[key] = fresh_decomposition(lam, l)
-    return hit
-
-
-def fresh_decomposition(lam: Weight, l: int) -> DecompResult:
-    """chi_decomposition(lam, l), built without reading or filling the
-    memo.  For a sweep that decomposes each weight once (the decomposition
-    suite): there a memo entry is never read again, and keeping it alive
-    only adds work for the garbage collector."""
+    if hit is not None:
+        return hit
     if type(lam) is not Weight:
         lam = Weight(*lam)
     if not lam.is_dominant():
@@ -258,8 +246,9 @@ def fresh_decomposition(lam: Weight, l: int) -> DecompResult:
     facet, factors = family
     if facet in _WALLS:
         factors = factors[::-1]
-    result = DecompResult(lam, l, facet, _CASE_BY_FACET[facet], factors)
-    object.__setattr__(result, "_family", family)
+    result = _decompositions[key] = DecompResult(
+        lam, l, facet, _CASE_BY_FACET[facet], factors, family
+    )
     return result
 
 
@@ -268,8 +257,9 @@ def zhat_factors(lam: Weight, l: int) -> list[Weight]:
 
     The classical part of lam may be arbitrary; the case split depends only
     on the restricted part.  Wall cases are listed socle first.  Built on
-    each call, without the memo: its callers (the zhat suite, the command
-    line) read each weight's list once, and it returns a list of its own.
+    each call, without the memo: its callers (the decomposition and zhat
+    suites, the command line) read each weight's list once, and it returns
+    a list of its own.
     """
     return list(_family(lam if type(lam) is Weight else Weight(*lam), l)[1])
 

@@ -8,9 +8,12 @@ transcribed case by case from the known diagrams; the mixed congruence
 variants of the nine-factor filtrations interpolate the two printed
 extremes (deleting the edge named by the violated congruence and attaching
 the orphaned nodes one layer further) and are flagged as reconstructions.
-validate_graph formats a check's failure text only when the check fails, and
-checks duality on the dual weight's factor family and edge table, without
-building the dual graph.
+Each graph is built by one call from one (edges, layers) table and the
+positions it keeps: all of the table's for a Borel-induced module, the
+surviving positions for a filtration, whose wall tables are renumbered into
+filtration order once, at import.  validate_graph formats a check's failure
+text only when the check fails, and checks duality on the dual weight's
+factor family and edge table, without building the dual graph.
 """
 
 from __future__ import annotations
@@ -122,6 +125,17 @@ _ZHAT_TABLES = {
 }
 
 
+def _filtration_order(edges, layers: dict[int, int]):
+    """A wall table renumbered from zhat_factors order to chi_decomposition
+    order, which lists the four wall factors the other way round."""
+    return tuple((5 - u, 5 - v) for u, v in edges), {5 - i: layer for i, layer in layers.items()}
+
+
+# (edges, layers) of the wall filtrations.
+_NABLA_WALL_CHAIN = _filtration_order(WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS)
+_NABLA_WALL_DIAMOND = _filtration_order(WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS)
+
+
 _IDS = tuple(f"mu{i}" for i in range(10))
 
 
@@ -132,9 +146,9 @@ def _build(
     factors: tuple[Weight, ...],
     edges,
     layers: dict[int, int],
-    keep: list[int] | None = None,
+    keep: list[int],
 ) -> ModuleGraph:
-    indices = sorted(layers) if keep is None else sorted(keep)
+    indices = sorted(keep)
     kept = set(indices)
     missing = sorted(kept - layers.keys())
     if missing:
@@ -152,7 +166,8 @@ def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     """Submodule-structure graph of the Borel-induced module of weight lam."""
     lam = Weight(*lam)
     facet, factors = factor_family(lam, l)
-    return _build(lam, l, G1B_SIMPLE, factors, *_ZHAT_TABLES[facet])
+    edges, layers = _ZHAT_TABLES[facet]
+    return _build(lam, l, G1B_SIMPLE, factors, edges, layers, list(layers))
 
 
 def _nine_factor_edges(base, congruent_a, congruent_b, drop_a, add_a, drop_b, add_b):
@@ -180,30 +195,20 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     if not lam.is_dominant():
         raise ValueError(f"nabla_l_filtration needs a dominant weight, got {lam}")
     dec = chi_decomposition(lam, l)
-    factors = dec.factors
     (a, b), _ = decompose(lam, l)
     facet = dec.facet
 
     if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
-        return _build(lam, l, NABLA_L, factors, (), {1: 0})
-    keep = dec.surviving_positions()
-
-    if facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL):
+        edges, layers = (), {1: 0}
+    elif facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL):
         side = a if facet is FacetType.RIGHT_WALL else b
         is_chain = facet is not FacetType.HORIZONTAL_WALL and side % l == l - 1
-        edges = WALL_CHAIN_EDGES if is_chain else WALL_DIAMOND_EDGES
-        layers = _WALL_CHAIN_LAYERS if is_chain else _WALL_DIAMOND_LAYERS
-        # chi_decomposition lists the wall factors in the reverse of the
-        # zhat_factors order the tables are indexed by
-        edges = tuple((5 - u, 5 - v) for u, v in edges)
-        layers = {5 - i: layer for i, layer in layers.items()}
-        return _build(lam, l, NABLA_L, factors, edges, layers, keep)
-
-    if facet is FacetType.DOWN_ALCOVE:
-        if b == 0:
-            return _build(lam, l, NABLA_L, factors, ((5, 4), (4, 1)), {5: 0, 4: 1, 1: 2}, keep)
-        if a == 0:
-            return _build(lam, l, NABLA_L, factors, ((3, 2), (2, 1)), {3: 0, 2: 1, 1: 2}, keep)
+        edges, layers = _NABLA_WALL_CHAIN if is_chain else _NABLA_WALL_DIAMOND
+    elif facet is FacetType.DOWN_ALCOVE and b == 0:
+        edges, layers = ((5, 4), (4, 1)), {5: 0, 4: 1, 1: 2}
+    elif facet is FacetType.DOWN_ALCOVE and a == 0:
+        edges, layers = ((3, 2), (2, 1)), {3: 0, 2: 1, 1: 2}
+    elif facet is FacetType.DOWN_ALCOVE:
         ca, cb = a % l == 0, b % l == 0
         edges = _nine_factor_edges(
             _DOWN_EDGES, ca, cb,
@@ -211,16 +216,15 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
             (8, 3), ((9, 3), (8, 2)),
         )
         layers = _DOWN_LAYERS if (ca or cb) else _DOWN_LAYERS_LOOSE
-        return _build(lam, l, NABLA_L, factors, edges, layers, keep)
-
-    ca, cb = a % l == l - 1, b % l == l - 1
-    edges = _nine_factor_edges(
-        _UP_EDGES, ca, cb,
-        (6, 5), ((9, 5), (6, 4)),
-        (1, 7), ((2, 7), (1, 4)),
-    )
-    layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
-    return _build(lam, l, NABLA_L, factors, edges, layers, keep)
+    else:
+        ca, cb = a % l == l - 1, b % l == l - 1
+        edges = _nine_factor_edges(
+            _UP_EDGES, ca, cb,
+            (6, 5), ((9, 5), (6, 4)),
+            (1, 7), ((2, 7), (1, 4)),
+        )
+        layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
+    return _build(lam, l, NABLA_L, dec.factors, edges, layers, dec.surviving_positions())
 
 
 @dataclass

@@ -95,10 +95,11 @@ def translate_onto_wall(
 
 
 def _off_wall_pairs(
-    c: Weight, mu_res: Weight, target_res: Weight, l: int
+    c: Weight, mu_res: Weight, target_res: Weight, src: FacetType, tgt: FacetType, l: int
 ) -> list[tuple[Weight, Weight]] | None:
     """The (classical, restricted) pairs of translate_off_wall for a source
-    off the left wall; None when no case table covers the combination."""
+    off the left wall, of facet src, toward a target of facet tgt; None when
+    no case table covers the combination."""
     if l == 2:
         key = (tuple(mu_res), tuple(target_res))
         if key == ((1, 0), (0, 0)):
@@ -114,8 +115,6 @@ def _off_wall_pairs(
         if key == ((1, 0), (0, 1)):
             return [(c, Weight(0, 0))]
         return None
-    src = classify_restricted(mu_res, l)
-    tgt = classify_restricted(target_res, l)
     if src is FacetType.RIGHT_WALL and tgt is FacetType.DOWN_ALCOVE:
         a, b = target_res
         return [
@@ -145,17 +144,19 @@ def translate_off_wall(
     mu_cls = Weight(*mu_cls)
     mu_res = Weight(*mu_res)
     target_res = Weight(*target_res)
-    if l > 2:  # validated before any swap, so that errors name these weights
-        src = classify_restricted(mu_res, l)
-        tgt = classify_restricted(target_res, l)
-    if mu_res[1] == l - 1 and 0 <= mu_res[0] < l - 1:  # the left wall
+    src = classify_restricted(mu_res, l)
+    tgt = classify_restricted(target_res, l)
+    if src is FacetType.LEFT_WALL:
+        # the swap sends the left wall to the right wall and fixes the down
+        # alcove, the one target type of the right-wall table
         pairs = _off_wall_pairs(
-            dual_weight(mu_cls), dual_weight(mu_res), dual_weight(target_res), l
+            dual_weight(mu_cls), dual_weight(mu_res), dual_weight(target_res),
+            FacetType.RIGHT_WALL, tgt, l,
         )
         if pairs is not None:
             pairs = [(dual_weight(c), dual_weight(r)) for c, r in pairs]
     else:
-        pairs = _off_wall_pairs(mu_cls, mu_res, target_res, l)
+        pairs = _off_wall_pairs(mu_cls, mu_res, target_res, src, tgt, l)
     if pairs is None:
         if l == 2:
             raise ValueError(f"unsupported l=2 translation {mu_res} -> {target_res}")

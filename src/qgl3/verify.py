@@ -21,13 +21,7 @@ from qgl3.charring import (
     weyl_dimension,
     weyl_sum,
 )
-from qgl3.decomp import (
-    chi_decomposition,
-    fresh_decomposition,
-    zhat_char,
-    zhat_factors,
-    zhat_numerator,
-)
+from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors, zhat_numerator
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import (
@@ -84,10 +78,15 @@ def suite_dimension(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
 
 
 def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+    """The identity sum of chi_l over the filtration factors of lam =
+    {lam: 1}, in the basis of induced characters.  The factors are zhat_factors(lam), the
+    list of chi_decomposition(lam) reversed on the walls, built without the
+    memo: a sweep reads each weight once."""
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            observed = coeff_diff(fresh_decomposition(lam, l).weyl_character(), {lam: 1})
+            total = weyl_sum(chi_l_weyl(f, l) for f in zhat_factors(lam, l))
+            observed = coeff_diff(total, {lam: 1})
             yield (
                 f"l={l} lam={lam}",
                 "sum of chi_l factors = weyl character",
@@ -210,17 +209,17 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
             yield (case, identity, str(n), n == want)
 
 
-_GRAPH_CASES = (
-    ("zhat", zhat_structure, "all structure-graph checks"),
-    ("lfilt", nabla_l_filtration, "filtration nodes and character"),
-)
-
-
 def suite_graphs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+    # the builders are read by name on each call, so a wrapper bound in this
+    # module's namespace (a tracer's) sees every build
+    cases = (
+        ("zhat", zhat_structure, "all structure-graph checks"),
+        ("lfilt", nabla_l_filtration, "filtration nodes and character"),
+    )
     for cls in _classical_box(box, rows):
         for res in _restricted(l):
             lam = l * cls + res
-            for tag, build, identity in _GRAPH_CASES:
+            for tag, build, identity in cases:
                 case = f"l={l} lam={lam} {tag}"
                 try:
                     g = build(lam, l)
@@ -348,13 +347,19 @@ def _suite_rows(name: str, box: int) -> tuple[int, ...]:
     return tuple(domain(box) if domain else range(box + 1))
 
 
-def _suite_chunk(name: str, l: int, box: int, rows: tuple[int, ...]) -> tuple[int, list]:
+def _suite_chunk(
+    name: str, l: int, box: int, rows: tuple[int, ...], record=None
+) -> tuple[int, list]:
+    """Run a suite at one l over rows.  Returns the case count and a list of
+    the (case, identity, observed) failures, unless record takes each one
+    as it happens (the serial sweep's streaming recorder)."""
     count = 0
     failures = []
+    record = record or failures.append
     for case in SUITES[name](l, box, rows):
         count += 1
         if not case[3]:
-            failures.append((case[0], case[1], case[2]))
+            record(case[:3])
     return count, failures
 
 
@@ -386,10 +391,7 @@ def run_suite(
 
     if jobs == 1:
         for l in l_values:
-            for case in SUITES[name](l, box, rows):
-                report.cases_run += 1
-                if not case[3]:
-                    record(case[:3])
+            report.cases_run += _suite_chunk(name, l, box, rows, record)[0]
         return report
     from concurrent.futures import ProcessPoolExecutor, as_completed
 

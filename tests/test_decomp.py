@@ -14,13 +14,7 @@ from qgl3.charring import (
     restricted_simple_numerator,
     weyl_char,
 )
-from qgl3.decomp import (
-    chi_decomposition,
-    fresh_decomposition,
-    zhat_char,
-    zhat_factors,
-    zhat_numerator,
-)
+from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors, zhat_numerator
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     RHO,
@@ -30,7 +24,7 @@ from qgl3.lattice import (
     decompose,
     dominance_key,
 )
-from qgl3.verify import suite_decomposition
+from qgl3.verify import run_suite, suite_decomposition
 
 from oracles import chi_l_expansion, hat_simple_char, restricted_simple, wall_family
 
@@ -89,22 +83,30 @@ def test_main_identity_sweep_small():
                 assert chi_decomposition(lam, l).character() == weyl_char(lam)
 
 
-def test_fresh_decomposition_equals_the_memoized_one(fresh_memo):
-    """fresh_decomposition builds what chi_decomposition memoizes, and
-    neither reads nor fills the memo."""
+def test_filtration_factors_are_the_borel_induced_list(fresh_memo):
+    """chi_decomposition lists zhat_factors, reversed on the three walls, so
+    the decomposition suite may sum the memo-free list; a non-dominant
+    weight is still rejected."""
+    walls = set()
     for l in (2, 3, 5):
         for a, b in itertools.product(range(3), repeat=2):
             for r, s in itertools.product(range(l), repeat=2):
                 lam = l * Weight(a, b) + Weight(r, s)
-                fresh = fresh_decomposition(lam, l)
-                assert not decomp._decompositions
-                memo = chi_decomposition(lam, l)
-                assert fresh == memo and fresh is not memo
-                assert fresh_decomposition(lam, l) is not memo
-                assert fresh.surviving_positions() == memo.surviving_positions()
-                decomp._decompositions.clear()
+                dec = chi_decomposition(lam, l)
+                want = zhat_factors(lam, l)
+                if dec.facet in _WALLS:
+                    walls.add(dec.facet)
+                    want.reverse()
+                assert list(dec.factors) == want, (lam, l)
+    assert walls == set(_WALLS)
     with pytest.raises(ValueError, match="needs a dominant weight"):
-        fresh_decomposition(Weight(-1, 0), 3)
+        chi_decomposition(Weight(-1, 0), 3)
+
+
+def test_decomposition_sweep_leaves_the_memo_empty(fresh_memo):
+    report = run_suite("decomposition", [3, 5], 2)
+    assert report.passed and report.cases_run == 9 * (9 + 25)
+    assert not decomp._decompositions
 
 
 def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):

@@ -10,7 +10,7 @@ from qgl3 import decomp, ext, kernels, structure
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
-from qgl3.lattice import Weight, classify_restricted, decompose
+from qgl3.lattice import FacetType, Weight, classify_restricted, decompose
 from qgl3.structure import (
     GraphNode,
     ModuleGraph,
@@ -334,6 +334,25 @@ def test_nabla_vertex_and_chain_cases():
     g = nabla_l_filtration(Weight(0, 6), 3)
     assert len(g.nodes) == 3 and len(g.edges) == 2
     assert validate_graph(g).ok
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
+def test_single_node_filtrations_survive_at_position_one(l):
+    """The vertex weights and the bottom-alcove weights, whose filtration
+    graph is the one node lam, survive at position 1 only, so their graph
+    is built by the same call, from the surviving positions, as the rest."""
+    seen = 0
+    for a, b in itertools.product(range(4), repeat=2):
+        for r, s in itertools.product(range(l), repeat=2):
+            facet = classify_restricted(Weight(r, s), l)
+            if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
+                lam = l * Weight(a, b) + Weight(r, s)
+                assert chi_decomposition(lam, l).surviving_positions() == [1], lam
+                g = nabla_l_filtration(lam, l)
+                assert g.nodes == (GraphNode("mu1", lam, structure.NABLA_L, 0),)
+                assert not g.edges
+                seen += 1
+    assert seen >= 16
 
 
 def test_nabla_wall_congruence_switch():

@@ -149,6 +149,16 @@ def test_off_wall_unsupported_combinations():
         translate_off_wall(Weight(1, 1), Weight(1, 0), Weight(1, 0), 2)  # same type
 
 
+def test_off_wall_rejects_an_unrestricted_weight_at_every_l():
+    """Both weights are classified first, at l = 2 too, so an unrestricted
+    one gets the classifier's error before any table is read."""
+    for l in (2, 3, 5):
+        with pytest.raises(ValueError, match=f"is not restricted for l={l}"):
+            translate_off_wall(Weight(1, 1), Weight(l, 0), Weight(0, 0), l)
+        with pytest.raises(ValueError, match=f"is not restricted for l={l}"):
+            translate_off_wall(Weight(1, 1), Weight(l - 1, 0), Weight(0, -1), l)
+
+
 def test_generic_factor_counts():
     assert translate_nabla_factor_count(5 * Weight(2, 2) + Weight(2, 2), 5) == 18
     assert translate_nabla_factor_count(5 * Weight(2, 2) + Weight(1, 1), 5) == 18
