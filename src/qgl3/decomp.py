@@ -14,8 +14,8 @@ numerators, at most 12 terms per factor).
 Both lists are read off one factor family per (lam, l).  One in-process
 memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
 carries the Borel-induced list that factor_family returns for a dominant
-weight and computes its surviving positions at most once.  So the
-structure graphs, the translation tables and the Ext tables of a weight
+weight and the surviving positions, computed when the result is built.  So
+the structure graphs, the translation tables and the Ext tables of a weight
 share one copy.  Two routes build a family afresh and leave the memo
 alone: zhat_factors, which the decomposition and zhat suites read once per
 weight (the filtration factors are the same list, reversed on the walls),
@@ -95,17 +95,26 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
     )
 
 
+# Dualizing the Borel-induced module of lam sends factor i of either alcove
+# family of lam, by hat_dual_weight, to factor DUAL_POSITION[i] of the family
+# of 2(l-1)rho - lam, which lies in the other alcove.  An involution.
+DUAL_POSITION = {1: 3, 2: 2, 3: 1, 4: 9, 5: 6, 6: 5, 7: 8, 8: 7, 9: 4}
+
+
 @dataclass(frozen=True, slots=True)
 class DecompResult:
     lam: Weight
     l: int
     facet: FacetType
-    case_id: str
     factors: tuple[Weight, ...]
     # factor_family(lam, l)
     _family: tuple[FacetType, tuple[Weight, ...]] = field(repr=False, compare=False)
-    # surviving_positions, set on its first call
-    _positions: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    # surviving_positions, as _surviving_positions computes them
+    positions: tuple[int, ...] = field(repr=False, compare=False)
+
+    @property
+    def case_id(self) -> str:
+        return _CASE_BY_FACET[self.facet]
 
     def character(self) -> FormalChar:
         """Sum of the chi_l terms in the weight basis (the oracle route)."""
@@ -123,19 +132,13 @@ class DecompResult:
         is not cancelled by an opposite-sign factor with the same normalized
         classical part and restricted part (such pairs occur exactly when
         the classical part of lam touches the dominant boundary).  The sum of
-        their chi_l terms is checked by structure.validate_graph.  Computed
-        once per result.
+        their chi_l terms is checked by structure.validate_graph.
         """
-        return list(self._surviving())
+        return list(self.positions)
 
     def surviving_factors(self) -> list[Weight]:
         """Factors that are genuine twisted-tensor modules of the filtration."""
-        return [self.factors[i - 1] for i in self._surviving()]
-
-    def _surviving(self) -> tuple[int, ...]:
-        if self._positions is None:
-            object.__setattr__(self, "_positions", _surviving_positions(self.factors, self.l))
-        return self._positions
+        return [self.factors[i - 1] for i in self.positions]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -227,7 +230,8 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
 
     They are the composition-factor weights of the Borel-induced module of
     weight lam; the wall cases are listed the other way round, highest
-    layer first.  Memoized on (lam, l); the result is shared.  Of the two
+    layer first.  Memoized on (lam, l), with the surviving positions; the
+    result is shared and never modified.  Of the two
     routes that build a family without the memo, zhat_factors gives the
     same list for a dominant lam (reversed on the walls), and factor_family
     the list of a non-dominant one.
@@ -247,7 +251,7 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
     if facet in _WALLS:
         factors = factors[::-1]
     result = _decompositions[key] = DecompResult(
-        lam, l, facet, _CASE_BY_FACET[facet], factors, family
+        lam, l, facet, factors, family, _surviving_positions(factors, l)
     )
     return result
 

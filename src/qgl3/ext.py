@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from qgl3.charring import tensor_multiplicity, up_alcove_mirror, weyl_dimension
-from qgl3.decomp import factor_family
+from qgl3.decomp import DUAL_POSITION, factor_family
 from qgl3.lattice import (
     FacetType,
     Weight,
@@ -182,46 +182,40 @@ def ext1_g1b_general(lam: Weight, mu: Weight, l: int) -> int:
 
 # Extension tables between the composition factors of a Borel-induced
 # module, indexed by (row, column) positions in the socle-first factor list
-# of zhat_factors.  Rows label the upper factor, columns the lower one.  On
-# the walls the extending pairs are exactly the edges of the submodule
-# structure graph: a chain on the right and left walls, a diamond on the
-# horizontal one.  The graph lists them in this order.
+# of zhat_factors.  Rows label the upper factor, columns the lower one.  The
+# edges of each submodule structure graph extend, and the graph lists them in
+# this order.  On the walls they are all the extending pairs: a chain on the
+# right and left walls, a diamond on the horizontal one.  In the down alcove
+# three edges also extend reversed.  Dualizing the module reverses
+# extensions and renumbers the factors by DUAL_POSITION, so the up-alcove
+# pairs are the image of the down-alcove ones.  The printed up-alcove table
+# has one more entry, (4, 1), which the general rule excludes.
 
 WALL_CHAIN_EDGES = ((4, 3), (3, 2), (2, 1))
 WALL_DIAMOND_EDGES = ((4, 3), (4, 2), (3, 1), (2, 1))
-_DOWN_PAIRS = {
-    (2, 1), (2, 6),
-    (3, 2),
-    (4, 1), (4, 8),
-    (5, 4),
-    (6, 2), (6, 5),
-    (7, 2), (7, 4), (7, 9),
-    (8, 3), (8, 4),
+DOWN_EDGES = (
     (9, 6), (9, 7), (9, 8),
-}
-# The up-alcove table is the duality image of the down-alcove one under the
-# factor correspondence induced by dualizing the induced module; the printed
-# version carries one stray entry (row of the socle factor, first column)
-# that both that correspondence and the general reduction rule exclude.
-_UP_PAIRS = {
-    (1, 7),
-    (2, 1), (2, 5), (2, 8),
+    (6, 5), (6, 2), (7, 2), (7, 4), (8, 4), (8, 3),
+    (5, 4), (3, 2),
+    (4, 1), (2, 1),
+)
+# The set of UP_EDGES is the image of DOWN_EDGES too; its order is output.
+UP_EDGES = (
     (3, 2), (3, 9),
-    (4, 8),
-    (5, 2), (5, 4),
-    (6, 5),
-    (7, 4), (7, 9),
-    (8, 4),
-    (9, 6), (9, 7), (9, 8),
-}
+    (2, 8), (2, 5), (2, 1), (9, 6), (9, 8), (9, 7),
+    (1, 7), (6, 5),
+    (7, 4), (8, 4), (5, 4),
+)
+_DOWN_PAIRS = frozenset(DOWN_EDGES) | {(2, 6), (4, 8), (7, 9)}
+_UP_PAIRS = frozenset((DUAL_POSITION[v], DUAL_POSITION[u]) for u, v in _DOWN_PAIRS)
 
 _PAIRS_BY_FACET = {
     FacetType.VERTEX: frozenset(),
     FacetType.RIGHT_WALL: frozenset(WALL_CHAIN_EDGES),
     FacetType.LEFT_WALL: frozenset(WALL_CHAIN_EDGES),
     FacetType.HORIZONTAL_WALL: frozenset(WALL_DIAMOND_EDGES),
-    FacetType.DOWN_ALCOVE: frozenset(_DOWN_PAIRS),
-    FacetType.UP_ALCOVE: frozenset(_UP_PAIRS),
+    FacetType.DOWN_ALCOVE: _DOWN_PAIRS,
+    FacetType.UP_ALCOVE: _UP_PAIRS,
 }
 
 

@@ -3,14 +3,16 @@ good-filtration graphs of induced modules.
 
 Nodes are composition factors (thickened-kernel simples) or twisted-tensor
 filtration factors; a directed edge upper -> lower records a nonsplit
-extension of the lower factor by the upper one.  Edge sets and layers are
-transcribed case by case from the known diagrams; the mixed congruence
-variants of the nine-factor filtrations interpolate the two printed
-extremes (deleting the edge named by the violated congruence and attaching
-the orphaned nodes one layer further) and are flagged as reconstructions.
-Each graph is built by one call from one (edges, layers) table and the
-positions it keeps: all of the table's for a Borel-induced module, the
-surviving positions for a filtration, whose wall tables are renumbered into
+extension of the lower factor by the upper one.  The edge lists are the
+Ext tables of qgl3.ext.  The layers are transcribed from the known
+diagrams, except in the up alcove, whose layers are the dual image of the
+down-alcove ones (decomp.DUAL_POSITION).  The mixed congruence variants of
+the nine-factor filtrations interpolate the two printed extremes (deleting
+the edge named by the violated congruence and attaching the orphaned nodes
+one layer further) and are flagged as reconstructions.  Each graph is
+built by one call from one (edges, layers) table and the positions it
+keeps: all of the table's for a Borel-induced module, the surviving
+positions for a filtration, whose wall tables are renumbered into
 filtration order once, at import.  validate_graph formats a check's failure
 text only when the check fails, and checks duality on the dual weight's
 factor family and edge table, without building the dual graph.
@@ -24,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import chi_decomposition, factor_family
-from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
+from qgl3.decomp import DUAL_POSITION, chi_decomposition, factor_family
+from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, Weight, decompose
 
@@ -88,31 +90,32 @@ class ModuleGraph:
 
 # Edge and layer tables by factor position.  For Borel-induced modules the
 # positions index zhat_factors (socle first); for induced-module filtrations
-# they index chi_decomposition factors.  The wall edges are the Ext tables
-# of qgl3.ext.
+# they index chi_decomposition factors.  The edges are the Ext tables of
+# qgl3.ext.  The up-alcove layers are the down-alcove ones dualized: factor
+# i at layer k goes to factor DUAL_POSITION[i] at layer top - k.
 
 _WALL_CHAIN_LAYERS = {4: 0, 3: 1, 2: 2, 1: 3}
 _WALL_DIAMOND_LAYERS = {4: 0, 3: 1, 2: 1, 1: 2}
 
-_DOWN_EDGES = (
-    (9, 6), (9, 7), (9, 8),
-    (6, 5), (6, 2), (7, 2), (7, 4), (8, 4), (8, 3),
-    (5, 4), (3, 2),
-    (4, 1), (2, 1),
-)
-_DOWN_LAYERS = {9: 0, 6: 1, 7: 1, 8: 1, 5: 2, 3: 2, 4: 3, 2: 3, 1: 4}
 
-_UP_EDGES = (
-    (3, 2), (3, 9),
-    (2, 8), (2, 5), (2, 1), (9, 6), (9, 8), (9, 7),
-    (1, 7), (6, 5),
-    (7, 4), (8, 4), (5, 4),
-)
-_UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
+def _dual_layers(layers: dict[int, int]) -> dict[int, int]:
+    top = max(layers.values())
+    return {DUAL_POSITION[i]: top - k for i, k in layers.items()}
+
+
+_DOWN_LAYERS = {9: 0, 6: 1, 7: 1, 8: 1, 5: 2, 3: 2, 4: 3, 2: 3, 1: 4}
+_UP_LAYERS = _dual_layers(_DOWN_LAYERS)
 
 # Fully non-congruent variants of the nine-factor filtration diagrams.
 _DOWN_LAYERS_LOOSE = {9: 0, 5: 1, 6: 1, 7: 1, 8: 1, 3: 1, 4: 2, 2: 2, 1: 3}
-_UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}
+_UP_LAYERS_LOOSE = _dual_layers(_DOWN_LAYERS_LOOSE)
+
+# The edge edits of the non-congruent nine-factor filtrations: per classical
+# coordinate, the edge to drop and the two to add.  The up-alcove edits are
+# the dual images of the down-alcove ones; _UP_EDITS keeps the order of the
+# printed edge lists.
+_DOWN_EDITS = ((6, 5), ((9, 5), (6, 4)), (8, 3), ((9, 3), (8, 2)))
+_UP_EDITS = ((6, 5), ((9, 5), (6, 4)), (1, 7), ((2, 7), (1, 4)))
 
 # (edges, layers) of the Borel-induced structure graph, by facet.
 _ZHAT_TABLES = {
@@ -120,8 +123,8 @@ _ZHAT_TABLES = {
     FacetType.RIGHT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
     FacetType.LEFT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
     FacetType.HORIZONTAL_WALL: (WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS),
-    FacetType.DOWN_ALCOVE: (_DOWN_EDGES, _DOWN_LAYERS),
-    FacetType.UP_ALCOVE: (_UP_EDGES, _UP_LAYERS),
+    FacetType.DOWN_ALCOVE: (DOWN_EDGES, _DOWN_LAYERS),
+    FacetType.UP_ALCOVE: (UP_EDGES, _UP_LAYERS),
 }
 
 
@@ -210,26 +213,17 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
         edges, layers = ((3, 2), (2, 1)), {3: 0, 2: 1, 1: 2}
     elif facet is FacetType.DOWN_ALCOVE:
         ca, cb = a % l == 0, b % l == 0
-        edges = _nine_factor_edges(
-            _DOWN_EDGES, ca, cb,
-            (6, 5), ((9, 5), (6, 4)),
-            (8, 3), ((9, 3), (8, 2)),
-        )
+        edges = _nine_factor_edges(DOWN_EDGES, ca, cb, *_DOWN_EDITS)
         layers = _DOWN_LAYERS if (ca or cb) else _DOWN_LAYERS_LOOSE
     else:
         ca, cb = a % l == l - 1, b % l == l - 1
-        edges = _nine_factor_edges(
-            _UP_EDGES, ca, cb,
-            (6, 5), ((9, 5), (6, 4)),
-            (1, 7), ((2, 7), (1, 4)),
-        )
+        edges = _nine_factor_edges(UP_EDGES, ca, cb, *_UP_EDITS)
         layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
     return _build(lam, l, NABLA_L, dec.factors, edges, layers, dec.surviving_positions())
 
 
 @dataclass
 class ValidationReport:
-    graph: ModuleGraph
     checks: list[tuple[str, bool, str]] = field(default_factory=list)
 
     @property
@@ -254,7 +248,7 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     the tests as its oracle.  The duality check reads the dual family and
     table without building a graph; failure text is formatted only on failure.
     """
-    report = ValidationReport(g)
+    report = ValidationReport()
     weights = sorted(g.node_weights())
     if g.kind == G1B_SIMPLE:
         factors, pairs = ext_table(g.lam, g.l)

@@ -184,20 +184,19 @@ def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> It
                 # meaningful whenever the image of lam itself survives
                 rep, _ = fundamental_rep(lam, l)
                 wall_rep = Weight(0, l - 2)
-                image = translate_onto_wall(lam, rep, wall_rep, l)
-                if image is not None:
-                    images = (
-                        translate_onto_wall(f, rep, wall_rep, l)
-                        for f in chi_decomposition(lam, l).surviving_factors()
-                    )
-                    acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
-                    observed = coeff_diff(acc, {image: 1})
-                    yield (
-                        case,
-                        "onto-wall factor characters = image character",
-                        observed,
-                        observed == "ok",
-                    )
+                identity = "onto-wall factor characters = image character"
+                try:
+                    image = translate_onto_wall(lam, rep, wall_rep, l)
+                    if image is not None:
+                        images = (
+                            translate_onto_wall(f, rep, wall_rep, l)
+                            for f in chi_decomposition(lam, l).surviving_factors()
+                        )
+                        acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
+                        observed = coeff_diff(acc, {image: 1})
+                        yield (case, identity, observed, observed == "ok")
+                except ValueError as exc:
+                    yield (case, identity, str(exc), False)
             want = 8 if l == 2 else 18
             identity = f"generic factor count = {want}"
             try:
@@ -223,10 +222,10 @@ def suite_graphs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Itera
                 case = f"l={l} lam={lam} {tag}"
                 try:
                     g = build(lam, l)
-                except ValueError as exc:  # a kept factor with no layer
+                    rep = validate_graph(g)
+                except ValueError as exc:  # a kept factor with no layer, a bad factor list
                     yield (case, identity, str(exc), False)
                     continue
-                rep = validate_graph(g)
                 yield (case, identity, "ok" if rep.ok else str(rep.failures()), rep.ok)
 
 
@@ -290,7 +289,11 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
     cls = Weight(2, 2)
     for res in _restricted(l):
         mu = l * cls + res
-        factors, pairs = ext_table(mu, l)
+        try:
+            factors, pairs = ext_table(mu, l)
+        except ValueError as exc:  # a degenerate factor list
+            yield (f"l={l} table mu={mu}", "table entry = general rule", str(exc), False)
+            continue
         for a in factors:
             for b in factors:
                 t = int((a, b) in pairs)

@@ -69,3 +69,17 @@ def corrupt_down_alcove(monkeypatch, fresh_memo):
         return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
 
     monkeypatch.setattr(decomp, "down_alcove_family", corrupted)
+
+
+@pytest.fixture
+def degenerate_down_alcove(monkeypatch, fresh_memo):
+    """Replace factor 6 of the down-alcove factor family by factor 5, so
+    that every down-alcove list repeats a weight and the Ext tables read on
+    it raise."""
+    family = decomp.down_alcove_family
+
+    def degenerate(cls, res, l):
+        factors = family(cls, res, l)
+        return factors[:5] + factors[4:5] + factors[6:]
+
+    monkeypatch.setattr(decomp, "down_alcove_family", degenerate)

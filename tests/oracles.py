@@ -7,7 +7,9 @@ oracles, and the engine never takes them.  They read each restricted simple
 character many times, so restricted_simple is memoized here, not in the
 engine.  The engine builds the wall factor families by int arithmetic and
 checks duality without building the dual graph; wall_family and
-duality_diff are the Weight-arithmetic and built-graph routes.
+duality_diff are the Weight-arithmetic and built-graph routes.  The engine
+derives the alcove Ext pairs from the graph edges and the up-alcove tables
+from the down-alcove ones by duality; the printed tables are kept here.
 """
 
 import functools
@@ -117,3 +119,31 @@ def duality_diff(g) -> str:
         [(got[u], got[v]) for u, v in gd.edges],
         lambda e: f"{e[0]}->{e[1]}",
     )
+
+
+# The printed thickened-kernel Ext tables of the two alcoves, as (row,
+# column) = (upper, lower) factor positions, and the printed layers of the
+# up-alcove diagrams: congruent (PRINTED_UP_LAYERS) and fully non-congruent.
+PRINTED_DOWN_PAIRS = {
+    (2, 1), (2, 6),
+    (3, 2),
+    (4, 1), (4, 8),
+    (5, 4),
+    (6, 2), (6, 5),
+    (7, 2), (7, 4), (7, 9),
+    (8, 3), (8, 4),
+    (9, 6), (9, 7), (9, 8),
+}
+PRINTED_UP_PAIRS = {
+    (1, 7),
+    (2, 1), (2, 5), (2, 8),
+    (3, 2), (3, 9),
+    (4, 8),
+    (5, 2), (5, 4),
+    (6, 5),
+    (7, 4), (7, 9),
+    (8, 4),
+    (9, 6), (9, 7), (9, 8),
+}
+PRINTED_UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
+PRINTED_UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}

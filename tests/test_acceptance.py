@@ -19,9 +19,7 @@ from qgl3.charring import (
     weyl_dimension,
 )
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
-from qgl3.ext import ext1_g
-from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
-from qgl3.lattice import RHO, FacetType, PositiveRoot, Weight, facet_classify
+from qgl3.lattice import RHO, FacetType, Weight, facet_classify
 from qgl3.structure import ModuleGraph, nabla_l_filtration, validate_graph, zhat_structure
 from qgl3.translate import translate_nabla_factor_count, translated_character
 
@@ -122,60 +120,26 @@ def test_criterion_7_graph_validation(suite_report):
         assert not report.failures, report.failures[:3]
 
 
-def test_criterion_8_ext_families():
+def test_criterion_8_ext_families(suite_report):
+    # the ext-lemmas suite checks the stated wall and alcove families at every
+    # l, with the Steinberg, label-duality and table cases
     with criterion(8, "simple-module Ext values on the stated families, l in {2,3,5}"):
-        for l in L_VALUES:
-            for r in range(l - 1):
-                s = l - 2 - r
-                assert ext1_g(Weight(r, s), Weight(2 * l - 1, r), l) == 1
-                assert ext1_g(Weight(r, s), Weight(s, 2 * l - 1), l) == 1
-                assert ext1_g(Weight(r, s), Weight(l + r, l + s), l) == (1 if l == 3 else 0)
-                assert ext1_g(Weight(l - 1, r), Weight(r, l + s), l) == 1
-                assert ext1_g(Weight(s, l - 1), Weight(l + r, s), l) == 1
-                assert ext1_g(Weight(l - 1, r), Weight(l + s, l - 1), l) == 0
-                assert ext1_g(Weight(s, l - 1), Weight(l - 1, l + r), l) == 0
-            for r in range(l - 2):
-                for s in range(l - 2 - r):
-                    up, down = Weight(l - s - 2, l - r - 2), Weight(r, s)
-                    for nu, want in (
-                        (down, 1),
-                        (Weight(l + s, l - r - s - 3), 1),
-                        (Weight(l - r - s - 3, l + r), 1),
-                        (up, 0),
-                        (Weight(2 * l - s - 2, l - r - 2), 0),
-                        (Weight(l - s - 2, 2 * l - r - 2), 0),
-                        (Weight(l + r, l + s), 0),
-                    ):
-                        assert ext1_g(up, nu, l) == want, (l, up, nu)
-                    for nu, want in (
-                        (up, 1),
-                        (Weight(l - r - 2, l + r + s + 1), 1),
-                        (Weight(l + r + s + 1, l - s - 2), 1),
-                        (down, 0),
-                        (Weight(l + s, l - r - s - 3), 0),
-                        (Weight(l - r - s - 3, l + r), 0),
-                        (Weight(s, 3 * l - r - s - 3), 0),
-                        (Weight(3 * l - r - s - 3, r), 0),
-                        (Weight(2 * l - s - 2, 2 * l - r - 2), 0),
-                        (Weight(l + r, l + s), 1 if l == 3 else 0),
-                    ):
-                        assert ext1_g(down, nu, l) == want, (l, down, nu)
+        report = suite_report("ext-lemmas", L_VALUES, BOX)
+        assert report.cases_run == 1742
+        assert not report.failures, report.failures[:3]
 
 
-def test_criterion_9_hom_predicate():
+def test_criterion_9_hom_predicate(suite_report):
+    # the homs suite checks every down-alcove weight of the sweep with both
+    # classical coordinates >= 1: three cases each
     with criterion(9, "mirror witness onto the head weight, antisymmetric"):
-        for l, lam in sweep():
-            cls = Weight((lam.a - lam.a % l) // l, (lam.b - lam.b % l) // l)
-            if cls.a < 1 or cls.b < 1:
-                continue
-            if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
-                continue
-            head = zhat_head_weight(lam, l)
-            w = hom_exists_mirror(lam, head, l)
-            assert w is not None and w.beta is PositiveRoot.RHO
-            assert witness_valid(lam, head, w, l)
-            assert hom_exists_mirror(head, lam, l) is None
-            assert hom_exists_mirror(lam, lam, l) is None
+        report = suite_report("homs", L_VALUES, BOX)
+        lams = [
+            lam for l, lam in sweep()
+            if lam.a >= l and lam.b >= l and facet_classify(lam, l) is FacetType.DOWN_ALCOVE
+        ]
+        assert report.cases_run == 3 * len(lams) == 336
+        assert not report.failures, report.failures[:3]
 
 
 def test_criterion_10_negative_controls():

@@ -190,14 +190,6 @@ def test_up_alcove_mirror_closed_form():
             assert up_alcove_mirror(Weight(u, v), l) == (l - v - 2, l - u - 2)
 
 
-def test_denominator_identity_box():
-    a_rho = alt_weyl_sum(RHO)
-    for a, b in itertools.product(range(6), repeat=2):
-        lam = Weight(a, b)
-        assert alt_weyl_sum(lam + RHO) == weyl_char(lam) * a_rho
-        assert weyl_char_alternating(lam) == weyl_char(lam)
-
-
 @given(st.builds(Weight, st.integers(0, 100), st.integers(0, 100)))
 @settings(max_examples=25, derandomize=True, deadline=None)
 def test_alternating_quotient_against_tableaux_large(lam):

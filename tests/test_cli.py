@@ -338,9 +338,32 @@ def test_serial_and_parallel_sweeps_agree(name):
 def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
     if multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the corrupted family only when forked")
-    for name in ("decomposition", "zhat", "graphs"):
+    for name in ("decomposition", "zhat", "translate", "graphs"):
         serial = run_suite(name, [2, 3, 5], 2)
         parallel = run_suite(name, [2, 3, 5], 2, jobs=2)
         assert serial.failures
         assert parallel.cases_run == serial.cases_run
         assert sorted(parallel.failures) == sorted(serial.failures)
+
+
+@pytest.mark.parametrize(
+    ("fault", "suites", "message"),
+    [
+        ("corrupt_down_alcove", ["translate"], "translate_onto_wall needs a regular weight"),
+        ("degenerate_down_alcove", ["graphs", "ext-lemmas"], "degenerate factor list for"),
+    ],
+)
+def test_an_error_in_a_case_is_a_failed_case(capsys, request, fault, suites, message):
+    """A ValueError raised while checking one weight fails that weight's
+    case, with the message, and the run goes on to the next case and suite."""
+    request.getfixturevalue(fault)
+    code, out, err = run(capsys, "verify", "--suites", ",".join(suites), "--l", "3,5", "--box", "2")
+    assert code == 1
+    status = dict(line.split(": ", 1) for line in out.splitlines())
+    for name in suites:
+        assert status[name].endswith(" failures"), out
+        named = [
+            line for line in err.splitlines()
+            if line.startswith(f"FAIL {name}: l=") and message in line
+        ]
+        assert named, (name, err[:300])

@@ -15,6 +15,7 @@ from qgl3.charring import (
     weyl_char,
 )
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors, zhat_numerator
+from qgl3.homs import hat_dual_weight
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     RHO,
@@ -141,6 +142,30 @@ def test_wall_families_against_weight_arithmetic(l):
             assert factors == wall_family(lam, l), (lam, l)
             assert all(type(f) is Weight for f in factors)
     assert seen == set(_WALLS)
+
+
+@pytest.mark.parametrize("l", [3, 4, 5, 7, 11])
+def test_dual_position_against_the_families(l):
+    """hat_dual_weight sends factor i of the family of every alcove weight
+    of [-2l, 4l)^2 to factor DUAL_POSITION[i] of the family of 2(l-1)rho -
+    lam, in the other alcove; DUAL_POSITION is an involution."""
+    sigma = decomp.DUAL_POSITION
+    assert sorted(sigma) == sorted(sigma.values()) == list(range(1, 10))
+    assert all(sigma[sigma[i]] == i for i in sigma)
+    alcoves = {FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE}
+    seen = 0
+    for a, b in itertools.product(range(-2 * l, 4 * l), repeat=2):
+        lam = Weight(a, b)
+        facet = classify_restricted(decompose(lam, l).restricted, l)
+        if facet not in alcoves:
+            continue
+        dual = 2 * (l - 1) * RHO - lam
+        assert classify_restricted(decompose(dual, l).restricted, l) is (alcoves - {facet}).pop()
+        family, dual_family = zhat_factors(lam, l), zhat_factors(dual, l)
+        for i, f in enumerate(family, start=1):
+            assert hat_dual_weight(f, l) == dual_family[sigma[i] - 1], (l, lam, i)
+        seen += 1
+    assert seen == 36 * (l - 1) * (l - 2)  # 5,040 over the five l
 
 
 def test_boundary_cancellation():

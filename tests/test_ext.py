@@ -20,6 +20,8 @@ from qgl3.ext import (
 from qgl3.lattice import FacetType, Weight, classify_restricted, dual_weight
 from qgl3.verify import suite_ext_lemmas
 
+import oracles
+
 
 def test_g1_wall_triple_entries():
     assert ext1_g1(Weight(1, 2), Weight(4, 1), 5).labels() == ["nabla(0,1)"]
@@ -120,21 +122,6 @@ def test_ext_value_realization():
     # k + nabla(0,1) + nabla(1,0) is realized by a module of dimension 1 + 3 + 3
     v = ExtValue(("k", Weight(0, 1), Weight(1, 0)))
     assert v.dimension == 7
-
-
-def test_g_small_ext_families():
-    # the stated wall and alcove families for l in {2, 3, 5}
-    for l in (2, 3, 5):
-        for r in range(l - 1):
-            s = l - 2 - r
-            assert ext1_g(Weight(r, s), Weight(2 * l - 1, r), l) == 1
-            assert ext1_g(Weight(r, s), Weight(s, 2 * l - 1), l) == 1
-            want = 1 if l == 3 else 0
-            assert ext1_g(Weight(r, s), Weight(l + r, l + s), l) == want
-            assert ext1_g(Weight(l - 1, r), Weight(r, l + s), l) == 1
-            assert ext1_g(Weight(s, l - 1), Weight(l + r, s), l) == 1
-            assert ext1_g(Weight(l - 1, r), Weight(l + s, l - 1), l) == 0
-            assert ext1_g(Weight(s, l - 1), Weight(l - 1, l + r), l) == 0
 
 
 def test_g_examples_and_errors():
@@ -284,6 +271,16 @@ def test_socle_table_covers_restricted_box():
 def test_socle_editorial_row_flagged():
     # the (0, l-1) row is the editorial reconstruction
     assert socle_fundamental_tensor(Weight(0, 4), 5) == [Weight(1, 4), Weight(0, 3)]
+
+
+def test_derived_pair_tables_equal_the_printed_ones():
+    """The down-alcove pairs are the graph edges and three reversed edges;
+    the up-alcove pairs are their dual image.  Both equal the printed
+    tables."""
+    assert ext._DOWN_PAIRS == oracles.PRINTED_DOWN_PAIRS
+    assert ext._UP_PAIRS == oracles.PRINTED_UP_PAIRS
+    extra = ext._DOWN_PAIRS - set(ext.DOWN_EDGES)
+    assert {(v, u) for u, v in extra} <= set(ext.DOWN_EDGES) and len(extra) == 3
 
 
 def test_g1b_tables_are_duality_images():

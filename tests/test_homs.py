@@ -15,12 +15,10 @@ from qgl3.homs import (
 )
 from qgl3.lattice import (
     RHO,
-    FacetType,
     PositiveRoot,
     Weight,
     decompose,
     dual_weight,
-    facet_classify,
 )
 from qgl3.structure import zhat_structure
 
@@ -115,20 +113,6 @@ def test_zhat_head_matches_structure_source():
                 lam = l * Weight(a, b) + Weight(r, s)
                 g = zhat_structure(lam, l)
                 assert g.sources()[0].weight == zhat_head_weight(lam, l)
-
-
-def test_head_witness_sweep():
-    for l in (2, 3, 5):
-        for a, b in itertools.product(range(1, 4), repeat=2):
-            for r, s in itertools.product(range(l), repeat=2):
-                lam = l * Weight(a, b) + Weight(r, s)
-                if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
-                    continue
-                head = zhat_head_weight(lam, l)
-                w = hom_exists_mirror(lam, head, l)
-                assert w is not None and w.beta is PositiveRoot.RHO
-                assert witness_valid(lam, head, w, l)
-                assert hom_exists_mirror(head, lam, l) is None
 
 
 def test_translation_pair_consistency():

@@ -21,6 +21,7 @@ from qgl3.structure import (
 )
 from qgl3.verify import run_suite
 
+import oracles
 from oracles import duality_diff, graph_character
 
 
@@ -406,6 +407,29 @@ def test_nabla_sweep():
                 rep = validate_graph(g)
                 assert rep.ok, (lam, l, rep.failures())
                 assert graph_character(g) == weyl_char(lam)
+
+
+def _dual_image(edges) -> set:
+    """The edges of the dual module: each edge reversed and renumbered."""
+    return {(decomp.DUAL_POSITION[v], decomp.DUAL_POSITION[u]) for u, v in edges}
+
+
+def test_up_alcove_tables_are_the_dual_images():
+    """The up-alcove layers are derived and equal the printed ones; the
+    up-alcove edge list and its congruence edits stay printed, for their
+    order, and as sets are the dual images of the down-alcove ones."""
+    assert structure._UP_LAYERS == oracles.PRINTED_UP_LAYERS
+    assert structure._UP_LAYERS_LOOSE == oracles.PRINTED_UP_LAYERS_LOOSE
+    assert _dual_image(ext.DOWN_EDGES) == set(ext.UP_EDGES)
+    assert len(ext.UP_EDGES) == len(set(ext.UP_EDGES)) == 13
+    drop_a, add_a, drop_b, add_b = structure._DOWN_EDITS
+    up_drop_a, up_add_a, up_drop_b, up_add_b = structure._UP_EDITS
+    assert _dual_image([drop_a]) == {up_drop_a} and _dual_image(add_a) == set(up_add_a)
+    assert _dual_image([drop_b]) == {up_drop_b} and _dual_image(add_b) == set(up_add_b)
+    for ca, cb in itertools.product((False, True), repeat=2):
+        down = structure._nine_factor_edges(ext.DOWN_EDGES, ca, cb, *structure._DOWN_EDITS)
+        up = structure._nine_factor_edges(ext.UP_EDGES, ca, cb, *structure._UP_EDITS)
+        assert _dual_image(down) == set(up), (ca, cb)
 
 
 def test_hat_dual_weight():
