@@ -34,7 +34,6 @@ from qgl3.charring import (
     FormalChar,
     char_sum,
     chi_l,
-    chi_l_weyl,
     up_alcove_mirror,
 )
 from qgl3.lattice import (
@@ -121,8 +120,9 @@ class DecompResult:
         return char_sum(chi_l(f, self.l) for f in self.factors)
 
     def nonzero_flags(self) -> list[bool]:
-        """Per factor: does its chi_l term survive as a virtual character."""
-        return [bool(chi_l_weyl(f, self.l)) for f in self.factors]
+        """Per factor: is its chi_l term nonzero.  chi_l(mu) vanishes exactly
+        when the classical part of mu is singular, which dominantize decides."""
+        return [bool(dominantize(decompose(f, self.l).classical)[0]) for f in self.factors]
 
     def surviving_positions(self) -> list[int]:
         """Positions (1-based, in factors) of the genuine twisted-tensor

@@ -177,7 +177,7 @@ def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
     """
     walls = facet_stabilizer_walls(nu, l)
     if len(walls) != 1:
-        raise RuntimeError(
+        raise ValueError(
             f"no target for factor {nu} toward the orbit of {lam_rep} (l={l}): "
             f"{nu} is not on exactly one wall"
         )
@@ -215,12 +215,17 @@ class WallTranslate:
     """The translate into lam's facet of the induced module of the wall
     weight below lam: one (source factor, translated factor list) pair per
     genuine filtration factor of the wall weight, the wall weight itself,
-    and the mirror image of lam in the wall."""
+    and the mirror image of lam in the wall.
+
+    generic: every factor of the wall weight survives, so every classical
+    part is dominant (hence regular), and no translated entry vanishes; the
+    factor counts are asserted for generic translates only."""
 
     l: int
     lists: tuple[tuple[Weight, tuple[OffWallEntry, ...]], ...]
     wall: Weight
     mirror: Weight
+    generic: bool
 
     def weyl_character(self) -> dict[Weight, int]:
         """Character of the full translate in the basis of induced
@@ -229,26 +234,10 @@ class WallTranslate:
             entry.weyl_character(self.l) for _, lst in self.lists for entry in lst
         )
 
-    def generic_factor_count(self) -> int:
-        """Number of translated factors, for generic lam: 18 when l >= 3,
-        8 when l = 2.
-
-        Generic means every source factor and every translated entry has a
-        dominant (hence regular) classical part; non-generic inputs are
-        rejected since the counts are only asserted generically.
-        """
-        l = self.l
-        for nu in chi_decomposition(self.wall, l).factors:
-            if not decompose(nu, l).classical.is_dominant():
-                raise ValueError(
-                    f"non-generic: source factor {nu} has non-dominant classical part"
-                )
-        for _, lst in self.lists:
-            for entry in lst:
-                if entry.vanishes:
-                    raise ValueError(
-                        f"non-generic: translated entry {entry.classical}|{entry.restricted} vanishes"
-                    )
+    @property
+    def factor_count(self) -> int:
+        """Number of translated factors: 18 when l >= 3, 8 when l = 2, for a
+        generic translate."""
         return sum(len(lst) for _, lst in self.lists)
 
 
@@ -264,26 +253,36 @@ def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
     lam = Weight(*lam)
     mu, (root, value) = wall_weight_below(lam, l)
     lam_rep, _ = fundamental_rep(lam, l)
+    dec = chi_decomposition(mu, l)
     lists = []
-    for nu in chi_decomposition(mu, l).surviving_factors():
+    for nu in dec.surviving_factors():
         x = local_target(nu, lam_rep, l)
         ncls, nres = decompose(nu, l)
         xres = decompose(x, l).restricted
         lists.append((nu, translate_off_wall(ncls, nres, xres, l)))
-    return WallTranslate(l, tuple(lists), mu, affine_reflect(lam, root, value, 1))
+    generic = len(dec.positions) == len(dec.factors) and not any(
+        entry.vanishes for _, lst in lists for entry in lst
+    )
+    return WallTranslate(l, tuple(lists), mu, affine_reflect(lam, root, value, 1), generic)
 
 
 def translate_nabla_factor_count(lam: Weight, l: int) -> int:
     """Number of factors of the translate of the wall weight below lam,
-    for generic lam (see WallTranslate.generic_factor_count); at l >= 3 lam
-    must be an alcove weight."""
+    for generic lam (see WallTranslate.generic); at l >= 3 lam must be an
+    alcove weight."""
     lam = Weight(*lam)
     if l >= 3 and facet_classify(lam, l) not in (
         FacetType.DOWN_ALCOVE,
         FacetType.UP_ALCOVE,
     ):
         raise ValueError(f"{lam} is not an alcove weight for l={l}")
-    return translate_factor_lists(lam, l).generic_factor_count()
+    t = translate_factor_lists(lam, l)
+    if not t.generic:
+        raise ValueError(
+            f"non-generic: a factor of the wall weight {t.wall} below {lam} or a "
+            f"translated entry vanishes (l={l})"
+        )
+    return t.factor_count
 
 
 def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:

@@ -1,7 +1,11 @@
 """Verification sweeps: every module's exact identities over weight boxes.
 
-Each suite yields (case, identity, observed, ok) tuples; a VerifyReport
-aggregates them.  All checks are exact integer identities.
+A suite is called as suite(l, parts) for one l and a list of classical
+parts, mostly on the weights l*cls + r with r restricted, and yields
+(case, identity, observed, ok) tuples; a VerifyReport aggregates them.
+run_suite builds a suite's parts once from the box (_DOMAINS): a serial
+sweep hands the suite all of them, --jobs one slice per task.  All checks
+are exact integer identities.
 """
 
 from __future__ import annotations
@@ -50,52 +54,51 @@ class VerifyReport:
         return self.cases_run > 0 and not self.failures
 
 
-def _classical_box(box: int, rows: tuple[int, ...] | None = None) -> Iterator[Weight]:
-    first = range(box + 1) if rows is None else rows
-    for a, b in itertools.product(first, range(box + 1)):
-        yield Weight(a, b)
-
-
 def _restricted(l: int) -> Iterator[Weight]:
     for r, s in itertools.product(range(l), repeat=2):
         yield Weight(r, s)
 
 
-def suite_denominator(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+def _weights(l: int, parts: list[Weight]) -> Iterator[tuple[Weight, Weight]]:
+    """(cls, l*cls + r) for each classical part and restricted weight r."""
+    for cls in parts:
+        for res in _restricted(l):
+            yield cls, l * cls + res
+
+
+def suite_denominator(l: int, parts: list[Weight]) -> Iterator[Case]:
     a_rho = alt_weyl_sum(RHO)
-    for lam in _classical_box(box, rows):
+    for lam in parts:
         observed = coeff_diff(alt_weyl_sum(lam + RHO).coeffs, (weyl_char(lam) * a_rho).coeffs)
         yield (f"lam={lam}", "A(lam+rho) = weyl(lam)*A(rho)", observed, observed == "ok")
         observed = coeff_diff(weyl_char_alternating(lam).coeffs, weyl_char(lam).coeffs)
         yield (f"lam={lam}", "quotient path = tableau path", observed, observed == "ok")
 
 
-def suite_dimension(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
-    for lam in _classical_box(box, rows):
+def suite_dimension(l: int, parts: list[Weight]) -> Iterator[Case]:
+    for lam in parts:
         d = weyl_char(lam).dimension
         want = weyl_dimension(lam)
         yield (f"lam={lam}", f"dim = {want}", str(d), d == want)
 
 
-def suite_decomposition(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+def suite_decomposition(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The identity sum of chi_l over the filtration factors of lam =
     {lam: 1}, in the basis of induced characters.  The factors are zhat_factors(lam), the
     list of chi_decomposition(lam) reversed on the walls, built without the
     memo: a sweep reads each weight once."""
-    for cls in _classical_box(box, rows):
-        for res in _restricted(l):
-            lam = l * cls + res
-            total = weyl_sum(chi_l_weyl(f, l) for f in zhat_factors(lam, l))
-            observed = coeff_diff(total, {lam: 1})
-            yield (
-                f"l={l} lam={lam}",
-                "sum of chi_l factors = weyl character",
-                observed,
-                observed == "ok",
-            )
+    for _, lam in _weights(l, parts):
+        total = weyl_sum(chi_l_weyl(f, l) for f in zhat_factors(lam, l))
+        observed = coeff_diff(total, {lam: 1})
+        yield (
+            f"l={l} lam={lam}",
+            "sum of chi_l factors = weyl character",
+            observed,
+            observed == "ok",
+        )
 
 
-def suite_zhat(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The identity sum of ch L^(nu) over zhat_factors(lam) = zhat_char(lam),
     multiplied by A(rho), which is injective on ZX.  A factor nu = l*c + r
     then contributes e(l*c) times the numerator of L(r), at most 12 terms,
@@ -121,117 +124,111 @@ def suite_zhat(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterato
         shared.append(f"zhat_char times A(rho): {observed}")
     if zc.dimension != l**3:
         shared.append(f"zhat_char dim {zc.dimension}")
-    for cls in _classical_box(box, rows):
-        for res in _restricted(l):
-            lam = l * cls + res
-            acc: dict[tuple[int, int], int] = {}
-            get = acc.get
-            dim = 0
-            used = {}  # the restricted parts of the factors, in order
-            for a, b in zhat_factors(lam, l):
-                r = (a % l, b % l)
-                ta, tb = a - r[0], b - r[1]
-                for (x, y), m in numerators[r].items():
-                    k = (x + ta, y + tb)
-                    acc[k] = get(k, 0) + m
-                dim += dims[r]
-                used[r] = None
-            got = {k: c for k, c in acc.items() if c}
-            observed = coeff_diff(got, zhat_numerator(lam, l).coeffs)
-            parts = [] if observed == "ok" else [f"times A(rho): {observed}"]
-            parts += [wrong[r] for r in used if r in wrong]
-            parts += shared
-            if dim != l**3:
-                parts.append(f"dim {dim}")
-            observed = "; ".join(parts) or "ok"
-            yield (
-                f"l={l} lam={lam}",
-                "sum of simple characters = induced character, dim l^3",
-                observed,
-                observed == "ok",
-            )
+    for _, lam in _weights(l, parts):
+        acc: dict[tuple[int, int], int] = {}
+        get = acc.get
+        dim = 0
+        used = {}  # the restricted parts of the factors, in order
+        for a, b in zhat_factors(lam, l):
+            r = (a % l, b % l)
+            ta, tb = a - r[0], b - r[1]
+            for (x, y), m in numerators[r].items():
+                k = (x + ta, y + tb)
+                acc[k] = get(k, 0) + m
+            dim += dims[r]
+            used[r] = None
+        got = {k: c for k, c in acc.items() if c}
+        observed = coeff_diff(got, zhat_numerator(lam, l).coeffs)
+        diffs = [] if observed == "ok" else [f"times A(rho): {observed}"]
+        diffs += [wrong[r] for r in used if r in wrong]
+        diffs += shared
+        if dim != l**3:
+            diffs.append(f"dim {dim}")
+        observed = "; ".join(diffs) or "ok"
+        yield (
+            f"l={l} lam={lam}",
+            "sum of simple characters = induced character, dim l^3",
+            observed,
+            observed == "ok",
+        )
 
 
-def _translate_box(box: int) -> int:
-    return max(2, min(box, 3))
-
-
-def suite_translate(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
-    for cls in _classical_box(_translate_box(box), rows):
-        for res in _restricted(l):
-            lam = l * cls + res
-            facet = facet_classify(lam, l)
-            if l >= 3 and facet not in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
-                continue
-            if l == 2 and facet is FacetType.VERTEX:
-                continue
-            if cls == Weight(0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
-                continue  # no dominant wall point below
-            case = f"l={l} lam={lam}"
-            identity = "translate character = weyl(lam) + weyl(mirror)"
+def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
+    """The translate into lam's facet of the wall weight below lam, for
+    each alcove weight lam (each non-vertex weight at l = 2) that has a
+    dominant wall point below: when the mirror of lam is dominant, its
+    character is weyl(lam) + weyl(mirror), its factor count is 18 (8 at
+    l = 2) if it is generic (WallTranslate.generic), and at l >= 3 the
+    onto-wall images of the surviving factors of lam sum to the image of
+    lam when that survives."""
+    for cls, lam in _weights(l, parts):
+        facet = facet_classify(lam, l)
+        if l >= 3 and facet not in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
+            continue
+        if l == 2 and facet is FacetType.VERTEX:
+            continue
+        if cls == Weight(0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
+            continue  # no dominant wall point below
+        case = f"l={l} lam={lam}"
+        identity = "translate character = weyl(lam) + weyl(mirror)"
+        try:
+            t = translate_factor_lists(lam, l)
+        except ValueError as exc:
+            yield (case, identity, str(exc), False)
+            continue
+        if not t.mirror.is_dominant():
+            continue
+        observed = coeff_diff(t.weyl_character(), {lam: 1, t.mirror: 1})
+        yield (case, identity, observed, observed == "ok")
+        if l >= 3:
+            # translate the surviving factors onto a wall of the
+            # fundamental domain and compare with the image module;
+            # meaningful whenever the image of lam itself survives
+            rep, _ = fundamental_rep(lam, l)
+            wall_rep = Weight(0, l - 2)
+            identity = "onto-wall factor characters = image character"
             try:
-                t = translate_factor_lists(lam, l)
+                image = translate_onto_wall(lam, rep, wall_rep, l)
+                if image is not None:
+                    images = (
+                        translate_onto_wall(f, rep, wall_rep, l)
+                        for f in chi_decomposition(lam, l).surviving_factors()
+                    )
+                    acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
+                    observed = coeff_diff(acc, {image: 1})
+                    yield (case, identity, observed, observed == "ok")
             except ValueError as exc:
                 yield (case, identity, str(exc), False)
-                continue
-            if not t.mirror.is_dominant():
-                continue
-            observed = coeff_diff(t.weyl_character(), {lam: 1, t.mirror: 1})
-            yield (case, identity, observed, observed == "ok")
-            if l >= 3:
-                # translate the surviving factors onto a wall of the
-                # fundamental domain and compare with the image module;
-                # meaningful whenever the image of lam itself survives
-                rep, _ = fundamental_rep(lam, l)
-                wall_rep = Weight(0, l - 2)
-                identity = "onto-wall factor characters = image character"
-                try:
-                    image = translate_onto_wall(lam, rep, wall_rep, l)
-                    if image is not None:
-                        images = (
-                            translate_onto_wall(f, rep, wall_rep, l)
-                            for f in chi_decomposition(lam, l).surviving_factors()
-                        )
-                        acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
-                        observed = coeff_diff(acc, {image: 1})
-                        yield (case, identity, observed, observed == "ok")
-                except ValueError as exc:
-                    yield (case, identity, str(exc), False)
+        if t.generic:
             want = 8 if l == 2 else 18
-            identity = f"generic factor count = {want}"
-            try:
-                n = t.generic_factor_count()
-            except ValueError as exc:
-                if not str(exc).startswith("non-generic:"):
-                    yield (case, identity, str(exc), False)
-                continue
-            yield (case, identity, str(n), n == want)
+            n = t.factor_count
+            yield (case, f"generic factor count = {want}", str(n), n == want)
 
 
-def suite_graphs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
+def suite_graphs(l: int, parts: list[Weight]) -> Iterator[Case]:
     # the builders are read by name on each call, so a wrapper bound in this
     # module's namespace (a tracer's) sees every build
     cases = (
         ("zhat", zhat_structure, "all structure-graph checks"),
         ("lfilt", nabla_l_filtration, "filtration nodes and character"),
     )
-    for cls in _classical_box(box, rows):
-        for res in _restricted(l):
-            lam = l * cls + res
-            for tag, build, identity in cases:
-                case = f"l={l} lam={lam} {tag}"
-                try:
-                    g = build(lam, l)
-                    rep = validate_graph(g)
-                except ValueError as exc:  # a kept factor with no layer, a bad factor list
-                    yield (case, identity, str(exc), False)
-                    continue
-                yield (case, identity, "ok" if rep.ok else str(rep.failures()), rep.ok)
+    for _, lam in _weights(l, parts):
+        for tag, build, identity in cases:
+            case = f"l={l} lam={lam} {tag}"
+            try:
+                g = build(lam, l)
+                rep = validate_graph(g)
+            except ValueError as exc:  # a kept factor with no layer, a bad factor list
+                yield (case, identity, str(exc), False)
+                continue
+            yield (case, identity, "ok" if rep.ok else str(rep.failures()), rep.ok)
 
 
-def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
-    if rows is not None and 0 not in rows:
-        return
+def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:
+    """Ext^1_G between simples in the wall and alcove families of the
+    lemmas, the Steinberg and label-dual symmetries of Ext^1_G1, all of
+    which depend on l alone, and the Ext tables of the weights of each
+    classical part against the general thickened-kernel rule."""
 
     def check(name, mu, lam, want):
         got = ext1_g(mu, lam, l)
@@ -273,7 +270,8 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
                 (Weight(l + r, l + s), 1 if l == 3 else 0),
             ):
                 yield check("downalc", down, nu, want)
-    # Steinberg rows vanish; triple entries are label-dual across the diagonal.
+    # Ext with the Steinberg weight vanishes both ways; triple entries are
+    # label-dual across the diagonal.
     st = Weight(l - 1, l - 1)
     for beta in _restricted(l):
         ok = not ext1_g1(st, beta, l) and not ext1_g1(beta, st, l)
@@ -286,9 +284,7 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
                 ok = ext1_g1(alpha, beta, l) == ext1_g1(beta, alpha, l).label_dual()
                 yield (f"l={l} swap {alpha},{beta}", "label-dual symmetry", "ok" if ok else "broken", ok)
     # Tables against the general thickened-kernel rule, one weight per facet.
-    cls = Weight(2, 2)
-    for res in _restricted(l):
-        mu = l * cls + res
+    for _, mu in _weights(l, parts):
         try:
             factors, pairs = ext_table(mu, l)
         except ValueError as exc:  # a degenerate factor list
@@ -306,22 +302,18 @@ def suite_ext_lemmas(l: int, box: int, rows: tuple[int, ...] | None = None) -> I
                 )
 
 
-def suite_homs(l: int, box: int, rows: tuple[int, ...] | None = None) -> Iterator[Case]:
-    for cls in _classical_box(box, rows):
-        if cls.a < 1 or cls.b < 1:
+def suite_homs(l: int, parts: list[Weight]) -> Iterator[Case]:
+    for _, lam in _weights(l, parts):
+        if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
             continue
-        for res in _restricted(l):
-            lam = l * cls + res
-            if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
-                continue
-            head = zhat_head_weight(lam, l)
-            w = hom_exists_mirror(lam, head, l)
-            ok = w is not None and w.beta is PositiveRoot.RHO and witness_valid(lam, head, w, l)
-            yield (f"l={l} lam={lam}", "rho witness onto the head weight", str(w), ok)
-            back = hom_exists_mirror(head, lam, l) if head.is_dominant() else None
-            yield (f"l={l} lam={lam}", "antisymmetric", str(back), back is None)
-            same = hom_exists_mirror(lam, lam, l)
-            yield (f"l={l} lam={lam}", "no witness on the diagonal", str(same), same is None)
+        head = zhat_head_weight(lam, l)
+        w = hom_exists_mirror(lam, head, l)
+        ok = w is not None and w.beta is PositiveRoot.RHO and witness_valid(lam, head, w, l)
+        yield (f"l={l} lam={lam}", "rho witness onto the head weight", str(w), ok)
+        back = hom_exists_mirror(head, lam, l) if head.is_dominant() else None
+        yield (f"l={l} lam={lam}", "antisymmetric", str(back), back is None)
+        same = hom_exists_mirror(lam, lam, l)
+        yield (f"l={l} lam={lam}", "no witness on the diagonal", str(same), same is None)
 
 
 SUITES = {
@@ -335,31 +327,28 @@ SUITES = {
     "homs": suite_homs,
 }
 
-# The first classical coordinates a suite sweeps, where they are not
-# range(box + 1); ext-lemmas does all of its work in row 0.
-_ROW_DOMAINS = {
-    "translate": lambda box: range(_translate_box(box) + 1),
-    "ext-lemmas": lambda box: range(1),
+
+def _box(box: int) -> list[Weight]:
+    return [Weight(a, b) for a, b in itertools.product(range(box + 1), repeat=2)]
+
+
+# The classical parts a suite sweeps, where they are not the box [0, box]^2.
+# ext-lemmas has one part, so its checks that depend on l alone run once per l.
+_DOMAINS = {
+    "translate": lambda box: _box(max(2, min(box, 3))),
+    "ext-lemmas": lambda box: [Weight(2, 2)],
+    "homs": lambda box: [c for c in _box(box) if c.a >= 1 and c.b >= 1],
 }
 
 
-def _suite_rows(name: str, box: int) -> tuple[int, ...]:
-    """The row domain of a suite.  Serial and parallel sweeps both run the
-    suite over exactly these rows; --jobs partitions them."""
-    domain = _ROW_DOMAINS.get(name)
-    return tuple(domain(box) if domain else range(box + 1))
-
-
-def _suite_chunk(
-    name: str, l: int, box: int, rows: tuple[int, ...], record=None
-) -> tuple[int, list]:
-    """Run a suite at one l over rows.  Returns the case count and a list of
-    the (case, identity, observed) failures, unless record takes each one
-    as it happens (the serial sweep's streaming recorder)."""
+def _suite_chunk(name: str, l: int, parts: list[Weight], record=None) -> tuple[int, list]:
+    """Run a suite at one l over classical parts.  Returns the case count
+    and a list of the (case, identity, observed) failures, unless record
+    takes each one as it happens (the serial sweep's streaming recorder)."""
     count = 0
     failures = []
     record = record or failures.append
-    for case in SUITES[name](l, box, rows):
+    for case in SUITES[name](l, parts):
         count += 1
         if not case[3]:
             record(case[:3])
@@ -385,7 +374,9 @@ def run_suite(
 ) -> VerifyReport:
     check_sweep(name, l_values, box, jobs)
     report = VerifyReport(name)
-    rows = _suite_rows(name, box)
+    # the one domain of the suite; a serial sweep runs all of it, --jobs
+    # splits it into at most jobs chunks per l
+    parts = _DOMAINS.get(name, _box)(box)
 
     def record(failure) -> None:
         report.failures.append(failure)
@@ -394,12 +385,12 @@ def run_suite(
 
     if jobs == 1:
         for l in l_values:
-            report.cases_run += _suite_chunk(name, l, box, rows, record)[0]
+            report.cases_run += _suite_chunk(name, l, parts, record)[0]
         return report
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    chunks = [rows[i::jobs] for i in range(jobs) if rows[i::jobs]]
-    tasks = [(name, l, box, chunk) for l in l_values for chunk in chunks]
+    chunks = [parts[i::jobs] for i in range(jobs) if parts[i::jobs]]
+    tasks = [(name, l, chunk) for l in l_values for chunk in chunks]
     # a fork-started pool forks all of its workers on the first submit
     with ProcessPoolExecutor(max_workers=max(1, min(jobs, len(tasks)))) as pool:
         futures = [pool.submit(_suite_chunk, *task) for task in tasks]

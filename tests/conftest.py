@@ -83,3 +83,19 @@ def degenerate_down_alcove(monkeypatch, fresh_memo):
         return factors[:5] + factors[4:5] + factors[6:]
 
     monkeypatch.setattr(decomp, "down_alcove_family", degenerate)
+
+
+@pytest.fixture
+def corrupt_right_wall(monkeypatch, fresh_memo):
+    """Shift factor 2 of the right-wall factor family by (1, 0).  The left
+    wall list is its coordinate swap, so both walls are corrupted, and the
+    translation of a wall weight meets a factor that is not on exactly one
+    wall."""
+    family = decomp._right_wall_family
+
+    def corrupted(a, b, r, l):
+        factors = family(a, b, r, l)
+        x, y = factors[1]
+        return factors[:1] + ((x + 1, y),) + factors[2:]
+
+    monkeypatch.setattr(decomp, "_right_wall_family", corrupted)

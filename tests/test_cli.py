@@ -320,19 +320,20 @@ def test_verify_pool_sized_by_task_count(monkeypatch):
             return fut
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    run_suite("ext-lemmas", [2, 3], 4, jobs=64)  # one row: a task per l
-    run_suite("decomposition", [2, 3, 5], 1, jobs=64)  # two rows per l
-    run_suite("decomposition", [2], 4, jobs=3)  # fewer jobs than rows
-    assert sizes == [2, 6, 3]
+    run_suite("ext-lemmas", [2, 3], 4, jobs=64)  # one part: a task per l
+    run_suite("decomposition", [2, 3, 5], 1, jobs=64)  # four parts per l
+    run_suite("decomposition", [2], 4, jobs=3)  # fewer jobs than parts
+    assert sizes == [2, 12, 3]
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_serial_and_parallel_sweeps_agree(name):
     serial = run_suite(name, [2, 3], 1)
-    parallel = run_suite(name, [2, 3], 1, jobs=2)
     assert serial.cases_run > 0
-    assert parallel.cases_run == serial.cases_run
-    assert sorted(parallel.failures) == sorted(serial.failures)
+    for jobs in (2, 3):  # box 1 has four parts, so three chunks are uneven
+        parallel = run_suite(name, [2, 3], 1, jobs=jobs)
+        assert parallel.cases_run == serial.cases_run
+        assert sorted(parallel.failures) == sorted(serial.failures)
 
 
 def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
@@ -351,13 +352,16 @@ def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
     [
         ("corrupt_down_alcove", ["translate"], "translate_onto_wall needs a regular weight"),
         ("degenerate_down_alcove", ["graphs", "ext-lemmas"], "degenerate factor list for"),
+        ("corrupt_right_wall", ["translate"], "is not on exactly one wall"),
     ],
 )
 def test_an_error_in_a_case_is_a_failed_case(capsys, request, fault, suites, message):
     """A ValueError raised while checking one weight fails that weight's
-    case, with the message, and the run goes on to the next case and suite."""
+    case, with the message, and the run goes on to the next case and suite,
+    serial and with --jobs 2."""
     request.getfixturevalue(fault)
-    code, out, err = run(capsys, "verify", "--suites", ",".join(suites), "--l", "3,5", "--box", "2")
+    argv = ["verify", "--suites", ",".join(suites), "--l", "3,5", "--box", "2"]
+    code, out, err = run(capsys, *argv)
     assert code == 1
     status = dict(line.split(": ", 1) for line in out.splitlines())
     for name in suites:
@@ -367,3 +371,9 @@ def test_an_error_in_a_case_is_a_failed_case(capsys, request, fault, suites, mes
             if line.startswith(f"FAIL {name}: l=") and message in line
         ]
         assert named, (name, err[:300])
+    # a parallel sweep fails the same cases; its workers see the fault only
+    # when forked
+    if multiprocessing.get_start_method() == "fork":
+        p_code, p_out, p_err = run(capsys, *argv, "--jobs", "2")
+        assert (p_code, p_out) == (code, out)
+        assert sorted(p_err.splitlines()) == sorted(err.splitlines())

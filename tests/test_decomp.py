@@ -9,6 +9,7 @@ from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
     chi_l,
+    chi_l_weyl,
     frobenius_twist,
     restricted_simple_char,
     restricted_simple_numerator,
@@ -115,11 +116,12 @@ def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):
     # reject a corrupted factor family on exactly the weights where the
     # weight-basis identity fails.
     for l, box in ((3, 3), (5, 2)):
-        weyl_failures = {name for name, _, _, ok in suite_decomposition(l, box) if not ok}
+        parts = [Weight(a, b) for a, b in itertools.product(range(box + 1), repeat=2)]
+        weyl_failures = {name for name, _, _, ok in suite_decomposition(l, parts) if not ok}
         weight_failures = set()
-        for a, b in itertools.product(range(box + 1), repeat=2):
+        for cls in parts:
             for r, s in itertools.product(range(l), repeat=2):
-                lam = l * Weight(a, b) + Weight(r, s)
+                lam = l * cls + Weight(r, s)
                 if chi_decomposition(lam, l).character() != weyl_char(lam):
                     weight_failures.add(f"l={l} lam={lam}")
         assert weight_failures
@@ -166,6 +168,19 @@ def test_dual_position_against_the_families(l):
             assert hat_dual_weight(f, l) == dual_family[sigma[i] - 1], (l, lam, i)
         seen += 1
     assert seen == 36 * (l - 1) * (l - 2)  # 5,040 over the five l
+
+
+def test_nonzero_flags_against_chi_l_weyl():
+    """A factor's flag is its chi_l term being nonzero, as the Weyl-basis
+    character says, on every weight of [0, 3l)^2."""
+    zeros = 0
+    for l in (2, 3, 5, 7):
+        for a, b in itertools.product(range(3 * l), repeat=2):
+            dec = chi_decomposition(Weight(a, b), l)
+            flags = dec.nonzero_flags()
+            assert flags == [bool(chi_l_weyl(f, l)) for f in dec.factors], (l, a, b)
+            zeros += flags.count(False)
+    assert zeros
 
 
 def test_boundary_cancellation():

@@ -355,7 +355,7 @@ def _local_target_by_search(nu, lam_rep, l):
     _, candidates = _orbit_near(nu, lam_rep, l)
     good = sorted(x for x in candidates if _admissible_target(nu, x, l))
     if len(good) != 1:
-        raise RuntimeError(f"no unique admissible target for {nu}: {good}")
+        raise ValueError(f"no unique admissible target for {nu}: {good}")
     return good[0]
 
 
@@ -416,7 +416,7 @@ def _wall_weight_below_by_search(lam, l):
 def _outcome(f, *args):
     try:
         return f(*args)
-    except (ValueError, RuntimeError) as exc:
+    except ValueError as exc:
         return type(exc)
 
 
@@ -458,8 +458,8 @@ def test_closed_forms_against_window_search():
             wall_weight_below(lam, 5)
     # a factor off the walls, and one on all three, has no target
     for nu in (Weight(0, 0), Weight(2, 2)):
-        assert _outcome(_local_target_by_search, nu, Weight(0, 0), 3) is RuntimeError
-        with pytest.raises(RuntimeError):
+        assert _outcome(_local_target_by_search, nu, Weight(0, 0), 3) is ValueError
+        with pytest.raises(ValueError, match="not on exactly one wall"):
             local_target(nu, Weight(0, 0), 3)
 
 
@@ -556,7 +556,8 @@ def test_translate_sweep_builds_each_factor_list_once(monkeypatch):
         monkeypatch.setattr(module, "translate_factor_lists", counted)
     for l in (3, 5):
         calls.clear()
-        cases = list(verify.suite_translate(l, 2))
+        parts = [Weight(a, b) for a, b in itertools.product(range(3), repeat=2)]
+        cases = list(verify.suite_translate(l, parts))
         assert cases and all(ok for *_, ok in cases)
         # once per weight, and every checked weight had its call
         assert len(calls) == len(set(calls))
@@ -588,21 +589,40 @@ def test_translate_sweep_records_a_failed_translation(monkeypatch):
     ]
 
 
-def test_translate_sweep_records_a_failed_generic_count(monkeypatch):
-    """The sweep skips a generic count only when the weight is
-    non-generic; any other ValueError is a failed case that carries its
-    message."""
-
-    def boom(self):
-        raise ValueError("boom")
-
-    monkeypatch.setattr(translate.WallTranslate, "generic_factor_count", boom)
-    report = verify.run_suite("translate", [5], 3)
-    # every one of the 186 weights that reach the count fails; an unpatched
-    # sweep counts the 48 generic ones and skips the rest (324 cases)
-    assert report.cases_run == 462 and not report.passed
-    assert len(report.failures) == 186
-    assert all(
-        identity == "generic factor count = 18" and observed == "boom"
-        for _, identity, observed in report.failures
+def _generic_by_definition(t):
+    """Every factor of the wall weight, surviving or not, has a dominant
+    classical part, and no translated entry vanishes."""
+    factors = chi_decomposition(t.wall, t.l).factors
+    return all(decompose(nu, t.l).classical.is_dominant() for nu in factors) and not any(
+        entry.vanishes for _, lst in t.lists for entry in lst
     )
+
+
+def test_generic_flag_against_the_definition(monkeypatch):
+    """WallTranslate.generic equals the definition on every weight the
+    translate sweep reaches at l in {2,3,5,7}, box 3, and the sweep checks
+    the factor count of exactly the generic translates with a dominant
+    mirror."""
+    seen = []
+    build = translate.translate_factor_lists
+
+    def recorded(lam, l):
+        seen.append((lam, build(lam, l)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(verify, "translate_factor_lists", recorded)
+    parts = [Weight(a, b) for a, b in itertools.product(range(4), repeat=2)]
+    tally = {}
+    for l in (2, 3, 5, 7):
+        seen.clear()
+        cases = list(verify.suite_translate(l, parts))
+        assert all(ok for *_, ok in cases)
+        for lam, t in seen:
+            assert t.generic == _generic_by_definition(t), (l, lam)
+        counted = {case for case, identity, *_ in cases if identity.startswith("generic")}
+        assert counted == {
+            f"l={l} lam={lam}" for lam, t in seen if t.generic and t.mirror.is_dominant()
+        }
+        tally[l] = (len(seen), len(counted))
+    # at l = 5, 138 of the 186 weights are not generic
+    assert tally == {2: (47, 18), 3: (31, 8), 5: (186, 48), 7: (465, 120)}
