@@ -1,8 +1,9 @@
 """Character decomposition of induced modules into twisted-tensor factors.
 
 chi_decomposition writes the induced character of a dominant weight as a
-signed sum of chi_l terms, one family of factor weights per facet type, and
-surviving_positions picks the genuine modules among them by bookkeeping.
+signed sum of chi_l terms, one family of factor weights per facet type;
+its positions, which _surviving_positions computes by bookkeeping, pick the
+genuine modules among them.
 zhat_factors gives the composition factors of the modules induced from the
 Borel to the first-kernel thickening, zhat_char their l^3-dimensional
 character, summed afresh on each call, and zhat_numerator is zhat_char
@@ -108,7 +109,7 @@ class DecompResult:
     factors: tuple[Weight, ...]
     # factor_family(lam, l)
     _family: tuple[FacetType, tuple[Weight, ...]] = field(repr=False, compare=False)
-    # surviving_positions, as _surviving_positions computes them
+    # the surviving positions, as _surviving_positions computes them
     positions: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
@@ -123,18 +124,6 @@ class DecompResult:
         """Per factor: is its chi_l term nonzero.  chi_l(mu) vanishes exactly
         when the classical part of mu is singular, which dominantize decides."""
         return [bool(dominantize(decompose(f, self.l).classical)[0]) for f in self.factors]
-
-    def surviving_positions(self) -> list[int]:
-        """Positions (1-based, in factors) of the genuine twisted-tensor
-        modules of the filtration.
-
-        A factor survives when its classical part is dominant and its chi_l
-        is not cancelled by an opposite-sign factor with the same normalized
-        classical part and restricted part (such pairs occur exactly when
-        the classical part of lam touches the dominant boundary).  The sum of
-        their chi_l terms is checked by structure.validate_graph.
-        """
-        return list(self.positions)
 
     def surviving_factors(self) -> list[Weight]:
         """Factors that are genuine twisted-tensor modules of the filtration."""
@@ -153,7 +142,15 @@ class DecompResult:
 
 
 def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]:
-    """The bookkeeping behind DecompResult.surviving_positions."""
+    """Positions (1-based, in factors) of the genuine twisted-tensor
+    modules of the filtration.
+
+    A factor survives when its classical part is dominant and its chi_l is
+    not cancelled by an opposite-sign factor with the same normalized
+    classical part and restricted part (such pairs occur exactly when the
+    classical part of lam touches the dominant boundary).  The sum of their
+    chi_l terms is checked by structure.validate_graph.
+    """
     net: dict[tuple[Weight, Weight], int] = {}
     rows = []
     for f in factors:

@@ -149,7 +149,7 @@ def _build(
     factors: tuple[Weight, ...],
     edges,
     layers: dict[int, int],
-    keep: list[int],
+    keep: tuple[int, ...],
 ) -> ModuleGraph:
     indices = sorted(keep)
     kept = set(indices)
@@ -170,7 +170,7 @@ def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     lam = Weight(*lam)
     facet, factors = factor_family(lam, l)
     edges, layers = _ZHAT_TABLES[facet]
-    return _build(lam, l, G1B_SIMPLE, factors, edges, layers, list(layers))
+    return _build(lam, l, G1B_SIMPLE, factors, edges, layers, tuple(layers))
 
 
 def _nine_factor_edges(base, congruent_a, congruent_b, drop_a, add_a, drop_b, add_b):
@@ -219,7 +219,7 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
         ca, cb = a % l == l - 1, b % l == l - 1
         edges = _nine_factor_edges(UP_EDGES, ca, cb, *_UP_EDITS)
         layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
-    return _build(lam, l, NABLA_L, dec.factors, edges, layers, dec.surviving_positions())
+    return _build(lam, l, NABLA_L, dec.factors, edges, layers, dec.positions)
 
 
 @dataclass

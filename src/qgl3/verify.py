@@ -4,8 +4,10 @@ A suite is called as suite(l, parts) for one l and a list of classical
 parts, mostly on the weights l*cls + r with r restricted, and yields
 (case, identity, observed, ok) tuples; a VerifyReport aggregates them.
 run_suite builds a suite's parts once from the box (_DOMAINS): a serial
-sweep hands the suite all of them, --jobs one slice per task.  All checks
-are exact integer identities.
+sweep hands the suite all of them, --jobs one slice per task.  No suite
+builds a per-l table of characters: the zhat suite reads the numerator of
+a restricted simple when a factor first uses it, so a chunk builds only
+what its slice needs.  All checks are exact integer identities.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from qgl3.charring import (
     alt_weyl_sum,
     chi_l_weyl,
     coeff_diff,
-    restricted_simple_char,
     restricted_simple_numerator,
+    restricted_simple_weyl,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -102,45 +104,37 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The identity sum of ch L^(nu) over zhat_factors(lam) = zhat_char(lam),
     multiplied by A(rho), which is injective on ZX.  A factor nu = l*c + r
     then contributes e(l*c) times the numerator of L(r), at most 12 terms,
-    and the right side is zhat_numerator(lam).  Each numerator is checked
-    against its character once per l, and a case fails with every part
-    that differs: its own sum, the checks of the L(r) its factors use, the
-    check of zhat_char and the dimension count."""
-    a_rho = alt_weyl_sum(RHO)
-    numerators: dict[Weight, dict[tuple[int, int], int]] = {}
-    dims: dict[Weight, int] = {}
-    wrong: dict[Weight, str] = {}
-    for r in _restricted(l):
-        simple = restricted_simple_char(r, l)
-        num = numerators[r] = restricted_simple_numerator(r, l).coeffs
-        dims[r] = simple.dimension
-        observed = coeff_diff((simple * a_rho).coeffs, num)
-        if observed != "ok":
-            wrong[r] = f"L{r} times A(rho): {observed}"
-    zc = zhat_char(Weight(0, 0), l)
-    shared = []
-    observed = coeff_diff((zc * a_rho).coeffs, zhat_numerator(Weight(0, 0), l).coeffs)
-    if observed != "ok":
-        shared.append(f"zhat_char times A(rho): {observed}")
+    and the right side is zhat_numerator(lam).  The numerator and the
+    dimension of L(r) are read off its Weyl form the first time a factor
+    uses r; zhat_char is checked against zhat_numerator once per l.  A case
+    fails with every part that differs: its own sum, the check of zhat_char
+    and the dimension count."""
+    numerators: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    dims: dict[tuple[int, int], int] = {}
+    zero = Weight(0, 0)
+    zc = zhat_char(zero, l)
+    observed = coeff_diff((zc * alt_weyl_sum(RHO)).coeffs, zhat_numerator(zero, l).coeffs)
+    shared = [] if observed == "ok" else [f"zhat_char times A(rho): {observed}"]
     if zc.dimension != l**3:
         shared.append(f"zhat_char dim {zc.dimension}")
     for _, lam in _weights(l, parts):
         acc: dict[tuple[int, int], int] = {}
         get = acc.get
         dim = 0
-        used = {}  # the restricted parts of the factors, in order
         for a, b in zhat_factors(lam, l):
             r = (a % l, b % l)
+            if r not in numerators:
+                numerators[r] = restricted_simple_numerator(r, l).coeffs
+                weyl = restricted_simple_weyl(r, l)
+                dims[r] = sum(c * weyl_dimension(k) for k, c in weyl.items())
             ta, tb = a - r[0], b - r[1]
             for (x, y), m in numerators[r].items():
                 k = (x + ta, y + tb)
                 acc[k] = get(k, 0) + m
             dim += dims[r]
-            used[r] = None
         got = {k: c for k, c in acc.items() if c}
         observed = coeff_diff(got, zhat_numerator(lam, l).coeffs)
         diffs = [] if observed == "ok" else [f"times A(rho): {observed}"]
-        diffs += [wrong[r] for r in used if r in wrong]
         diffs += shared
         if dim != l**3:
             diffs.append(f"dim {dim}")

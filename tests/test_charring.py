@@ -477,10 +477,9 @@ def test_chi_l_weyl_of_a_restricted_weight_is_its_simple(l):
 
 
 def test_suites_catch_a_simple_without_its_mirror(monkeypatch):
-    """The character and the numerator of L(r) are read off the same Weyl
-    form, so a wrong form passes the zhat suite's check of the one against
-    the other; the sum over the factors and the decomposition identity
-    still catch it."""
+    """A wrong Weyl form of L(r) changes the numerators the zhat suite sums
+    over the factors, while zhat_numerator does not read it, so the sum over
+    the factors catches it; the decomposition identity catches it too."""
     for name in ("zhat", "decomposition"):
         assert verify.run_suite(name, [3], 1).passed, name
     monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})

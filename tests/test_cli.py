@@ -4,7 +4,6 @@ import multiprocessing
 
 import pytest
 
-from qgl3.charring import FormalChar, restricted_simple_char
 from qgl3.cli import main, parse_weight
 from qgl3.decomp import zhat_factors
 from qgl3.lattice import FacetType, Weight, decompose, facet_classify
@@ -206,27 +205,30 @@ def _zhat_cases(l, box, count):
 
 
 def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
-    from qgl3 import verify
+    from qgl3 import charring, verify
 
     l, bad = 3, Weight(1, 1)
+    weyl = charring.restricted_simple_weyl
 
     def wrong(r, l):
-        ch = restricted_simple_char(r, l)
-        return ch + FormalChar({Weight(0, 0): 1}) if r == bad else ch
+        # L(1,1) without its mirror (0,0): the induced character of (1,1)
+        return {(1, 1): 1} if tuple(r) == bad else weyl(r, l)
 
-    monkeypatch.setattr(verify, "restricted_simple_char", wrong)
+    # the suite reads the Weyl form for the dimension, and through
+    # restricted_simple_numerator for the numerator
+    for module in (charring, verify):
+        monkeypatch.setattr(module, "restricted_simple_weyl", wrong)
     report = run_suite("zhat", [l], 1)
     users = _zhat_cases(
         l, 1, lambda lam: sum(decompose(nu, l).restricted == bad for nu in zhat_factors(lam, l))
     )
     assert report.cases_run == 36 and users
     assert {case for case, _, _ in report.failures} == set(users)
-    # the extra e(0,0) adds A(rho) to L(1,1) * A(rho), whose numerator
-    # A(2,2) - A(1,1) holds -A(rho); the sums of numerators still agree,
-    # and each use of L(1,1) adds 1 to the dimension count
-    want = "L(1,1) times A(rho): (-2,1): want -1 got 0; (-1,-1): want 1 got 0; "
+    # each use of L(1,1) adds e(3c) * A(rho) to the sum of numerators, which
+    # the positive sum over the uses cannot cancel, and 1 to the dimension
     for case, _, got in report.failures:
-        assert got.startswith(want) and got.endswith(f"; dim {27 + users[case]}"), got
+        assert got.startswith("times A(rho): (") and " want " in got, got
+        assert got.endswith(f"; dim {27 + users[case]}") and got.count("; dim ") == 1, got
 
 
 @pytest.mark.parametrize("fault", ["drop", "move"])

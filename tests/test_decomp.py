@@ -13,7 +13,9 @@ from qgl3.charring import (
     frobenius_twist,
     restricted_simple_char,
     restricted_simple_numerator,
+    restricted_simple_weyl,
     weyl_char,
+    weyl_dimension,
 )
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors, zhat_numerator
 from qgl3.homs import hat_dual_weight
@@ -307,7 +309,11 @@ def test_numerators_are_characters_times_the_weyl_denominator(l):
     for r, s in itertools.product(range(l), repeat=2):
         res = Weight(r, s)
         num = restricted_simple_numerator(res, l)
-        assert num == restricted_simple_char(res, l) * a_rho, (l, res)
+        simple = restricted_simple_char(res, l)
+        assert num == simple * a_rho, (l, res)
+        # the zhat suite's dim L(r), read off the Weyl form
+        dim = sum(c * weyl_dimension(k) for k, c in restricted_simple_weyl(res, l).items())
+        assert dim == simple.dimension, (l, res)
         assert len(num.coeffs) == (12 if classify_restricted(res, l) is FacetType.UP_ALCOVE else 6)
     for lam in (Weight(0, 0), Weight(l - 1, 2), l * Weight(-1, 3) + Weight(1, 0)):
         num = zhat_numerator(lam, l)

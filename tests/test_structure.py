@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from qgl3 import decomp, ext, kernels, structure
+from qgl3 import charring, decomp, ext, kernels, structure, verify
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import zhat_head_weight
@@ -300,12 +300,21 @@ def test_graph_sweeps_call_no_convolution(monkeypatch):
     monkeypatch.setattr(kernels, "convolve", counted)
     assert run_suite("graphs", [2, 3], 2).passed
     assert not calls
-    # the zhat suite multiplies by A(rho) once per restricted weight and
-    # once for zhat_char, per l and whatever the box; its cases convolve nothing
+    # the zhat suite multiplies by A(rho) once per l, for zhat_char, whatever
+    # the box; its cases convolve nothing and build no restricted simple
+    # character in the weight basis
+
+    def unread(r, l):
+        raise AssertionError(f"restricted_simple_char({r}, {l})")
+
+    # verify imports no restricted_simple_char; raising=False also covers a
+    # copy bound there by a later import
+    for module in (charring, verify):
+        monkeypatch.setattr(module, "restricted_simple_char", unread, raising=False)
     for box in (0, 2):
         calls.clear()
         assert run_suite("zhat", [2, 3], box).passed
-        assert len(calls) == (4 + 1) + (9 + 1)
+        assert len(calls) == 2
 
 
 def test_corrupted_family_fails_graph_cases(corrupt_down_alcove):
@@ -348,7 +357,7 @@ def test_single_node_filtrations_survive_at_position_one(l):
             facet = classify_restricted(Weight(r, s), l)
             if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
                 lam = l * Weight(a, b) + Weight(r, s)
-                assert chi_decomposition(lam, l).surviving_positions() == [1], lam
+                assert chi_decomposition(lam, l).positions == (1,), lam
                 g = nabla_l_filtration(lam, l)
                 assert g.nodes == (GraphNode("mu1", lam, structure.NABLA_L, 0),)
                 assert not g.edges
