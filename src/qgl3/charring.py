@@ -467,11 +467,14 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     key = (mu[0], mu[1], l)
     hit = _chi_l_weyl_cache.get(key)
     if hit is None:
-        cls, res = decompose(mu, l)
-        sign, top = dominantize(cls)
+        if l < 2:
+            raise ValueError(f"need l >= 2, got {l}")
+        ca, ra = divmod(mu[0], l)
+        cb, rb = divmod(mu[1], l)
+        sign, top = dominantize((ca, cb))
         hit = {}
         if sign:
-            heads = [(k, sign * c) for k, c in restricted_simple_weyl(res, l).items()]
+            heads = [(k, sign * c) for k, c in restricted_simple_weyl((ra, rb), l).items()]
             hit = kernels.brauer_klimyk(_weights_of(top), heads, l)
         _chi_l_weyl_cache[key] = hit
     return hit
@@ -481,7 +484,7 @@ def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
     """Multiplicity of the induced character of `target` in weyl(x)*weyl(y),
     the coefficient of `target` in the Brauer-Klimyk sum over the weights
     kappa of the smaller factor of m(kappa) * euler(x + kappa)."""
-    if not (Weight(*x).is_dominant() and Weight(*y).is_dominant()):
+    if min(x[0], x[1], y[0], y[1]) < 0:
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):
         x, y = y, x

@@ -174,7 +174,9 @@ def cmd_hom(args) -> int:
 def cmd_verify(args) -> int:
     names = args.suites.split(",")
     l_values = [int(t) for t in args.l.split(",")]
-    for name in names:
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"suite {name!r} is given twice")
         check_sweep(name, l_values, args.box, args.jobs)
     failed = False
     for name in names:

@@ -12,10 +12,13 @@ decomposition suite (sum of chi_l terms), validate_graph (sum of surviving
 terms) and the zhat suite (sum of simples, multiplied by A(rho): a sum of
 numerators, at most 12 terms per factor).
 
-Both lists are read off one factor family per (lam, l).  One in-process
-memo keyed on (a, b, l) holds them: chi_decomposition's DecompResult, which
-carries the Borel-induced list that factor_family returns for a dominant
-weight and the surviving positions, computed when the result is built.  So
+Both lists are read off one factor family per (lam, l), built from the
+divmod split of lam in int coordinates: each factor is made a Weight once,
+since the lists leave the engine, and the surviving positions are
+bookkeeping on int pairs.  One in-process memo keyed on (a, b, l) holds
+them: chi_decomposition's DecompResult, which carries the Borel-induced
+list that factor_family returns for a dominant weight and the surviving
+positions, computed when the result is built.  So
 the structure graphs, the translation tables and the Ext tables of a weight
 share one copy.  Two routes build a family afresh and leave the memo
 alone: zhat_factors, which the decomposition and zhat suites read once per
@@ -151,19 +154,20 @@ def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]
     classical part of lam touches the dominant boundary).  The sum of their
     chi_l terms is checked by structure.validate_graph.
     """
-    net: dict[tuple[Weight, Weight], int] = {}
+    net: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
     rows = []
-    for f in factors:
-        cls, res = decompose(f, l)
-        sign, rep = dominantize(cls)
-        rows.append((cls, res, sign, rep))
+    for a, b in factors:
+        ca, ra = divmod(a, l)
+        cb, rb = divmod(b, l)
+        # a dominant classical part is regular and its own representative
+        dominant = ca >= 0 and cb >= 0
+        sign, rep = (1, (ca, cb)) if dominant else dominantize((ca, cb))
+        key = (rep, (ra, rb))
+        rows.append((dominant, key))
         if sign:
-            key = (rep, res)
             net[key] = net.get(key, 0) + sign
     return tuple(
-        i
-        for i, (cls, res, sign, rep) in enumerate(rows, start=1)
-        if sign == 1 and cls.is_dominant() and net[(rep, res)] > 0
+        i for i, (dominant, key) in enumerate(rows, start=1) if dominant and net[key] > 0
     )
 
 
@@ -192,23 +196,25 @@ def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
 
 
 def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
-    """factor_family, built.  Every factor is written in int coordinates.
-    The left wall is the coordinate swap of the right wall: the swap fixes
-    rho, dominance and the split lam = l*classical + restricted."""
-    cls, res = decompose(lam, l)
-    facet = classify_restricted(res, l)
+    """factor_family, built.  Every factor is written in int coordinates,
+    from the divmod split of lam, and made a Weight once.  The left wall is
+    the coordinate swap of the right wall: the swap fixes rho, dominance
+    and the split lam = l*classical + restricted."""
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    a, r = divmod(lam[0], l)
+    b, s = divmod(lam[1], l)
+    facet = classify_restricted((r, s), l)
     if facet is FacetType.VERTEX:
         return facet, (lam,)
     if facet is FacetType.DOWN_ALCOVE:
-        return facet, down_alcove_family(cls, res, l)
+        return facet, down_alcove_family((a, b), (r, s), l)
     if facet is FacetType.UP_ALCOVE:
-        return facet, up_alcove_family(cls, res, l)
-    a, b = cls
+        return facet, up_alcove_family((a, b), (r, s), l)
     if facet is FacetType.RIGHT_WALL:
-        return facet, tuple([Weight(x, y) for x, y in _right_wall_family(a, b, res[1], l)])
+        return facet, tuple([Weight(x, y) for x, y in _right_wall_family(a, b, s, l)])
     if facet is FacetType.LEFT_WALL:
-        return facet, tuple([Weight(y, x) for x, y in _right_wall_family(b, a, res[0], l)])
-    r, s = res
+        return facet, tuple([Weight(y, x) for x, y in _right_wall_family(b, a, r, l)])
     la, lb = l * a, l * b
     return facet, (
         lam,
@@ -241,8 +247,6 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
         lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"chi_decomposition needs a dominant weight, got {lam}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
     family = _family(lam, l)
     facet, factors = family
     if facet in _WALLS:

@@ -65,35 +65,35 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     k + nabla(0,1) + nabla(1,0).  Steinberg rows and columns, and the
     diagonal, vanish.
     """
-    alpha, beta = Weight(*alpha), Weight(*beta)
     facet = classify_restricted(alpha, l)
     classify_restricted(beta, l)  # ValueError unless beta is restricted
-    if alpha == beta:
+    r, s = alpha
+    beta = (beta[0], beta[1])
+    if beta == (r, s):
         return EXT_ZERO
 
     # At most three columns per row, read off alpha's facet: the rest of
     # its wall triple {(r,s), (l-1,r), (s,l-1)}, r+s = l-2, or the block of
     # a down-alcove weight and the three weights around its mirror, and the
-    # transposed block.
-    r, s = alpha
+    # transposed block.  Keyed by int pairs.
     if facet is FacetType.HORIZONTAL_WALL:
-        cols = {Weight(l - 1, r): NABLA01, Weight(s, l - 1): NABLA10}
+        cols = {(l - 1, r): NABLA01, (s, l - 1): NABLA10}
     elif facet is FacetType.RIGHT_WALL:
-        cols = {Weight(s, l - 2 - s): NABLA10}
+        cols = {(s, l - 2 - s): NABLA10}
     elif facet is FacetType.LEFT_WALL:
-        cols = {Weight(l - 2 - r, r): NABLA01}
+        cols = {(l - 2 - r, r): NABLA01}
     elif facet is FacetType.DOWN_ALCOVE:
         cols = {
             up_alcove_mirror(alpha, l): TRIV,
-            Weight(r + s + 1, l - s - 2): NABLA01,
-            Weight(l - r - 2, r + s + 1): NABLA10,
+            (r + s + 1, l - s - 2): NABLA01,
+            (l - r - 2, r + s + 1): NABLA10,
         }
     elif facet is FacetType.UP_ALCOVE:
         r, s = up_alcove_mirror(alpha, l)
         cols = {
-            Weight(r, s): TRIV,
-            Weight(s, l - r - s - 3): NABLA01,
-            Weight(l - r - s - 3, r): NABLA10,
+            (r, s): TRIV,
+            (s, l - r - s - 3): NABLA01,
+            (l - r - s - 3, r): NABLA10,
         }
     else:
         cols = {}
@@ -116,23 +116,25 @@ def ext1_g(mu: Weight, lam: Weight, l: int) -> int:
     restricted-kernel table value against the classical parts by exact
     tensor multiplicities.  This is the characteristic-zero pairing rule.
     """
-    mu, lam = Weight(*mu), Weight(*lam)
-    if not (mu.is_dominant() and lam.is_dominant()):
-        raise ValueError(f"ext1_g needs dominant weights, got {mu}, {lam}")
-    if mu == lam:
-        return 0
-    mc, mr = decompose(mu, l)
-    lc, lr = decompose(lam, l)
-    if mr == lr:
-        return ext1_g(mc, lc, l)
+    if min(mu[0], mu[1], lam[0], lam[1]) < 0:
+        raise ValueError(f"ext1_g needs dominant weights, got {Weight(*mu)}, {Weight(*lam)}")
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    mca, mra = divmod(mu[0], l)
+    mcb, mrb = divmod(mu[1], l)
+    lca, lra = divmod(lam[0], l)
+    lcb, lrb = divmod(lam[1], l)
+    mc, lc = (mca, mcb), (lca, lcb)
+    if (mra, mrb) == (lra, lrb):
+        return 0 if mc == lc else ext1_g(mc, lc, l)
     total = 0
-    for part in ext1_g1(mr, lr, l).parts:
+    for part in ext1_g1((mra, mrb), (lra, lrb), l).parts:
         if part == TRIV:
             total += int(mc == lc)
         else:
             total += tensor_multiplicity(mc, part, lc)
     if total > 1:
-        raise AssertionError(f"ext1_g({mu}, {lam}) exceeded dimension one")
+        raise AssertionError(f"ext1_g({Weight(*mu)}, {Weight(*lam)}) exceeded dimension one")
     return total
 
 
@@ -152,31 +154,36 @@ def ext1_g1b_general(lam: Weight, mu: Weight, l: int) -> int:
     difference: exactly the pairs with equal restricted parts differing by
     -l^i times a simple root extend, one-dimensionally.
     """
-    lam, mu = Weight(*lam), Weight(*mu)
-    lc, lr = decompose(lam, l)
-    mc, mr = decompose(mu, l)
-    diff = mc - lc
-    if diff.is_dominant():
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    lca, lra = divmod(lam[0], l)
+    lcb, lrb = divmod(lam[1], l)
+    mca, mra = divmod(mu[0], l)
+    mcb, mrb = divmod(mu[1], l)
+    da, db = mca - lca, mcb - lcb  # the classical difference
+    lr, mr = (lra, lrb), (mra, mrb)
+    if da >= 0 and db >= 0:
         if lr == mr:
             return 0
         total = 0
         for part in ext1_g1(lr, mr, l).parts:
             if part == TRIV:
-                total += int(diff == Weight(0, 0))
+                total += int(da == db == 0)
             else:
-                total += int(dual_weight(part) == diff)
+                total += int((part[1], part[0]) == (da, db))  # dual_weight(part)
         if total > 1:
-            raise AssertionError(f"ext1_g1b_general({lam}, {mu}) exceeded dimension one")
+            raise AssertionError(
+                f"ext1_g1b_general({Weight(*lam)}, {Weight(*mu)}) exceeded dimension one"
+            )
         return total
     if lr != mr:
         return 0
-    for root_vec in (Weight(2, -1), Weight(-1, 2)):
-        v = -diff
-        # v = t * root_vec with t a (possibly trivial) power of l
-        if root_vec.a and v.a % root_vec.a == 0:
-            t = v.a // root_vec.a
-            if t * root_vec == v and _is_l_power(t, l):
-                return 1
+    va, vb = -da, -db
+    for ra, rb in ((2, -1), (-1, 2)):
+        # (va, vb) = t * (ra, rb) with t a (possibly trivial) power of l
+        t = va // ra
+        if (t * ra, t * rb) == (va, vb) and _is_l_power(t, l):
+            return 1
     return 0
 
 
@@ -226,11 +233,10 @@ def ext_table(
     mu, as factor_family lists them (a shared tuple), and the (upper, lower)
     pairs of them between which Ext^1 is nonzero.  A caller checks its
     weights against the list the table was read on."""
-    mu = Weight(*mu)
     facet, factors = factor_family(mu, l)
     if len(set(factors)) != len(factors):
         raise ValueError(
-            f"degenerate factor list for {mu} (l={l}): {[tuple(f) for f in factors]}"
+            f"degenerate factor list for {Weight(*mu)} (l={l}): {[tuple(f) for f in factors]}"
         )
     return factors, frozenset(
         (factors[u - 1], factors[v - 1]) for u, v in _PAIRS_BY_FACET[facet]

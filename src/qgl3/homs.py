@@ -38,10 +38,10 @@ def _characteristic_zero(p: int) -> None:
 
 def dominance_below(mu: Weight, lam: Weight) -> bool:
     """True when lam - mu is a nonzero nonnegative sum of simple roots."""
-    d = Weight(*lam) - Weight(*mu)
-    if d == Weight(0, 0):
+    da, db = lam[0] - mu[0], lam[1] - mu[1]
+    if da == db == 0:
         return False
-    c1, c2 = 2 * d.a + d.b, d.a + 2 * d.b
+    c1, c2 = 2 * da + db, da + 2 * db
     return c1 >= 0 and c2 >= 0 and c1 % 3 == 0 and c2 % 3 == 0
 
 
@@ -54,7 +54,7 @@ def witness_valid(lam: Weight, mu: Weight, w: HomWitness, l: int, p: int = 0) ->
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
-    if affine_reflect(lam, w.beta, w.m, l) != Weight(*mu):
+    if affine_reflect(lam, w.beta, w.m, l) != (mu[0], mu[1]):
         return False
     lo = min(pairing(lam, w.beta), pairing(mu, w.beta))
     hi = max(pairing(lam, w.beta), pairing(mu, w.beta))
@@ -72,9 +72,10 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
-    lam, mu = Weight(*lam), Weight(*mu)
-    if not (lam.is_dominant() and mu.is_dominant()):
-        raise ValueError(f"hom_exists_mirror needs dominant weights, got {lam}, {mu}")
+    if min(lam[0], lam[1], mu[0], mu[1]) < 0:
+        raise ValueError(
+            f"hom_exists_mirror needs dominant weights, got {Weight(*lam)}, {Weight(*mu)}"
+        )
     if not dominance_below(mu, lam):
         return None
     for beta in POSITIVE_ROOTS:

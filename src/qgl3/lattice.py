@@ -5,6 +5,11 @@ Weights are written in fundamental-weight coordinates for SL3: the pair
 alpha1 = (2,-1), alpha2 = (-1,2) and their sum rho = (1,1), and coroots are
 identified with roots.  All affine reflections act through the dot action
 w . x = w(x + rho) - rho, so the relevant pairing is <x + rho, beta~>.
+
+Weight is the type of a weight that leaves the engine.  The functions here
+accept any pair of ints; the engine's per-factor paths carry plain int
+pairs and split lam = l*classical + restricted by divmod, the split that
+decompose documents and returns as two Weights.
 """
 
 from __future__ import annotations
@@ -89,14 +94,16 @@ def pairing(lam: Weight, root: PositiveRoot) -> int:
 def decompose(lam: Weight, l: int) -> RestrictedDecomposition:
     """Split lam = l*classical + restricted with restricted in [0, l-1]^2.
 
-    The classical part may be non-dominant; the restricted part is always
-    the componentwise residue of lam mod l.
+    The split is divmod of each coordinate by l: the classical part is the
+    floor quotient, possibly non-dominant, and the restricted part the
+    residue.  The engine's per-factor paths take divmod on int pairs and
+    build no RestrictedDecomposition; this is the split at the API boundary.
     """
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    a, b = lam
-    ra, rb = a % l, b % l
-    return RestrictedDecomposition(Weight((a - ra) // l, (b - rb) // l), Weight(ra, rb))
+    ca, ra = divmod(lam[0], l)
+    cb, rb = divmod(lam[1], l)
+    return RestrictedDecomposition(Weight(ca, cb), Weight(ra, rb))
 
 
 def affine_reflect(lam: Weight, root: PositiveRoot, m: int, step: int = 1) -> Weight:
@@ -139,7 +146,7 @@ def classify_restricted(res: Weight, l: int) -> FacetType:
     """Facet type read off a restricted weight in [0, l-1]^2."""
     r, s = res
     if not (0 <= r <= l - 1 and 0 <= s <= l - 1):
-        raise ValueError(f"{res} is not restricted for l={l}")
+        raise ValueError(f"{Weight(r, s)} is not restricted for l={l}")
     if r == l - 1 and s == l - 1:
         return FacetType.VERTEX
     if r == l - 1:
@@ -155,9 +162,12 @@ def classify_restricted(res: Weight, l: int) -> FacetType:
 
 def facet_classify(lam: Weight, l: int) -> FacetType:
     """Classify the affine facet of a dominant weight by its restricted part."""
-    if not Weight(*lam).is_dominant():
-        raise ValueError(f"facet_classify needs a dominant weight, got {lam}")
-    return classify_restricted(decompose(lam, l).restricted, l)
+    a, b = lam
+    if a < 0 or b < 0:
+        raise ValueError(f"facet_classify needs a dominant weight, got {Weight(a, b)}")
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    return classify_restricted((a % l, b % l), l)
 
 
 class AffineWeylElement(NamedTuple):

@@ -29,7 +29,7 @@ from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import DUAL_POSITION, chi_decomposition, factor_family
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
-from qgl3.lattice import FacetType, Weight, decompose
+from qgl3.lattice import FacetType, Weight
 
 G1B_SIMPLE = "G1BSimple"
 NABLA_L = "NablaL"
@@ -162,12 +162,13 @@ def _build(
     edge_ids = tuple(
         (_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept
     )
-    return ModuleGraph(Weight(*lam), l, kind, nodes, edge_ids)
+    return ModuleGraph(lam, l, kind, nodes, edge_ids)
 
 
 def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     """Submodule-structure graph of the Borel-induced module of weight lam."""
-    lam = Weight(*lam)
+    if type(lam) is not Weight:
+        lam = Weight(*lam)
     facet, factors = factor_family(lam, l)
     edges, layers = _ZHAT_TABLES[facet]
     return _build(lam, l, G1B_SIMPLE, factors, edges, layers, tuple(layers))
@@ -194,11 +195,12 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     the two mixed cases are reconstructions interpolating the printed
     extreme diagrams.
     """
-    lam = Weight(*lam)
+    if type(lam) is not Weight:
+        lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"nabla_l_filtration needs a dominant weight, got {lam}")
     dec = chi_decomposition(lam, l)
-    (a, b), _ = decompose(lam, l)
+    a, b = lam[0] // l, lam[1] // l  # the classical part
     facet = dec.facet
 
     if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
@@ -299,7 +301,7 @@ def _duality_diff(g: ModuleGraph) -> str:
     nodes and its edges g's edges reversed.  Returns "" when they match,
     else the first dual node weights or reversed edges that differ."""
     top = 2 * (g.l - 1)
-    facet, got = factor_family(Weight(top - g.lam[0], top - g.lam[1]), g.l)
+    facet, got = factor_family((top - g.lam[0], top - g.lam[1]), g.l)
     edges, layers = _ZHAT_TABLES[facet]
     dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
     return _want_got("dual nodes", dual.values(), [got[i - 1] for i in layers], str) or _want_got(

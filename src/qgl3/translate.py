@@ -12,6 +12,11 @@ The off-wall table for a right-wall source prints one of its interior rows
 twice in its source; the duplicate is dropped here, which is what both the
 generic factor count 6+6+3+3 = 18 and the exact aggregate character
 identity require.
+
+The tables are read on int pairs, and each factor is split by divmod.  The
+values a translation hands out are Weights, built once: the classical and
+restricted parts of an OffWallEntry, and the wall weight, the mirror and
+the source factors of a WallTranslate.
 """
 
 from __future__ import annotations
@@ -34,8 +39,6 @@ from qgl3.lattice import (
     affine_reflect,
     apply_inverse,
     classify_restricted,
-    decompose,
-    dual_weight,
     facet_classify,
     facet_stabilizer_walls,
     fundamental_rep,
@@ -49,7 +52,8 @@ class OffWallEntry:
     restricted: Weight
 
     def as_weight(self, l: int) -> Weight:
-        return l * self.classical + self.restricted
+        (ca, cb), (ra, rb) = self.classical, self.restricted
+        return Weight(l * ca + ra, l * cb + rb)
 
     @property
     def vanishes(self) -> bool:
@@ -74,18 +78,18 @@ def translate_onto_wall(
     alcove: (n-1)l < <x+rho, alpha~> <= nl for every positive root alpha,
     where n = ceil(<nu+rho, alpha~>/l).
     """
-    nu, lam_orbit, mu_orbit = Weight(*nu), Weight(*lam_orbit), Weight(*mu_orbit)
-    if not nu.is_dominant():
-        raise ValueError(f"translate_onto_wall needs a dominant weight, got {nu}")
+    if nu[0] < 0 or nu[1] < 0:
+        raise ValueError(f"translate_onto_wall needs a dominant weight, got {Weight(*nu)}")
     if facet_stabilizer_walls(nu, l):
-        raise ValueError(f"translate_onto_wall needs a regular weight, got {nu} (l={l})")
+        raise ValueError(f"translate_onto_wall needs a regular weight, got {Weight(*nu)} (l={l})")
     rep, w = fundamental_rep(nu, l)
-    if rep != lam_orbit:
+    if rep != (lam_orbit[0], lam_orbit[1]):
         raise ValueError(
-            f"{nu} is not in the orbit of {lam_orbit} (representative {rep}, l={l})"
+            f"{Weight(*nu)} is not in the orbit of {Weight(*lam_orbit)} "
+            f"(representative {rep}, l={l})"
         )
     if not all(0 <= pairing(mu_orbit, root) <= l for root in POSITIVE_ROOTS):
-        raise ValueError(f"{mu_orbit} is not in the closed bottom alcove (l={l})")
+        raise ValueError(f"{Weight(*mu_orbit)} is not in the closed bottom alcove (l={l})")
     x = apply_inverse(w, mu_orbit)
     for root in POSITIVE_ROOTS:
         n = -(-pairing(nu, root) // l)
@@ -95,35 +99,36 @@ def translate_onto_wall(
 
 
 def _off_wall_pairs(
-    c: Weight, mu_res: Weight, target_res: Weight, src: FacetType, tgt: FacetType, l: int
-) -> list[tuple[Weight, Weight]] | None:
-    """The (classical, restricted) pairs of translate_off_wall for a source
-    off the left wall, of facet src, toward a target of facet tgt; None when
-    no case table covers the combination."""
+    c: tuple[int, int],
+    mu_res: tuple[int, int],
+    target_res: tuple[int, int],
+    src: FacetType,
+    tgt: FacetType,
+    l: int,
+) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
+    """The (classical, restricted) int pairs of translate_off_wall for a
+    source off the left wall, of facet src, toward a target of facet tgt;
+    None when no case table covers the combination."""
+    ca, cb = c
+    up, left, down = (ca + 1, cb), (ca - 1, cb + 1), (ca, cb - 1)
     if l == 2:
         key = (tuple(mu_res), tuple(target_res))
         if key == ((1, 0), (0, 0)):
-            return [
-                (c, Weight(0, 1)),
-                (c + Weight(1, 0), Weight(0, 0)),
-                (c + Weight(-1, 1), Weight(0, 0)),
-                (c + Weight(0, -1), Weight(0, 0)),
-                (c, Weight(0, 1)),
-            ]
+            return [(c, (0, 1)), (up, (0, 0)), (left, (0, 0)), (down, (0, 0)), (c, (0, 1))]
         if key in (((0, 0), (1, 0)), ((0, 0), (0, 1))):
             return [(c, target_res)]
         if key == ((1, 0), (0, 1)):
-            return [(c, Weight(0, 0))]
+            return [(c, (0, 0))]
         return None
     if src is FacetType.RIGHT_WALL and tgt is FacetType.DOWN_ALCOVE:
         a, b = target_res
         return [
-            (c, Weight(l - a - 2, a + b + 1)),
-            (c + Weight(1, 0), target_res),
-            (c + Weight(-1, 1), target_res),
-            (c + Weight(0, -1), target_res),
-            (c, Weight(l - a - b - 3, a)),
-            (c, Weight(l - a - 2, a + b + 1)),
+            (c, (l - a - 2, a + b + 1)),
+            (up, target_res),
+            (left, target_res),
+            (down, target_res),
+            (c, (l - a - b - 3, a)),
+            (c, (l - a - 2, a + b + 1)),
         ]
     if src is FacetType.HORIZONTAL_WALL and tgt is FacetType.UP_ALCOVE:
         mirror = up_alcove_mirror(target_res, l)
@@ -139,31 +144,30 @@ def translate_off_wall(
     into the adjacent facet of restricted type target_res.
 
     A left-wall source, (0, 1) at l = 2, is the coordinate swap of the
-    right-wall case; errors name the weights as given.
+    right-wall case; errors name the weights as given.  The tables are read
+    on int pairs, and each entry's two fields are made Weights once.
     """
-    mu_cls = Weight(*mu_cls)
-    mu_res = Weight(*mu_res)
-    target_res = Weight(*target_res)
     src = classify_restricted(mu_res, l)
     tgt = classify_restricted(target_res, l)
     if src is FacetType.LEFT_WALL:
         # the swap sends the left wall to the right wall and fixes the down
         # alcove, the one target type of the right-wall table
         pairs = _off_wall_pairs(
-            dual_weight(mu_cls), dual_weight(mu_res), dual_weight(target_res),
+            (mu_cls[1], mu_cls[0]), (mu_res[1], mu_res[0]), (target_res[1], target_res[0]),
             FacetType.RIGHT_WALL, tgt, l,
         )
         if pairs is not None:
-            pairs = [(dual_weight(c), dual_weight(r)) for c, r in pairs]
+            pairs = [((c[1], c[0]), (r[1], r[0])) for c, r in pairs]
     else:
         pairs = _off_wall_pairs(mu_cls, mu_res, target_res, src, tgt, l)
     if pairs is None:
+        mu_res, target_res = Weight(*mu_res), Weight(*target_res)
         if l == 2:
             raise ValueError(f"unsupported l=2 translation {mu_res} -> {target_res}")
         raise ValueError(
             f"unsupported translation {mu_res} ({src.value}) -> {target_res} ({tgt.value}) for l={l}"
         )
-    return tuple(OffWallEntry(c, r) for c, r in pairs)
+    return tuple(OffWallEntry(Weight(*c), Weight(*r)) for c, r in pairs)
 
 
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
@@ -196,17 +200,16 @@ def wall_weight_below(lam: Weight, l: int) -> tuple[Weight, tuple[PositiveRoot, 
     every other facet the wall is rho at l*(ca+cb+1) and the point is
     l*(ca, cb) + (0, l-2).
     """
-    lam = Weight(*lam)
     facet = facet_classify(lam, l)
-    ca, cb = decompose(lam, l).classical
+    ca, cb = lam[0] // l, lam[1] // l  # the classical part
     if facet is FacetType.VERTEX:
-        raise ValueError(f"{lam} is a vertex weight; no wall below")
+        raise ValueError(f"{Weight(*lam)} is a vertex weight; no wall below")
     if facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
         if ca > 0:
             return Weight(l * ca - 1, l * cb), (PositiveRoot.ALPHA1, l * ca)
         if cb > 0:
             return Weight(0, l * cb - 1), (PositiveRoot.ALPHA2, l * cb)
-        raise ValueError(f"no dominant wall point below {lam} (l={l})")
+        raise ValueError(f"no dominant wall point below {Weight(*lam)} (l={l})")
     return Weight(l * ca, l * cb + l - 2), (PositiveRoot.RHO, l * (ca + cb + 1))
 
 
@@ -250,16 +253,16 @@ def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
     module translates to zero.  lam is reduced to its fundamental
     representative once, for all factors.
     """
-    lam = Weight(*lam)
     mu, (root, value) = wall_weight_below(lam, l)
     lam_rep, _ = fundamental_rep(lam, l)
     dec = chi_decomposition(mu, l)
     lists = []
     for nu in dec.surviving_factors():
         x = local_target(nu, lam_rep, l)
-        ncls, nres = decompose(nu, l)
-        xres = decompose(x, l).restricted
-        lists.append((nu, translate_off_wall(ncls, nres, xres, l)))
+        ca, ra = divmod(nu[0], l)
+        cb, rb = divmod(nu[1], l)
+        entries = translate_off_wall((ca, cb), (ra, rb), (x[0] % l, x[1] % l), l)
+        lists.append((nu, entries))
     generic = len(dec.positions) == len(dec.factors) and not any(
         entry.vanishes for _, lst in lists for entry in lst
     )

@@ -56,16 +56,14 @@ class VerifyReport:
         return self.cases_run > 0 and not self.failures
 
 
-def _restricted(l: int) -> Iterator[Weight]:
-    for r, s in itertools.product(range(l), repeat=2):
-        yield Weight(r, s)
-
-
 def _weights(l: int, parts: list[Weight]) -> Iterator[tuple[Weight, Weight]]:
-    """(cls, l*cls + r) for each classical part and restricted weight r."""
+    """(cls, l*cls + r) for each classical part and restricted weight r; the
+    weight is built once, from int coordinates, and names its case."""
+    residues = list(itertools.product(range(l), repeat=2))
     for cls in parts:
-        for res in _restricted(l):
-            yield cls, l * cls + res
+        la, lb = l * cls[0], l * cls[1]
+        for r, s in residues:
+            yield cls, Weight(la + r, lb + s)
 
 
 def suite_denominator(l: int, parts: list[Weight]) -> Iterator[Case]:
@@ -161,7 +159,7 @@ def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
             continue
         if l == 2 and facet is FacetType.VERTEX:
             continue
-        if cls == Weight(0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
+        if cls == (0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
             continue  # no dominant wall point below
         case = f"l={l} lam={lam}"
         identity = "translate character = weyl(lam) + weyl(mirror)"
@@ -179,7 +177,7 @@ def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
             # fundamental domain and compare with the image module;
             # meaningful whenever the image of lam itself survives
             rep, _ = fundamental_rep(lam, l)
-            wall_rep = Weight(0, l - 2)
+            wall_rep = (0, l - 2)
             identity = "onto-wall factor characters = image character"
             try:
                 image = translate_onto_wall(lam, rep, wall_rep, l)
@@ -266,8 +264,8 @@ def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:
                 yield check("downalc", down, nu, want)
     # Ext with the Steinberg weight vanishes both ways; triple entries are
     # label-dual across the diagonal.
-    st = Weight(l - 1, l - 1)
-    for beta in _restricted(l):
+    st = (l - 1, l - 1)
+    for beta in itertools.starmap(Weight, itertools.product(range(l), repeat=2)):
         ok = not ext1_g1(st, beta, l) and not ext1_g1(beta, st, l)
         yield (f"l={l} steinberg {beta}", "Ext vanishes", "ok" if ok else "nonzero", ok)
     for r in range(l - 1):
@@ -350,17 +348,20 @@ def _suite_chunk(name: str, l: int, parts: list[Weight], record=None) -> tuple[i
 
 
 def check_sweep(name: str, l_values: list[int], box: int, jobs: int = 1) -> None:
-    """ValueError when name is not a suite, box is negative, jobs is below 1
-    or an l is below 2; run_suite runs nothing until these hold."""
+    """ValueError when name is not a suite, box is negative, jobs is below 1,
+    or an l is below 2 or given twice (its cases would run and count twice);
+    run_suite runs nothing until these hold."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if box < 0:
         raise ValueError(f"need box >= 0, got {box}")
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
-    for l in l_values:
+    for i, l in enumerate(l_values):
         if l < 2:
             raise ValueError(f"need l >= 2, got {l}")
+        if l in l_values[:i]:
+            raise ValueError(f"l={l} is given twice")
 
 
 def run_suite(

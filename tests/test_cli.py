@@ -292,6 +292,22 @@ def test_verify_unknown_suite_runs_nothing(capsys):
     assert "cases" not in out
 
 
+@pytest.mark.parametrize(
+    ("suites", "l_values", "message"),
+    [
+        ("decomposition", "3,5,3", "l=3 is given twice"),
+        ("decomposition,dimension,decomposition", "3", "suite 'decomposition' is given twice"),
+    ],
+    ids=["l", "suites"],
+)
+def test_verify_repeat_is_usage_error(capsys, suites, l_values, message):
+    """A repeated --l value or suite would run its cases twice and count
+    both runs; it is rejected before anything runs."""
+    code, out, err = run(capsys, "verify", "--suites", suites, "--l", l_values, "--box", "0")
+    assert code == 2 and message in err
+    assert "cases" not in out
+
+
 def test_verify_zero_cases_fails(capsys):
     # the homs suite needs classical parts with both coordinates >= 1
     code, out, _ = run(capsys, "verify", "--suites", "homs", "--l", "3", "--box", "0")
