@@ -12,20 +12,23 @@ decomposition suite (sum of chi_l terms), validate_graph (sum of surviving
 terms) and the zhat suite (sum of simples, multiplied by A(rho): a sum of
 numerators, at most 12 terms per factor).
 
-Both lists are read off one factor family per (lam, l), built from the
-divmod split of lam in int coordinates: each factor is made a Weight once,
-since the lists leave the engine, and the surviving positions are
-bookkeeping on int pairs.  One in-process memo keyed on (a, b, l) holds
-them: chi_decomposition's DecompResult, which carries the Borel-induced
-list that factor_family returns for a dominant weight and the surviving
-positions, computed when the result is built.  So
-the structure graphs, the translation tables and the Ext tables of a weight
-share one copy.  Two routes build a family afresh and leave the memo
-alone: zhat_factors, which the decomposition and zhat suites read once per
-weight (the filtration factors are the same list, reversed on the walls),
-and factor_family for a non-dominant weight.  The memoized values (a
-frozen DecompResult and its tuples) are shared and immutable; the memo
-only grows, and nothing persists between runs.
+Both lists are read off one factor family per (lam, l): FAMILY_ROWS
+writes each facet's family as rows over lattice.restricted_orbit, so every
+family is affine in l*c by construction, the one assumption under which
+the zhat identity at c = 0 gives the decomposition identity for every
+classical part (tests/test_family_tables.py proves it formally).  Each
+factor is made a Weight once, since the lists leave the engine; the
+surviving positions are bookkeeping on int pairs.  One in-process memo
+keyed on (a, b, l) holds both: chi_decomposition's DecompResult, which
+carries the Borel-induced list that factor_family returns for a dominant
+weight and the surviving positions, computed when the result is built.
+So the structure graphs, the translation tables and the Ext tables of a
+weight share one copy.  Two routes build a family afresh and leave the
+memo alone: zhat_factors, which the decomposition and zhat suites read
+once per weight (the filtration factors are the same list, reversed on
+the walls), and factor_family for a non-dominant weight.  The memoized
+values (a frozen DecompResult and its tuples) are shared and immutable;
+the memo only grows, and nothing persists between runs.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ from qgl3.charring import (
     FormalChar,
     char_sum,
     chi_l,
-    up_alcove_mirror,
 )
 from qgl3.lattice import (
     FacetType,
     POSITIVE_ROOTS,
     Weight,
-    classify_restricted,
     decompose,
     dominantize,
+    restricted_orbit,
 )
 
 _CASE_BY_FACET = {
@@ -60,42 +62,26 @@ _CASE_BY_FACET = {
 _WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
 
 
-def down_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
-    """The nine factor weights for lam = l*cls + res with res in the open
-    fundamental alcove, in subscript order (factor 1 is lam itself)."""
-    a, b = cls
-    r, s = res
-    la, lb = l * a, l * b
-    return (
-        Weight(la + r, lb + s),
-        Weight(la + r + s + 1, lb - s - 2),
-        Weight(la + l - r - s - 3, lb - 2 * l + r),
-        Weight(la - r - 2, lb + r + s + 1),
-        Weight(la - 2 * l + s, lb + l - r - s - 3),
-        Weight(la + s, lb - r - s - 3),
-        Weight(la - l + r, lb - l + s),
-        Weight(la - r - s - 3, lb + r),
-        Weight(la - s - 2, lb - r - 2),
-    )
-
-
-def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
-    """The nine factor weights for lam = l*cls + (l-s-2, l-r-2), subscript
-    order (factor 4 is lam itself)."""
-    a, b = cls
-    r, s = up_alcove_mirror(res, l)
-    la, lb = l * a, l * b
-    return (
-        Weight(la - l + s, lb + 2 * l - r - s - 3),
-        Weight(la - r - 2, lb + r + s + 1),
-        Weight(la - l + r, lb - l + s),
-        Weight(la + l - s - 2, lb + l - r - 2),
-        Weight(la - r - s - 3, lb + r),
-        Weight(la + 2 * l - r - s - 3, lb - l + r),
-        Weight(la + s, lb - r - s - 3),
-        Weight(la + r, lb + s),
-        Weight(la + r + s + 1, lb - s - 2),
-    )
+# The factor families as rows (da, db, k) over restricted_orbit(res, l): for
+# lam = l*c + res, factor i is l*(c + (da, db)) + points[k], in subscript
+# order for the alcoves (factor 1, resp. 4, is lam itself) and socle first
+# on the walls (factor 1 is lam itself).  The left-wall rows are the
+# right-wall rows under the coordinate swap, which fixes rho, dominance and
+# the split lam = l*c + res.
+FAMILY_ROWS = {
+    FacetType.VERTEX: ((0, 0, 0),),
+    FacetType.RIGHT_WALL: ((0, 0, 1), (-1, 0, 0), (1, -1, 0), (0, -1, 2)),
+    FacetType.LEFT_WALL: ((0, 0, 2), (0, -1, 0), (-1, 1, 0), (-1, 0, 1)),
+    FacetType.HORIZONTAL_WALL: ((0, 0, 0), (-1, 0, 2), (0, -1, 1), (-1, -1, 0)),
+    FacetType.DOWN_ALCOVE: (
+        (0, 0, 0), (0, -1, 1), (0, -2, 2), (-1, 0, 3), (-2, 0, 4),
+        (0, -1, 4), (-1, -1, 0), (-1, 0, 2), (-1, -1, 5),
+    ),
+    FacetType.UP_ALCOVE: (
+        (-1, 1, 4), (-1, 0, 3), (-1, -1, 0), (0, 0, 5), (-1, 0, 2),
+        (1, -1, 2), (0, -1, 4), (0, 0, 0), (0, -1, 1),
+    ),
+}
 
 
 # Dualizing the Borel-induced module of lam sends factor i of either alcove
@@ -171,14 +157,6 @@ def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]
     )
 
 
-def _right_wall_family(a: int, b: int, r: int, l: int) -> tuple[tuple[int, int], ...]:
-    """The four factor weights, as int pairs, for lam = l*(a, b) + (l-1, r),
-    socle first (factor 1 is lam itself)."""
-    s = l - r - 2
-    la, lb = l * a, l * b
-    return (la + l - 1, lb + r), (la - l + r, lb + s), (la + l + r, lb - l + s), (la + s, lb - 1)
-
-
 def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
     """Facet of the restricted part of lam and the composition-factor
     weights of the Borel-induced module of weight lam, wall cases socle
@@ -196,32 +174,28 @@ def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
 
 
 def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
-    """factor_family, built.  Every factor is written in int coordinates,
-    from the divmod split of lam, and made a Weight once.  The left wall is
-    the coordinate swap of the right wall: the swap fixes rho, dominance
-    and the split lam = l*classical + restricted."""
+    """factor_family, built: the rows of lam's facet evaluated on the
+    restricted orbit of lam's restricted part, each factor made a Weight
+    once."""
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
     a, r = divmod(lam[0], l)
     b, s = divmod(lam[1], l)
-    facet = classify_restricted((r, s), l)
-    if facet is FacetType.VERTEX:
-        return facet, (lam,)
-    if facet is FacetType.DOWN_ALCOVE:
-        return facet, down_alcove_family((a, b), (r, s), l)
-    if facet is FacetType.UP_ALCOVE:
-        return facet, up_alcove_family((a, b), (r, s), l)
-    if facet is FacetType.RIGHT_WALL:
-        return facet, tuple([Weight(x, y) for x, y in _right_wall_family(a, b, s, l)])
-    if facet is FacetType.LEFT_WALL:
-        return facet, tuple([Weight(y, x) for x, y in _right_wall_family(b, a, r, l)])
+    facet, points = restricted_orbit((r, s), l)
     la, lb = l * a, l * b
-    return facet, (
-        lam,
-        Weight(la - l + s, lb + l - 1),
-        Weight(la + l - 1, lb - l + r),
-        Weight(la - l + r, lb - l + s),
-    )
+    factors = []
+    for da, db, k in FAMILY_ROWS[facet]:
+        x, y = points[k]
+        factors.append(Weight(la + l * da + x, lb + l * db + y))
+    return facet, tuple(factors)
+
+
+def check_positions(lam: Weight, l: int, factors: tuple[Weight, ...], top: int) -> None:
+    """ValueError naming lam, l and the first missing position when a table
+    that reads positions up to top meets a shorter factor list."""
+    if len(factors) < top:
+        raise ValueError(f"factor list of {Weight(*lam)} (l={l}) has no position "
+                         f"{len(factors) + 1} of {top}: {[tuple(f) for f in factors]}")
 
 
 _decompositions: dict[tuple[int, int, int], DecompResult] = {}

@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from qgl3.charring import tensor_multiplicity, up_alcove_mirror, weyl_dimension
-from qgl3.decomp import DUAL_POSITION, factor_family
+from qgl3.charring import tensor_multiplicity, weyl_dimension
+from qgl3.decomp import DUAL_POSITION, check_positions, factor_family
 from qgl3.lattice import (
     FacetType,
     Weight,
     classify_restricted,
     decompose,
     dual_weight,
+    restricted_orbit,
 )
 
 ExtPart = Union[str, Weight]  # "k" or the untwisted induced weight
@@ -53,56 +54,37 @@ def _normalize(parts) -> tuple[ExtPart, ...]:
 
 
 EXT_ZERO = ExtValue()
-_L3_FULL = ExtValue(_normalize([TRIV, NABLA01, NABLA10]))
+
+# The nonzero columns of alpha's row, as (k, part) over
+# restricted_orbit(alpha, l): the rest of alpha's wall triple, or three
+# weights of the other alcove, the mirror first.  No column is alpha, so the
+# diagonal vanishes.  Each alcove row lists k, nabla(0,1), nabla(1,0), the
+# order _normalize sorts them in.
+_G1_COLUMNS = {
+    FacetType.VERTEX: (),
+    FacetType.RIGHT_WALL: ((0, NABLA10),),
+    FacetType.LEFT_WALL: ((0, NABLA01),),
+    FacetType.HORIZONTAL_WALL: ((1, NABLA01), (2, NABLA10)),
+    FacetType.DOWN_ALCOVE: ((5, TRIV), (1, NABLA01), (3, NABLA10)),
+    FacetType.UP_ALCOVE: ((0, TRIV), (4, NABLA01), (2, NABLA10)),
+}
 
 
 def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     """Ext^1 over the Frobenius kernel between restricted simples.
 
     Nonzero only inside the wall triples {(r,s), (l-1,r), (s,l-1)} with
-    r+s = l-2, and between a down-alcove weight and the three weights
-    adjacent to its mirror pair.  For l = 3 the alcove entries all become
-    k + nabla(0,1) + nabla(1,0).  Steinberg rows and columns, and the
-    diagonal, vanish.
+    r+s = l-2, and between an alcove weight and three weights of the other
+    alcove, its mirror among them.  Columns that coincide add their parts:
+    at the alcove centre, 3 | l, the three columns of a row are one weight,
+    whose entry is k + nabla(0,1) + nabla(1,0) (for l = 3 that is every
+    alcove entry).  Steinberg rows and columns, and the diagonal, vanish.
     """
-    facet = classify_restricted(alpha, l)
+    facet, points = restricted_orbit(alpha, l)
     classify_restricted(beta, l)  # ValueError unless beta is restricted
-    r, s = alpha
     beta = (beta[0], beta[1])
-    if beta == (r, s):
-        return EXT_ZERO
-
-    # At most three columns per row, read off alpha's facet: the rest of
-    # its wall triple {(r,s), (l-1,r), (s,l-1)}, r+s = l-2, or the block of
-    # a down-alcove weight and the three weights around its mirror, and the
-    # transposed block.  Keyed by int pairs.
-    if facet is FacetType.HORIZONTAL_WALL:
-        cols = {(l - 1, r): NABLA01, (s, l - 1): NABLA10}
-    elif facet is FacetType.RIGHT_WALL:
-        cols = {(s, l - 2 - s): NABLA10}
-    elif facet is FacetType.LEFT_WALL:
-        cols = {(l - 2 - r, r): NABLA01}
-    elif facet is FacetType.DOWN_ALCOVE:
-        cols = {
-            up_alcove_mirror(alpha, l): TRIV,
-            (r + s + 1, l - s - 2): NABLA01,
-            (l - r - 2, r + s + 1): NABLA10,
-        }
-    elif facet is FacetType.UP_ALCOVE:
-        r, s = up_alcove_mirror(alpha, l)
-        cols = {
-            (r, s): TRIV,
-            (s, l - r - s - 3): NABLA01,
-            (l - r - s - 3, r): NABLA10,
-        }
-    else:
-        cols = {}
-    part = cols.get(beta)
-    if part is None:
-        return EXT_ZERO
-    if l == 3 and facet in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
-        return _L3_FULL
-    return ExtValue((part,))
+    parts = tuple([part for k, part in _G1_COLUMNS[facet] if points[k] == beta])
+    return ExtValue(parts) if parts else EXT_ZERO
 
 
 def ext1_g(mu: Weight, lam: Weight, l: int) -> int:
@@ -224,6 +206,7 @@ _PAIRS_BY_FACET = {
     FacetType.DOWN_ALCOVE: _DOWN_PAIRS,
     FacetType.UP_ALCOVE: _UP_PAIRS,
 }
+_TOP = {facet: max(map(max, pairs), default=0) for facet, pairs in _PAIRS_BY_FACET.items()}
 
 
 def ext_table(
@@ -234,6 +217,7 @@ def ext_table(
     pairs of them between which Ext^1 is nonzero.  A caller checks its
     weights against the list the table was read on."""
     facet, factors = factor_family(mu, l)
+    check_positions(mu, l, factors, _TOP[facet])
     if len(set(factors)) != len(factors):
         raise ValueError(
             f"degenerate factor list for {Weight(*mu)} (l={l}): {[tuple(f) for f in factors]}"

@@ -160,6 +160,31 @@ def classify_restricted(res: Weight, l: int) -> FacetType:
     return FacetType.UP_ALCOVE
 
 
+def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, int], ...]]:
+    """The facet of a restricted weight and, as int pairs in a fixed order,
+    the linked restricted points that the factor families and the
+    restricted-kernel Ext columns are read off (decomp, ext).  An alcove
+    weight has six, from the down parameter (r, s): res, or the mirror
+    (l-v-2, l-u-2) of an up-alcove res = (u, v), which is the sixth point.
+    A wall weight has three, from the horizontal point (x, y), x + y = l-2.
+    The vertex is its own orbit."""
+    facet = classify_restricted(res, l)
+    r, s = res
+    if facet is FacetType.UP_ALCOVE:
+        r, s = l - s - 2, l - r - 2
+    elif facet is FacetType.RIGHT_WALL:
+        r, s = s, l - s - 2
+    elif facet is FacetType.LEFT_WALL:
+        r, s = l - r - 2, r
+    if facet is FacetType.DOWN_ALCOVE or facet is FacetType.UP_ALCOVE:
+        t = l - r - s - 3
+        return facet, ((r, s), (r + s + 1, l - s - 2), (t, r), (l - r - 2, r + s + 1), (s, t),
+                       (l - s - 2, l - r - 2))
+    if facet is FacetType.VERTEX:
+        return facet, ((r, s),)
+    return facet, ((r, s), (l - 1, r), (s, l - 1))
+
+
 def facet_classify(lam: Weight, l: int) -> FacetType:
     """Classify the affine facet of a dominant weight by its restricted part."""
     a, b = lam

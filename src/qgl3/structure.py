@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import DUAL_POSITION, chi_decomposition, factor_family
+from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, Weight
@@ -156,6 +156,7 @@ def _build(
     missing = sorted(kept - layers.keys())
     if missing:
         raise ValueError(f"{kind} graph of {lam} (l={l}): kept position {missing[0]} has no layer")
+    check_positions(lam, l, factors, max(kept, default=0))
     nodes = tuple(
         GraphNode(_IDS[i], factors[i - 1], kind, layers[i]) for i in indices
     )
@@ -301,8 +302,10 @@ def _duality_diff(g: ModuleGraph) -> str:
     nodes and its edges g's edges reversed.  Returns "" when they match,
     else the first dual node weights or reversed edges that differ."""
     top = 2 * (g.l - 1)
-    facet, got = factor_family((top - g.lam[0], top - g.lam[1]), g.l)
+    dual_lam = (top - g.lam[0], top - g.lam[1])
+    facet, got = factor_family(dual_lam, g.l)
     edges, layers = _ZHAT_TABLES[facet]
+    check_positions(dual_lam, g.l, got, len(layers))
     dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
     return _want_got("dual nodes", dual.values(), [got[i - 1] for i in layers], str) or _want_got(
         "reversed edges",

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qgl3 import decomp
-from qgl3.lattice import Weight
+from qgl3.lattice import FacetType, Weight
 from qgl3.verify import run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -58,44 +58,61 @@ def fresh_memo():
 
 
 @pytest.fixture
-def corrupt_down_alcove(monkeypatch, fresh_memo):
+def wrap_family(monkeypatch, fresh_memo):
+    """wrap_family(corrupt) replaces decomp._family, the one builder of the
+    factor families, by one that hands the factors of each facet to
+    corrupt(facet, factors) and returns what it gives back."""
+    family = decomp._family
+
+    def wrap(corrupt):
+        def wrapped(lam, l):
+            facet, factors = family(lam, l)
+            return facet, corrupt(facet, factors)
+
+        monkeypatch.setattr(decomp, "_family", wrapped)
+
+    return wrap
+
+
+@pytest.fixture
+def corrupt_down_alcove(wrap_family):
     """Corrupt one weight of the down-alcove factor family, so that the
     filtration identity fails on part of every sweep.  Worker processes
     forked by a parallel sweep inherit the corruption."""
-    family = decomp.down_alcove_family
 
-    def corrupted(cls, res, l):
-        factors = family(cls, res, l)
+    def corrupted(facet, factors):
+        if facet is not FacetType.DOWN_ALCOVE:
+            return factors
         return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
 
-    monkeypatch.setattr(decomp, "down_alcove_family", corrupted)
+    wrap_family(corrupted)
 
 
 @pytest.fixture
-def degenerate_down_alcove(monkeypatch, fresh_memo):
+def degenerate_down_alcove(wrap_family):
     """Replace factor 6 of the down-alcove factor family by factor 5, so
     that every down-alcove list repeats a weight and the Ext tables read on
     it raise."""
-    family = decomp.down_alcove_family
 
-    def degenerate(cls, res, l):
-        factors = family(cls, res, l)
+    def degenerate(facet, factors):
+        if facet is not FacetType.DOWN_ALCOVE:
+            return factors
         return factors[:5] + factors[4:5] + factors[6:]
 
-    monkeypatch.setattr(decomp, "down_alcove_family", degenerate)
+    wrap_family(degenerate)
 
 
 @pytest.fixture
-def corrupt_right_wall(monkeypatch, fresh_memo):
-    """Shift factor 2 of the right-wall factor family by (1, 0).  The left
-    wall list is its coordinate swap, so both walls are corrupted, and the
-    translation of a wall weight meets a factor that is not on exactly one
-    wall."""
-    family = decomp._right_wall_family
+def corrupt_right_wall(wrap_family):
+    """Shift factor 2 of the right-wall factor family by (1, 0), and factor
+    2 of the left-wall family, its coordinate swap, by (0, 1): both walls are
+    corrupted, and the translation of a wall weight meets a factor that is
+    not on exactly one wall."""
+    shift = {FacetType.RIGHT_WALL: Weight(1, 0), FacetType.LEFT_WALL: Weight(0, 1)}
 
-    def corrupted(a, b, r, l):
-        factors = family(a, b, r, l)
-        x, y = factors[1]
-        return factors[:1] + ((x + 1, y),) + factors[2:]
+    def corrupted(facet, factors):
+        if facet not in shift:
+            return factors
+        return factors[:1] + (factors[1] + shift[facet],) + factors[2:]
 
-    monkeypatch.setattr(decomp, "_right_wall_family", corrupted)
+    wrap_family(corrupted)

@@ -8,6 +8,9 @@ character many times, so restricted_simple is memoized here, not in the
 engine.  The engine builds the wall factor families by int arithmetic and
 checks duality without building the dual graph; wall_family and
 duality_diff are the Weight-arithmetic and built-graph routes.  The engine
+evaluates every factor family as rows over the restricted orbit; the
+written-out alcove families, down_alcove_family and up_alcove_family, are
+kept here beside wall_family as their oracle.  The engine
 derives the alcove Ext pairs from the graph edges and the up-alcove tables
 from the down-alcove ones by duality; the printed tables are kept here.
 """
@@ -21,6 +24,7 @@ from qgl3.charring import (
     frobenius_twist,
     peel_dominant,
     restricted_simple_char,
+    up_alcove_mirror,
 )
 from qgl3.homs import hat_dual_weight
 from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
@@ -104,6 +108,44 @@ def wall_family(lam: Weight, l: int) -> tuple[Weight, ...]:
         l * (cls - Weight(1, 0)) + Weight(s, l - 1),
         l * (cls - Weight(0, 1)) + Weight(l - 1, r),
         l * (cls - Weight(1, 1)) + Weight(r, s),
+    )
+
+
+def down_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
+    """The nine factor weights for lam = l*cls + res with res in the open
+    fundamental alcove, in subscript order (factor 1 is lam itself)."""
+    a, b = cls
+    r, s = res
+    la, lb = l * a, l * b
+    return (
+        Weight(la + r, lb + s),
+        Weight(la + r + s + 1, lb - s - 2),
+        Weight(la + l - r - s - 3, lb - 2 * l + r),
+        Weight(la - r - 2, lb + r + s + 1),
+        Weight(la - 2 * l + s, lb + l - r - s - 3),
+        Weight(la + s, lb - r - s - 3),
+        Weight(la - l + r, lb - l + s),
+        Weight(la - r - s - 3, lb + r),
+        Weight(la - s - 2, lb - r - 2),
+    )
+
+
+def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
+    """The nine factor weights for lam = l*cls + (l-s-2, l-r-2), subscript
+    order (factor 4 is lam itself)."""
+    a, b = cls
+    r, s = up_alcove_mirror(res, l)
+    la, lb = l * a, l * b
+    return (
+        Weight(la - l + s, lb + 2 * l - r - s - 3),
+        Weight(la - r - 2, lb + r + s + 1),
+        Weight(la - l + r, lb - l + s),
+        Weight(la + l - s - 2, lb + l - r - 2),
+        Weight(la - r - s - 3, lb + r),
+        Weight(la + 2 * l - r - s - 3, lb - l + r),
+        Weight(la + s, lb - r - s - 3),
+        Weight(la + r, lb + s),
+        Weight(la + r + s + 1, lb - s - 2),
     )
 
 

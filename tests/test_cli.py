@@ -232,18 +232,15 @@ def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
 
 
 @pytest.mark.parametrize("fault", ["drop", "move"])
-def test_zhat_suite_shows_a_wrong_factor_list(monkeypatch, fresh_memo, fault):
-    from qgl3 import decomp
-
-    family = decomp.down_alcove_family
-
-    def wrong(cls, res, l):
-        factors = family(cls, res, l)
+def test_zhat_suite_shows_a_wrong_factor_list(wrap_family, fault):
+    def wrong(facet, factors):
+        if facet is not FacetType.DOWN_ALCOVE:
+            return factors
         if fault == "drop":
             return factors[:-1]
         return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
 
-    monkeypatch.setattr(decomp, "down_alcove_family", wrong)
+    wrap_family(wrong)
     report = run_suite("zhat", [5], 1)
     down = _zhat_cases(5, 1, lambda lam: facet_classify(lam, 5) is FacetType.DOWN_ALCOVE)
     assert {case for case, _, _ in report.failures} == set(down)
@@ -363,6 +360,21 @@ def test_serial_and_parallel_failures_agree(corrupt_down_alcove):
         assert serial.failures
         assert parallel.cases_run == serial.cases_run
         assert sorted(parallel.failures) == sorted(serial.failures)
+
+
+def test_a_short_factor_list_is_a_failed_case(capsys, wrap_family):
+    """A family one factor short fails the graph and Ext-table cases that
+    read it, with the weight, l and the missing position, and the sweep
+    ends with exit 1, not a traceback."""
+    wrap_family(lambda facet, factors: factors[:-1] if facet is FacetType.DOWN_ALCOVE else factors)
+    code, out, err = run(capsys, "verify", "--suites", "graphs,ext-lemmas", "--l", "2,3,5", "--box", "2")
+    assert code == 1
+    status = dict(line.split(": ", 1) for line in out.splitlines())
+    assert all(status[name].endswith(" failures") for name in ("graphs", "ext-lemmas")), out
+    short = [line for line in err.splitlines() if "has no position 9 of 9" in line]
+    assert any(line.startswith("FAIL graphs: l=3 ") for line in short), err[:300]
+    assert any(line.startswith("FAIL ext-lemmas: l=5 table") for line in short), err[:300]
+    assert "factor list of (3,3) (l=3) has no position 9" in err
 
 
 @pytest.mark.parametrize(

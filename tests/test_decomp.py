@@ -30,6 +30,7 @@ from qgl3.lattice import (
 )
 from qgl3.verify import run_suite, suite_decomposition
 
+import oracles
 from oracles import chi_l_expansion, hat_simple_char, restricted_simple, wall_family
 
 
@@ -135,8 +136,8 @@ _WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
 
 @pytest.mark.parametrize("l", [2, 3, 5, 7, 11])
 def test_wall_families_against_weight_arithmetic(l):
-    """The int-arithmetic wall families equal the Weight-operator formulas
-    on every wall weight of [-2l, 4l]^2, dominant or not."""
+    """The wall rows over the restricted orbit give the Weight-operator
+    formulas on every wall weight of [-2l, 4l]^2, dominant or not."""
     seen = set()
     for a, b in itertools.product(range(-2 * l, 4 * l + 1), repeat=2):
         lam = Weight(a, b)
@@ -146,6 +147,25 @@ def test_wall_families_against_weight_arithmetic(l):
             assert factors == wall_family(lam, l), (lam, l)
             assert all(type(f) is Weight for f in factors)
     assert seen == set(_WALLS)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 9, 11])
+def test_off_wall_families_against_the_written_out_ones(l):
+    """The rows over the restricted orbit give the written-out alcove
+    families, and lam alone on the vertex, at every weight of [-3l, 6l)^2
+    off the walls, dominant or not."""
+    written = {
+        FacetType.DOWN_ALCOVE: oracles.down_alcove_family,
+        FacetType.UP_ALCOVE: oracles.up_alcove_family,
+        FacetType.VERTEX: lambda cls, res, l: (l * cls + res,),
+    }
+    seen = set()
+    for a, b in itertools.product(range(-3 * l, 6 * l), repeat=2):
+        facet, factors = decomp._family(Weight(a, b), l)
+        if facet in written:
+            assert factors == written[facet](*decompose(Weight(a, b), l), l), (a, b, l)
+            seen.add(facet)
+    assert len(seen) == (3 if l > 2 else 1)
 
 
 @pytest.mark.parametrize("l", [3, 4, 5, 7, 11])
