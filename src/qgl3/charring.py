@@ -36,14 +36,13 @@ from qgl3 import kernels
 from qgl3.lattice import (
     RHO,
     FacetType,
-    PositiveRoot,
     Weight,
-    affine_reflect,
     classify_restricted,
     decompose,
     dominance_key,
     dominantize,
     ordinary_orbit,
+    restricted_orbit,
 )
 
 
@@ -299,23 +298,16 @@ def frobenius_twist(x: FormalChar, l: int) -> FormalChar:
     return FormalChar({(a * l, b * l): c for (a, b), c in x.coeffs.items()})
 
 
-def up_alcove_mirror(res: Weight, l: int) -> Weight:
-    """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
-    alcove below: its reflection in the rho wall at level l."""
-    return affine_reflect(res, PositiveRoot.RHO, 1, l)
-
-
 def restricted_simple_weyl(lam: Weight, l: int) -> dict[tuple[int, int], int]:
     """The restricted simple character L(lam) in the basis of induced
     characters, keyed by int pairs: {lam: 1}, and for up-alcove lam also
     {mirror: -1}, since an up-alcove induced module has exactly two
-    composition factors, the head at the mirror weight in the alcove below.
-    The one place this rule is written; ValueError when lam is not
-    restricted."""
+    composition factors, the head at the mirror weight in the alcove below,
+    point 0 of lam's restricted orbit.  The one place this rule is written;
+    ValueError when lam is not restricted."""
     key = (lam[0], lam[1])
     if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
-        a, b = up_alcove_mirror(lam, l)
-        return {key: 1, (a, b): -1}
+        return {key: 1, restricted_orbit(lam, l)[1][0]: -1}
     return {key: 1}
 
 

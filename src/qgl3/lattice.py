@@ -162,12 +162,14 @@ def classify_restricted(res: Weight, l: int) -> FacetType:
 
 def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, int], ...]]:
     """The facet of a restricted weight and, as int pairs in a fixed order,
-    the linked restricted points that the factor families and the
-    restricted-kernel Ext columns are read off (decomp, ext).  An alcove
-    weight has six, from the down parameter (r, s): res, or the mirror
-    (l-v-2, l-u-2) of an up-alcove res = (u, v), which is the sixth point.
-    A wall weight has three, from the horizontal point (x, y), x + y = l-2.
-    The vertex is its own orbit."""
+    the linked restricted points: the one place they are written.  The
+    factor families (decomp), the restricted-kernel Ext columns (ext) and
+    the off-wall translation tables (translate) are rows over them, and
+    restricted_simple_weyl reads an up-alcove weight's mirror as point 0.
+    An alcove weight has six, from the down parameter (r, s): res, or the
+    mirror (l-v-2, l-u-2) of an up-alcove res = (u, v), which is the sixth
+    point.  A wall weight has three, from the horizontal point (x, y),
+    x + y = l-2.  The vertex is its own orbit."""
     facet = classify_restricted(res, l)
     r, s = res
     if facet is FacetType.UP_ALCOVE:

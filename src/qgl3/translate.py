@@ -4,9 +4,13 @@ Translating onto a wall either relabels a factor or kills it, depending on
 whether the image lies in the upper closure of the source alcove; the
 source must be regular, and a singular one is rejected.  Off a
 wall, the translate of a single factor carries a good filtration whose
-(classical, restricted) factor pairs are given by fixed case tables; an
-entry with non-dominant classical part stands for the zero module but is
-kept, flagged, so the lists match the displayed shapes.
+(classical, restricted) factor pairs are given by fixed case tables,
+written once as data: OFF_WALL_ROWS gives each table as rows over the
+restricted orbit of the target (lattice.restricted_orbit), as
+decomp.FAMILY_ROWS gives the factor families; the printed tables are the
+test oracle in tests/oracles.py.  An entry with non-dominant classical
+part stands for the zero module but is kept, flagged, so the lists match
+the displayed shapes.
 
 The off-wall table for a right-wall source prints one of its interior rows
 twice in its source; the duplicate is dropped here, which is what both the
@@ -27,7 +31,6 @@ from qgl3.charring import (
     FormalChar,
     char_from_weyl,
     chi_l_weyl,
-    up_alcove_mirror,
     weyl_sum,
 )
 from qgl3.decomp import chi_decomposition
@@ -43,6 +46,7 @@ from qgl3.lattice import (
     facet_stabilizer_walls,
     fundamental_rep,
     pairing,
+    restricted_orbit,
 )
 
 
@@ -98,42 +102,28 @@ def translate_onto_wall(
     return x
 
 
-def _off_wall_pairs(
-    c: tuple[int, int],
-    mu_res: tuple[int, int],
-    target_res: tuple[int, int],
-    src: FacetType,
-    tgt: FacetType,
-    l: int,
-) -> list[tuple[tuple[int, int], tuple[int, int]]] | None:
-    """The (classical, restricted) int pairs of translate_off_wall for a
-    source off the left wall, of facet src, toward a target of facet tgt;
-    None when no case table covers the combination."""
-    ca, cb = c
-    up, left, down = (ca + 1, cb), (ca - 1, cb + 1), (ca, cb - 1)
-    if l == 2:
-        key = (tuple(mu_res), tuple(target_res))
-        if key == ((1, 0), (0, 0)):
-            return [(c, (0, 1)), (up, (0, 0)), (left, (0, 0)), (down, (0, 0)), (c, (0, 1))]
-        if key in (((0, 0), (1, 0)), ((0, 0), (0, 1))):
-            return [(c, target_res)]
-        if key == ((1, 0), (0, 1)):
-            return [(c, (0, 0))]
-        return None
-    if src is FacetType.RIGHT_WALL and tgt is FacetType.DOWN_ALCOVE:
-        a, b = target_res
-        return [
-            (c, (l - a - 2, a + b + 1)),
-            (up, target_res),
-            (left, target_res),
-            (down, target_res),
-            (c, (l - a - b - 3, a)),
-            (c, (l - a - 2, a + b + 1)),
-        ]
-    if src is FacetType.HORIZONTAL_WALL and tgt is FacetType.UP_ALCOVE:
-        mirror = up_alcove_mirror(target_res, l)
-        return [(c, mirror), (c, target_res), (c, mirror)]
-    return None
+# The off-wall tables as rows (da, db, k) over restricted_orbit(target_res,
+# l), keyed by (l == 2, source facet, target facet): entry i of the
+# translate of a factor with classical part c is (c + (da, db), points[k]),
+# top layer first.  The left-wall rows are the coordinate swap of the
+# right-wall ones.  At l = 2 every facet holds one restricted weight and the
+# three walls are one orbit.
+_R, _L, _H = FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL
+OFF_WALL_ROWS = {
+    (False, _R, FacetType.DOWN_ALCOVE): (
+        (0, 0, 3), (1, 0, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 2), (0, 0, 3),
+    ),
+    (False, _L, FacetType.DOWN_ALCOVE): (
+        (0, 0, 1), (0, 1, 0), (1, -1, 0), (-1, 0, 0), (0, 0, 4), (0, 0, 1),
+    ),
+    (False, _H, FacetType.UP_ALCOVE): ((0, 0, 0), (0, 0, 5), (0, 0, 0)),
+    (True, _R, _H): ((0, 0, 2), (1, 0, 0), (-1, 1, 0), (0, -1, 0), (0, 0, 2)),
+    (True, _L, _H): ((0, 0, 1), (0, 1, 0), (1, -1, 0), (-1, 0, 0), (0, 0, 1)),
+    (True, _H, _R): ((0, 0, 1),),
+    (True, _H, _L): ((0, 0, 2),),
+    (True, _R, _L): ((0, 0, 0),),
+    (True, _L, _R): ((0, 0, 0),),
+}
 
 
 def translate_off_wall(
@@ -141,33 +131,19 @@ def translate_off_wall(
 ) -> tuple[OffWallEntry, ...]:
     """Factor list, top layer first, of the translate of the twisted-tensor
     factor with classical part mu_cls and wall-type restricted part mu_res
-    into the adjacent facet of restricted type target_res.
-
-    A left-wall source, (0, 1) at l = 2, is the coordinate swap of the
-    right-wall case; errors name the weights as given.  The tables are read
-    on int pairs, and each entry's two fields are made Weights once.
-    """
+    into the adjacent facet of restricted type target_res: the rows of
+    OFF_WALL_ROWS over the orbit of target_res.  ValueError, naming both
+    weights, their facets and l, when no row covers the combination."""
     src = classify_restricted(mu_res, l)
-    tgt = classify_restricted(target_res, l)
-    if src is FacetType.LEFT_WALL:
-        # the swap sends the left wall to the right wall and fixes the down
-        # alcove, the one target type of the right-wall table
-        pairs = _off_wall_pairs(
-            (mu_cls[1], mu_cls[0]), (mu_res[1], mu_res[0]), (target_res[1], target_res[0]),
-            FacetType.RIGHT_WALL, tgt, l,
-        )
-        if pairs is not None:
-            pairs = [((c[1], c[0]), (r[1], r[0])) for c, r in pairs]
-    else:
-        pairs = _off_wall_pairs(mu_cls, mu_res, target_res, src, tgt, l)
-    if pairs is None:
-        mu_res, target_res = Weight(*mu_res), Weight(*target_res)
-        if l == 2:
-            raise ValueError(f"unsupported l=2 translation {mu_res} -> {target_res}")
+    tgt, points = restricted_orbit(target_res, l)
+    rows = OFF_WALL_ROWS.get((l == 2, src, tgt))
+    if rows is None:
         raise ValueError(
-            f"unsupported translation {mu_res} ({src.value}) -> {target_res} ({tgt.value}) for l={l}"
+            f"unsupported translation {Weight(*mu_res)} ({src.value}) -> "
+            f"{Weight(*target_res)} ({tgt.value}) for l={l}"
         )
-    return tuple(OffWallEntry(Weight(*c), Weight(*r)) for c, r in pairs)
+    ca, cb = mu_cls
+    return tuple(OffWallEntry(Weight(ca + da, cb + db), Weight(*points[k])) for da, db, k in rows)
 
 
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:

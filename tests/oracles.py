@@ -10,7 +10,9 @@ checks duality without building the dual graph; wall_family and
 duality_diff are the Weight-arithmetic and built-graph routes.  The engine
 evaluates every factor family as rows over the restricted orbit; the
 written-out alcove families, down_alcove_family and up_alcove_family, are
-kept here beside wall_family as their oracle.  The engine
+kept here beside wall_family as their oracle, and so are the up-alcove
+mirror's closed form and the printed off-wall translation tables
+(off_wall_pairs), which the engine reads off the orbit too.  The engine
 derives the alcove Ext pairs from the graph edges and the up-alcove tables
 from the down-alcove ones by duality; the printed tables are kept here.
 """
@@ -24,7 +26,6 @@ from qgl3.charring import (
     frobenius_twist,
     peel_dominant,
     restricted_simple_char,
-    up_alcove_mirror,
 )
 from qgl3.homs import hat_dual_weight
 from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
@@ -111,6 +112,14 @@ def wall_family(lam: Weight, l: int) -> tuple[Weight, ...]:
     )
 
 
+def up_alcove_mirror(res: Weight, l: int) -> Weight:
+    """Mirror (l-v-2, l-u-2) of an up-alcove restricted weight (u, v) in the
+    alcove below, its reflection in the rho wall at level l, by the closed
+    form."""
+    u, v = res
+    return Weight(l - v - 2, l - u - 2)
+
+
 def down_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
     """The nine factor weights for lam = l*cls + res with res in the open
     fundamental alcove, in subscript order (factor 1 is lam itself)."""
@@ -147,6 +156,46 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
         Weight(la + r, lb + s),
         Weight(la + r + s + 1, lb - s - 2),
     )
+
+
+def off_wall_pairs(c, mu_res, target_res, l):
+    """translate_off_wall as the printed case tables: the (classical,
+    restricted) pairs of the translate of the factor with classical part c
+    and wall-type restricted part mu_res toward target_res, top layer first,
+    or None where no table covers the combination.  The l = 2 tables are
+    read by weight; a left-wall source is the coordinate swap of the
+    right-wall table.  The arithmetic is on the given coordinates alone, so
+    it also runs on test_family_tables' affine forms."""
+    src = classify_restricted(mu_res, l)
+    tgt = classify_restricted(target_res, l)
+    if src is FacetType.LEFT_WALL:
+        pairs = off_wall_pairs(c[::-1], mu_res[::-1], target_res[::-1], l)
+        return None if pairs is None else [(x[::-1], r[::-1]) for x, r in pairs]
+    ca, cb = c
+    up, left, down = (ca + 1, cb), (ca - 1, cb + 1), (ca, cb - 1)
+    if l == 2:
+        key = (tuple(mu_res), tuple(target_res))
+        if key == ((1, 0), (0, 0)):
+            return [(c, (0, 1)), (up, (0, 0)), (left, (0, 0)), (down, (0, 0)), (c, (0, 1))]
+        if key in (((0, 0), (1, 0)), ((0, 0), (0, 1))):
+            return [(c, target_res)]
+        if key == ((1, 0), (0, 1)):
+            return [(c, (0, 0))]
+        return None
+    if src is FacetType.RIGHT_WALL and tgt is FacetType.DOWN_ALCOVE:
+        a, b = target_res
+        return [
+            (c, (l - a - 2, a + b + 1)),
+            (up, target_res),
+            (left, target_res),
+            (down, target_res),
+            (c, (l - a - b - 3, a)),
+            (c, (l - a - 2, a + b + 1)),
+        ]
+    if src is FacetType.HORIZONTAL_WALL and tgt is FacetType.UP_ALCOVE:
+        mirror = up_alcove_mirror(target_res, l)
+        return [(c, mirror), (c, target_res), (c, mirror)]
+    return None
 
 
 def duality_diff(g) -> str:

@@ -24,7 +24,6 @@ from qgl3.charring import (
     restricted_simple_weyl,
     simple_char_p0,
     tensor_multiplicity,
-    up_alcove_mirror,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -41,8 +40,11 @@ from qgl3.lattice import (
     dominantize,
     ordinary_orbit,
     pairing,
+    restricted_orbit,
 )
 from qgl3.translate import translated_character
+
+from oracles import up_alcove_mirror
 
 coords = st.integers(-6, 6)
 weights = st.builds(Weight, coords, coords)
@@ -185,9 +187,18 @@ def test_alt_weyl_sum():
 
 
 def test_up_alcove_mirror_closed_form():
+    """The mirror of an up-alcove weight, the second head of its simple
+    character, is point 0 of its restricted orbit; the closed form is the
+    reflection in the rho wall at level l."""
     for l in range(2, 12):
         for u, v in itertools.product(range(l), repeat=2):
-            assert up_alcove_mirror(Weight(u, v), l) == (l - v - 2, l - u - 2)
+            res = Weight(u, v)
+            mirror = up_alcove_mirror(res, l)
+            assert mirror == affine_reflect(res, PositiveRoot.RHO, 1, l)
+            facet, points = restricted_orbit(res, l)
+            if facet is FacetType.UP_ALCOVE:
+                assert points[0] == mirror
+                assert restricted_simple_weyl(res, l) == {res: 1, mirror: -1}
 
 
 @given(st.builds(Weight, st.integers(0, 100), st.integers(0, 100)))

@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from qgl3 import ext
-from qgl3.charring import up_alcove_mirror
 from qgl3.decomp import factor_family, zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
@@ -104,7 +103,7 @@ def _ext1_g1_table(l):
         down = Weight(r, s)
         if classify_restricted(down, l) is not FacetType.DOWN_ALCOVE:
             continue
-        up = up_alcove_mirror(down, l)
+        up = oracles.up_alcove_mirror(down, l)
         for alpha, cols in (
             (down, (
                 (up, TRIV),

@@ -1,10 +1,11 @@
-"""A formal check of the factor-family rows over the restricted orbit.
+"""A formal check of the factor-family and translation rows over the
+restricted orbit.
 
-decomp.FAMILY_ROWS and lattice.restricted_orbit are evaluated on affine
-forms in (l, p, q), where (p, q) parametrize the restricted weights of one
-facet.  A comparison of two forms is decided at the vertices of the
-facet's parameter triangle, whose coordinates are affine in l, for every
-l >= L0: an affine function is >= 0 on a triangle when it is >= 0 at the
+decomp.FAMILY_ROWS, translate.OFF_WALL_ROWS and lattice.restricted_orbit
+are evaluated on affine forms in (l, p, q), where (p, q) parametrize the
+restricted weights of one facet.  A comparison of two forms is decided
+at the vertices of the facet's parameter triangle, whose coordinates are
+affine in l, for every l >= L0: an affine function is >= 0 on a triangle when it is >= 0 at the
 vertices.  A comparison that the vertices do not decide raises.  So each
 check here holds for every l >= L0 and every restricted weight of the
 facet, and on the families of every classical part, since each factor is
@@ -17,14 +18,20 @@ Z-hat identity times A(rho) cancels formally,
 
 with N(r) = A(rho) ch L(r) the numerator of restricted_simple_numerator
 (ROADMAP Findings: D = 0 gives the decomposition identity for every
-classical part); DUAL_POSITION and the wall swap hold on the rows.
+classical part); DUAL_POSITION and the wall swap hold on the rows; the
+translation rows give the printed off-wall tables of tests/oracles.py, and
+below L0 they are checked against those tables case by case.
 """
+
+import itertools
 
 import pytest
 
-from qgl3 import decomp, ext, structure
+from qgl3 import decomp, ext, structure, translate
 from qgl3.charring import alt_weyl_sum, restricted_simple_numerator
 from qgl3.lattice import FacetType, Weight, classify_restricted, restricted_orbit
+
+import oracles
 
 L0 = 4
 
@@ -127,6 +134,7 @@ def _facets():
 
 
 FACETS = list(_facets())
+FORMS = {facet: (l, res) for facet, l, res in FACETS}
 IDS = [facet.value for facet, _, _ in FACETS]
 ALCOVES = (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE)
 WALLS = (FacetType.HORIZONTAL_WALL, FacetType.RIGHT_WALL, FacetType.LEFT_WALL)
@@ -146,6 +154,13 @@ def _split(x, l):
         if 0 <= y <= l - 1:
             return k, y
     raise AssertionError(f"{x!r} has no constant l-adic split")
+
+
+def _translate(key, cls, res, l):
+    """translate_off_wall's rows on forms: the entries as (classical,
+    restricted) pairs, the classical parts plain ints."""
+    _, points = restricted_orbit(res, l)
+    return [((cls[0] + da, cls[1] + db), points[k]) for da, db, k in translate.OFF_WALL_ROWS[key]]
 
 
 @pytest.mark.parametrize("facet, l, res", FACETS, ids=IDS)
@@ -202,11 +217,59 @@ def test_wall_swap_on_the_rows(facet, l, res):
     assert swapped == [((b, a), (y, x)) for (a, b), (x, y) in family]
 
 
+OFF_WALL_KEYS = [key for key in translate.OFF_WALL_ROWS if not key[0]]
+
+
+@pytest.mark.parametrize(
+    "key", OFF_WALL_KEYS, ids=[f"{src.value}->{tgt.value}" for _, src, tgt in OFF_WALL_KEYS]
+)
+def test_off_wall_rows_give_the_printed_tables(key):
+    """For l >= L0, on the target facet's triangle, the rows give the
+    printed off-wall table of a source of the key's wall facet."""
+    _, src, tgt = key
+    l, res = FORMS[tgt]
+    mu_res = {
+        FacetType.RIGHT_WALL: (l - 1, 1),
+        FacetType.LEFT_WALL: (1, l - 1),
+        FacetType.HORIZONTAL_WALL: (1, l - 3),
+    }[src]
+    assert _translate(key, (2, 5), res, l) == oracles.off_wall_pairs((2, 5), mu_res, res, l)
+
+
+def test_left_wall_rows_are_the_swap_of_the_right_wall_rows():
+    """The coordinate swap sends the rows of every key, evaluated on its
+    target facet's triangle, to the rows of the swapped key."""
+    swap = {FacetType.RIGHT_WALL: FacetType.LEFT_WALL, FacetType.LEFT_WALL: FacetType.RIGHT_WALL}
+    for key in translate.OFF_WALL_ROWS:
+        is_l2, src, tgt = key
+        swapped = (is_l2, swap.get(src, src), swap.get(tgt, tgt))
+        l, res = FORMS[tgt]
+        want = [((b, a), (y, x)) for (a, b), (x, y) in _translate(key, (2, 5), res, l)]
+        assert _translate(swapped, (5, 2), (res[1], res[0]), l) == want, key
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_off_wall_rows_below_l0(l):
+    """Below L0, every restricted (source, target) pair and classical part
+    in [-2, 3]^2: translate_off_wall gives the printed table's entries, or
+    a ValueError where no printed table covers the pair."""
+    restricted = list(itertools.product(range(l), repeat=2))
+    for mu_res, target_res in itertools.product(restricted, repeat=2):
+        for c in itertools.product(range(-2, 4), repeat=2):
+            want = oracles.off_wall_pairs(c, mu_res, target_res, l)
+            if want is None:
+                with pytest.raises(ValueError, match="unsupported translation"):
+                    translate.translate_off_wall(c, mu_res, target_res, l)
+            else:
+                got = translate.translate_off_wall(c, mu_res, target_res, l)
+                assert [(e.classical, e.restricted) for e in got] == want, (mu_res, target_res, c)
+
+
 def test_tables_agree_on_their_positions():
     """Per facet, the family has one row per position of the structure
     graph, each row reads a point of the orbit, and every position that the
     Ext tables, the filtration tables and DUAL_POSITION read is one of
-    them."""
+    them; every translation row reads a point of its target's orbit."""
 
     def positions(edges):
         return {p for pair in edges for p in pair}
@@ -226,3 +289,7 @@ def test_tables_agree_on_their_positions():
     four = set(range(1, len(decomp.FAMILY_ROWS[FacetType.RIGHT_WALL]) + 1))
     for edges, layers in (structure._NABLA_WALL_CHAIN, structure._NABLA_WALL_DIAMOND):
         assert set(layers) == four and positions(edges) <= four
+    for (_, _, tgt), rows in translate.OFF_WALL_ROWS.items():
+        l, res = FORMS[tgt]
+        _, points = restricted_orbit(res, l)
+        assert all(0 <= k < len(points) for _, _, k in rows), tgt

@@ -20,6 +20,7 @@ from qgl3.lattice import (
     fundamental_rep,
     linked,
     pairing,
+    restricted_orbit,
 )
 
 import test_translate
@@ -209,6 +210,20 @@ def _undo_reflections(moves, x):
     for root, wall in reversed(moves):
         x = affine_reflect(x, root, wall)
     return x
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_restricted_orbit_is_the_linkage_class(l):
+    """The points of restricted_orbit(r) are the restricted weights mu with
+    mu + l*c linked to r for some c in [0, 2]^2, which meets every class of
+    the weight lattice modulo the root lattice: the whole linkage class of r
+    among the restricted weights, at l = 2 and 3 too."""
+    restricted = [Weight(a, b) for a in range(l) for b in range(l)]
+    shifts = [l * Weight(*c) for c in itertools.product(range(3), repeat=2)]
+    for r in restricted:
+        _, points = restricted_orbit(r, l)
+        want = {mu for mu in restricted if any(linked(mu + c, r, l) for c in shifts)}
+        assert set(points) == want, r
 
 
 def test_fundamental_rep_examples():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 
@@ -143,10 +144,14 @@ def test_off_wall_l2_lists():
 
 
 def test_off_wall_unsupported_combinations():
-    with pytest.raises(ValueError):
-        translate_off_wall(Weight(1, 1), Weight(1, 2), Weight(0, 0), 5)  # horizontal -> down
-    with pytest.raises(ValueError):
-        translate_off_wall(Weight(1, 1), Weight(1, 0), Weight(1, 0), 2)  # same type
+    """One error text at every l: both weights, their facets and l."""
+    for mu_res, target_res, l, text in (
+        (Weight(1, 2), Weight(0, 0), 5, "(1,2) (horizontal-wall) -> (0,0) (down-alcove) for l=5"),
+        (Weight(1, 0), Weight(1, 0), 2, "(1,0) (right-wall) -> (1,0) (right-wall) for l=2"),
+        (Weight(0, 1), Weight(1, 1), 2, "(0,1) (left-wall) -> (1,1) (vertex) for l=2"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"unsupported translation {text}")):
+            translate_off_wall(Weight(1, 1), mu_res, target_res, l)
 
 
 def test_off_wall_rejects_an_unrestricted_weight_at_every_l():
