@@ -12,23 +12,25 @@ decomposition suite (sum of chi_l terms), validate_graph (sum of surviving
 terms) and the zhat suite (sum of simples, multiplied by A(rho): a sum of
 numerators, at most 12 terms per factor).
 
-Both lists are read off one factor family per (lam, l): FAMILY_ROWS
-writes each facet's family as rows over lattice.restricted_orbit, so every
-family is affine in l*c by construction, the one assumption under which
-the zhat identity at c = 0 gives the decomposition identity for every
-classical part (tests/test_family_tables.py proves it formally).  Each
-factor is made a Weight once, since the lists leave the engine; the
-surviving positions are bookkeeping on int pairs.  One in-process memo
-keyed on (a, b, l) holds both: chi_decomposition's DecompResult, which
-carries the Borel-induced list that factor_family returns for a dominant
-weight and the surviving positions, computed when the result is built.
-So the structure graphs, the translation tables and the Ext tables of a
-weight share one copy.  Two routes build a family afresh and leave the
-memo alone: zhat_factors, which the decomposition and zhat suites read
-once per weight (the filtration factors are the same list, reversed on
-the walls), and factor_family for a non-dominant weight.  The memoized
-values (a frozen DecompResult and its tuples) are shared and immutable;
-the memo only grows, and nothing persists between runs.
+Both lists are read off one factor family per (lam, l), and family_pairs
+is its one builder: FAMILY_ROWS writes each facet's family as rows over
+lattice.restricted_orbit, so every family is affine in l*c by
+construction, the one assumption under which the zhat identity at c = 0
+gives the decomposition identity for every classical part
+(tests/test_family_tables.py proves it formally).  family_pairs returns the
+factors as int pairs; a Weight is built only where a list leaves the
+engine: chi_decomposition wraps each factor once, into the DecompResult it
+memoizes, zhat_factors wraps a list of its own, and factor_family wraps the
+list of a non-dominant weight.  The decomposition and zhat suites and the
+duality check of validate_graph read the int pairs of family_pairs,
+without the memo, looking it up in this module at call time.  One
+in-process memo keyed on (a, b, l) holds chi_decomposition's DecompResult,
+which carries the Borel-induced list that factor_family returns for a
+dominant weight and the surviving positions, bookkeeping on the factors
+done when the result is built; so the structure graphs, the translation
+tables and the Ext tables of a weight share one copy.  The memoized values
+(a frozen DecompResult and its tuples) are shared and immutable; the memo
+only grows, and nothing persists between runs.
 """
 
 from __future__ import annotations
@@ -164,19 +166,19 @@ def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
 
     For dominant lam this is read off the memoized chi_decomposition(lam),
     which the filtration, translation, graph and Ext consumers share; the
-    returned tuple is shared.  The list of a non-dominant weight (the dual
-    weight of a duality check) is read once per graph and built on each
-    call.
+    returned tuple is shared.  The list of a non-dominant weight is built
+    on each call.
     """
     if lam[0] >= 0 and lam[1] >= 0:
         return chi_decomposition(lam, l)._family
-    return _family(lam if type(lam) is Weight else Weight(*lam), l)
+    facet, factors = family_pairs(lam, l)
+    return facet, _as_weights(factors)
 
 
-def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
-    """factor_family, built: the rows of lam's facet evaluated on the
-    restricted orbit of lam's restricted part, each factor made a Weight
-    once."""
+def family_pairs(lam: tuple[int, int], l: int) -> tuple[FacetType, tuple[tuple[int, int], ...]]:
+    """The one builder of the factor families: the facet of lam's restricted
+    part and the rows of that facet evaluated on the restricted orbit, each
+    factor an int pair.  Its readers look it up here at call time."""
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
     a, r = divmod(lam[0], l)
@@ -186,8 +188,12 @@ def _family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
     factors = []
     for da, db, k in FAMILY_ROWS[facet]:
         x, y = points[k]
-        factors.append(Weight(la + l * da + x, lb + l * db + y))
+        factors.append((la + l * da + x, lb + l * db + y))
     return facet, tuple(factors)
+
+
+def _as_weights(factors) -> tuple[Weight, ...]:
+    return tuple(Weight(a, b) for a, b in factors)
 
 
 def check_positions(lam: Weight, l: int, factors: tuple[Weight, ...], top: int) -> None:
@@ -208,10 +214,8 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
     They are the composition-factor weights of the Borel-induced module of
     weight lam; the wall cases are listed the other way round, highest
     layer first.  Memoized on (lam, l), with the surviving positions; the
-    result is shared and never modified.  Of the two
-    routes that build a family without the memo, zhat_factors gives the
-    same list for a dominant lam (reversed on the walls), and factor_family
-    the list of a non-dominant one.
+    result is shared and never modified.  zhat_factors gives the same list
+    for a dominant lam, reversed on the walls, without the memo.
     """
     key = (lam[0], lam[1], l)
     hit = _decompositions.get(key)
@@ -221,12 +225,11 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
         lam = Weight(*lam)
     if not lam.is_dominant():
         raise ValueError(f"chi_decomposition needs a dominant weight, got {lam}")
-    family = _family(lam, l)
-    facet, factors = family
-    if facet in _WALLS:
-        factors = factors[::-1]
+    facet, pairs = family_pairs(lam, l)
+    family = _as_weights(pairs)
+    factors = family[::-1] if facet in _WALLS else family
     result = _decompositions[key] = DecompResult(
-        lam, l, facet, factors, family, _surviving_positions(factors, l)
+        lam, l, facet, factors, (facet, family), _surviving_positions(factors, l)
     )
     return result
 
@@ -236,11 +239,9 @@ def zhat_factors(lam: Weight, l: int) -> list[Weight]:
 
     The classical part of lam may be arbitrary; the case split depends only
     on the restricted part.  Wall cases are listed socle first.  Built on
-    each call, without the memo: its callers (the decomposition and zhat
-    suites, the command line) read each weight's list once, and it returns
-    a list of its own.
+    each call, without the memo, as a list of its own.
     """
-    return list(_family(lam if type(lam) is Weight else Weight(*lam), l)[1])
+    return [Weight(a, b) for a, b in family_pairs(lam, l)[1]]
 
 
 _ROOT_VECTORS = tuple(root.vector for root in POSITIVE_ROOTS)

@@ -87,12 +87,18 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
     return None
 
 
-def hat_dual_weight(nu: Weight, l: int) -> Weight:
-    """Weight of the dual of a thickened-kernel simple: swap the restricted
-    part, negate the classical part."""
+def hat_dual_pair(nu: tuple[int, int], l: int) -> tuple[int, int]:
+    """Weight of the dual of a thickened-kernel simple, as an int pair: swap
+    the restricted part, negate the classical part.  The one definition of
+    the dual map."""
     a, b = nu
     ra, rb = a % l, b % l
-    return Weight(rb - (a - ra), ra - (b - rb))
+    return rb - (a - ra), ra - (b - rb)
+
+
+def hat_dual_weight(nu: Weight, l: int) -> Weight:
+    """hat_dual_pair as a Weight."""
+    return Weight(*hat_dual_pair(nu, l))
 
 
 def zhat_head_weight(lam: Weight, l: int) -> Weight:

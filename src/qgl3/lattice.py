@@ -53,6 +53,8 @@ class PositiveRoot(Enum):
     ALPHA2 = 2
     RHO = 3
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hash is a Python call
+
     @property
     def vector(self) -> Weight:
         return _ROOT_VECTORS[self]
@@ -74,6 +76,8 @@ class FacetType(Enum):
     HORIZONTAL_WALL = "horizontal-wall"
     DOWN_ALCOVE = "down-alcove"
     UP_ALCOVE = "up-alcove"
+
+    __hash__ = object.__hash__  # as PositiveRoot's
 
 
 class RestrictedDecomposition(NamedTuple):

@@ -15,7 +15,7 @@ keeps: all of the table's for a Borel-induced module, the surviving
 positions for a filtration, whose wall tables are renumbered into
 filtration order once, at import.  validate_graph formats a check's failure
 text only when the check fails, and checks duality on the dual weight's
-factor family and edge table, without building the dual graph.
+factor family and edge table, as int pairs, without building the dual graph.
 """
 
 from __future__ import annotations
@@ -25,10 +25,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from qgl3 import decomp
 from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
-from qgl3.homs import hat_dual_weight, zhat_head_weight
+from qgl3.homs import hat_dual_pair, zhat_head_weight
 from qgl3.lattice import FacetType, Weight
 
 G1B_SIMPLE = "G1BSimple"
@@ -299,19 +300,25 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
 def _duality_diff(g: ModuleGraph) -> str:
     """Compare g with the graph of the dual module, read off the family and
     edge table of 2(l-1)rho - lam: its nodes must be the dual weights of g's
-    nodes and its edges g's edges reversed.  Returns "" when they match,
-    else the first dual node weights or reversed edges that differ."""
-    top = 2 * (g.l - 1)
+    nodes and its edges g's edges reversed.  Both sides are int pairs: the
+    family from decomp.family_pairs, looked up at call time, and the nodes
+    under homs.hat_dual_pair; a Weight is built only for the failure text.
+    Returns "" when they match, else the first dual node weights or
+    reversed edges that differ."""
+    l = g.l
+    top = 2 * (l - 1)
     dual_lam = (top - g.lam[0], top - g.lam[1])
-    facet, got = factor_family(dual_lam, g.l)
+    facet, got = decomp.family_pairs(dual_lam, l)
     edges, layers = _ZHAT_TABLES[facet]
-    check_positions(dual_lam, g.l, got, len(layers))
-    dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
-    return _want_got("dual nodes", dual.values(), [got[i - 1] for i in layers], str) or _want_got(
+    check_positions(dual_lam, l, got, len(layers))
+    dual = {n.id: hat_dual_pair(n.weight, l) for n in g.nodes}
+    return _want_got(
+        "dual nodes", dual.values(), [got[i - 1] for i in layers], lambda w: str(Weight(*w))
+    ) or _want_got(
         "reversed edges",
         [(dual[v], dual[u]) for u, v in g.edges],
         [(got[u - 1], got[v - 1]) for u, v in edges],
-        lambda e: f"{e[0]}->{e[1]}",
+        lambda e: f"{Weight(*e[0])}->{Weight(*e[1])}",
     )
 
 

@@ -9,18 +9,21 @@ written once as data: OFF_WALL_ROWS gives each table as rows over the
 restricted orbit of the target (lattice.restricted_orbit), as
 decomp.FAMILY_ROWS gives the factor families; the printed tables are the
 test oracle in tests/oracles.py.  An entry with non-dominant classical
-part stands for the zero module but is kept, flagged, so the lists match
-the displayed shapes.
+part stands for the zero module but is kept, so the lists match the
+displayed shapes.
 
 The off-wall table for a right-wall source prints one of its interior rows
 twice in its source; the duplicate is dropped here, which is what both the
 generic factor count 6+6+3+3 = 18 and the exact aggregate character
 identity require.
 
-The tables are read on int pairs, and each factor is split by divmod.  The
-values a translation hands out are Weights, built once: the classical and
-restricted parts of an OffWallEntry, and the wall weight, the mirror and
-the source factors of a WallTranslate.
+off_wall_pairs is the one reader of the tables: it returns the entries as
+int pairs, and each factor is split by divmod.  A WallTranslate keeps
+those rows, and its character, factor count and generic flag, which the
+translate suite checks, are read off them; a Weight is built only where a
+value leaves: the wall weight, the mirror and the source factors of a
+WallTranslate, and the OffWallEntry values of translate_off_wall, which
+WallTranslate.lists builds on each read.
 """
 
 from __future__ import annotations
@@ -52,21 +55,11 @@ from qgl3.lattice import (
 
 @dataclass(frozen=True)
 class OffWallEntry:
+    """A translated factor: its weight is l*classical + restricted, and it is
+    the zero module when the classical part is not dominant."""
+
     classical: Weight
     restricted: Weight
-
-    def as_weight(self, l: int) -> Weight:
-        (ca, cb), (ra, rb) = self.classical, self.restricted
-        return Weight(l * ca + ra, l * cb + rb)
-
-    @property
-    def vanishes(self) -> bool:
-        return not self.classical.is_dominant()
-
-    def weyl_character(self, l: int) -> dict[Weight, int]:
-        """The character in the basis of induced characters: chi_l of the
-        entry's weight, whose classical part is dominant unless it vanishes."""
-        return {} if self.vanishes else chi_l_weyl(self.as_weight(l), l)
 
 
 def translate_onto_wall(
@@ -126,14 +119,18 @@ OFF_WALL_ROWS = {
 }
 
 
-def translate_off_wall(
-    mu_cls: Weight, mu_res: Weight, target_res: Weight, l: int
-) -> tuple[OffWallEntry, ...]:
-    """Factor list, top layer first, of the translate of the twisted-tensor
-    factor with classical part mu_cls and wall-type restricted part mu_res
-    into the adjacent facet of restricted type target_res: the rows of
-    OFF_WALL_ROWS over the orbit of target_res.  ValueError, naming both
-    weights, their facets and l, when no row covers the combination."""
+Entry = tuple[tuple[int, int], tuple[int, int]]
+
+
+def off_wall_pairs(
+    mu_cls: tuple[int, int], mu_res: tuple[int, int], target_res: tuple[int, int], l: int
+) -> tuple[Entry, ...]:
+    """The one reader of OFF_WALL_ROWS: the entries (classical part,
+    restricted part), as int pairs, top layer first, of the translate of the
+    twisted-tensor factor with classical part mu_cls and wall-type
+    restricted part mu_res into the adjacent facet of restricted type
+    target_res: the rows over the orbit of target_res.  ValueError, naming
+    both weights, their facets and l, when no row covers the combination."""
     src = classify_restricted(mu_res, l)
     tgt, points = restricted_orbit(target_res, l)
     rows = OFF_WALL_ROWS.get((l == 2, src, tgt))
@@ -143,7 +140,16 @@ def translate_off_wall(
             f"{Weight(*target_res)} ({tgt.value}) for l={l}"
         )
     ca, cb = mu_cls
-    return tuple(OffWallEntry(Weight(ca + da, cb + db), Weight(*points[k])) for da, db, k in rows)
+    return tuple(((ca + da, cb + db), points[k]) for da, db, k in rows)
+
+
+def translate_off_wall(
+    mu_cls: Weight, mu_res: Weight, target_res: Weight, l: int
+) -> tuple[OffWallEntry, ...]:
+    """off_wall_pairs, each entry an OffWallEntry of two Weights."""
+    return tuple(
+        OffWallEntry(Weight(*c), Weight(*r)) for c, r in off_wall_pairs(mu_cls, mu_res, target_res, l)
+    )
 
 
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
@@ -192,32 +198,48 @@ def wall_weight_below(lam: Weight, l: int) -> tuple[Weight, tuple[PositiveRoot, 
 @dataclass(frozen=True)
 class WallTranslate:
     """The translate into lam's facet of the induced module of the wall
-    weight below lam: one (source factor, translated factor list) pair per
-    genuine filtration factor of the wall weight, the wall weight itself,
-    and the mirror image of lam in the wall.
+    weight below lam: one row per genuine filtration factor nu of the wall
+    weight, the wall weight itself, and the mirror image of lam in the wall.
+    A row is (nu, the restricted part of nu's target, the translated entries
+    of off_wall_pairs); the character and the factor count are read off the
+    entries as int pairs.
 
     generic: every factor of the wall weight survives, so every classical
     part is dominant (hence regular), and no translated entry vanishes; the
     factor counts are asserted for generic translates only."""
 
     l: int
-    lists: tuple[tuple[Weight, tuple[OffWallEntry, ...]], ...]
+    rows: tuple[tuple[Weight, tuple[int, int], tuple[Entry, ...]], ...]
     wall: Weight
     mirror: Weight
     generic: bool
 
+    @property
+    def lists(self) -> tuple[tuple[Weight, tuple[OffWallEntry, ...]], ...]:
+        """(nu, translate_off_wall of nu) per row, built on each read."""
+        l = self.l
+        return tuple(
+            (nu, translate_off_wall((nu[0] // l, nu[1] // l), (nu[0] % l, nu[1] % l), target, l))
+            for nu, target, _ in self.rows
+        )
+
     def weyl_character(self) -> dict[Weight, int]:
         """Character of the full translate in the basis of induced
-        characters; the identity says it is {lam: 1, mirror: 1}."""
+        characters; the identity says it is {lam: 1, mirror: 1}.  An entry
+        with non-dominant classical part is the zero module."""
+        l = self.l
         return weyl_sum(
-            entry.weyl_character(self.l) for _, lst in self.lists for entry in lst
+            chi_l_weyl((l * ca + ra, l * cb + rb), l)
+            for _, _, entries in self.rows
+            for (ca, cb), (ra, rb) in entries
+            if ca >= 0 and cb >= 0
         )
 
     @property
     def factor_count(self) -> int:
         """Number of translated factors: 18 when l >= 3, 8 when l = 2, for a
         generic translate."""
-        return sum(len(lst) for _, lst in self.lists)
+        return sum(len(entries) for _, _, entries in self.rows)
 
 
 def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
@@ -232,17 +254,17 @@ def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
     mu, (root, value) = wall_weight_below(lam, l)
     lam_rep, _ = fundamental_rep(lam, l)
     dec = chi_decomposition(mu, l)
-    lists = []
+    rows = []
+    generic = len(dec.positions) == len(dec.factors)
     for nu in dec.surviving_factors():
         x = local_target(nu, lam_rep, l)
         ca, ra = divmod(nu[0], l)
         cb, rb = divmod(nu[1], l)
-        entries = translate_off_wall((ca, cb), (ra, rb), (x[0] % l, x[1] % l), l)
-        lists.append((nu, entries))
-    generic = len(dec.positions) == len(dec.factors) and not any(
-        entry.vanishes for _, lst in lists for entry in lst
-    )
-    return WallTranslate(l, tuple(lists), mu, affine_reflect(lam, root, value, 1), generic)
+        target = (x[0] % l, x[1] % l)
+        entries = off_wall_pairs((ca, cb), (ra, rb), target, l)
+        generic = generic and all(c[0] >= 0 and c[1] >= 0 for c, _ in entries)
+        rows.append((nu, target, entries))
+    return WallTranslate(l, tuple(rows), mu, affine_reflect(lam, root, value, 1), generic)
 
 
 def translate_nabla_factor_count(lam: Weight, l: int) -> int:

@@ -7,7 +7,9 @@ run_suite builds a suite's parts once from the box (_DOMAINS): a serial
 sweep hands the suite all of them, --jobs one slice per task.  No suite
 builds a per-l table of characters: the zhat suite reads the numerator of
 a restricted simple when a factor first uses it, so a chunk builds only
-what its slice needs.  All checks are exact integer identities.
+what its slice needs.  A suite visits each weight as an int pair and
+names its case from the ints, as str(Weight) prints them.  All checks are
+exact integer identities.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
+from qgl3 import decomp
 from qgl3.charring import (
     alt_weyl_sum,
     chi_l_weyl,
@@ -27,7 +30,7 @@ from qgl3.charring import (
     weyl_dimension,
     weyl_sum,
 )
-from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors, zhat_numerator
+from qgl3.decomp import chi_decomposition, zhat_char, zhat_numerator
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
 from qgl3.homs import hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import (
@@ -56,14 +59,16 @@ class VerifyReport:
         return self.cases_run > 0 and not self.failures
 
 
-def _weights(l: int, parts: list[Weight]) -> Iterator[tuple[Weight, Weight]]:
-    """(cls, l*cls + r) for each classical part and restricted weight r; the
-    weight is built once, from int coordinates, and names its case."""
+def _weights(l: int, parts: list[Weight]) -> Iterator[tuple[Weight, tuple[int, int], str]]:
+    """(cls, lam, name) for each classical part and restricted weight r:
+    lam = l*cls + r as an int pair, and the name of its case, which prints
+    lam as str(Weight) does."""
     residues = list(itertools.product(range(l), repeat=2))
     for cls in parts:
         la, lb = l * cls[0], l * cls[1]
         for r, s in residues:
-            yield cls, Weight(la + r, lb + s)
+            x, y = la + r, lb + s
+            yield cls, (x, y), f"({x},{y})"
 
 
 def suite_denominator(l: int, parts: list[Weight]) -> Iterator[Case]:
@@ -84,14 +89,15 @@ def suite_dimension(l: int, parts: list[Weight]) -> Iterator[Case]:
 
 def suite_decomposition(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The identity sum of chi_l over the filtration factors of lam =
-    {lam: 1}, in the basis of induced characters.  The factors are zhat_factors(lam), the
-    list of chi_decomposition(lam) reversed on the walls, built without the
-    memo: a sweep reads each weight once."""
-    for _, lam in _weights(l, parts):
-        total = weyl_sum(chi_l_weyl(f, l) for f in zhat_factors(lam, l))
+    {lam: 1}, in the basis of induced characters.  The factors are those of
+    zhat_factors(lam), the list of chi_decomposition(lam) reversed on the
+    walls, read as int pairs off decomp.family_pairs without the memo: a
+    sweep reads each weight once."""
+    for _, lam, name in _weights(l, parts):
+        total = weyl_sum(chi_l_weyl(f, l) for f in decomp.family_pairs(lam, l)[1])
         observed = coeff_diff(total, {lam: 1})
         yield (
-            f"l={l} lam={lam}",
+            f"l={l} lam={name}",
             "sum of chi_l factors = weyl character",
             observed,
             observed == "ok",
@@ -115,11 +121,11 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     shared = [] if observed == "ok" else [f"zhat_char times A(rho): {observed}"]
     if zc.dimension != l**3:
         shared.append(f"zhat_char dim {zc.dimension}")
-    for _, lam in _weights(l, parts):
+    for _, lam, name in _weights(l, parts):
         acc: dict[tuple[int, int], int] = {}
         get = acc.get
         dim = 0
-        for a, b in zhat_factors(lam, l):
+        for a, b in decomp.family_pairs(lam, l)[1]:
             r = (a % l, b % l)
             if r not in numerators:
                 numerators[r] = restricted_simple_numerator(r, l).coeffs
@@ -138,7 +144,7 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
             diffs.append(f"dim {dim}")
         observed = "; ".join(diffs) or "ok"
         yield (
-            f"l={l} lam={lam}",
+            f"l={l} lam={name}",
             "sum of simple characters = induced character, dim l^3",
             observed,
             observed == "ok",
@@ -153,7 +159,7 @@ def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
     l = 2) if it is generic (WallTranslate.generic), and at l >= 3 the
     onto-wall images of the surviving factors of lam sum to the image of
     lam when that survives."""
-    for cls, lam in _weights(l, parts):
+    for cls, lam, name in _weights(l, parts):
         facet = facet_classify(lam, l)
         if l >= 3 and facet not in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
             continue
@@ -161,7 +167,7 @@ def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
             continue
         if cls == (0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
             continue  # no dominant wall point below
-        case = f"l={l} lam={lam}"
+        case = f"l={l} lam={name}"
         identity = "translate character = weyl(lam) + weyl(mirror)"
         try:
             t = translate_factor_lists(lam, l)
@@ -204,9 +210,10 @@ def suite_graphs(l: int, parts: list[Weight]) -> Iterator[Case]:
         ("zhat", zhat_structure, "all structure-graph checks"),
         ("lfilt", nabla_l_filtration, "filtration nodes and character"),
     )
-    for _, lam in _weights(l, parts):
+    for _, lam, name in _weights(l, parts):
+        lam = Weight(*lam)  # the graphs carry it
         for tag, build, identity in cases:
-            case = f"l={l} lam={lam} {tag}"
+            case = f"l={l} lam={name} {tag}"
             try:
                 g = build(lam, l)
                 rep = validate_graph(g)
@@ -276,18 +283,18 @@ def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:
                 ok = ext1_g1(alpha, beta, l) == ext1_g1(beta, alpha, l).label_dual()
                 yield (f"l={l} swap {alpha},{beta}", "label-dual symmetry", "ok" if ok else "broken", ok)
     # Tables against the general thickened-kernel rule, one weight per facet.
-    for _, mu in _weights(l, parts):
+    for _, mu, name in _weights(l, parts):
         try:
             factors, pairs = ext_table(mu, l)
         except ValueError as exc:  # a degenerate factor list
-            yield (f"l={l} table mu={mu}", "table entry = general rule", str(exc), False)
+            yield (f"l={l} table mu={name}", "table entry = general rule", str(exc), False)
             continue
         for a in factors:
             for b in factors:
                 t = int((a, b) in pairs)
                 g = ext1_g1b_general(a, b, l)
                 yield (
-                    f"l={l} table mu={mu} {a}->{b}",
+                    f"l={l} table mu={name} {a}->{b}",
                     "table entry = general rule",
                     f"{t} vs {g}",
                     t == g,
@@ -295,17 +302,17 @@ def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:
 
 
 def suite_homs(l: int, parts: list[Weight]) -> Iterator[Case]:
-    for _, lam in _weights(l, parts):
+    for _, lam, name in _weights(l, parts):
         if facet_classify(lam, l) is not FacetType.DOWN_ALCOVE:
             continue
         head = zhat_head_weight(lam, l)
         w = hom_exists_mirror(lam, head, l)
         ok = w is not None and w.beta is PositiveRoot.RHO and witness_valid(lam, head, w, l)
-        yield (f"l={l} lam={lam}", "rho witness onto the head weight", str(w), ok)
+        yield (f"l={l} lam={name}", "rho witness onto the head weight", str(w), ok)
         back = hom_exists_mirror(head, lam, l) if head.is_dominant() else None
-        yield (f"l={l} lam={lam}", "antisymmetric", str(back), back is None)
+        yield (f"l={l} lam={name}", "antisymmetric", str(back), back is None)
         same = hom_exists_mirror(lam, lam, l)
-        yield (f"l={l} lam={lam}", "no witness on the diagonal", str(same), same is None)
+        yield (f"l={l} lam={name}", "no witness on the diagonal", str(same), same is None)
 
 
 SUITES = {

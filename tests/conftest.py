@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from qgl3 import decomp
-from qgl3.lattice import FacetType, Weight
+from qgl3.lattice import FacetType
 from qgl3.verify import run_suite
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -59,17 +59,18 @@ def fresh_memo():
 
 @pytest.fixture
 def wrap_family(monkeypatch, fresh_memo):
-    """wrap_family(corrupt) replaces decomp._family, the one builder of the
-    factor families, by one that hands the factors of each facet to
-    corrupt(facet, factors) and returns what it gives back."""
-    family = decomp._family
+    """wrap_family(corrupt) replaces decomp.family_pairs, the one builder of
+    the factor families, by one that hands the factors of each facet, as int
+    pairs, to corrupt(facet, factors) and returns what it gives back.  Every
+    reader looks the builder up at call time, so the wrapper reaches them all."""
+    family = decomp.family_pairs
 
     def wrap(corrupt):
         def wrapped(lam, l):
             facet, factors = family(lam, l)
             return facet, corrupt(facet, factors)
 
-        monkeypatch.setattr(decomp, "_family", wrapped)
+        monkeypatch.setattr(decomp, "family_pairs", wrapped)
 
     return wrap
 
@@ -83,7 +84,8 @@ def corrupt_down_alcove(wrap_family):
     def corrupted(facet, factors):
         if facet is not FacetType.DOWN_ALCOVE:
             return factors
-        return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
+        a, b = factors[5]
+        return factors[:5] + ((a + 1, b),) + factors[6:]
 
     wrap_family(corrupted)
 
@@ -108,11 +110,12 @@ def corrupt_right_wall(wrap_family):
     2 of the left-wall family, its coordinate swap, by (0, 1): both walls are
     corrupted, and the translation of a wall weight meets a factor that is
     not on exactly one wall."""
-    shift = {FacetType.RIGHT_WALL: Weight(1, 0), FacetType.LEFT_WALL: Weight(0, 1)}
+    shift = {FacetType.RIGHT_WALL: (1, 0), FacetType.LEFT_WALL: (0, 1)}
 
     def corrupted(facet, factors):
         if facet not in shift:
             return factors
-        return factors[:1] + (factors[1] + shift[facet],) + factors[2:]
+        (a, b), (da, db) = factors[1], shift[facet]
+        return factors[:1] + ((a + da, b + db),) + factors[2:]
 
     wrap_family(corrupted)

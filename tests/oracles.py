@@ -78,7 +78,9 @@ def graph_character(g) -> FormalChar:
 def off_wall_character(entry, l: int) -> FormalChar:
     """Weight-basis character of a translate_off_wall entry: zero when it
     vanishes, else chi_l of its weight."""
-    return FormalChar() if entry.vanishes else chi_l(entry.as_weight(l), l)
+    if not entry.classical.is_dominant():
+        return FormalChar()
+    return chi_l(l * entry.classical + entry.restricted, l)
 
 
 def right_wall_family(cls: Weight, r: int, l: int) -> tuple[Weight, ...]:

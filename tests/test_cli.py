@@ -238,7 +238,8 @@ def test_zhat_suite_shows_a_wrong_factor_list(wrap_family, fault):
             return factors
         if fault == "drop":
             return factors[:-1]
-        return factors[:5] + (factors[5] + Weight(1, 0),) + factors[6:]
+        a, b = factors[5]
+        return factors[:5] + ((a + 1, b),) + factors[6:]
 
     wrap_family(wrong)
     report = run_suite("zhat", [5], 1)

@@ -310,7 +310,7 @@ def test_g1b_tables_are_duality_images():
     # (upper, lower) must equal the dual module's entry for the swapped,
     # dualized pair.  This pins the up-alcove table to the down-alcove one.
     from qgl3.lattice import RHO
-    from qgl3.structure import hat_dual_weight
+    from qgl3.homs import hat_dual_weight
 
     for l in (2, 3, 5):
         for res in itertools.product(range(l), repeat=2):

@@ -141,7 +141,7 @@ WALLS = (FacetType.HORIZONTAL_WALL, FacetType.RIGHT_WALL, FacetType.LEFT_WALL)
 
 
 def _family(cls, res, l):
-    """decomp._family's rows on forms: the factors as (classical, restricted)
+    """decomp.family_pairs's rows on forms: the factors as (classical, restricted)
     pairs, the classical parts plain ints."""
     facet, points = restricted_orbit(res, l)
     return facet, [((cls[0] + da, cls[1] + db), points[k]) for da, db, k in decomp.FAMILY_ROWS[facet]]

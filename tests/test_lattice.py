@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,15 @@ coords = st.integers(-30, 30)
 weights = st.builds(Weight, coords, coords)
 roots = st.sampled_from(POSITIVE_ROOTS)
 ls = st.sampled_from([2, 3, 5, 7])
+
+
+def test_enum_members_hash_by_identity():
+    """FacetType and PositiveRoot members hash by identity, as the tables
+    keyed by them read them, and a pickle round trip, which a parallel
+    sweep's results make, gives back the same member."""
+    assert FacetType.__hash__ is PositiveRoot.__hash__ is object.__hash__
+    for member in (*FacetType, *PositiveRoot):
+        assert pickle.loads(pickle.dumps(member)) is member
 
 
 def test_root_vectors_sum():

@@ -9,12 +9,11 @@ import pytest
 from qgl3 import charring, decomp, ext, kernels, structure, verify
 from qgl3.charring import weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char
-from qgl3.homs import zhat_head_weight
+from qgl3.homs import hat_dual_weight, zhat_head_weight
 from qgl3.lattice import FacetType, Weight, classify_restricted, decompose
 from qgl3.structure import (
     GraphNode,
     ModuleGraph,
-    hat_dual_weight,
     nabla_l_filtration,
     validate_graph,
     zhat_structure,
@@ -145,11 +144,12 @@ def test_corrupted_family_duality_failures_name_weights(corrupt_down_alcove):
 
 def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
     """From empty memos, the graphs sweep builds two factor families per
-    weight (the weight's and its dual's, shared by the Borel-induced graph
-    and the filtration graph), runs the surviving-position bookkeeping at
+    weight: the weight's, once, into the memo that the Borel-induced graph
+    and the filtration graph share, and the dual weight's, read as int pairs
+    by the duality check.  It runs the surviving-position bookkeeping at
     most once per weight and reads one Ext table per Borel-induced graph."""
     builds, positions, tables = Counter(), Counter(), Counter()
-    family = decomp._family
+    family = decomp.family_pairs
     surviving = decomp._surviving_positions
     ext_table = ext.ext_table
 
@@ -165,7 +165,7 @@ def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
         tables[mu, l] += 1
         return ext_table(mu, l)
 
-    monkeypatch.setattr(decomp, "_family", counted_family)
+    monkeypatch.setattr(decomp, "family_pairs", counted_family)
     monkeypatch.setattr(decomp, "_surviving_positions", counted_positions)
     monkeypatch.setattr(ext, "ext_table", counted_table)
     monkeypatch.setattr(structure, "ext_table", counted_table)
@@ -173,25 +173,35 @@ def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
     assert report.passed
     graphs = report.cases_run // 2  # of each kind
     assert graphs == 9 * (9 + 25)
-    assert set(builds.values()) == {1}
-    assert sum(builds.values()) <= 2 * graphs
+    # each of the graphs memo entries took one build, and each duality check
+    # one more: no family is built twice for the same reader
+    assert len(decomp._decompositions) == graphs
+    assert sum(builds.values()) == 2 * graphs
     assert set(positions.values()) == {1}
     assert sum(positions.values()) <= graphs
     assert sum(tables.values()) == graphs
 
 
 def test_warm_memo_does_not_hide_a_corrupted_family(request):
-    """A memo warmed by clean sweeps must not answer for a corrupted family
-    producer: with the corruption applied, the sweeps fail on exactly the
-    cases of a cold run."""
-    sweeps = ("graphs", "decomposition")
+    """Every sweep that reads a factor family reads it from the one builder,
+    decomp.family_pairs, or from the memo it fills: a memo warmed by clean
+    sweeps must not answer for a corrupted builder, and no second copy of
+    the builder may escape it.  With the corruption applied, each sweep
+    fails, the graphs sweep on its duality checks too, on exactly the cases
+    of a cold run."""
+    sweeps = ("decomposition", "zhat", "graphs", "ext-lemmas", "translate")
     for name in sweeps:
         assert run_suite(name, [3], 2).passed
     request.getfixturevalue("corrupt_down_alcove")
     warm = {name: run_suite(name, [3], 2).failures for name in sweeps}
     decomp._decompositions.clear()
     cold = {name: run_suite(name, [3], 2).failures for name in sweeps}
-    assert all(cold.values())
+    assert all(cold.values()), {name: len(f) for name, f in cold.items()}
+    # (1,1) is the one up-alcove residue at l = 3; the dual of an up-alcove
+    # weight lies in the down alcove, so its duality check fails only
+    # through the dual weight's corrupted family
+    up = {f"l=3 lam=({3 * a + 1},{3 * b + 1}) zhat" for a, b in itertools.product(range(3), repeat=2)}
+    assert any(case in up for case, _, observed in cold["graphs"] if "duality-reversal" in observed)
     assert warm == cold
 
 

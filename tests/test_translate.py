@@ -89,7 +89,7 @@ def test_off_wall_right_list_l3():
         ((0, 1), (0, 0)),
         ((0, 1), (1, 1)),
     ]
-    assert [f.vanishes for f in lst] == [False, False, True, False, False, False]
+    assert [f.classical.is_dominant() for f in lst] == [True, True, False, True, True, True]
 
 
 def test_off_wall_left_list_l5():
@@ -218,8 +218,8 @@ def test_off_wall_lists_against_character_oracle():
             )
             got = {}
             for entry in lst:
-                if not entry.vanishes:
-                    w = entry.as_weight(l)
+                if entry.classical.is_dominant():
+                    w = l * entry.classical + entry.restricted
                     got[w] = got.get(w, 0) + 1
             assert sorted(got.items()) == expected, (l, lam, nu)
 
@@ -564,16 +564,18 @@ def test_translate_sweep_builds_each_factor_list_once(monkeypatch):
         parts = [Weight(a, b) for a, b in itertools.product(range(3), repeat=2)]
         cases = list(verify.suite_translate(l, parts))
         assert cases and all(ok for *_, ok in cases)
-        # once per weight, and every checked weight had its call
+        # once per weight, and every checked weight had its call; the sweep
+        # hands over int pairs and names the case as str(Weight) prints it
         assert len(calls) == len(set(calls))
-        assert {case for case, *_ in cases} <= {f"l={l} lam={lam}" for lam, _ in calls}
+        assert {case for case, *_ in cases} <= {f"l={l} lam={Weight(*lam)}" for lam, _ in calls}
 
 
 def test_translate_sweep_records_a_failed_translation(monkeypatch):
-    """A ValueError from the factor lists of a weight is a failed case that
-    carries its message; the sweep skips only the weights with no dominant
-    wall point below."""
-    off_wall = translate.translate_off_wall
+    """A ValueError from off_wall_pairs, the one reader of the off-wall
+    tables, is a failed case of the sweep that carries its message, and
+    translated_character raises it; the sweep skips only the weights with
+    no dominant wall point below."""
+    off_wall = translate.off_wall_pairs
     calls = []
 
     def failing_once(mu_cls, mu_res, target_res, l):
@@ -582,7 +584,7 @@ def test_translate_sweep_records_a_failed_translation(monkeypatch):
             raise ValueError("unsupported translation (injected)")
         return off_wall(mu_cls, mu_res, target_res, l)
 
-    monkeypatch.setattr(translate, "translate_off_wall", failing_once)
+    monkeypatch.setattr(translate, "off_wall_pairs", failing_once)
     report = verify.run_suite("translate", [3], 2)
     assert not report.passed
     assert report.failures == [
@@ -592,6 +594,9 @@ def test_translate_sweep_records_a_failed_translation(monkeypatch):
             "unsupported translation (injected)",
         )
     ]
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^unsupported translation \(injected\)$"):
+        translated_character(Weight(1, 1), 3)
 
 
 def _generic_by_definition(t):
@@ -599,7 +604,7 @@ def _generic_by_definition(t):
     classical part, and no translated entry vanishes."""
     factors = chi_decomposition(t.wall, t.l).factors
     return all(decompose(nu, t.l).classical.is_dominant() for nu in factors) and not any(
-        entry.vanishes for _, lst in t.lists for entry in lst
+        not entry.classical.is_dominant() for _, lst in t.lists for entry in lst
     )
 
 
@@ -626,7 +631,7 @@ def test_generic_flag_against_the_definition(monkeypatch):
             assert t.generic == _generic_by_definition(t), (l, lam)
         counted = {case for case, identity, *_ in cases if identity.startswith("generic")}
         assert counted == {
-            f"l={l} lam={lam}" for lam, t in seen if t.generic and t.mirror.is_dominant()
+            f"l={l} lam={Weight(*lam)}" for lam, t in seen if t.generic and t.mirror.is_dominant()
         }
         tally[l] = (len(seen), len(counted))
     # at l = 5, 138 of the 186 weights are not generic
