@@ -87,8 +87,8 @@ FAMILY_ROWS = {
 
 
 # Dualizing the Borel-induced module of lam sends factor i of either alcove
-# family of lam, by hat_dual_weight, to factor DUAL_POSITION[i] of the family
-# of 2(l-1)rho - lam, which lies in the other alcove.  An involution.
+# family of lam, by homs.hat_dual_pair, to factor DUAL_POSITION[i] of the
+# family of 2(l-1)rho - lam, which lies in the other alcove.  An involution.
 DUAL_POSITION = {1: 3, 2: 2, 3: 1, 4: 9, 5: 6, 6: 5, 7: 8, 8: 7, 9: 4}
 
 

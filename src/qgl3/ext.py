@@ -4,6 +4,11 @@ The restricted-kernel Ext groups are finite lookup tables whose values are
 classical characters (trivial or twisted induced of a fundamental weight);
 the thickened-kernel and full-group Ext dimensions reduce to these tables
 by exact character arithmetic in characteristic zero.
+
+The socle of L(1,0) tensor L(lam), from which the paper reads Ext^1
+between simples, is one rule per weight of L(1,0) on the restricted part
+of lam; the printed rows it replaces are the test oracle in
+tests/oracles.py, with one impossible entry corrected.
 """
 
 from __future__ import annotations
@@ -241,55 +246,23 @@ def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
     return int((lam, eta) in pairs)
 
 
-# Socle of the tensor with the fundamental three-dimensional module, one row
-# per restricted weight pattern.  Each row carries the least l for which it
-# is stated.  The (0, l-1) row is an editorial reconstruction of a malformed
-# printed entry.  No verify suite checks this table; the tests check that
-# its rows give dominant weights and pin the (0, l-1) row.
-
-def _socle_row(res: Weight, l: int) -> list[Weight]:
-    r, s = res
-
-    def deep_down() -> bool:
-        return r >= 1 and s >= 1 and r + s <= l - 3
-
-    rows = [
-        (r == 0 and s == 0, 2, [Weight(1, 0)]),
-        (r == 0 and 1 <= s <= l - 3, 4, [Weight(1, s), Weight(0, s - 1)]),
-        (r == 0 and s == l - 2, 3, [Weight(0, l - 3)]),
-        (1 <= r <= l - 3 and r + s == l - 2, 4, [Weight(r, s - 1), Weight(r - 1, s + 1)]),
-        (s == 0 and 1 <= r <= l - 2, 3, [Weight(r + 1, 0), Weight(r - 1, 1)]),
-        (deep_down(), 4, [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
-        (r == 0 and s == l - 1, 2, [Weight(1, l - 1), Weight(0, l - 2)]),
-        (s == l - 1 and 1 <= r <= l - 2, 3, [Weight(r + 1, l - 1), Weight(r, l - 2)]),
-        (r == l - 1 and s == l - 1, 2, [Weight(l - 1, l - 2)]),
-        (r == 1 and s == l - 2, 3, [Weight(2, l - 2), Weight(0, l - 1)]),
-        (s == l - 2 and 2 <= r <= l - 2, 4,
-         [Weight(r + 1, l - 2), Weight(r, l - 3), Weight(r - 1, l - 3)]),
-        (2 <= r <= l - 3 and r + s == l - 1, 4, [Weight(r + 1, s), Weight(r - 1, s + 1)]),
-        (r == l - 2 and s == 1, 4, [Weight(l - 1, 1), Weight(l - 3, 2)]),
-        (r == l - 1 and s == 0, 2, [Weight(l - 2, 1)]),
-        (r == l - 1 and 1 <= s <= l - 2, 3, [Weight(l - 2, s + 1), Weight(l - 1, s - 1)]),
-        (r == l - 2 and 2 <= s <= l - 2, 4, [Weight(l - 1, s), Weight(l - 2, s - 1), Weight(l - 3, s + 1)]),
-        (classify_restricted(res, l) is FacetType.UP_ALCOVE, 4,
-         [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
-    ]
-    blocked = None
-    for matches, l_min, out in rows:
-        if matches:
-            if l >= l_min:
-                return out
-            blocked = l_min
-    if blocked is not None:
-        raise ValueError(f"socle table row for {res} requires l >= {blocked}, got {l}")
-    raise ValueError(f"no socle table row covers {res} for l={l}")
+# The socle of L(1,0) tensor L(r, s), for restricted (r, s), is a set of
+# weights (r, s) + eps, one rule per weight eps of L(1,0), listed in
+# dominance order.  eps = (1,0) is in it for r <= l-2, except on the
+# horizontal wall (r + s = l-2) with s >= 1; eps = (-1,1) for r >= 1 and
+# s <= l-2; eps = (0,-1) for s >= 1, except on the row r + s = l-1 with
+# r >= 1 (at r = 0 this is the editorial reading of a malformed printed
+# entry for (0, l-1)).  The printed rows are the test oracle in
+# tests/oracles.py.  No verify suite checks this table.
+_FUNDAMENTAL_WEIGHTS = ((1, 0), (-1, 1), (0, -1))
 
 
 def socle_fundamental_tensor(lam: Weight, l: int, which: Weight = Weight(1, 0)) -> list[Weight]:
     """Socle weights of L(which) tensor L(lam), which in {(1,0), (0,1)}.
 
-    The restricted table row is shifted by l times the classical part; the
-    (0,1) case is the coordinate-swap dual of the (1,0) case.
+    The entries of the restricted part, in the dominance order of the
+    weights of L(1,0), are shifted by l times the classical part; the (0,1)
+    case is the coordinate-swap dual of the (1,0) case.
     """
     lam = Weight(*lam)
     which = Weight(*which)
@@ -299,5 +272,14 @@ def socle_fundamental_tensor(lam: Weight, l: int, which: Weight = Weight(1, 0)) 
         return [dual_weight(w) for w in socle_fundamental_tensor(dual_weight(lam), l)]
     if which != Weight(1, 0):
         raise ValueError(f"which must be (1,0) or (0,1), got {which}")
-    cls, res = decompose(lam, l)
-    return [l * cls + entry for entry in _socle_row(res, l)]
+    (ca, cb), (r, s) = decompose(lam, l)
+    keeps = (
+        r <= l - 2 and not (r + s == l - 2 and s >= 1),
+        r >= 1 and s <= l - 2,
+        s >= 1 and not (r + s == l - 1 and r >= 1),
+    )
+    return [
+        Weight(l * ca + r + a, l * cb + s + b)
+        for (a, b), keep in zip(_FUNDAMENTAL_WEIGHTS, keeps)
+        if keep
+    ]

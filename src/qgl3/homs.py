@@ -7,6 +7,10 @@ criterion is sufficient, not complete: at l = 5, L(2,0) lies in the head of
 nabla(0,10) (ext1_g((2,0), (0,10), 5) is 0) and (2,0) is in the bottom
 alcove, so Hom(nabla(0,10), nabla(2,0)) is nonzero, yet (0,10) - (2,0) is
 not a multiple of one root and no witness exists.
+
+hat_dual_pair is the one dual map of thickened-kernel simples, on int
+pairs; zhat_head_weight builds a Weight from it, and validate_graph reads
+the head and the duality check's nodes as int pairs.
 """
 
 from __future__ import annotations
@@ -90,15 +94,11 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
 def hat_dual_pair(nu: tuple[int, int], l: int) -> tuple[int, int]:
     """Weight of the dual of a thickened-kernel simple, as an int pair: swap
     the restricted part, negate the classical part.  The one definition of
-    the dual map."""
+    the dual map; the duality check and the head check of validate_graph
+    read it on int pairs."""
     a, b = nu
     ra, rb = a % l, b % l
     return rb - (a - ra), ra - (b - rb)
-
-
-def hat_dual_weight(nu: Weight, l: int) -> Weight:
-    """hat_dual_pair as a Weight."""
-    return Weight(*hat_dual_pair(nu, l))
 
 
 def zhat_head_weight(lam: Weight, l: int) -> Weight:
@@ -107,4 +107,4 @@ def zhat_head_weight(lam: Weight, l: int) -> Weight:
     itself (the module is simple)."""
     a, b = lam
     top = 2 * (l - 1)
-    return hat_dual_weight((top - a, top - b), l)
+    return Weight(*hat_dual_pair((top - a, top - b), l))

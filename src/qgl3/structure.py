@@ -29,7 +29,7 @@ from qgl3 import decomp
 from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
 from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
-from qgl3.homs import hat_dual_pair, zhat_head_weight
+from qgl3.homs import hat_dual_pair
 from qgl3.lattice import FacetType, Weight
 
 G1B_SIMPLE = "G1BSimple"
@@ -266,7 +266,7 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
         ok = len(sinks) == 1 and sinks[0].weight == g.lam
         report.add("unique-sink", ok, lambda: f"sinks: {[tuple(n.weight) for n in sinks]}")
         sources = g.sources()
-        head = zhat_head_weight(g.lam, g.l)
+        head = hat_dual_pair(_dual_lam(g), g.l)  # zhat_head_weight as an int pair
         report.add(
             "unique-source",
             len(sources) == 1 and sources[0].weight == head,
@@ -297,6 +297,12 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     return report
 
 
+def _dual_lam(g: ModuleGraph) -> tuple[int, int]:
+    """2(l-1)rho - lam, the weight of the dual Borel-induced module."""
+    top = 2 * (g.l - 1)
+    return top - g.lam[0], top - g.lam[1]
+
+
 def _duality_diff(g: ModuleGraph) -> str:
     """Compare g with the graph of the dual module, read off the family and
     edge table of 2(l-1)rho - lam: its nodes must be the dual weights of g's
@@ -306,8 +312,7 @@ def _duality_diff(g: ModuleGraph) -> str:
     Returns "" when they match, else the first dual node weights or
     reversed edges that differ."""
     l = g.l
-    top = 2 * (l - 1)
-    dual_lam = (top - g.lam[0], top - g.lam[1])
+    dual_lam = _dual_lam(g)
     facet, got = decomp.family_pairs(dual_lam, l)
     edges, layers = _ZHAT_TABLES[facet]
     check_positions(dual_lam, l, got, len(layers))

@@ -18,12 +18,11 @@ generic factor count 6+6+3+3 = 18 and the exact aggregate character
 identity require.
 
 off_wall_pairs is the one reader of the tables: it returns the entries as
-int pairs, and each factor is split by divmod.  A WallTranslate keeps
-those rows, and its character, factor count and generic flag, which the
-translate suite checks, are read off them; a Weight is built only where a
-value leaves: the wall weight, the mirror and the source factors of a
-WallTranslate, and the OffWallEntry values of translate_off_wall, which
-WallTranslate.lists builds on each read.
+(classical part, restricted part) int pairs, and each factor is split by
+divmod.  A WallTranslate keeps those rows, and its character, factor count
+and generic flag, which the translate suite checks, are read off them; a
+Weight is built only where a value leaves: the wall weight, the mirror and
+the source factors of a WallTranslate.
 """
 
 from __future__ import annotations
@@ -51,15 +50,6 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
-
-
-@dataclass(frozen=True)
-class OffWallEntry:
-    """A translated factor: its weight is l*classical + restricted, and it is
-    the zero module when the classical part is not dominant."""
-
-    classical: Weight
-    restricted: Weight
 
 
 def translate_onto_wall(
@@ -143,15 +133,6 @@ def off_wall_pairs(
     return tuple(((ca + da, cb + db), points[k]) for da, db, k in rows)
 
 
-def translate_off_wall(
-    mu_cls: Weight, mu_res: Weight, target_res: Weight, l: int
-) -> tuple[OffWallEntry, ...]:
-    """off_wall_pairs, each entry an OffWallEntry of two Weights."""
-    return tuple(
-        OffWallEntry(Weight(*c), Weight(*r)) for c, r in off_wall_pairs(mu_cls, mu_res, target_res, l)
-    )
-
-
 def local_target(nu: Weight, lam_rep: Weight, l: int) -> Weight:
     """The weight of the orbit with fundamental representative lam_rep
     adjacent to the wall factor nu in the configuration the off-wall tables
@@ -213,15 +194,6 @@ class WallTranslate:
     wall: Weight
     mirror: Weight
     generic: bool
-
-    @property
-    def lists(self) -> tuple[tuple[Weight, tuple[OffWallEntry, ...]], ...]:
-        """(nu, translate_off_wall of nu) per row, built on each read."""
-        l = self.l
-        return tuple(
-            (nu, translate_off_wall((nu[0] // l, nu[1] // l), (nu[0] % l, nu[1] % l), target, l))
-            for nu, target, _ in self.rows
-        )
 
     def weyl_character(self) -> dict[Weight, int]:
         """Character of the full translate in the basis of induced

@@ -23,6 +23,7 @@ from qgl3.charring import (
     alt_weyl_sum,
     chi_l_weyl,
     coeff_diff,
+    divide_by_weyl_denominator,
     restricted_simple_numerator,
     restricted_simple_weyl,
     weyl_char,
@@ -110,15 +111,21 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     then contributes e(l*c) times the numerator of L(r), at most 12 terms,
     and the right side is zhat_numerator(lam).  The numerator and the
     dimension of L(r) are read off its Weyl form the first time a factor
-    uses r; zhat_char is checked against zhat_numerator once per l.  A case
+    uses r; once per l, zhat_numerator(0) divided by A(rho) must be
+    zhat_char(0), and an inexact division fails with its message.  A case
     fails with every part that differs: its own sum, the check of zhat_char
     and the dimension count."""
     numerators: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     dims: dict[tuple[int, int], int] = {}
     zero = Weight(0, 0)
     zc = zhat_char(zero, l)
-    observed = coeff_diff((zc * alt_weyl_sum(RHO)).coeffs, zhat_numerator(zero, l).coeffs)
-    shared = [] if observed == "ok" else [f"zhat_char times A(rho): {observed}"]
+    try:
+        quotient = divide_by_weyl_denominator(zhat_numerator(zero, l))
+    except ValueError as exc:
+        observed = str(exc)
+    else:
+        observed = coeff_diff(quotient.coeffs, zc.coeffs)
+    shared = [] if observed == "ok" else [f"zhat_numerator / A(rho): {observed}"]
     if zc.dimension != l**3:
         shared.append(f"zhat_char dim {zc.dimension}")
     for _, lam, name in _weights(l, parts):

@@ -27,7 +27,7 @@ from qgl3.charring import (
     peel_dominant,
     restricted_simple_char,
 )
-from qgl3.homs import hat_dual_weight
+from qgl3.homs import hat_dual_pair
 from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
 from qgl3.structure import G1B_SIMPLE, _want_got, zhat_structure
 
@@ -76,11 +76,12 @@ def graph_character(g) -> FormalChar:
 
 
 def off_wall_character(entry, l: int) -> FormalChar:
-    """Weight-basis character of a translate_off_wall entry: zero when it
-    vanishes, else chi_l of its weight."""
-    if not entry.classical.is_dominant():
+    """Weight-basis character of an off_wall_pairs entry (classical part,
+    restricted part): zero when it vanishes, else chi_l of its weight."""
+    cls, res = Weight(*entry[0]), Weight(*entry[1])
+    if not cls.is_dominant():
         return FormalChar()
-    return chi_l(l * entry.classical + entry.restricted, l)
+    return chi_l(l * cls + res, l)
 
 
 def right_wall_family(cls: Weight, r: int, l: int) -> tuple[Weight, ...]:
@@ -161,7 +162,7 @@ def up_alcove_family(cls: Weight, res: Weight, l: int) -> tuple[Weight, ...]:
 
 
 def off_wall_pairs(c, mu_res, target_res, l):
-    """translate_off_wall as the printed case tables: the (classical,
+    """translate.off_wall_pairs as the printed case tables: the (classical,
     restricted) pairs of the translate of the factor with classical part c
     and wall-type restricted part mu_res toward target_res, top layer first,
     or None where no table covers the combination.  The l = 2 tables are
@@ -204,7 +205,7 @@ def duality_diff(g) -> str:
     """structure._duality_diff by building the dual module's graph,
     zhat_structure(2(l-1)rho - lam), and reading its nodes and edges back."""
     gd = zhat_structure(2 * (g.l - 1) * RHO - g.lam, g.l)
-    dual = {n.id: hat_dual_weight(n.weight, g.l) for n in g.nodes}
+    dual = {n.id: Weight(*hat_dual_pair(n.weight, g.l)) for n in g.nodes}
     got = {n.id: n.weight for n in gd.nodes}
     return _want_got("dual nodes", dual.values(), got.values(), str) or _want_got(
         "reversed edges",
@@ -240,3 +241,49 @@ PRINTED_UP_PAIRS = {
 }
 PRINTED_UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
 PRINTED_UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}
+
+
+# The printed socle table of L(1,0) tensor L(res), one row per restricted
+# weight pattern with the least l for which it is stated; the (0, l-1) row
+# is an editorial reconstruction of a malformed printed entry.  One entry is
+# corrected: the row s = l-2, 2 <= r <= l-2 printed (r-1, l-3) = res - theta
+# as its third weight.  A weight of L(1,0) tensor L(res) is res + eps for a
+# weight eps of L(1,0) minus a sum of roots, so it lies in the class of
+# res + (1,0) modulo the root lattice, and res - theta, in the class of
+# res, is no composition factor.  Translation onto the upper wall (Jantzen,
+# RAGS II.7.15) gives res + (-1,1) = (r-1, l-1) instead.
+def printed_socle_row(res, l: int) -> list[Weight]:
+    """The entries of the first printed row that covers res and whose least
+    l is at most l: a row stated only from a larger l passes res on (at
+    l = 2, (1, 0) falls through the row r = 1, s = l-2 to the row r = l-1,
+    s = 0)."""
+    r, s = res
+
+    def deep_down() -> bool:
+        return r >= 1 and s >= 1 and r + s <= l - 3
+
+    rows = [
+        (r == 0 and s == 0, 2, [Weight(1, 0)]),
+        (r == 0 and 1 <= s <= l - 3, 4, [Weight(1, s), Weight(0, s - 1)]),
+        (r == 0 and s == l - 2, 3, [Weight(0, l - 3)]),
+        (1 <= r <= l - 3 and r + s == l - 2, 4, [Weight(r, s - 1), Weight(r - 1, s + 1)]),
+        (s == 0 and 1 <= r <= l - 2, 3, [Weight(r + 1, 0), Weight(r - 1, 1)]),
+        (deep_down(), 4, [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
+        (r == 0 and s == l - 1, 2, [Weight(1, l - 1), Weight(0, l - 2)]),
+        (s == l - 1 and 1 <= r <= l - 2, 3, [Weight(r + 1, l - 1), Weight(r, l - 2)]),
+        (r == l - 1 and s == l - 1, 2, [Weight(l - 1, l - 2)]),
+        (r == 1 and s == l - 2, 3, [Weight(2, l - 2), Weight(0, l - 1)]),
+        (s == l - 2 and 2 <= r <= l - 2, 4,
+         [Weight(r + 1, l - 2), Weight(r, l - 3), Weight(r - 1, l - 1)]),
+        (2 <= r <= l - 3 and r + s == l - 1, 4, [Weight(r + 1, s), Weight(r - 1, s + 1)]),
+        (r == l - 2 and s == 1, 4, [Weight(l - 1, 1), Weight(l - 3, 2)]),
+        (r == l - 1 and s == 0, 2, [Weight(l - 2, 1)]),
+        (r == l - 1 and 1 <= s <= l - 2, 3, [Weight(l - 2, s + 1), Weight(l - 1, s - 1)]),
+        (r == l - 2 and 2 <= s <= l - 2, 4, [Weight(l - 1, s), Weight(l - 2, s - 1), Weight(l - 3, s + 1)]),
+        (classify_restricted(res, l) is FacetType.UP_ALCOVE, 4,
+         [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
+    ]
+    for matches, l_min, out in rows:
+        if matches and l >= l_min:
+            return out
+    raise AssertionError(f"no printed socle row covers {res} for l={l}")

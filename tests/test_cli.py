@@ -251,6 +251,36 @@ def test_zhat_suite_shows_a_wrong_factor_list(wrap_family, fault):
             assert "; dim " in got, got
 
 
+@pytest.mark.parametrize("fault", ["inexact", "mismatch"])
+def test_zhat_suite_records_a_failed_division(monkeypatch, fault):
+    """The once-per-l check divides zhat_numerator(0) by A(rho) and compares
+    the quotient with zhat_char(0): an inexact division is a failed case
+    carrying the division's message, a wrong quotient one carrying the
+    want/got text, on every case of that l."""
+    from qgl3 import verify
+    from qgl3.charring import FormalChar
+
+    numerator, char = verify.zhat_numerator, verify.zhat_char
+    if fault == "inexact":
+        # e(0,0) is not W-antisymmetric, so A(rho) does not divide the sum
+        def wrong(lam, l):
+            num = numerator(lam, l)
+            return num + FormalChar({(0, 0): 1}) if tuple(lam) == (0, 0) else num
+
+        monkeypatch.setattr(verify, "zhat_numerator", wrong)
+        text = "zhat_numerator / A(rho): inexact division by the Weyl denominator: the string "
+    else:
+        monkeypatch.setattr(verify, "zhat_char", lambda lam, l: char((lam[0] + 1, lam[1]), l))
+        text = "zhat_numerator / A(rho): ("
+    report = run_suite("zhat", [3], 1)
+    assert report.cases_run == 36 and len(report.failures) == 36
+    for case, _, got in report.failures:
+        shared = [part for part in got.split("; ") if part.startswith("zhat_numerator / A(rho): ")]
+        assert len(shared) == 1 and shared[0].startswith(text), (case, got)
+        if fault == "mismatch":
+            assert " want " in shared[0] and " got " in shared[0], got
+
+
 def test_invalid_l_and_p(capsys):
     code, _, err = run(capsys, "classify", "--l", "1", "0,0")
     assert code == 2 and "l >= 2" in err

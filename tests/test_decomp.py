@@ -18,7 +18,7 @@ from qgl3.charring import (
     weyl_dimension,
 )
 from qgl3.decomp import chi_decomposition, factor_family, zhat_char, zhat_factors, zhat_numerator
-from qgl3.homs import hat_dual_weight
+from qgl3.homs import hat_dual_pair
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     RHO,
@@ -170,7 +170,7 @@ def test_off_wall_families_against_the_written_out_ones(l):
 
 @pytest.mark.parametrize("l", [3, 4, 5, 7, 11])
 def test_dual_position_against_the_families(l):
-    """hat_dual_weight sends factor i of the family of every alcove weight
+    """hat_dual_pair sends factor i of the family of every alcove weight
     of [-2l, 4l)^2 to factor DUAL_POSITION[i] of the family of 2(l-1)rho -
     lam, in the other alcove; DUAL_POSITION is an involution."""
     sigma = decomp.DUAL_POSITION
@@ -187,7 +187,7 @@ def test_dual_position_against_the_families(l):
         assert classify_restricted(decompose(dual, l).restricted, l) is (alcoves - {facet}).pop()
         family, dual_family = zhat_factors(lam, l), zhat_factors(dual, l)
         for i, f in enumerate(family, start=1):
-            assert hat_dual_weight(f, l) == dual_family[sigma[i] - 1], (l, lam, i)
+            assert hat_dual_pair(f, l) == dual_family[sigma[i] - 1], (l, lam, i)
         seen += 1
     assert seen == 36 * (l - 1) * (l - 2)  # 5,040 over the five l
 

@@ -1,8 +1,10 @@
+import functools
 import itertools
 
 import pytest
 
 from qgl3 import ext
+from qgl3.charring import peel_dominant, restricted_simple_char, simple_char_p0, weyl_char
 from qgl3.decomp import factor_family, zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
@@ -261,7 +263,7 @@ def test_socle_table_l5_rows():
     assert socle_fundamental_tensor(Weight(3, 1), 5) == [Weight(4, 1), Weight(2, 2)]
     assert socle_fundamental_tensor(Weight(4, 2), 5) == [Weight(3, 3), Weight(4, 1)]
     assert socle_fundamental_tensor(Weight(3, 3), 5) == [
-        Weight(4, 3), Weight(3, 2), Weight(2, 2),
+        Weight(4, 3), Weight(2, 4), Weight(3, 2),
     ]
 
 
@@ -295,6 +297,30 @@ def test_socle_editorial_row_flagged():
     assert socle_fundamental_tensor(Weight(0, 4), 5) == [Weight(1, 4), Weight(0, 3)]
 
 
+def test_socle_rule_against_the_printed_rows():
+    """One rule per weight of L(1,0) gives the entries of the printed rows,
+    as sets, at every restricted weight."""
+    for l in range(2, 41):
+        for r, s in itertools.product(range(l), repeat=2):
+            got = socle_fundamental_tensor(Weight(r, s), l)
+            assert len(set(got)) == len(got)
+            assert set(got) == set(oracles.printed_socle_row((r, s), l)), (l, r, s)
+
+
+@pytest.mark.parametrize("which", [Weight(1, 0), Weight(0, 1)])
+def test_socle_entries_are_composition_factors(which):
+    """Every socle entry is a composition factor of L(which) tensor L(lam),
+    found by peeling the tensor character in the basis of simple
+    characters."""
+    for l in range(2, 12):
+        simple = functools.cache(lambda k, l=l: simple_char_p0(k, l))
+        for res in itertools.product(range(l), repeat=2):
+            lam = Weight(*res)
+            factors = peel_dominant(weyl_char(which) * restricted_simple_char(lam, l), simple)
+            for w in socle_fundamental_tensor(lam, l, which):
+                assert factors.get(w, 0) > 0, (l, lam, which, w, factors)
+
+
 def test_derived_pair_tables_equal_the_printed_ones():
     """The down-alcove pairs are the graph edges and three reversed edges;
     the up-alcove pairs are their dual image.  Both equal the printed
@@ -310,7 +336,7 @@ def test_g1b_tables_are_duality_images():
     # (upper, lower) must equal the dual module's entry for the swapped,
     # dualized pair.  This pins the up-alcove table to the down-alcove one.
     from qgl3.lattice import RHO
-    from qgl3.homs import hat_dual_weight
+    from qgl3.homs import hat_dual_pair
 
     for l in (2, 3, 5):
         for res in itertools.product(range(l), repeat=2):
@@ -321,6 +347,6 @@ def test_g1b_tables_are_duality_images():
                 for y in factors:
                     lhs = ext1_g1b(mu, x, y, l)
                     rhs = ext1_g1b(
-                        mu_dual, hat_dual_weight(y, l), hat_dual_weight(x, l), l
+                        mu_dual, hat_dual_pair(y, l), hat_dual_pair(x, l), l
                     )
                     assert lhs == rhs, (l, mu, x, y)

@@ -157,7 +157,7 @@ def _split(x, l):
 
 
 def _translate(key, cls, res, l):
-    """translate_off_wall's rows on forms: the entries as (classical,
+    """translate.off_wall_pairs's rows on forms: the entries as (classical,
     restricted) pairs, the classical parts plain ints."""
     _, points = restricted_orbit(res, l)
     return [((cls[0] + da, cls[1] + db), points[k]) for da, db, k in translate.OFF_WALL_ROWS[key]]
@@ -197,7 +197,7 @@ def test_zhat_identity_cancels_formally(facet, l, res):
 
 @pytest.mark.parametrize("facet, l, res", FACETS[-2:], ids=IDS[-2:])
 def test_dual_position_on_the_rows(facet, l, res):
-    """hat_dual_weight(l*c + (x, y)) = -l*c + (y, x) sends factor i of lam's
+    """hat_dual_pair(l*c + (x, y)) = -l*c + (y, x) sends factor i of lam's
     family to factor DUAL_POSITION[i] of the family of 2(l-1)rho - lam."""
     _, family = _family((0, 0), res, l)
     (ca, ra), (cb, rb) = (_split(2 * l - 2 - x, l) for x in res)
@@ -251,7 +251,7 @@ def test_left_wall_rows_are_the_swap_of_the_right_wall_rows():
 @pytest.mark.parametrize("l", [2, 3])
 def test_off_wall_rows_below_l0(l):
     """Below L0, every restricted (source, target) pair and classical part
-    in [-2, 3]^2: translate_off_wall gives the printed table's entries, or
+    in [-2, 3]^2: off_wall_pairs gives the printed table's entries, or
     a ValueError where no printed table covers the pair."""
     restricted = list(itertools.product(range(l), repeat=2))
     for mu_res, target_res in itertools.product(restricted, repeat=2):
@@ -259,10 +259,10 @@ def test_off_wall_rows_below_l0(l):
             want = oracles.off_wall_pairs(c, mu_res, target_res, l)
             if want is None:
                 with pytest.raises(ValueError, match="unsupported translation"):
-                    translate.translate_off_wall(c, mu_res, target_res, l)
+                    translate.off_wall_pairs(c, mu_res, target_res, l)
             else:
-                got = translate.translate_off_wall(c, mu_res, target_res, l)
-                assert [(e.classical, e.restricted) for e in got] == want, (mu_res, target_res, c)
+                got = translate.off_wall_pairs(c, mu_res, target_res, l)
+                assert list(got) == want, (mu_res, target_res, c)
 
 
 def test_tables_agree_on_their_positions():

@@ -8,7 +8,7 @@ from qgl3.ext import ext1_g
 from qgl3.homs import (
     HomWitness,
     dominance_below,
-    hat_dual_weight,
+    hat_dual_pair,
     hom_exists_mirror,
     witness_valid,
     zhat_head_weight,
@@ -97,11 +97,11 @@ def _hat_dual_by_decompose(nu, l):
     return dual_weight(res) - l * cls
 
 
-def test_hat_dual_weight_against_decomposition():
+def test_hat_dual_pair_against_decomposition():
     for l in range(2, 14):
         for a, b in itertools.product(range(-3 * l, 3 * l + 1), repeat=2):
             nu = Weight(a, b)
-            assert hat_dual_weight(nu, l) == _hat_dual_by_decompose(nu, l), (nu, l)
+            assert hat_dual_pair(nu, l) == _hat_dual_by_decompose(nu, l), (nu, l)
             head = _hat_dual_by_decompose(2 * (l - 1) * RHO - nu, l)
             assert zhat_head_weight(nu, l) == head, (nu, l)
 

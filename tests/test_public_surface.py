@@ -4,9 +4,15 @@ A top-level function or class, or a public method, of src/qgl3 passes when
 qgl3.__all__ exports it, when a module of src/qgl3 or perfbench/ uses it
 outside its own definition, or when it is on ALLOWED.  Uses are read from
 the syntax tree: names, attributes, and in perfbench/ the dotted names in
-string constants, which is how the tracer names what it wraps.  Methods
-are matched by name only, so a method passes when any attribute of that
-name is used.
+string constants, which is how the tracer names what it wraps.
+
+A public method of a class that qgl3.__all__ exports passes on any
+attribute of its name.  So does a method of another class when no other
+class of src/qgl3 defines a method of that name.  Otherwise a use counts
+only where the syntax tree ties it to the method's class: self.method
+inside the class; Cls(...).method or f(...).method for f annotated
+-> Cls; name.method for a name that the same function binds from such a
+call; and in perfbench/ the string "Cls.method".
 """
 
 import ast
@@ -27,14 +33,12 @@ TESTS = ROOT / "tests"
 # the benchmark's tracer names them, charring.decompose_into_weyl and
 # decomp.DecompResult.character (tests/test_perfbench_tracing.py checks
 # that every traced name resolves); they move when the tracer stops naming
-# them.  WallTranslate.lists is the public view of a translate's factor
-# lists as OffWallEntry values; the engine reads the int-pair rows beside it.
-ALLOWED: set[str] = {"translate.WallTranslate.lists"}
+# them.
+ALLOWED: set[str] = set()
 
 
-def _uses(tree: ast.AST, strings: bool):
-    """(name, line) of every name and attribute in tree, and with strings
-    also of every word in a string constant that is not a docstring."""
+def _strings(tree: ast.AST):
+    """(text, line) of every string constant in tree that is not a docstring."""
     docstrings = {
         id(node.body[0].value)
         for node in ast.walk(tree)
@@ -43,18 +47,69 @@ def _uses(tree: ast.AST, strings: bool):
         and isinstance(node.body[0], ast.Expr)
     }
     for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                yield node.value, node.lineno
+
+
+def _uses(tree: ast.AST, strings: bool):
+    """(name, line) of every name and attribute in tree, and with strings
+    also of every word in a string constant that is not a docstring."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif (
-            strings
-            and isinstance(node, ast.Constant)
-            and isinstance(node.value, str)
-            and id(node) not in docstrings
-        ):
-            for word in re.findall(r"\w+", node.value):
-                yield word, node.lineno
+    if strings:
+        for text, line in _strings(tree):
+            for word in re.findall(r"\w+", text):
+                yield word, line
+
+
+def _annotated_class(ann) -> str | None:
+    """The class named by a return annotation Cls, "Cls" or Cls | None."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
+        sides = [x for x in (ann.left, ann.right) if not isinstance(x, ast.Constant)]
+        ann = sides[0] if len(sides) == 1 else None
+    return ann.id if isinstance(ann, ast.Name) else None
+
+
+def _typed_uses(tree: ast.AST, classes: set[str], returns: dict[str, str]):
+    """(class, method, line) of every attribute use the syntax tree ties to
+    a class: self.method inside the class, and method read off a call that
+    builds the class or off a name the enclosing function binds from one."""
+
+    def built(node) -> str | None:
+        if not isinstance(node, ast.Call):
+            return None
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+        return name if name in classes else returns.get(name)
+
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                    yield cls.name, node.attr, node.lineno
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (owner := built(node.value)):
+            yield owner, node.attr, node.lineno
+    for scope in ast.walk(tree):
+        if not isinstance(scope, ast.FunctionDef):
+            continue
+        bound = {
+            node.targets[0].id: built(node.value)
+            for node in ast.walk(scope)
+            if isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and built(node.value)
+        }
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
+                yield bound[node.value.id], node.attr, node.lineno
 
 
 def _span(node) -> range:
@@ -63,38 +118,115 @@ def _span(node) -> range:
 
 
 def _definitions(tree: ast.Module):
-    """(qualified name, bare name, lines) of every top-level function and
-    class and every public method."""
+    """(qualified name, class or None, bare name, lines) of every top-level
+    function and class and every public method."""
     for node in tree.body:
         if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             continue
-        yield node.name, node.name, _span(node)
+        yield node.name, None, node.name, _span(node)
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, _span(item)
+                    yield f"{node.name}.{item.name}", node.name, item.name, _span(item)
 
 
-def unused_names() -> list[str]:
-    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    uses = defaultdict(list)  # name -> [(path, line)]
-    for path in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py")):
-        tree = trees.get(path) or ast.parse(path.read_text())
-        for name, line in _uses(tree, strings=path.parent == BENCH):
-            uses[name].append((path, line))
+def unused_names(
+    src: dict[str, str], bench: dict[str, str], exported: set[str], allowed=frozenset()
+) -> list[str]:
+    """module.name of every definition in src (module name -> source) that
+    has no use outside its own definition in src or bench, by the rules of
+    the module docstring, unless exported or allowed; bench's string
+    constants count as uses."""
+    trees = {module: ast.parse(text) for module, text in src.items()}
+    bench_trees = {module: ast.parse(text) for module, text in bench.items()}
+    owners = defaultdict(set)  # method name -> classes defining it
+    returns = {}  # function name -> the class its return annotation names
+    classes = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                classes.add(node.name)
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        owners[item.name].add(node.name)
+            elif isinstance(node, ast.FunctionDef) and (cls := _annotated_class(node.returns)):
+                returns[node.name] = cls
+    uses = defaultdict(list)  # name -> [(module, line)]
+    typed = defaultdict(list)  # (class, method) -> [(module, line)]
+    scanned = [(m, t, False) for m, t in trees.items()]
+    scanned += [(f"bench:{m}", t, True) for m, t in bench_trees.items()]
+    for module, tree, is_bench in scanned:
+        for name, line in _uses(tree, strings=is_bench):
+            uses[name].append((module, line))
+        for cls, name, line in _typed_uses(tree, classes, returns):
+            typed[cls, name].append((module, line))
+        if is_bench:
+            for text, line in _strings(tree):
+                for dotted in re.findall(r"\w+(?:\.\w+)+", text):
+                    parts = dotted.split(".")
+                    for cls, name in zip(parts, parts[1:]):
+                        typed[cls, name].append((module, line))
     out = []
-    for path, tree in trees.items():
-        for qualname, name, lines in _definitions(tree):
-            label = f"{path.stem}.{qualname}"
-            if name in qgl3.__all__ or label in ALLOWED:
+    for module, tree in trees.items():
+        for qualname, cls, name, lines in _definitions(tree):
+            label = f"{module}.{qualname}"
+            if (cls is None and name in exported) or label in allowed:
                 continue
-            if all(where == path and line in lines for where, line in uses[name]):
+            if cls is None or cls in exported or owners[name] == {cls}:
+                found = uses[name]
+            else:
+                found = typed[cls, name]
+            if all(where == module and line in lines for where, line in found):
                 out.append(label)
     return out
 
 
+def _engine_sources():
+    return (
+        {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))},
+        {path.stem: path.read_text() for path in sorted(BENCH.glob("*.py"))},
+    )
+
+
 def test_every_engine_name_has_a_caller():
-    assert unused_names() == []
+    assert unused_names(*_engine_sources(), set(qgl3.__all__), ALLOWED) == []
+
+
+# A method whose name another class also defines: the only use of the name
+# is tied to the other class, through a function annotated to return it.
+SHADOWED = """
+class Entry:
+    def weyl_character(self):
+        return {}
+
+
+class Translate:
+    def weyl_character(self):
+        return {}
+
+    def total(self):
+        return sum(self.weyl_character().values())
+
+
+def build() -> Translate:
+    return Translate()
+
+
+def sweep():
+    t = build()
+    return t.weyl_character(), t.total(), Entry()
+"""
+
+
+def test_a_method_used_only_through_another_class_is_reported():
+    assert unused_names({"m": SHADOWED}, {}, {"sweep"}) == ["m.Entry.weyl_character"]
+    # a use tied to Entry, or a name only Entry defines, lets it pass
+    tied = SHADOWED + "\n\ndef read():\n    x = Entry()\n    return x.weyl_character()\n"
+    assert unused_names({"m": tied}, {}, {"sweep", "read"}) == []
+    alone = SHADOWED.replace("weyl_character", "character", 1)
+    assert unused_names({"m": alone + "\nTranslate().character\n"}, {}, {"sweep"}) == []
+    # a string of perfbench/ that names the class and the method
+    assert unused_names({"m": SHADOWED}, {"b": 'T = "m.Entry.weyl_character"'}, {"sweep"}) == []
 
 
 def test_allowlist_names_exist():

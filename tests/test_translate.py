@@ -22,11 +22,10 @@ from qgl3.lattice import (
     pairing,
 )
 from qgl3.translate import (
-    OffWallEntry,
     local_target,
+    off_wall_pairs,
     translate_factor_lists,
     translate_nabla_factor_count,
-    translate_off_wall,
     translate_onto_wall,
     translated_character,
     wall_weight_below,
@@ -80,8 +79,8 @@ def test_onto_wall_character_consistency():
 
 
 def test_off_wall_right_list_l3():
-    lst = translate_off_wall(Weight(0, 1), Weight(2, 0), Weight(0, 0), 3)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+    lst = off_wall_pairs((0, 1), (2, 0), (0, 0), 3)
+    assert list(lst) == [
         ((0, 1), (1, 1)),
         ((1, 1), (0, 0)),
         ((-1, 2), (0, 0)),
@@ -89,13 +88,12 @@ def test_off_wall_right_list_l3():
         ((0, 1), (0, 0)),
         ((0, 1), (1, 1)),
     ]
-    assert [f.classical.is_dominant() for f in lst] == [True, True, False, True, True, True]
+    assert [Weight(*c).is_dominant() for c, _ in lst] == [True, True, False, True, True, True]
 
 
 def test_off_wall_left_list_l5():
-    c = Weight(2, 2)
-    lst = translate_off_wall(c, Weight(1, 4), Weight(1, 1), 5)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+    lst = off_wall_pairs((2, 2), (1, 4), (1, 1), 5)
+    assert list(lst) == [
         ((2, 2), (3, 2)),
         ((2, 3), (1, 1)),
         ((3, 1), (1, 1)),
@@ -107,8 +105,8 @@ def test_off_wall_left_list_l5():
 
 def test_off_wall_horizontal_three_term_list():
     # repeated outer factor around the target
-    lst = translate_off_wall(Weight(2, 2), Weight(1, 2), Weight(2, 2), 5)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+    lst = off_wall_pairs((2, 2), (1, 2), (2, 2), 5)
+    assert list(lst) == [
         ((2, 2), (1, 1)),
         ((2, 2), (2, 2)),
         ((2, 2), (1, 1)),
@@ -116,31 +114,26 @@ def test_off_wall_horizontal_three_term_list():
 
 
 def test_off_wall_l2_lists():
-    c = Weight(3, 2)
-    lst = translate_off_wall(c, Weight(1, 0), Weight(0, 0), 2)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+    c = (3, 2)
+    lst = off_wall_pairs(c, (1, 0), (0, 0), 2)
+    assert list(lst) == [
         ((3, 2), (0, 1)),
         ((4, 2), (0, 0)),
         ((2, 3), (0, 0)),
         ((3, 1), (0, 0)),
         ((3, 2), (0, 1)),
     ]
-    lst = translate_off_wall(c, Weight(0, 1), Weight(0, 0), 2)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [
+    lst = off_wall_pairs(c, (0, 1), (0, 0), 2)
+    assert list(lst) == [
         ((3, 2), (1, 0)),
         ((3, 3), (0, 0)),
         ((4, 1), (0, 0)),
         ((2, 2), (0, 0)),
         ((3, 2), (1, 0)),
     ]
-    lst = translate_off_wall(c, Weight(0, 1), Weight(1, 0), 2)
-    assert [(tuple(f.classical), tuple(f.restricted)) for f in lst] == [((3, 2), (0, 0))]
-    assert translate_off_wall(c, Weight(0, 0), Weight(1, 0), 2) == (
-        OffWallEntry(c, Weight(1, 0)),
-    )
-    assert translate_off_wall(c, Weight(1, 0), Weight(0, 1), 2) == (
-        OffWallEntry(c, Weight(0, 0)),
-    )
+    assert off_wall_pairs(c, (0, 1), (1, 0), 2) == (((3, 2), (0, 0)),)
+    assert off_wall_pairs(c, (0, 0), (1, 0), 2) == (((3, 2), (1, 0)),)
+    assert off_wall_pairs(c, (1, 0), (0, 1), 2) == (((3, 2), (0, 0)),)
 
 
 def test_off_wall_unsupported_combinations():
@@ -151,7 +144,7 @@ def test_off_wall_unsupported_combinations():
         (Weight(0, 1), Weight(1, 1), 2, "(0,1) (left-wall) -> (1,1) (vertex) for l=2"),
     ):
         with pytest.raises(ValueError, match=re.escape(f"unsupported translation {text}")):
-            translate_off_wall(Weight(1, 1), mu_res, target_res, l)
+            off_wall_pairs((1, 1), mu_res, target_res, l)
 
 
 def test_off_wall_rejects_an_unrestricted_weight_at_every_l():
@@ -159,9 +152,9 @@ def test_off_wall_rejects_an_unrestricted_weight_at_every_l():
     one gets the classifier's error before any table is read."""
     for l in (2, 3, 5):
         with pytest.raises(ValueError, match=f"is not restricted for l={l}"):
-            translate_off_wall(Weight(1, 1), Weight(l, 0), Weight(0, 0), l)
+            off_wall_pairs((1, 1), (l, 0), (0, 0), l)
         with pytest.raises(ValueError, match=f"is not restricted for l={l}"):
-            translate_off_wall(Weight(1, 1), Weight(l - 1, 0), Weight(0, -1), l)
+            off_wall_pairs((1, 1), (l - 1, 0), (0, -1), l)
 
 
 def test_generic_factor_counts():
@@ -190,8 +183,8 @@ def test_translated_character_identity():
         assert (t.weyl_character(), t.mirror) == ({lam: 1, mirror: 1}, mirror)
         # the weight-basis route through the factor lists, as an oracle
         weight_basis = None
-        for _, lst in t.lists:
-            for entry in lst:
+        for _, _, entries in t.rows:
+            for entry in entries:
                 ch = off_wall_character(entry, l)
                 weight_basis = ch if weight_basis is None else weight_basis + ch
         assert weight_basis == total
@@ -209,7 +202,7 @@ def test_off_wall_lists_against_character_oracle():
         rep_mu, _ = fundamental_rep(t.wall, l)
         nu1 = next(w for _, w in ordinary_orbit(rep_lam - rep_mu) if w.is_dominant())
         trans_char = simple_char_p0(nu1, l)
-        for nu, lst in t.lists:
+        for nu, _, entries in t.rows:
             product = chi_l(nu, l) * trans_char
             expected = sorted(
                 (w, c)
@@ -217,9 +210,9 @@ def test_off_wall_lists_against_character_oracle():
                 if linked(w, lam, l) and decompose(w, l).classical.is_dominant()
             )
             got = {}
-            for entry in lst:
-                if entry.classical.is_dominant():
-                    w = l * entry.classical + entry.restricted
+            for (ca, cb), (ra, rb) in entries:
+                if ca >= 0 and cb >= 0:
+                    w = (l * ca + ra, l * cb + rb)
                     got[w] = got.get(w, 0) + 1
             assert sorted(got.items()) == expected, (l, lam, nu)
 
@@ -604,7 +597,7 @@ def _generic_by_definition(t):
     classical part, and no translated entry vanishes."""
     factors = chi_decomposition(t.wall, t.l).factors
     return all(decompose(nu, t.l).classical.is_dominant() for nu in factors) and not any(
-        not entry.classical.is_dominant() for _, lst in t.lists for entry in lst
+        not Weight(*c).is_dominant() for _, _, entries in t.rows for c, _ in entries
     )
 
 
