@@ -13,17 +13,20 @@ weight leaves as a value (arguments, the keys of the peel results).
 
 W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
-work there by the Brauer-Klimyk rule, one kernels.brauer_klimyk call each,
-whose keys are plain int pairs; the weight-basis chi_l and
-decompose_into_weyl are kept as their independent oracles.  The restricted
-simple characters are written once in that form, by restricted_simple_weyl;
-their weight-basis characters, their numerators and the heads of
-chi_l_weyl are all read off it.
+work there by the Brauer-Klimyk rule, whose keys are plain int pairs; the
+weight-basis chi_l and decompose_into_weyl are kept as their independent
+oracles.  tensor_multiplicity makes one kernels.brauer_klimyk call each;
+chi_l_weyl makes one per template, a table of rows over
+lattice.restricted_orbit shared by the weights with the same dominantized
+classical part, facet and l.  The restricted simple characters are written
+once in the Weyl basis, by restricted_simple_weyl; their weight-basis
+characters, their numerators and the heads of the templates are all read
+off it.
 
 Induced and restricted simple characters are not memoized: each call
 builds its character afresh.  The memos are _bk_weights, the tableau counts
 of the classical parts and small tensor factors that the Brauer-Klimyk
-rule expands, and _chi_l_weyl_cache.
+rule expands, _chi_l_templates and _chi_l_weyl_cache.
 """
 
 from __future__ import annotations
@@ -439,7 +442,31 @@ def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     return FormalChar(out)
 
 
+# Brauer-Klimyk templates of chi_l_weyl, keyed on (dominantized classical
+# part, facet of the restricted part, l): rows (l*qa, l*qb, k, c) over the
+# restricted orbit, each standing for c times the induced character of
+# l*q + points[k], before the sign of the classical part.  A weight whose
+# orbit points coincide, a 3 | l alcove centre, keys its own template by
+# its restricted part instead of its facet.
+_chi_l_templates: dict[tuple[int, int, FacetType | tuple[int, int], int],
+                        tuple[tuple[int, int, int, int], ...]] = {}
 _chi_l_weyl_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
+
+
+def _chi_l_template(top: tuple[int, int], res: tuple[int, int], l: int,
+                    points: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """chi_l_weyl(l*top + res, l) for a dominant top, as rows
+    (l*qa, l*qb, k, c) over points = restricted_orbit(res, l), one
+    kernels.brauer_klimyk call: each output weight is linked to res, so its
+    restricted part is points[k] for exactly one k when the points are
+    pairwise distinct."""
+    index = {p: k for k, p in enumerate(points)}
+    heads = restricted_simple_weyl(res, l).items()
+    rows = []
+    for (a, b), c in kernels.brauer_klimyk(_weights_of(top), heads, l).items():
+        pa, pb = a % l, b % l
+        rows.append((a - pa, b - pb, index[pa, pb], c))
+    return tuple(rows)
 
 
 def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
@@ -450,9 +477,13 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     d * ch(k) over restricted_simple_weyl(r, l), the Brauer-Klimyk rule gives
 
         chi_l(mu) = sign * sum over kappa in wt(c') and (k, d) of
-                    m(kappa) * d * euler(k + l*kappa),
+                    m(kappa) * d * euler(k + l*kappa).
 
-    which kernels.brauer_klimyk sums with the heads (k, sign * d).
+    Every term is linked to r, and which alcove or wall l*kappa + k falls in
+    does not move while r stays in its facet (checked weight by weight in
+    the tests), so the sum is read off the template of (c', facet of r, l),
+    built on the first weight that needs it: its rows (l*qa, l*qb, j, e) give
+    sign * e * ch(l*q + points[j]) over points = restricted_orbit(r, l).
     Memoized on (mu, l); the returned dict is shared and must not be
     modified.
     """
@@ -466,8 +497,13 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
         sign, top = dominantize((ca, cb))
         hit = {}
         if sign:
-            heads = [(k, sign * c) for k, c in restricted_simple_weyl((ra, rb), l).items()]
-            hit = kernels.brauer_klimyk(_weights_of(top), heads, l)
+            facet, points = restricted_orbit((ra, rb), l)
+            shape = facet if len(set(points)) == len(points) else (ra, rb)
+            tkey = (top[0], top[1], shape, l)
+            rows = _chi_l_templates.get(tkey)
+            if rows is None:
+                rows = _chi_l_templates[tkey] = _chi_l_template(top, (ra, rb), l, points)
+            hit = {(qa + points[k][0], qb + points[k][1]): sign * c for qa, qb, k, c in rows}
         _chi_l_weyl_cache[key] = hit
     return hit
 

@@ -1,7 +1,12 @@
 import gc
+import inspect
 import itertools
 import json
+import os
+import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -320,8 +325,8 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
     mirror, and the Brauer-Klimyk memo holds exactly the dominantized
     classical parts passed to chi_l_weyl."""
     l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
-    monkeypatch.setattr(charring, "_bk_weights", {})
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
     ch = weyl_char(lam)
     assert weyl_char_alternating(lam) == ch
     total, mirror = translated_character(lam, l)
@@ -345,6 +350,7 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
 # read it again.  A new one has to be named here.
 MEMOS = {
     (charring, "_bk_weights"),
+    (charring, "_chi_l_templates"),
     (charring, "_chi_l_weyl_cache"),
     (decomp, "_decompositions"),
 }
@@ -367,17 +373,32 @@ def _container_sizes() -> dict[str, int]:
     return sizes
 
 
-def test_only_the_named_memos_grow(monkeypatch):
-    """After a small sweep of every suite, the module-level containers of
-    qgl3 that grew are exactly the named memos (emptied first, so each
-    shows its growth)."""
-    for module, name in MEMOS:
-        monkeypatch.setattr(module, name, {})
-    before = _container_sizes()
-    for suite in verify.SUITES:
-        assert verify.run_suite(suite, [2, 3], 1).passed, suite
-    after = _container_sizes()
-    grew = {name for name, n in after.items() if n != before.get(name)}
+# Run in a fresh interpreter, where every memo starts empty whatever the
+# tests before it filled: every module of qgl3 is imported first, so a
+# module loaded during the sweep does not count as growth.
+_MEMO_SWEEP = f"""
+import importlib, json, pkgutil, sys
+import qgl3
+from qgl3 import verify
+for info in pkgutil.iter_modules(qgl3.__path__):
+    importlib.import_module(f"qgl3.{{info.name}}")
+{inspect.getsource(_container_sizes)}
+before = _container_sizes()
+for suite in verify.SUITES:
+    assert verify.run_suite(suite, [2, 3], 1).passed, suite
+after = _container_sizes()
+print(json.dumps(sorted(name for name, n in after.items() if n != before.get(name))))
+"""
+
+
+def test_only_the_named_memos_grow():
+    """After a small sweep of every suite in a fresh interpreter, the
+    module-level containers of qgl3 that grew are exactly the named memos."""
+    src = Path(charring.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", _MEMO_SWEEP], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    grew = set(json.loads(done.stdout))
     assert grew == {f"{module.__name__}.{name}" for module, name in MEMOS}
 
 
@@ -493,6 +514,7 @@ def test_suites_catch_a_simple_without_its_mirror(monkeypatch):
     the factors catches it; the decomposition identity catches it too."""
     for name in ("zhat", "decomposition"):
         assert verify.run_suite(name, [3], 1).passed, name
+    monkeypatch.setattr(charring, "_chi_l_templates", {})
     monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
     monkeypatch.setattr(charring, "restricted_simple_weyl", lambda r, l: {(r[0], r[1]): 1})
     for name in ("zhat", "decomposition"):
@@ -650,9 +672,27 @@ def _chi_l_weyl_reference(mu, l):
 def test_chi_l_weyl_against_dominantize_loop(l, monkeypatch):
     # classical parts in [-3, 6)^2: dominant, regular non-dominant and
     # singular, each with every restricted part (walls, vertex, up alcove)
+    monkeypatch.setattr(charring, "_chi_l_templates", {})
     monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
     for mu in itertools.product(range(-3 * l, 6 * l), repeat=2):
         assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
+
+
+@pytest.mark.parametrize("l", [6, 9, 11, 12])
+def test_chi_l_weyl_templates_in_any_order(l, monkeypatch):
+    """A template is built by the first weight of its classical part and
+    facet that chi_l_weyl meets, and read by the others; in a shuffled order
+    every weight can come first.  Classical parts in [-2, 4]^2 and every
+    restricted part, with the 3 | l alcove centres, whose orbit points
+    coincide."""
+    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
+    mus = list(itertools.product(range(-2 * l, 5 * l), repeat=2))
+    random.Random(l).shuffle(mus)
+    for mu in mus:
+        assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
+    centres = {shape for _, _, shape, _ in charring._chi_l_templates if type(shape) is tuple}
+    assert centres == ({(l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2} if l % 3 == 0 else set())
 
 
 def test_chi_l_weyl_keys_are_plain_tuples(monkeypatch):

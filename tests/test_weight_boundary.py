@@ -93,8 +93,8 @@ CEILINGS = {"decomposition": 2.6, "zhat": 2.4, "graphs": 4.6, "translate": 20.3}
 
 @pytest.mark.parametrize("suite", sorted(CEILINGS))
 def test_sweeps_build_weights_only_at_the_boundary(monkeypatch, fresh_memo, suite):
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
-    monkeypatch.setattr(charring, "_bk_weights", {})
+    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
     built = {Weight: 0, RestrictedDecomposition: 0}
 
     def counting(cls):
