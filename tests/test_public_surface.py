@@ -188,14 +188,31 @@ def _engine_sources():
     )
 
 
-def test_every_engine_name_has_a_caller():
-    # a name on ALLOWED has to exist, or the allowance is stale
-    for label in ALLOWED:
+def stale_labels(labels) -> list[str]:
+    """Every module.name of labels that does not resolve to an object of
+    src/qgl3."""
+    out = []
+    for label in sorted(labels):
         module, *attrs = label.split(".")
-        obj = importlib.import_module(f"qgl3.{module}")
-        for attr in attrs:
-            obj = getattr(obj, attr)
+        try:
+            obj = importlib.import_module(f"qgl3.{module}")
+            for attr in attrs:
+                obj = getattr(obj, attr)
+        except (ImportError, AttributeError):
+            out.append(label)
+    return out
+
+
+def test_every_engine_name_has_a_caller():
     assert unused_names(*_engine_sources(), set(qgl3.__all__), ALLOWED) == []
+
+
+def test_allowlist_names_exist():
+    # a name on ALLOWED has to exist, or the allowance is stale
+    assert stale_labels(ALLOWED) == []
+    # the check itself reports a missing module, class or method
+    labels = {"decomp.DecompResult.character", "decomp.NoSuchName", "no_such_module.f"}
+    assert stale_labels(labels) == ["decomp.NoSuchName", "no_such_module.f"]
 
 
 # A method whose name another class also defines: the only use of the name
