@@ -40,7 +40,6 @@ from qgl3.lattice import (
     RHO,
     FacetType,
     Weight,
-    classify_restricted,
     decompose,
     dominance_key,
     dominantize,
@@ -309,8 +308,9 @@ def restricted_simple_weyl(lam: Weight, l: int) -> dict[tuple[int, int], int]:
     point 0 of lam's restricted orbit.  The one place this rule is written;
     ValueError when lam is not restricted."""
     key = (lam[0], lam[1])
-    if classify_restricted(lam, l) is FacetType.UP_ALCOVE:
-        return {key: 1, restricted_orbit(lam, l)[1][0]: -1}
+    facet, points = restricted_orbit(key, l)
+    if facet is FacetType.UP_ALCOVE:
+        return {key: 1, points[0]: -1}
     return {key: 1}
 
 

@@ -21,7 +21,6 @@ from qgl3.decomp import DUAL_POSITION, check_positions, factor_family
 from qgl3.lattice import (
     FacetType,
     Weight,
-    classify_restricted,
     decompose,
     dual_weight,
     restricted_orbit,
@@ -86,7 +85,7 @@ def ext1_g1(alpha: Weight, beta: Weight, l: int) -> ExtValue:
     alcove entry).  Steinberg rows and columns, and the diagonal, vanish.
     """
     facet, points = restricted_orbit(alpha, l)
-    classify_restricted(beta, l)  # ValueError unless beta is restricted
+    restricted_orbit(beta, l)  # ValueError unless beta is restricted
     beta = (beta[0], beta[1])
     parts = tuple([part for k, part in _G1_COLUMNS[facet] if points[k] == beta])
     return ExtValue(parts) if parts else EXT_ZERO

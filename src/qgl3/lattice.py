@@ -10,6 +10,12 @@ Weight is the type of a weight that leaves the engine.  The functions here
 accept any pair of ints; the engine's per-factor paths carry plain int
 pairs and split lam = l*classical + restricted by divmod, the split that
 decompose documents and returns as two Weights.
+
+A restricted weight's facet and linkage orbit are written once, by
+restricted_orbit, and memoized in _orbits on plain-int (r, s, l): at most
+l*l rows per l.  facet_classify and the engine's per-factor facet lookups
+read the facet off that row, so classify_restricted runs once per row and
+for arguments that are not ints, which are computed afresh.
 """
 
 from __future__ import annotations
@@ -164,6 +170,12 @@ def classify_restricted(res: Weight, l: int) -> FacetType:
     return FacetType.UP_ALCOVE
 
 
+# The restricted orbits, keyed on plain-int (r, s, l): at most l*l rows per
+# l, one per restricted weight, since classify_restricted raises on any
+# other pair before a row is stored.
+_orbits: dict[tuple[int, int, int], tuple[FacetType, tuple[tuple[int, int], ...]]] = {}
+
+
 def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, int], ...]]:
     """The facet of a restricted weight and, as int pairs in a fixed order,
     the linked restricted points: the one place they are written.  The
@@ -173,9 +185,26 @@ def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, i
     An alcove weight has six, from the down parameter (r, s): res, or the
     mirror (l-v-2, l-u-2) of an up-alcove res = (u, v), which is the sixth
     point.  A wall weight has three, from the horizontal point (x, y),
-    x + y = l-2.  The vertex is its own orbit."""
-    facet = classify_restricted(res, l)
+    x + y = l-2.  The vertex is its own orbit.
+
+    Memoized in _orbits on (r, s, l) when all three are plain ints, so
+    every int-path facet lookup reads the facet off the same row; any other
+    argument, such as an affine form of the tests, is computed afresh and
+    never stored.  The returned row is shared and immutable."""
     r, s = res
+    if type(r) is int and type(s) is int and type(l) is int:
+        key = (r, s, l)
+        hit = _orbits.get(key)
+        if hit is None:
+            hit = _orbits[key] = _orbit(r, s, l)
+        return hit
+    return _orbit(r, s, l)
+
+
+def _orbit(r, s, l) -> tuple[FacetType, tuple[tuple[int, int], ...]]:
+    """restricted_orbit's body: classify_restricted is the one check that
+    (r, s) is restricted."""
+    facet = classify_restricted((r, s), l)
     if facet is FacetType.UP_ALCOVE:
         r, s = l - s - 2, l - r - 2
     elif facet is FacetType.RIGHT_WALL:
@@ -198,7 +227,7 @@ def facet_classify(lam: Weight, l: int) -> FacetType:
         raise ValueError(f"facet_classify needs a dominant weight, got {Weight(a, b)}")
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
-    return classify_restricted((a % l, b % l), l)
+    return restricted_orbit((a % l, b % l), l)[0]
 
 
 class AffineWeylElement(NamedTuple):

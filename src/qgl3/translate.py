@@ -43,7 +43,6 @@ from qgl3.lattice import (
     Weight,
     affine_reflect,
     apply_inverse,
-    classify_restricted,
     facet_classify,
     facet_stabilizer_walls,
     fundamental_rep,
@@ -121,7 +120,7 @@ def off_wall_pairs(
     restricted part mu_res into the adjacent facet of restricted type
     target_res: the rows over the orbit of target_res.  ValueError, naming
     both weights, their facets and l, when no row covers the combination."""
-    src = classify_restricted(mu_res, l)
+    src = restricted_orbit(mu_res, l)[0]
     tgt, points = restricted_orbit(target_res, l)
     rows = OFF_WALL_ROWS.get((l == 2, src, tgt))
     if rows is None:

@@ -1,4 +1,8 @@
 import importlib.util
+import inspect
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,6 +48,81 @@ def suite_report():
         return reports[key]
 
     return get
+
+
+def _container_sizes() -> dict[str, int]:
+    """The size of every module-level dict, list and set of qgl3, and of the
+    cache of every functools-memoized function, by qualified name."""
+    sizes = {}
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.split(".")[0] != "qgl3":
+            continue
+        for name, value in vars(module).items():
+            if name.startswith("__"):
+                continue
+            if isinstance(value, (dict, list, set)):
+                sizes[f"{module_name}.{name}"] = len(value)
+            elif hasattr(value, "cache_info"):
+                sizes[f"{module_name}.{name}"] = value.cache_info().currsize
+    return sizes
+
+
+# Run in a fresh interpreter, where every memo starts empty whatever the
+# tests before it filled: every module of qgl3 is imported first, so a
+# module loaded during the sweep does not count as growth.  It prints the
+# containers that grew and the keys of the restricted-orbit memo that are
+# triples of plain ints, with the memo's size.
+_MEMO_SWEEP = f"""
+import importlib, json, pkgutil, sys
+import qgl3
+from qgl3 import lattice, verify
+for info in pkgutil.iter_modules(qgl3.__path__):
+    importlib.import_module(f"qgl3.{{info.name}}")
+{inspect.getsource(_container_sizes)}
+before = _container_sizes()
+for suite in verify.SUITES:
+    assert verify.run_suite(suite, [2, 3, 5], 4).passed, suite
+after = _container_sizes()
+print(json.dumps({{
+    "grew": sorted(name for name, n in after.items() if n != before.get(name)),
+    "orbit_rows": len(lattice._orbits),
+    "int_keys": [list(k) for k in lattice._orbits
+                 if type(k) is tuple and len(k) == 3 and all(type(x) is int for x in k)],
+}}))
+"""
+
+
+_SWEEP = pytest.StashKey[subprocess.Popen]()
+
+
+def pytest_collection_finish(session):
+    """Start the memo sweep as soon as a collected test needs it, so that it
+    runs beside the tests before that one."""
+    if any("memo_sweep" in getattr(item, "fixturenames", ()) for item in session.items):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        session.config.stash[_SWEEP] = subprocess.Popen(
+            [sys.executable, "-c", _MEMO_SWEEP],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+
+
+def pytest_sessionfinish(session):
+    """Stop a memo sweep that no test read, as when -x ends the run early."""
+    proc = session.config.stash.get(_SWEEP, None)
+    if proc is not None and proc.returncode is None:
+        proc.kill()
+        proc.communicate()
+
+
+@pytest.fixture(scope="session")
+def memo_sweep(pytestconfig):
+    """What the acceptance sweep (every suite at l in {2, 3, 5}, box 4)
+    leaves in the memos of a fresh interpreter, run once per session."""
+    proc = pytestconfig.stash[_SWEEP]
+    out, err = proc.communicate()
+    assert proc.returncode == 0, err
+    return json.loads(out)
 
 
 @pytest.fixture

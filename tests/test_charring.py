@@ -1,18 +1,14 @@
 import gc
-import inspect
 import itertools
 import json
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3 import charring, decomp, kernels, verify
+from qgl3 import charring, decomp, kernels, lattice, verify
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
@@ -353,53 +349,14 @@ MEMOS = {
     (charring, "_chi_l_templates"),
     (charring, "_chi_l_weyl_cache"),
     (decomp, "_decompositions"),
+    (lattice, "_orbits"),
 }
 
 
-def _container_sizes() -> dict[str, int]:
-    """The size of every module-level dict, list and set of qgl3, and of the
-    cache of every functools-memoized function, by qualified name."""
-    sizes = {}
-    for module_name, module in sorted(sys.modules.items()):
-        if module_name.split(".")[0] != "qgl3":
-            continue
-        for name, value in vars(module).items():
-            if name.startswith("__"):
-                continue
-            if isinstance(value, (dict, list, set)):
-                sizes[f"{module_name}.{name}"] = len(value)
-            elif hasattr(value, "cache_info"):
-                sizes[f"{module_name}.{name}"] = value.cache_info().currsize
-    return sizes
-
-
-# Run in a fresh interpreter, where every memo starts empty whatever the
-# tests before it filled: every module of qgl3 is imported first, so a
-# module loaded during the sweep does not count as growth.
-_MEMO_SWEEP = f"""
-import importlib, json, pkgutil, sys
-import qgl3
-from qgl3 import verify
-for info in pkgutil.iter_modules(qgl3.__path__):
-    importlib.import_module(f"qgl3.{{info.name}}")
-{inspect.getsource(_container_sizes)}
-before = _container_sizes()
-for suite in verify.SUITES:
-    assert verify.run_suite(suite, [2, 3], 1).passed, suite
-after = _container_sizes()
-print(json.dumps(sorted(name for name, n in after.items() if n != before.get(name))))
-"""
-
-
-def test_only_the_named_memos_grow():
-    """After a small sweep of every suite in a fresh interpreter, the
+def test_only_the_named_memos_grow(memo_sweep):
+    """After the acceptance sweep of every suite in a fresh interpreter, the
     module-level containers of qgl3 that grew are exactly the named memos."""
-    src = Path(charring.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run([sys.executable, "-c", _MEMO_SWEEP], capture_output=True, text=True, env=env)
-    assert done.returncode == 0, done.stderr
-    grew = set(json.loads(done.stdout))
-    assert grew == {f"{module.__name__}.{name}" for module, name in MEMOS}
+    assert set(memo_sweep["grew"]) == {f"{module.__name__}.{name}" for module, name in MEMOS}
 
 
 def test_divide_exact_error_paths():
@@ -687,6 +644,7 @@ def test_chi_l_weyl_templates_in_any_order(l, monkeypatch):
     coincide."""
     for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
         monkeypatch.setattr(charring, name, {})
+    monkeypatch.setattr(lattice, "_orbits", {})
     mus = list(itertools.product(range(-2 * l, 5 * l), repeat=2))
     random.Random(l).shuffle(mus)
     for mu in mus:

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgl3 import charring, lattice
+from qgl3.charring import restricted_simple_numerator
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     AffineWeylElement,
@@ -23,7 +25,9 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
+from qgl3.verify import run_suite
 
+import test_family_tables
 import test_translate
 
 coords = st.integers(-30, 30)
@@ -234,6 +238,49 @@ def test_restricted_orbit_is_the_linkage_class(l):
         _, points = restricted_orbit(r, l)
         want = {mu for mu in restricted if any(linked(mu + c, r, l) for c in shifts)}
         assert set(points) == want, r
+
+
+def test_orbit_memo_holds_one_int_row_per_restricted_weight(memo_sweep):
+    """After every suite at l in {2, 3, 5}, box 4, in a fresh interpreter,
+    every key of the orbit memo is a triple of ints naming a restricted
+    weight at one of those l: at most 4 + 9 + 25 = 38 rows."""
+    keys = {tuple(k) for k in memo_sweep["int_keys"]}
+    assert len(keys) == memo_sweep["orbit_rows"] <= 38
+    assert keys <= {(r, s, l) for l in (2, 3, 5) for r in range(l) for s in range(l)}
+
+
+def test_orbit_memo_stores_no_form(monkeypatch):
+    """The affine forms of test_family_tables bypass the memo: after an int
+    sweep has filled it, restricted_orbit and restricted_simple_numerator
+    on the forms leave it as it was, and each facet's forms, the down- and
+    up-alcove (p, q) among them, which hash alike and compare equal, still
+    get their own facet."""
+    monkeypatch.setattr(lattice, "_orbits", {})
+    for l in (4, 5, 6, 7):
+        for r, s in itertools.product(range(l), repeat=2):
+            restricted_orbit((r, s), l)
+    rows = dict(lattice._orbits)
+    assert len(rows) == 16 + 25 + 36 + 49
+    for facet, l, res in test_family_tables.FACETS:
+        assert restricted_orbit(res, l)[0] is facet
+        restricted_simple_numerator(res, l)
+    assert lattice._orbits == rows
+
+
+def test_a_wrong_orbit_row_fails_the_sweeps(monkeypatch, fresh_memo):
+    """With the memo's row of (1, 1) at l = 5 replaced by its orbit with
+    points 1 and 2 swapped, every suite that reads the rows reports failed
+    cases.  The memos built from the wrong row are dropped and the row is
+    restored."""
+    facet, points = restricted_orbit((1, 1), 5)
+    wrong = (facet, (points[0], points[2], points[1]) + points[3:])
+    monkeypatch.setattr(lattice, "_orbits", {(1, 1, 5): wrong})
+    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
+    for suite in ("decomposition", "zhat", "graphs", "ext-lemmas", "translate"):
+        assert run_suite(suite, [5], 1).failures, suite
+    monkeypatch.undo()
+    assert restricted_orbit((1, 1), 5) == (facet, points)
 
 
 def test_fundamental_rep_examples():

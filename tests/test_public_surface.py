@@ -12,10 +12,15 @@ class of src/qgl3 defines a method of that name.  Otherwise a use counts
 only where the syntax tree ties it to the method's class: self.method
 inside the class; Cls(...).method or f(...).method for f annotated
 -> Cls; name.method for a name that the same function binds from such a
-call; and in perfbench/ the string "Cls.method".
+call, takes as a parameter annotated Cls, or takes as the target of
+`for name in xs` where xs is a parameter or a name annotated list[Cls],
+tuple[Cls, ...] or Iterable[Cls]; and in perfbench/ the string
+"Cls.method".  Each source file is parsed and walked once per test
+session, for unused_names and unused_imports alike.
 """
 
 import ast
+import functools
 import importlib
 import re
 from collections import defaultdict
@@ -37,16 +42,29 @@ TESTS = ROOT / "tests"
 ALLOWED: set[str] = set()
 
 
+@functools.cache
+def _parse(text: str) -> ast.Module:
+    """The syntax tree of a source text, parsed once per test session, so
+    unused_names and unused_imports share the trees of src/qgl3."""
+    return ast.parse(text)
+
+
+@functools.cache
+def _nodes(tree: ast.AST) -> list[ast.AST]:
+    """Every node of tree, walked once per test session."""
+    return list(ast.walk(tree))
+
+
 def _strings(tree: ast.AST):
     """(text, line) of every string constant in tree that is not a docstring."""
     docstrings = {
         id(node.body[0].value)
-        for node in ast.walk(tree)
+        for node in _nodes(tree)
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
         and node.body
         and isinstance(node.body[0], ast.Expr)
     }
-    for node in ast.walk(tree):
+    for node in _nodes(tree):
         if isinstance(node, ast.Constant) and isinstance(node.value, str):
             if id(node) not in docstrings:
                 yield node.value, node.lineno
@@ -55,7 +73,7 @@ def _strings(tree: ast.AST):
 def _uses(tree: ast.AST, strings: bool):
     """(name, line) of every name and attribute in tree, and with strings
     also of every word in a string constant that is not a docstring."""
-    for node in ast.walk(tree):
+    for node in _nodes(tree):
         if isinstance(node, ast.Name):
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
@@ -67,7 +85,7 @@ def _uses(tree: ast.AST, strings: bool):
 
 
 def _annotated_class(ann) -> str | None:
-    """The class named by a return annotation Cls, "Cls" or Cls | None."""
+    """The class named by an annotation Cls, "Cls" or Cls | None."""
     if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
         ann = ast.parse(ann.value, mode="eval").body
     if isinstance(ann, ast.BinOp) and isinstance(ann.op, ast.BitOr):
@@ -76,10 +94,31 @@ def _annotated_class(ann) -> str | None:
     return ann.id if isinstance(ann, ast.Name) else None
 
 
+def _element_class(ann) -> str | None:
+    """The class Cls of an annotation list[Cls], tuple[Cls, ...] or
+    Iterable[Cls], quoted or not."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if not isinstance(ann, ast.Subscript):
+        return None
+    outer = getattr(ann.value, "id", None) or getattr(ann.value, "attr", None)
+    inner = ann.slice
+    if outer == "tuple":
+        if not (isinstance(inner, ast.Tuple) and len(inner.elts) == 2
+                and getattr(inner.elts[1], "value", None) is Ellipsis):
+            return None
+        inner = inner.elts[0]
+    elif outer not in ("list", "Iterable"):
+        return None
+    return _annotated_class(inner)
+
+
 def _typed_uses(tree: ast.AST, classes: set[str], returns: dict[str, str]):
     """(class, method, line) of every attribute use the syntax tree ties to
     a class: self.method inside the class, and method read off a call that
-    builds the class or off a name the enclosing function binds from one."""
+    builds the class or off a name the enclosing function binds to one: from
+    such a call, as a parameter annotated with the class, or as the target
+    of a for loop over a name annotated as a list, tuple or iterable of it."""
 
     def built(node) -> str | None:
         if not isinstance(node, ast.Call):
@@ -88,26 +127,33 @@ def _typed_uses(tree: ast.AST, classes: set[str], returns: dict[str, str]):
         name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
         return name if name in classes else returns.get(name)
 
-    for cls in ast.walk(tree):
+    for cls in _nodes(tree):
         if isinstance(cls, ast.ClassDef):
             for node in ast.walk(cls):
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
                     yield cls.name, node.attr, node.lineno
-    for node in ast.walk(tree):
+    for node in _nodes(tree):
         if isinstance(node, ast.Attribute) and (owner := built(node.value)):
             yield owner, node.attr, node.lineno
-    for scope in ast.walk(tree):
+    for scope in _nodes(tree):
         if not isinstance(scope, ast.FunctionDef):
             continue
-        bound = {
-            node.targets[0].id: built(node.value)
-            for node in ast.walk(scope)
-            if isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and built(node.value)
-        }
-        for node in ast.walk(scope):
+        nodes = list(ast.walk(scope))
+        params = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+        bound = {arg.arg: _annotated_class(arg.annotation) for arg in params}
+        elements = {arg.arg: _element_class(arg.annotation) for arg in params}
+        for node in nodes:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                if isinstance(node.targets[0], ast.Name) and (owner := built(node.value)):
+                    bound[node.targets[0].id] = owner
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                elements[node.target.id] = _element_class(node.annotation)
+        for node in nodes:
+            if (isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+                    and isinstance(node.iter, ast.Name) and elements.get(node.iter.id)):
+                bound[node.target.id] = elements[node.iter.id]
+        bound = {name: owner for name, owner in bound.items() if owner in classes}
+        for node in nodes:
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in bound:
                 yield bound[node.value.id], node.attr, node.lineno
 
@@ -137,13 +183,13 @@ def unused_names(
     has no use outside its own definition in src or bench, by the rules of
     the module docstring, unless exported or allowed; bench's string
     constants count as uses."""
-    trees = {module: ast.parse(text) for module, text in src.items()}
-    bench_trees = {module: ast.parse(text) for module, text in bench.items()}
+    trees = {module: _parse(text) for module, text in src.items()}
+    bench_trees = {module: _parse(text) for module, text in bench.items()}
     owners = defaultdict(set)  # method name -> classes defining it
     returns = {}  # function name -> the class its return annotation names
     classes = set()
     for tree in trees.values():
-        for node in ast.walk(tree):
+        for node in _nodes(tree):
             if isinstance(node, ast.ClassDef):
                 classes.add(node.name)
                 for item in node.body:
@@ -246,6 +292,21 @@ def test_a_method_used_only_through_another_class_is_reported():
     # a use tied to Entry, or a name only Entry defines, lets it pass
     tied = SHADOWED + "\n\ndef read():\n    x = Entry()\n    return x.weyl_character()\n"
     assert unused_names({"m": tied}, {}, {"sweep", "read"}) == []
+    # a parameter annotated Entry, and a loop over a list, tuple or iterable of Entry
+    param = SHADOWED + "\n\ndef read(x: Entry):\n    return x.weyl_character()\n"
+    assert unused_names({"m": param}, {}, {"sweep", "read"}) == []
+    for ann in ("list[Entry]", "tuple[Entry, ...]", "Iterable[Entry]", '"list[Entry]"'):
+        looped = SHADOWED + (f"\n\ndef read(xs: {ann}):\n    for x in xs:\n"
+                             "        x.weyl_character()\n")
+        assert unused_names({"m": looped}, {}, {"sweep", "read"}) == [], ann
+        local = SHADOWED + (f"\n\ndef read():\n    xs: {ann} = []\n    for x in xs:\n"
+                            "        x.weyl_character()\n")
+        assert unused_names({"m": local}, {}, {"sweep", "read"}) == [], ann
+    # an unannotated loop, or one over another class, ties nothing to Entry
+    for ann in ("", ": list", ": list[Translate]", ": tuple[Entry, Entry]"):
+        loose = SHADOWED + (f"\n\ndef read(xs{ann}):\n    for x in xs:\n"
+                            "        x.weyl_character()\n")
+        assert unused_names({"m": loose}, {}, {"sweep", "read"}) == ["m.Entry.weyl_character"], ann
     alone = SHADOWED.replace("weyl_character", "character", 1)
     assert unused_names({"m": alone + "\nTranslate().character\n"}, {}, {"sweep"}) == []
     # a string of perfbench/ that names the class and the method
@@ -260,7 +321,7 @@ def unused_imports() -> list[str]:
     for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
+        tree = _parse(path.read_text())
         used = {name for name, _ in _uses(tree, strings=False)}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module != "__future__":

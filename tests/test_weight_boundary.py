@@ -10,7 +10,7 @@ import itertools
 
 import pytest
 
-from qgl3 import charring
+from qgl3 import charring, lattice
 from qgl3.decomp import chi_decomposition, factor_family, zhat_factors
 from qgl3.charring import chi_l_weyl
 from qgl3.ext import ext1_g, ext1_g1b_general, ext_table
@@ -95,6 +95,7 @@ CEILINGS = {"decomposition": 2.6, "zhat": 2.4, "graphs": 4.6, "translate": 20.3}
 def test_sweeps_build_weights_only_at_the_boundary(monkeypatch, fresh_memo, suite):
     for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
         monkeypatch.setattr(charring, name, {})
+    monkeypatch.setattr(lattice, "_orbits", {})
     built = {Weight: 0, RestrictedDecomposition: 0}
 
     def counting(cls):
