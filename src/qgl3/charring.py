@@ -24,9 +24,10 @@ characters, their numerators and the heads of the templates are all read
 off it.
 
 Induced and restricted simple characters are not memoized: each call
-builds its character afresh.  The memos are _bk_weights, the tableau counts
-of the classical parts and small tensor factors that the Brauer-Klimyk
-rule expands, _chi_l_templates and _chi_l_weyl_cache.
+builds its character afresh, though the tableau counts share their weight
+keys through kernels._key_lines.  The memos here are _bk_weights, the
+tableau counts of the classical parts and small tensor factors that the
+Brauer-Klimyk rule expands, _chi_l_templates and _chi_l_weyl_cache.
 """
 
 from __future__ import annotations

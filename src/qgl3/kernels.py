@@ -3,6 +3,12 @@
 They work on plain int pairs (a, b) and build no Weight.  charring calls
 them through this module (kernels.convolve), so a wrapper bound here, e.g.
 by a tracer, sees every call.
+
+The one memo here is _key_lines, the weight keys of ssyt_weight_counts: one
+shared tuple per weight, so a character built again over the same weights
+builds no new key.  It holds one line per value of h = x + 2y, the keys
+(h - 2y, y) for the longest range of y some call read on it, so it holds no
+key outside the hull of the weights built.
 """
 
 from itertools import chain, repeat
@@ -65,6 +71,14 @@ def brauer_klimyk(weights, heads, l):
     return out
 
 
+# h = x + 2y -> (y0, keys) with keys[i] = (h - 2*(y0 - i), y0 - i) for y from
+# y0 down to h - y0: the keys of one alpha1-line, in the order
+# ssyt_weight_counts writes them.  The reflection s1 maps the line to itself
+# by y -> h - y, so each row of a W-invariant character on it is a range
+# centred like this one, and a line is rebuilt only for a longer row.
+_key_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
+
+
 def ssyt_weight_counts(p, q):
     """Weight multiplicities of the two-row shape (p, q) in three letters,
     by counting Gelfand-Tsetlin patterns.
@@ -81,9 +95,11 @@ def ssyt_weight_counts(p, q):
     On each row s the count is piecewise linear in m1: it rises by one per
     step while s - m1 is the largest lower bound on x, is flat while
     max(q, s - q) is, and falls by one per step while m1 is.  Each piece
-    goes into the dict as one run of keys and counts, and each row as one
+    goes into the dict as one run of counts, and each row as one
     dict.update of the chained runs, so there is no step per tableau and no
-    Python step per weight.
+    Python step per weight.  The weights of row s lie on the line
+    x + 2y = 3s - 2(p + q), and their keys are one slice of its line in
+    _key_lines.
     """
     n = p + q
     out = {}
@@ -94,14 +110,20 @@ def ssyt_weight_counts(p, q):
         lo = s - hi
         cut = s - base if s - base > lo else lo
         end = base if base < hi else hi
-        # the weights (2*m1 - s, 2*s - n - m1) for m1 = lo..hi, and their counts
-        # on the rising piece [lo, cut), the flat one [cut, end] and the falling
+        # the weights (2*m1 - s, 2*s - n - m1) for m1 = lo..hi, on the line
+        # h = 3*s - 2*n with y from top down to h - top, and their counts on
+        # the rising piece [lo, cut), the flat one [cut, end] and the falling
         # one (end, hi]; lo <= cut <= end + 1 <= hi + 1
-        keys = zip(range(2 * lo - s, 2 * hi - s + 1, 2), range(2 * s - n - lo, 2 * s - n - hi - 1, -1))
+        h = 3 * s - 2 * n
+        top = 2 * s - n - lo
+        line = _key_lines.get(h)
+        if line is None or line[0] < top:
+            line = _key_lines[h] = (top, [(h - 2 * y, y) for y in range(top, h - top - 1, -1)])
+        y0, keys = line
         counts = chain(
             range(hi + 1 - s + lo, hi + 1 - s + cut),
             repeat(hi + 1 - base, end + 1 - cut),
             range(hi - end, 0, -1),
         )
-        out.update(zip(keys, counts))
+        out.update(zip(keys[y0 - top:y0 + top - h + 1], counts))
     return out

@@ -4,9 +4,12 @@ The engine checks its character identities in the basis of induced
 characters (chi_l_weyl) or times the Weyl denominator (the zhat suite); the
 functions here build the same characters weight by weight, as independent
 oracles, and the engine never takes them.  They read each restricted simple
-character many times, so restricted_simple is memoized here, not in the
-engine.  The engine builds the wall factor families by int arithmetic and
-checks duality without building the dual graph; wall_family and
+character and each chi_l many times, so restricted_simple and chi_l are
+memoized here, not in the engine; no test patches what either reads
+(lattice.decompose, the charring constructors, the kernels) and then calls
+an oracle here, so a memoized value is always the clean one.  The engine
+builds the wall factor families by int arithmetic and checks duality
+without building the dual graph; wall_family and
 duality_diff are the Weight-arithmetic and built-graph routes.  The engine
 evaluates every factor family as rows over the restricted orbit; the
 written-out alcove families, down_alcove_family and up_alcove_family, are
@@ -44,9 +47,11 @@ def shift(x: FormalChar, w: Weight) -> FormalChar:
     return FormalChar({(p + a, q + b): c for (p, q), c in x.coeffs.items()})
 
 
+@functools.cache
 def chi_l(mu: Weight, l: int) -> FormalChar:
-    """charring.chi_l with the restricted simple character memoized: the
-    twisted euler_char of the classical part times L(restricted part)."""
+    """charring.chi_l, built once per (mu, l) from the memoized restricted
+    simple character: the twisted euler_char of the classical part times
+    L(restricted part)."""
     cls, res = decompose(mu, l)
     eu = euler_char(cls)
     if not eu:
@@ -256,34 +261,41 @@ def printed_socle_row(res, l: int) -> list[Weight]:
     """The entries of the first printed row that covers res and whose least
     l is at most l: a row stated only from a larger l passes res on (at
     l = 2, (1, 0) falls through the row r = 1, s = l-2 to the row r = l-1,
-    s = 0)."""
+    s = 0).  The rows are tried in printed order, each as its condition
+    and least l, and only the matching row's entries are built."""
     r, s = res
-
-    def deep_down() -> bool:
-        return r >= 1 and s >= 1 and r + s <= l - 3
-
-    rows = [
-        (r == 0 and s == 0, 2, [Weight(1, 0)]),
-        (r == 0 and 1 <= s <= l - 3, 4, [Weight(1, s), Weight(0, s - 1)]),
-        (r == 0 and s == l - 2, 3, [Weight(0, l - 3)]),
-        (1 <= r <= l - 3 and r + s == l - 2, 4, [Weight(r, s - 1), Weight(r - 1, s + 1)]),
-        (s == 0 and 1 <= r <= l - 2, 3, [Weight(r + 1, 0), Weight(r - 1, 1)]),
-        (deep_down(), 4, [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
-        (r == 0 and s == l - 1, 2, [Weight(1, l - 1), Weight(0, l - 2)]),
-        (s == l - 1 and 1 <= r <= l - 2, 3, [Weight(r + 1, l - 1), Weight(r, l - 2)]),
-        (r == l - 1 and s == l - 1, 2, [Weight(l - 1, l - 2)]),
-        (r == 1 and s == l - 2, 3, [Weight(2, l - 2), Weight(0, l - 1)]),
-        (s == l - 2 and 2 <= r <= l - 2, 4,
-         [Weight(r + 1, l - 2), Weight(r, l - 3), Weight(r - 1, l - 1)]),
-        (2 <= r <= l - 3 and r + s == l - 1, 4, [Weight(r + 1, s), Weight(r - 1, s + 1)]),
-        (r == l - 2 and s == 1, 4, [Weight(l - 1, 1), Weight(l - 3, 2)]),
-        (r == l - 1 and s == 0, 2, [Weight(l - 2, 1)]),
-        (r == l - 1 and 1 <= s <= l - 2, 3, [Weight(l - 2, s + 1), Weight(l - 1, s - 1)]),
-        (r == l - 2 and 2 <= s <= l - 2, 4, [Weight(l - 1, s), Weight(l - 2, s - 1), Weight(l - 3, s + 1)]),
-        (classify_restricted(res, l) is FacetType.UP_ALCOVE, 4,
-         [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]),
-    ]
-    for matches, l_min, out in rows:
-        if matches and l >= l_min:
-            return out
+    if r == 0 and s == 0 and l >= 2:
+        return [Weight(1, 0)]
+    if r == 0 and 1 <= s <= l - 3 and l >= 4:
+        return [Weight(1, s), Weight(0, s - 1)]
+    if r == 0 and s == l - 2 and l >= 3:
+        return [Weight(0, l - 3)]
+    if 1 <= r <= l - 3 and r + s == l - 2 and l >= 4:
+        return [Weight(r, s - 1), Weight(r - 1, s + 1)]
+    if s == 0 and 1 <= r <= l - 2 and l >= 3:
+        return [Weight(r + 1, 0), Weight(r - 1, 1)]
+    if r >= 1 and s >= 1 and r + s <= l - 3 and l >= 4:
+        return [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]
+    if r == 0 and s == l - 1 and l >= 2:
+        return [Weight(1, l - 1), Weight(0, l - 2)]
+    if s == l - 1 and 1 <= r <= l - 2 and l >= 3:
+        return [Weight(r + 1, l - 1), Weight(r, l - 2)]
+    if r == l - 1 and s == l - 1 and l >= 2:
+        return [Weight(l - 1, l - 2)]
+    if r == 1 and s == l - 2 and l >= 3:
+        return [Weight(2, l - 2), Weight(0, l - 1)]
+    if s == l - 2 and 2 <= r <= l - 2 and l >= 4:
+        return [Weight(r + 1, l - 2), Weight(r, l - 3), Weight(r - 1, l - 1)]
+    if 2 <= r <= l - 3 and r + s == l - 1 and l >= 4:
+        return [Weight(r + 1, s), Weight(r - 1, s + 1)]
+    if r == l - 2 and s == 1 and l >= 4:
+        return [Weight(l - 1, 1), Weight(l - 3, 2)]
+    if r == l - 1 and s == 0 and l >= 2:
+        return [Weight(l - 2, 1)]
+    if r == l - 1 and 1 <= s <= l - 2 and l >= 3:
+        return [Weight(l - 2, s + 1), Weight(l - 1, s - 1)]
+    if r == l - 2 and 2 <= s <= l - 2 and l >= 4:
+        return [Weight(l - 1, s), Weight(l - 2, s - 1), Weight(l - 3, s + 1)]
+    if l >= 4 and classify_restricted(res, l) is FacetType.UP_ALCOVE:
+        return [Weight(r + 1, s), Weight(r - 1, s + 1), Weight(r, s - 1)]
     raise AssertionError(f"no printed socle row covers {res} for l={l}")

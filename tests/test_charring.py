@@ -349,6 +349,7 @@ MEMOS = {
     (charring, "_chi_l_templates"),
     (charring, "_chi_l_weyl_cache"),
     (decomp, "_decompositions"),
+    (kernels, "_key_lines"),
     (lattice, "_orbits"),
 }
 

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from qgl3 import ext
-from qgl3.charring import peel_dominant, restricted_simple_char, simple_char_p0, weyl_char
+from qgl3.charring import peel_dominant, simple_char_p0, weyl_char
 from qgl3.decomp import factor_family, zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
@@ -307,16 +307,20 @@ def test_socle_rule_against_the_printed_rows():
             assert set(got) == set(oracles.printed_socle_row((r, s), l)), (l, r, s)
 
 
+# The simple characters both parametrizations below peel by, built once.
+_simple_p0 = functools.cache(simple_char_p0)
+
+
 @pytest.mark.parametrize("which", [Weight(1, 0), Weight(0, 1)])
 def test_socle_entries_are_composition_factors(which):
     """Every socle entry is a composition factor of L(which) tensor L(lam),
     found by peeling the tensor character in the basis of simple
     characters."""
     for l in range(2, 12):
-        simple = functools.cache(lambda k, l=l: simple_char_p0(k, l))
+        simple = functools.partial(_simple_p0, l=l)
         for res in itertools.product(range(l), repeat=2):
             lam = Weight(*res)
-            factors = peel_dominant(weyl_char(which) * restricted_simple_char(lam, l), simple)
+            factors = peel_dominant(weyl_char(which) * oracles.restricted_simple(lam, l), simple)
             for w in socle_fundamental_tensor(lam, l, which):
                 assert factors.get(w, 0) > 0, (l, lam, which, w, factors)
 

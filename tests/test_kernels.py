@@ -1,31 +1,35 @@
+import random
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgl3 import kernels
+from qgl3.charring import alt_weyl_sum, divide_by_weyl_denominator
 from qgl3.kernels import convolve, ssyt_weight_counts
+from qgl3.lattice import RHO, Weight
 
 coords = st.tuples(st.integers(-8, 8), st.integers(-8, 8))
 sparse = st.dictionaries(coords, st.integers(-5, 5).filter(bool), max_size=12)
 
 
 def _tableau_counts(p, q):
-    """Oracle for ssyt_weight_counts: one step per semistandard tableau.
+    """Oracle for ssyt_weight_counts: one count per semistandard tableau.
 
     A tableau is determined by the letter counts of each row: row one is
     1^x1 2^x2 3^x3 with x1+x2+x3 = p, row two is 2^y2 3^y3 with y2+y3 = q,
-    subject to the column-strictness bounds x1 >= y2 and x1 + x2 >= q.  The
-    content (m1, m2, m3) projects to the SL3 weight (m1 - m2, m2 - m3).
+    subject to the column-strictness bounds x1 >= y2 and x1 + x2 >= q.  Its
+    content (m1, m2, m3) = (x1, x2 + y2, p + q - m1 - m2) projects to the
+    SL3 weight (m1 - m2, m2 - m3).  For each x1, every tableau puts its m2
+    into one list, and Counter tallies the list.
     """
     out = {}
     for x1 in range(p + 1):
-        for x2 in range(p - x1 + 1):
-            x3 = p - x1 - x2
-            if x1 + x2 < q:
-                continue
-            for y2 in range(min(x1, q) + 1):
-                y3 = q - y2
-                m1, m2, m3 = x1, x2 + y2, x3 + y3
-                key = (m1 - m2, m2 - m3)
-                out[key] = out.get(key, 0) + 1
+        m2s = []
+        for x2 in range(max(q - x1, 0), p - x1 + 1):
+            m2s.extend(range(x2, x2 + min(x1, q) + 1))  # y2 = 0..min(x1, q)
+        for m2, count in Counter(m2s).items():
+            out[x1 - m2, 2 * m2 + x1 - p - q] = count
     return out
 
 
@@ -53,10 +57,42 @@ def test_ssyt_counts_dimension():
             assert total == (a + 1) * (b + 1) * (a + b + 2) // 2
 
 
-def test_gelfand_tsetlin_counts_match_tableaux_grid():
-    for p in range(25):
-        for q in range(p + 1):
-            assert ssyt_weight_counts(p, q) == _tableau_counts(p, q), (p, q)
+def test_gelfand_tsetlin_counts_match_tableaux_grid(monkeypatch):
+    """Every shape p < 40 gives the tableau counts, written by h = x + 2y
+    and then by x, and the alternating quotient A(lam+rho)/A(rho); and the
+    state of the key pool changes no answer: built from an empty pool in
+    ascending, descending and shuffled order, each shape gives the same
+    items in the same order.  Ascending order rebuilds the lines as their
+    rows get longer, descending builds each at its full length first.  The
+    pool ends holding exactly the span of the weights built on each line,
+    so no key outside their hull."""
+    shapes = [(p, q) for p in range(40) for q in range(p + 1)]
+    shuffled = shapes[:]
+    random.Random(32).shuffle(shuffled)
+    built = {}
+    span = {}
+    for order in (shapes, shapes[::-1], shuffled):
+        monkeypatch.setattr(kernels, "_key_lines", {})
+        for p, q in order:
+            got = ssyt_weight_counts(p, q)
+            if (p, q) in built:
+                assert got == built[p, q] and list(got) == list(built[p, q]), (p, q)
+            else:
+                built[p, q] = got
+        if not span:
+            for x, y in set().union(*built.values()):
+                lo, hi = span.get(x + 2 * y, (y, y))
+                span[x + 2 * y] = (min(lo, y), max(hi, y))
+        lines = kernels._key_lines
+        assert {h: (y0 - len(keys) + 1, y0) for h, (y0, keys) in lines.items()} == span
+        for h, (y0, keys) in lines.items():
+            assert keys == [(h - 2 * y, y) for y in range(y0, y0 - len(keys), -1)]
+    for (p, q), got in built.items():
+        counts = _tableau_counts(p, q)
+        assert got == counts, (p, q)
+        order = [(x + 2 * y, x) for x, y in got]
+        assert order == sorted(order), (p, q)
+        assert divide_by_weyl_denominator(alt_weyl_sum(Weight(p - q, q) + RHO)).coeffs == counts
 
 
 @given(st.integers(0, 80).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))))
