@@ -15,10 +15,10 @@ W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
 work there by the Brauer-Klimyk rule, whose keys are plain int pairs; the
 weight-basis chi_l and decompose_into_weyl are kept as their independent
-oracles.  tensor_multiplicity makes one kernels.brauer_klimyk call each;
-chi_l_weyl makes one per template, a table of rows over
-lattice.restricted_orbit shared by the weights with the same dominantized
-classical part, facet and l.  The restricted simple characters are written
+oracles.  tensor_multiplicity, the tests' oracle of ext's Pieri table, makes
+one kernels.brauer_klimyk call each; chi_l_weyl makes one per template, a
+table of rows over lattice.restricted_orbit shared by the weights with the
+same dominantized classical part, facet and l.  The restricted simple characters are written
 once in the Weyl basis, by restricted_simple_weyl; their weight-basis
 characters, their numerators and the heads of the templates are all read
 off it.
@@ -130,7 +130,8 @@ def weyl_char(lam: Weight) -> FormalChar:
 
 # Weight multiplicities of the induced characters that the Brauer-Klimyk
 # rule expands, keyed by dominant weight: the only ones read again and again,
-# and small (chi_l_weyl's classical parts, a tensor product's smaller factor).
+# and small (chi_l_weyl's classical parts, the engine's only reads, and the
+# smaller factor of a tensor_multiplicity).
 _bk_weights: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
 
 
@@ -512,7 +513,8 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
 def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
     """Multiplicity of the induced character of `target` in weyl(x)*weyl(y),
     the coefficient of `target` in the Brauer-Klimyk sum over the weights
-    kappa of the smaller factor of m(kappa) * euler(x + kappa)."""
+    kappa of the smaller factor of m(kappa) * euler(x + kappa).  The engine
+    does not call it; it is kept because the benchmark's tracer names it."""
     if min(x[0], x[1], y[0], y[1]) < 0:
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):

@@ -294,6 +294,14 @@ def test_induced_character_routes_are_independent(monkeypatch):
         weyl_char_alternating(weights[0])
 
 
+def _holds_no_dict(obj) -> bool:
+    """True for a leaf or a flat tuple of ints, such as a weight key, which
+    _held_dicts passes over without a recursive call."""
+    if isinstance(obj, (int, str, float, type(None))):
+        return True
+    return isinstance(obj, tuple) and all(type(x) is int for x in obj)
+
+
 def _held_dicts(obj, seen):
     """Every dict reachable from obj through containers and the attributes
     of qgl3 objects, FormalChar.coeffs included."""
@@ -311,7 +319,8 @@ def _held_dicts(obj, seen):
     else:
         return
     for item in items:
-        yield from _held_dicts(item, seen)
+        if not _holds_no_dict(item):
+            yield from _held_dicts(item, seen)
 
 
 def test_no_memo_holds_an_induced_character(monkeypatch):

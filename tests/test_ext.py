@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from qgl3 import ext
-from qgl3.charring import peel_dominant, simple_char_p0, weyl_char
+from qgl3.charring import peel_dominant, simple_char_p0, tensor_multiplicity, weyl_char
 from qgl3.decomp import factor_family, zhat_factors
 from qgl3.ext import (
     EXT_ZERO,
@@ -19,6 +19,7 @@ from qgl3.ext import (
     socle_fundamental_tensor,
 )
 from qgl3.lattice import FacetType, Weight, classify_restricted, dual_weight
+from qgl3.structure import nabla_l_filtration
 from qgl3.verify import SUITES, run_suite, suite_ext_lemmas
 
 import oracles
@@ -146,6 +147,55 @@ def test_ext_value_realization():
     # k + nabla(0,1) + nabla(1,0) is realized by a module of dimension 1 + 3 + 3
     v = ExtValue(("k", Weight(0, 1), Weight(1, 0)))
     assert v.dimension == 7
+
+
+def test_part_weights_are_pieri_rule():
+    """ext's table of the three parts against the character ring: each row
+    is the support of the part's induced character, all multiplicities one,
+    in dominance order; membership of mc - lc is the tensor multiplicity of
+    nabla(mc) in nabla(P) (x) nabla(lc) (Brauer-Klimyk, the independent
+    route); the weight sets and the dual highest weights are pairwise
+    disjoint, and no row of the restricted-kernel table lists a part twice.
+    So every pairing of a table value against the parts is 0 or 1."""
+    parts = (TRIV, NABLA10, NABLA01)
+    assert set(ext._WEIGHTS) == set(ext._DUAL_TOP) == set(parts)
+    for p in parts:
+        ch = weyl_char(Weight(0, 0) if p == TRIV else p)
+        ws = ext._WEIGHTS[p]
+        assert sorted(ws) == sorted(ch.coeffs) and set(ch.coeffs.values()) == {1}
+        for (a, b), (c, d) in itertools.pairwise(ws):
+            # the step is a nonnegative sum of the simple roots (2,-1), (-1,2)
+            x, y = a - c, b - d
+            assert (2 * x + y) % 3 == 0 and 2 * x + y >= 0 and x + 2 * y >= 0, (p, ws)
+        assert ext._DUAL_TOP[p] == dual_weight(Weight(*ws[0]))
+    box = list(itertools.product(range(9), repeat=2))
+    for p in (NABLA10, NABLA01):
+        for mc, lc in itertools.product(box, repeat=2):
+            want = tensor_multiplicity(mc, p, lc)
+            assert ((mc[0] - lc[0], mc[1] - lc[1]) in ext._WEIGHTS[p]) == want, (mc, p, lc)
+    weights = [w for p in parts for w in ext._WEIGHTS[p]]
+    assert len(set(weights)) == len(weights) == 7
+    assert len(set(ext._DUAL_TOP.values())) == 3
+    for row in ext._G1_COLUMNS.values():
+        listed = [part for _, part in row]
+        assert len(set(listed)) == len(listed), row
+
+
+def test_every_nabla_l_edge_carries_ext1_g():
+    """Each edge (u, v) of a good twisted-tensor filtration graph has
+    Ext^1_G(u, v) one-dimensional (Alperin, JPAA 16, 1980)."""
+    graphs = edges = 0
+    for l in (2, 3, 4, 5, 7):
+        for c, r in itertools.product(
+            itertools.product(range(4), repeat=2), itertools.product(range(l), repeat=2)
+        ):
+            g = nabla_l_filtration(Weight(l * c[0] + r[0], l * c[1] + r[1]), l)
+            weight = {n.id: n.weight for n in g.nodes}
+            for u, v in g.edges:
+                assert ext1_g(weight[u], weight[v], l) == 1, (g.lam, l, u, v)
+            graphs += 1
+            edges += len(g.edges)
+    assert (graphs, edges) == (1648, 9665)
 
 
 def test_g_examples_and_errors():

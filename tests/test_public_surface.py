@@ -34,8 +34,9 @@ BENCH = ROOT / "perfbench"
 TESTS = ROOT / "tests"
 
 # Names kept with no caller outside the tests.  The weight-basis oracle
-# routes live in tests/oracles.py.  Two oracles stay in src/ only because
-# the benchmark's tracer names them, charring.decompose_into_weyl and
+# routes live in tests/oracles.py.  Three oracles stay in src/ only because
+# the benchmark's tracer names them, charring.decompose_into_weyl,
+# charring.tensor_multiplicity (the oracle of ext's Pieri table) and
 # decomp.DecompResult.character (tests/test_perfbench_tracing.py checks
 # that every traced name resolves); they move when the tracer stops naming
 # them.

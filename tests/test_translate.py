@@ -330,14 +330,14 @@ def _in_lower_closure(nu, windows, l):
     return in_closure(nu, windows, l) and not in_upper_closure(nu, windows, l)
 
 
-def _admissible_target(nu, x, l):
-    """Does (source nu on a wall, target x) form a supported configuration:
-    x inside an alcove with nu in its lower closure, or (walls only) x on a
-    wall of an alcove having nu in its lower closure."""
-    x_walls = facet_stabilizer_walls(x, l)
-    nu_wall = _single_wall(nu, l)
+def _admissible_target(nu, nu_wall, x, l):
+    """Does (source nu on the wall nu_wall, target x) form a supported
+    configuration: x inside an alcove with nu in its lower closure, or
+    (walls only) x on a wall of an alcove having nu in its lower closure.
+    nu_wall is _single_wall(nu, l), None when nu is not on exactly one wall."""
     if nu_wall is None:
         return False
+    x_walls = facet_stabilizer_walls(x, l)
     if not x_walls:
         return _in_lower_closure(nu, facet_windows(x, l), l)
     if len(x_walls) > 1:
@@ -351,7 +351,8 @@ def _admissible_target(nu, x, l):
 
 def _local_target_by_search(nu, lam_rep, l):
     _, candidates = _orbit_near(nu, lam_rep, l)
-    good = sorted(x for x in candidates if _admissible_target(nu, x, l))
+    nu_wall = _single_wall(nu, l)
+    good = sorted(x for x in candidates if _admissible_target(nu, nu_wall, x, l))
     if len(good) != 1:
         raise ValueError(f"no unique admissible target for {nu}: {good}")
     return good[0]
