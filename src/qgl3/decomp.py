@@ -2,20 +2,23 @@
 
 chi_decomposition writes the induced character of a dominant weight as a
 signed sum of chi_l terms, one family of factor weights per facet type;
-its positions, which _surviving_positions computes by bookkeeping, pick the
-genuine modules among them.
+its positions, which net_terms gives by bookkeeping, pick the genuine
+modules among them.
 zhat_factors gives the composition factors of the modules induced from the
 Borel to the first-kernel thickening, zhat_char their l^3-dimensional
 character, summed afresh on each call, and zhat_numerator is zhat_char
 times the Weyl denominator A(rho).  Each identity has one check: the
-decomposition suite (sum of chi_l terms), validate_graph (sum of surviving
-terms) and the zhat suite (sum of simples, multiplied by A(rho): a sum of
-numerators, at most 12 terms per factor).
+decomposition suite (sum of chi_l terms) and the zhat suite (sum of
+simples, multiplied by A(rho): a sum of numerators, at most 12 terms per
+factor).  The surviving terms need no second sum: the chi_l(l*d + r) with
+d dominant are linearly independent, so the survivors sum to the induced
+character exactly when they are, with multiplicity, the nonzero net_terms
+of the family, which validate_graph's survivors-net check compares.
 
 Both lists are read off one factor family per (lam, l), and family_pairs
 is its one builder: FAMILY_ROWS writes each facet's family as rows over
-lattice.restricted_orbit, so every family is affine in l*c by
-construction, the one assumption under which the zhat identity at c = 0
+lattice.restricted_orbit(r, l), so the family of l*c + r is l*c plus the
+family of r, the one assumption under which the zhat identity at c = 0
 gives the decomposition identity for every classical part
 (tests/test_family_tables.py proves it formally).  family_pairs returns the
 factors as int pairs; a Weight is built only where a list leaves the
@@ -100,7 +103,7 @@ class DecompResult:
     factors: tuple[Weight, ...]
     # factor_family(lam, l)
     _family: tuple[FacetType, tuple[Weight, ...]] = field(repr=False, compare=False)
-    # the surviving positions, as _surviving_positions computes them
+    # the surviving positions: the factors with a positive net_terms count
     positions: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
@@ -132,31 +135,26 @@ class DecompResult:
         )
 
 
-def _surviving_positions(factors: tuple[Weight, ...], l: int) -> tuple[int, ...]:
-    """Positions (1-based, in factors) of the genuine twisted-tensor
-    modules of the filtration.
-
-    A factor survives when its classical part is dominant and its chi_l is
-    not cancelled by an opposite-sign factor with the same normalized
-    classical part and restricted part (such pairs occur exactly when the
-    classical part of lam touches the dominant boundary).  The sum of their
-    chi_l terms is checked by structure.validate_graph.
-    """
-    net: dict[tuple[tuple[int, int], tuple[int, int]], int] = {}
-    rows = []
-    for a, b in factors:
-        ca, ra = divmod(a, l)
-        cb, rb = divmod(b, l)
-        # a dominant classical part is regular and its own representative
-        dominant = ca >= 0 and cb >= 0
-        sign, rep = (1, (ca, cb)) if dominant else dominantize((ca, cb))
-        key = (rep, (ra, rb))
-        rows.append((dominant, key))
-        if sign:
-            net[key] = net.get(key, 0) + sign
-    return tuple(
-        i for i, (dominant, key) in enumerate(rows, start=1) if dominant and net[key] > 0
-    )
+def net_terms(factors: tuple[tuple[int, int], ...], l: int) -> dict[tuple[int, int], int]:
+    """The chi_l terms of a factor list collected as {k: n}, n != 0, with
+    the sum of chi_l(f) over the factors = the sum of n * chi_l(k); the one
+    place where the survivor rule is written.  A factor with a, b >= 0 is
+    its own key.  Any other l*c + r is dropped when c is singular (c + rho
+    pairs to zero with a root), as nearly all are, before dominantize
+    builds a Weight; else it goes to l*c' + r with the sign s of
+    dominantize(c) = (s, c').  Every key is dominant."""
+    net: dict[tuple[int, int], int] = {}
+    for f in factors:
+        sign, key = 1, f
+        if f[0] < 0 or f[1] < 0:
+            ca, ra = divmod(f[0], l)
+            cb, rb = divmod(f[1], l)
+            if ca == -1 or cb == -1 or ca + cb == -2:
+                continue
+            sign, (da, db) = dominantize((ca, cb))
+            key = (l * da + ra, l * db + rb)
+        net[key] = net.get(key, 0) + sign
+    return {k: n for k, n in net.items() if n}
 
 
 def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
@@ -228,9 +226,9 @@ def chi_decomposition(lam: Weight, l: int) -> DecompResult:
     facet, pairs = family_pairs(lam, l)
     family = _as_weights(pairs)
     factors = family[::-1] if facet in _WALLS else family
-    result = _decompositions[key] = DecompResult(
-        lam, l, facet, factors, (facet, family), _surviving_positions(factors, l)
-    )
+    net = net_terms(factors, l)
+    positions = tuple(i for i, f in enumerate(factors, start=1) if net.get(f, 0) > 0)
+    result = _decompositions[key] = DecompResult(lam, l, facet, factors, (facet, family), positions)
     return result
 
 

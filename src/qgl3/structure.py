@@ -13,9 +13,9 @@ one layer further) and are flagged as reconstructions.  Each graph is
 built by one call from one (edges, layers) table and the positions it
 keeps: all of the table's for a Borel-induced module, the surviving
 positions for a filtration, whose wall tables are renumbered into
-filtration order once, at import.  validate_graph formats a check's failure
-text only when the check fails, and checks duality on the dual weight's
-factor family and edge table, as int pairs, without building the dual graph.
+filtration order once, at import.  validate_graph reads no character, and
+checks duality on the dual weight's factor family and edge table, as int
+pairs, without building the dual graph.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from qgl3 import decomp
-from qgl3.charring import chi_l_weyl, coeff_diff, weyl_sum
-from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family
+from qgl3.charring import coeff_diff
+from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family, net_terms
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_pair
 from qgl3.lattice import FacetType, Weight
@@ -243,14 +243,15 @@ class ValidationReport:
 
 
 def validate_graph(g: ModuleGraph) -> ValidationReport:
-    """Cross-check a structure graph against its factor list, characters,
-    head/socle data, the extension tables, and duality.
+    """Cross-check a structure graph against its factor list, head/socle
+    data, the extension tables, and duality.
 
     For Borel-induced modules the nodes must be the zhat_factors; that
     their characters sum to zhat_char is checked by the zhat suite, in the
     numerator form (both sides times A(rho)); the weight-basis sum stays in
     the tests as its oracle.  The duality check reads the dual family and
-    table without building a graph; failure text is formatted only on failure.
+    table without building a graph.  A filtration's nodes must be the
+    decomp.net_terms of its factors (survivors-net, see decomp).
     """
     report = ValidationReport()
     weights = sorted(g.node_weights())
@@ -282,13 +283,14 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
         diff = _duality_diff(g)
         report.add("duality-reversal", not diff, lambda: f"dual graph must reverse edges: {diff}")
     else:
-        diff = coeff_diff(weyl_sum(chi_l_weyl(n.weight, g.l) for n in g.nodes), {g.lam: 1})
+        dec = chi_decomposition(g.lam, g.l)
+        diff = coeff_diff(Counter(weights), net_terms(dec.factors, g.l))
         report.add(
-            "character-sum",
+            "survivors-net",
             diff == "ok",
-            lambda: f"node characters must sum to the induced character: {diff}",
+            lambda: f"nodes must be the net chi_l terms of the factors: {diff}",
         )
-        expected = sorted(chi_decomposition(g.lam, g.l).surviving_factors())
+        expected = sorted(dec.surviving_factors())
         report.add(
             "nodes-match-decomposition",
             weights == expected,

@@ -215,7 +215,7 @@ def suite_graphs(l: int, parts: list[Weight]) -> Iterator[Case]:
     # module's namespace (a tracer's) sees every build
     cases = (
         ("zhat", zhat_structure, "all structure-graph checks"),
-        ("lfilt", nabla_l_filtration, "filtration nodes and character"),
+        ("lfilt", nabla_l_filtration, "filtration nodes and survivors"),
     )
     for _, lam, name in _weights(l, parts):
         lam = Weight(*lam)  # the graphs carry it

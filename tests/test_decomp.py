@@ -16,6 +16,7 @@ from qgl3.charring import (
     restricted_simple_weyl,
     weyl_char,
     weyl_dimension,
+    weyl_sum,
 )
 from qgl3.decomp import chi_decomposition, factor_family, zhat_char, zhat_factors, zhat_numerator
 from qgl3.homs import hat_dual_pair
@@ -203,6 +204,22 @@ def test_nonzero_flags_against_chi_l_weyl():
             assert flags == [bool(chi_l_weyl(f, l)) for f in dec.factors], (l, a, b)
             zeros += flags.count(False)
     assert zeros
+
+
+def test_net_terms_against_chi_l_weyl():
+    """net_terms collects the chi_l terms of a factor list: its keys are
+    dominant, its counts nonzero, and the counted keys sum, in the Weyl
+    basis, to the factors' chi_l, on the family of every weight of
+    [-2l, 2l)^2; off the dominant chamber the classical parts are singular
+    and regular of either sign."""
+    for l in (2, 3, 5):
+        for lam in itertools.product(range(-2 * l, 2 * l), repeat=2):
+            factors = decomp.family_pairs(lam, l)[1]
+            net = decomp.net_terms(factors, l)
+            assert all(n and k[0] >= 0 and k[1] >= 0 for k, n in net.items()), (l, lam)
+            want = weyl_sum(chi_l_weyl(f, l) for f in factors)
+            got = weyl_sum({w: n * c for w, c in chi_l_weyl(k, l).items()} for k, n in net.items())
+            assert got == want, (l, lam)
 
 
 def test_boundary_cancellation():

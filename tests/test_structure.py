@@ -1,13 +1,15 @@
 import itertools
 import json
+import random
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from qgl3 import charring, decomp, ext, kernels, structure, verify
-from qgl3.charring import weyl_char
+from qgl3 import charring, cli, decomp, ext, kernels, structure, verify
+from qgl3.charring import chi_l_weyl, weyl_char, weyl_sum
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import hat_dual_pair, zhat_head_weight
 from qgl3.lattice import FacetType, Weight, classify_restricted, decompose
@@ -146,27 +148,30 @@ def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
     """From empty memos, the graphs sweep builds two factor families per
     weight: the weight's, once, into the memo that the Borel-induced graph
     and the filtration graph share, and the dual weight's, read as int pairs
-    by the duality check.  It runs the surviving-position bookkeeping at
-    most once per weight and reads one Ext table per Borel-induced graph."""
-    builds, positions, tables = Counter(), Counter(), Counter()
+    by the duality check.  It collects the net chi_l terms of a weight's
+    factor list at most twice, once for the surviving positions and once
+    for the survivors-net check, and reads one Ext table per Borel-induced
+    graph."""
+    builds, nets, tables = Counter(), Counter(), Counter()
     family = decomp.family_pairs
-    surviving = decomp._surviving_positions
+    net_terms = decomp.net_terms
     ext_table = ext.ext_table
 
     def counted_family(lam, l):
         builds[lam, l] += 1
         return family(lam, l)
 
-    def counted_positions(factors, l):
-        positions[factors, l] += 1
-        return surviving(factors, l)
+    def counted_net(factors, l):
+        nets[factors, l] += 1
+        return net_terms(factors, l)
 
     def counted_table(mu, l):
         tables[mu, l] += 1
         return ext_table(mu, l)
 
     monkeypatch.setattr(decomp, "family_pairs", counted_family)
-    monkeypatch.setattr(decomp, "_surviving_positions", counted_positions)
+    monkeypatch.setattr(decomp, "net_terms", counted_net)
+    monkeypatch.setattr(structure, "net_terms", counted_net)
     monkeypatch.setattr(ext, "ext_table", counted_table)
     monkeypatch.setattr(structure, "ext_table", counted_table)
     report = run_suite("graphs", [3, 5], 2)
@@ -177,8 +182,7 @@ def test_graph_sweep_builds_each_factor_list_once(monkeypatch, fresh_memo):
     # one more: no family is built twice for the same reader
     assert len(decomp._decompositions) == graphs
     assert sum(builds.values()) == 2 * graphs
-    assert set(positions.values()) == {1}
-    assert sum(positions.values()) <= graphs
+    assert len(nets) == graphs and set(nets.values()) == {2}
     assert sum(tables.values()) == graphs
 
 
@@ -220,7 +224,7 @@ ZHAT_CHECKS = [
     "edges-ext-consistent",
     "duality-reversal",
 ]
-LFILT_CHECKS = ["character-sum", "nodes-match-decomposition"]
+LFILT_CHECKS = ["survivors-net", "nodes-match-decomposition"]
 
 
 def test_passing_reports_list_every_check_in_order():
@@ -273,9 +277,9 @@ def test_forced_failure_texts():
     moved = replace(f, nodes=(first._replace(weight=Weight(4, 9)),) + f.nodes[1:])
     assert validate_graph(moved).failures() == [
         (
-            "character-sum",
-            "node characters must sum to the induced character: (0,0): want 0 got -2;"
-            " (0,3): want 0 got -2; (0,6): want 0 got -2; (0,9): want 0 got -1",
+            "survivors-net",
+            "nodes must be the net chi_l terms of the factors: (3,9): want 1 got 0;"
+            " (4,9): want 0 got 1",
         ),
         (
             "nodes-match-decomposition",
@@ -285,18 +289,14 @@ def test_forced_failure_texts():
     ]
 
 
-def test_filtration_character_sum_names_coefficients():
+def test_filtration_survivors_net_names_weights():
     lam = Weight(7, 7)
     g = nabla_l_filtration(lam, 3)
     top = next(n for n in g.nodes if n.weight == lam)
     dropped = ModuleGraph(g.lam, g.l, g.kind, tuple(n for n in g.nodes if n is not top), ())
-    detail = dict(validate_graph(dropped).failures())["character-sum"]
-    # the first differing Weyl coefficients, as want/got
-    assert re.fullmatch(
-        r"node characters must sum to the induced character: "
-        r"\(-?\d+,-?\d+\): want -?\d+ got -?\d+(; \(-?\d+,-?\d+\): want -?\d+ got -?\d+){0,3}",
-        detail,
-    ), detail
+    detail = dict(validate_graph(dropped).failures())["survivors-net"]
+    # the differing weights, as want/got counts
+    assert detail == "nodes must be the net chi_l terms of the factors: (7,7): want 1 got 0"
 
 
 def test_graph_sweeps_call_no_convolution(monkeypatch):
@@ -327,13 +327,84 @@ def test_graph_sweeps_call_no_convolution(monkeypatch):
         assert not calls
 
 
+def test_graph_checks_read_no_chi_l(monkeypatch, capsys):
+    """The graphs suite and qgl3 lfilt read no chi_l, no template and no
+    Brauer-Klimyk sum: with chi_l_weyl raising in every module that binds
+    it, and the kernel raising too, they pass from empty chi_l memos and
+    leave them empty."""
+
+    def unread(*args):
+        raise AssertionError(f"chi_l read: {args}")
+
+    chi_l_weyl = charring.chi_l_weyl
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qgl3" and getattr(module, "chi_l_weyl", None) is chi_l_weyl:
+            monkeypatch.setattr(module, "chi_l_weyl", unread)
+    monkeypatch.setattr(kernels, "brauer_klimyk", unread)
+    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
+    monkeypatch.setattr(charring, "_chi_l_templates", {})
+    assert run_suite("graphs", [3, 5], 2).passed
+    for l, lam in ((2, "3,2"), (3, "7,7"), (5, "12,9"), (7, "20,3")):
+        assert cli.main(["lfilt", lam, "--l", str(l)]) == 0
+        assert capsys.readouterr().out.endswith("  checks: ok\n"), (lam, l)
+    assert not charring._chi_l_weyl_cache and not charring._chi_l_templates
+
+
+@pytest.mark.parametrize("l, box", [(2, 4), (3, 4), (4, 4), (5, 4), (7, 3)])
+def test_filtration_nodes_sum_to_the_induced_character(l, box):
+    """The oracle of survivors-net: the chi_l of a filtration's nodes,
+    summed in the Weyl basis, give the induced character, for every weight
+    of the classical box 0..box (the acceptance box and more)."""
+    for a, b, r, s in itertools.product(range(box + 1), range(box + 1), range(l), range(l)):
+        lam = Weight(l * a + r, l * b + s)
+        g = nabla_l_filtration(lam, l)
+        assert weyl_sum(chi_l_weyl(n.weight, l) for n in g.nodes) == {lam: 1}, (lam, l)
+
+
+_SINGULAR = (Weight(-1, 0), Weight(0, -1), Weight(1, -2), Weight(-2, 1))
+
+
+def _corrupted_nodes(g, rng):
+    """(kind, nodes): a seeded node of g dropped, duplicated, and moved by a
+    seeded step of l*(1,0), l*(0,1), l*(-1,1), (1,0) and (0,1), and a node
+    l*c + r added, with a seeded singular c and restricted r."""
+    l, nodes = g.l, g.nodes
+    i = rng.randrange(len(nodes))
+    yield "drop", nodes[:i] + nodes[i + 1:]
+    yield "duplicate", nodes + (nodes[i],)
+    steps = (l * Weight(1, 0), l * Weight(0, 1), l * Weight(-1, 1), Weight(1, 0), Weight(0, 1))
+    moved = nodes[i]._replace(weight=nodes[i].weight + rng.choice(steps))
+    yield "move", nodes[:i] + (moved,) + nodes[i + 1:]
+    added = l * rng.choice(_SINGULAR) + Weight(rng.randrange(l), rng.randrange(l))
+    yield "singular", nodes + (GraphNode("mu0", added, structure.NABLA_L, 0),)
+
+
+def test_survivors_net_is_stricter_than_the_character_sum():
+    """Every corruption of a filtration's nodes that changes their chi_l sum
+    fails survivors-net; the ones that keep the sum and still fail it all
+    add a node with a singular classical part, whose chi_l is zero."""
+    rng = random.Random(34)
+    only_net = set()
+    for l in (2, 3, 5):
+        for a, b, r, s in itertools.product(range(3), range(3), range(l), range(l)):
+            g = nabla_l_filtration(Weight(l * a + r, l * b + s), l)
+            for kind, nodes in _corrupted_nodes(g, rng):
+                bad = replace(g, nodes=nodes)
+                checks = {name: passed for name, passed, _ in validate_graph(bad).checks}
+                summed = weyl_sum(chi_l_weyl(n.weight, l) for n in nodes) == {g.lam: 1}
+                assert summed or not checks["survivors-net"], (kind, bad)
+                if summed and not checks["survivors-net"]:
+                    only_net.add(kind)
+    assert set(only_net) == {"singular"}, only_net
+
+
 def test_corrupted_family_fails_graph_cases(corrupt_down_alcove):
     report = run_suite("graphs", [3], 2)
     assert report.cases_run == 2 * 9 * 9
     missing = [f for f in report.failures if "has no layer" in f[2]]
     assert missing
     case, identity, observed = missing[0]
-    assert case.endswith(" lfilt") and identity == "filtration nodes and character"
+    assert case.endswith(" lfilt") and identity == "filtration nodes and survivors"
     assert case.split()[1] == f"lam={observed.split()[3]}"
 
 
