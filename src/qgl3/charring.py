@@ -510,6 +510,18 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     return hit
 
 
+def chi_l_dimension(mu: Weight, l: int) -> int:
+    """The dimension of chi_l(mu, l), sum of c * weyl_dimension(k) over
+    chi_l_weyl(mu, l), in closed form: sign * dim nabla(c') * dim L(r) for
+    mu = l*c + r and dominantize(c) = (sign, c'); zero when c is singular."""
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    (ca, ra), (cb, rb) = divmod(mu[0], l), divmod(mu[1], l)
+    sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
+    simple = sum(c * weyl_dimension(k) for k, c in restricted_simple_weyl((ra, rb), l).items())
+    return sign * weyl_dimension(top) * simple
+
+
 def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
     """Multiplicity of the induced character of `target` in weyl(x)*weyl(y),
     the coefficient of `target` in the Brauer-Klimyk sum over the weights

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from qgl3.charring import chi_l_weyl, weyl_char, weyl_dimension
+from qgl3.charring import chi_l_dimension, weyl_char
 from qgl3.decomp import chi_decomposition, zhat_char, zhat_factors
 from qgl3.ext import ext1_g, ext1_g1, ext1_g1b
 from qgl3.homs import hom_exists_mirror
@@ -98,9 +98,8 @@ def cmd_decomp(args) -> int:
     else:
         print(f"{lam} (l={args.l}): case {dec.case_id} [{dec.facet.value}]")
         for f, alive in zip(dec.factors, dec.nonzero_flags()):
-            dim = sum(c * weyl_dimension(k) for k, c in chi_l_weyl(f, args.l).items())
             note = "" if alive else "  (vanishes)"
-            print(f"  {f}  chi_l dim {dim}{note}")
+            print(f"  {f}  chi_l dim {chi_l_dimension(f, args.l)}{note}")
     return 0
 
 

@@ -13,7 +13,7 @@ simples, multiplied by A(rho): a sum of numerators, at most 12 terms per
 factor).  The surviving terms need no second sum: the chi_l(l*d + r) with
 d dominant are linearly independent, so the survivors sum to the induced
 character exactly when they are, with multiplicity, the nonzero net_terms
-of the family, which validate_graph's survivors-net check compares.
+of the family (validate_graph's survivors-net, and the translate suite).
 
 Both lists are read off one factor family per (lam, l), and family_pairs
 is its one builder: FAMILY_ROWS writes each facet's family as rows over
@@ -46,12 +46,12 @@ from qgl3.charring import (
     FormalChar,
     char_sum,
     chi_l,
+    chi_l_dimension,
 )
 from qgl3.lattice import (
     FacetType,
     POSITIVE_ROOTS,
     Weight,
-    decompose,
     dominantize,
     restricted_orbit,
 )
@@ -115,9 +115,8 @@ class DecompResult:
         return char_sum(chi_l(f, self.l) for f in self.factors)
 
     def nonzero_flags(self) -> list[bool]:
-        """Per factor: is its chi_l term nonzero.  chi_l(mu) vanishes exactly
-        when the classical part of mu is singular, which dominantize decides."""
-        return [bool(dominantize(decompose(f, self.l).classical)[0]) for f in self.factors]
+        """Per factor: is its chi_l term nonzero, of nonzero dimension."""
+        return [chi_l_dimension(f, self.l) != 0 for f in self.factors]
 
     def surviving_factors(self) -> list[Weight]:
         """Factors that are genuine twisted-tensor modules of the filtration."""

@@ -19,22 +19,17 @@ identity require.
 
 off_wall_pairs is the one reader of the tables: it returns the entries as
 (classical part, restricted part) int pairs, and each factor is split by
-divmod.  A WallTranslate keeps those rows, and its character, factor count
-and generic flag, which the translate suite checks, are read off them; a
-Weight is built only where a value leaves: the wall weight, the mirror and
-the source factors of a WallTranslate.
+divmod.  A WallTranslate keeps those rows, and its modules (the one place
+the zero-module rule is written), factor count and generic flag are read
+off them; a Weight is built only where a value leaves: the wall weight,
+the mirror and the source factors of a WallTranslate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qgl3.charring import (
-    FormalChar,
-    char_from_weyl,
-    chi_l_weyl,
-    weyl_sum,
-)
+from qgl3.charring import FormalChar, char_from_weyl, chi_l_weyl, weyl_sum
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
     POSITIVE_ROOTS,
@@ -181,36 +176,26 @@ class WallTranslate:
     weight below lam: one row per genuine filtration factor nu of the wall
     weight, the wall weight itself, and the mirror image of lam in the wall.
     A row is (nu, the restricted part of nu's target, the translated entries
-    of off_wall_pairs); the character and the factor count are read off the
-    entries as int pairs.
+    of off_wall_pairs); the fields below are read off the entries as int pairs.
+
+    factor_count: the number of entries, 18 when l >= 3 and 8 when l = 2
+    for a generic translate.
+
+    modules: the entries that are modules, as int pairs l*c + r; an entry
+    with non-dominant classical part c is the zero module.  The sum of
+    their chi_l is the character of the translate, weyl(lam) + weyl(mirror).
 
     generic: every factor of the wall weight survives, so every classical
-    part is dominant (hence regular), and no translated entry vanishes; the
+    part is dominant (hence regular), and every entry is a module; the
     factor counts are asserted for generic translates only."""
 
     l: int
     rows: tuple[tuple[Weight, tuple[int, int], tuple[Entry, ...]], ...]
     wall: Weight
     mirror: Weight
+    factor_count: int
+    modules: tuple[tuple[int, int], ...]
     generic: bool
-
-    def weyl_character(self) -> dict[Weight, int]:
-        """Character of the full translate in the basis of induced
-        characters; the identity says it is {lam: 1, mirror: 1}.  An entry
-        with non-dominant classical part is the zero module."""
-        l = self.l
-        return weyl_sum(
-            chi_l_weyl((l * ca + ra, l * cb + rb), l)
-            for _, _, entries in self.rows
-            for (ca, cb), (ra, rb) in entries
-            if ca >= 0 and cb >= 0
-        )
-
-    @property
-    def factor_count(self) -> int:
-        """Number of translated factors: 18 when l >= 3, 8 when l = 2, for a
-        generic translate."""
-        return sum(len(entries) for _, _, entries in self.rows)
 
 
 def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
@@ -226,16 +211,18 @@ def translate_factor_lists(lam: Weight, l: int) -> WallTranslate:
     lam_rep, _ = fundamental_rep(lam, l)
     dec = chi_decomposition(mu, l)
     rows = []
-    generic = len(dec.positions) == len(dec.factors)
     for nu in dec.surviving_factors():
         x = local_target(nu, lam_rep, l)
         ca, ra = divmod(nu[0], l)
         cb, rb = divmod(nu[1], l)
         target = (x[0] % l, x[1] % l)
-        entries = off_wall_pairs((ca, cb), (ra, rb), target, l)
-        generic = generic and all(c[0] >= 0 and c[1] >= 0 for c, _ in entries)
-        rows.append((nu, target, entries))
-    return WallTranslate(l, tuple(rows), mu, affine_reflect(lam, root, value, 1), generic)
+        rows.append((nu, target, off_wall_pairs((ca, cb), (ra, rb), target, l)))
+    count = sum(len(entries) for _, _, entries in rows)
+    modules = tuple((l * ca + ra, l * cb + rb) for _, _, entries in rows
+                    for (ca, cb), (ra, rb) in entries if ca >= 0 and cb >= 0)
+    generic = len(dec.positions) == len(dec.factors) and len(modules) == count
+    mirror = affine_reflect(lam, root, value, 1)
+    return WallTranslate(l, tuple(rows), mu, mirror, count, modules, generic)
 
 
 def translate_nabla_factor_count(lam: Weight, l: int) -> int:
@@ -258,7 +245,7 @@ def translate_nabla_factor_count(lam: Weight, l: int) -> int:
 
 
 def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:
-    """Character of the full translate and the mirror weight whose induced
-    character it contains alongside lam's."""
+    """Character of the full translate, chi_l_weyl summed over its modules,
+    and the mirror weight whose induced character it contains with lam's."""
     t = translate_factor_lists(lam, l)
-    return char_from_weyl(t.weyl_character()), t.mirror
+    return char_from_weyl(weyl_sum(chi_l_weyl(w, l) for w in t.modules)), t.mirror

@@ -7,9 +7,9 @@ run_suite builds a suite's parts once from the box (_DOMAINS): a serial
 sweep hands the suite all of them, --jobs one slice per task.  No suite
 builds a per-l table of characters: the zhat suite reads the numerator of
 a restricted simple when a factor first uses it, so a chunk builds only
-what its slice needs.  A suite visits each weight as an int pair and
-names its case from the ints, as str(Weight) prints them.  All checks are
-exact integer identities.
+what its slice needs, and only the decomposition suite reads chi_l_weyl.
+A suite visits each weight as an int pair and names its case from the
+ints, as str(Weight) prints them.  All checks are exact integer identities.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ from typing import Iterator
 from qgl3 import decomp
 from qgl3.charring import (
     alt_weyl_sum,
+    chi_l_dimension,
     chi_l_weyl,
     coeff_diff,
     divide_by_weyl_denominator,
     restricted_simple_numerator,
-    restricted_simple_weyl,
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
@@ -110,7 +110,7 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     multiplied by A(rho), which is injective on ZX.  A factor nu = l*c + r
     then contributes e(l*c) times the numerator of L(r), at most 12 terms,
     and the right side is zhat_numerator(lam).  The numerator and the
-    dimension of L(r) are read off its Weyl form the first time a factor
+    dimension of L(r), chi_l_dimension(r), are read the first time a factor
     uses r; once per l, zhat_numerator(0) divided by A(rho) must be
     zhat_char(0), and an inexact division fails with its message.  A case
     fails with every part that differs: its own sum, the check of zhat_char
@@ -136,8 +136,7 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
             r = (a % l, b % l)
             if r not in numerators:
                 numerators[r] = restricted_simple_numerator(r, l).coeffs
-                weyl = restricted_simple_weyl(r, l)
-                dims[r] = sum(c * weyl_dimension(k) for k, c in weyl.items())
+                dims[r] = chi_l_dimension(r, l)
             ta, tb = a - r[0], b - r[1]
             for (x, y), m in numerators[r].items():
                 k = (x + ta, y + tb)
@@ -158,14 +157,24 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
         )
 
 
+def _chi_l_keys(got, induced, l: int) -> str:
+    """sum of chi_l over the dominant weights got = sum of weyl(mu) over
+    induced, checked on chi_l keys: weyl(mu) is the sum of n * chi_l(k)
+    over net_terms(family_pairs(mu)), by D(r) = 0 (decomp), and the
+    chi_l(l*d + r) with d dominant are linearly independent."""
+    want = weyl_sum(decomp.net_terms(decomp.family_pairs(mu, l)[1], l) for mu in induced)
+    return coeff_diff(decomp.net_terms(tuple(got), l), want)
+
+
 def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The translate into lam's facet of the wall weight below lam, for
     each alcove weight lam (each non-vertex weight at l = 2) that has a
-    dominant wall point below: when the mirror of lam is dominant, its
-    character is weyl(lam) + weyl(mirror), its factor count is 18 (8 at
-    l = 2) if it is generic (WallTranslate.generic), and at l >= 3 the
+    dominant wall point below: when the mirror of lam is dominant, the chi_l
+    of its modules sum to weyl(lam) + weyl(mirror), its factor count is 18
+    (8 at l = 2) if it is generic (WallTranslate.generic), and at l >= 3 the
     onto-wall images of the surviving factors of lam sum to the image of
-    lam when that survives."""
+    lam when that survives.  Both identities are checked on chi_l keys
+    (_chi_l_keys), and a failure names the keys that differ."""
     for cls, lam, name in _weights(l, parts):
         facet = facet_classify(lam, l)
         if l >= 3 and facet not in (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE):
@@ -183,24 +192,18 @@ def suite_translate(l: int, parts: list[Weight]) -> Iterator[Case]:
             continue
         if not t.mirror.is_dominant():
             continue
-        observed = coeff_diff(t.weyl_character(), {lam: 1, t.mirror: 1})
+        observed = _chi_l_keys(t.modules, (lam, t.mirror), l)
         yield (case, identity, observed, observed == "ok")
-        if l >= 3:
-            # translate the surviving factors onto a wall of the
-            # fundamental domain and compare with the image module;
-            # meaningful whenever the image of lam itself survives
+        if l >= 3:  # onto the wall (0, l-2) of the fundamental domain
             rep, _ = fundamental_rep(lam, l)
             wall_rep = (0, l - 2)
             identity = "onto-wall factor characters = image character"
             try:
                 image = translate_onto_wall(lam, rep, wall_rep, l)
                 if image is not None:
-                    images = (
-                        translate_onto_wall(f, rep, wall_rep, l)
-                        for f in chi_decomposition(lam, l).surviving_factors()
-                    )
-                    acc = weyl_sum(chi_l_weyl(x, l) for x in images if x is not None)
-                    observed = coeff_diff(acc, {image: 1})
+                    survivors = chi_decomposition(lam, l).surviving_factors()
+                    images = (translate_onto_wall(f, rep, wall_rep, l) for f in survivors)
+                    observed = _chi_l_keys((x for x in images if x is not None), (image,), l)
                     yield (case, identity, observed, observed == "ok")
             except ValueError as exc:
                 yield (case, identity, str(exc), False)

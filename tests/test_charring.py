@@ -15,6 +15,7 @@ from qgl3.charring import (
     char_from_weyl,
     char_sum,
     chi_l,
+    chi_l_dimension,
     chi_l_weyl,
     decompose_into_weyl,
     divide_by_weyl_denominator,
@@ -321,6 +322,20 @@ def _held_dicts(obj, seen):
     for item in items:
         if not _holds_no_dict(item):
             yield from _held_dicts(item, seen)
+
+
+def test_chi_l_dimension_against_chi_l_weyl():
+    """chi_l_dimension, the closed form sign * dim nabla(c') * dim L(r),
+    equals the sum of c * weyl_dimension(k) over chi_l_weyl on every weight
+    (a, b) in [-3l, 3l)^2 at l = 2..7: classical parts in [-3, 3)^2,
+    singular, regular non-dominant and dominant."""
+    signs = set()
+    for l in range(2, 8):
+        for mu in itertools.product(range(-3 * l, 3 * l), repeat=2):
+            want = sum(c * weyl_dimension(k) for k, c in chi_l_weyl(mu, l).items())
+            assert chi_l_dimension(mu, l) == want, (l, mu)
+            signs.add((want > 0) - (want < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_no_memo_holds_an_induced_character(monkeypatch):

@@ -205,7 +205,7 @@ def _zhat_cases(l, box, count):
 
 
 def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
-    from qgl3 import charring, verify
+    from qgl3 import charring
 
     l, bad = 3, Weight(1, 1)
     weyl = charring.restricted_simple_weyl
@@ -214,10 +214,9 @@ def test_zhat_suite_names_a_wrong_restricted_simple(monkeypatch):
         # L(1,1) without its mirror (0,0): the induced character of (1,1)
         return {(1, 1): 1} if tuple(r) == bad else weyl(r, l)
 
-    # the suite reads the Weyl form for the dimension, and through
-    # restricted_simple_numerator for the numerator
-    for module in (charring, verify):
-        monkeypatch.setattr(module, "restricted_simple_weyl", wrong)
+    # the suite reads the Weyl form through chi_l_dimension for the
+    # dimension, and through restricted_simple_numerator for the numerator
+    monkeypatch.setattr(charring, "restricted_simple_weyl", wrong)
     report = run_suite("zhat", [l], 1)
     users = _zhat_cases(
         l, 1, lambda lam: sum(decompose(nu, l).restricted == bad for nu in zhat_factors(lam, l))

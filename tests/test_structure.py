@@ -327,11 +327,11 @@ def test_graph_sweeps_call_no_convolution(monkeypatch):
         assert not calls
 
 
-def test_graph_checks_read_no_chi_l(monkeypatch, capsys):
-    """The graphs suite and qgl3 lfilt read no chi_l, no template and no
-    Brauer-Klimyk sum: with chi_l_weyl raising in every module that binds
-    it, and the kernel raising too, they pass from empty chi_l memos and
-    leave them empty."""
+def test_graph_and_translate_checks_read_no_chi_l(monkeypatch, capsys):
+    """The graphs and translate suites, qgl3 lfilt and qgl3 decomp read no
+    chi_l, no template and no Brauer-Klimyk sum: with chi_l_weyl raising in
+    every module that binds it, and the kernel raising too, they pass from
+    empty chi_l memos and leave them empty."""
 
     def unread(*args):
         raise AssertionError(f"chi_l read: {args}")
@@ -344,9 +344,13 @@ def test_graph_checks_read_no_chi_l(monkeypatch, capsys):
     monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
     monkeypatch.setattr(charring, "_chi_l_templates", {})
     assert run_suite("graphs", [3, 5], 2).passed
+    assert run_suite("translate", [3, 5], 3).passed
     for l, lam in ((2, "3,2"), (3, "7,7"), (5, "12,9"), (7, "20,3")):
         assert cli.main(["lfilt", lam, "--l", str(l)]) == 0
         assert capsys.readouterr().out.endswith("  checks: ok\n"), (lam, l)
+    for l, lam in ((2, "3,2"), (3, "1,1"), (5, "12,9"), (7, "20,3")):
+        assert cli.main(["decomp", lam, "--l", str(l)]) == 0
+        assert " chi_l dim " in capsys.readouterr().out, (lam, l)
     assert not charring._chi_l_weyl_cache and not charring._chi_l_templates
 
 

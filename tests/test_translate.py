@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 import re
 
 import pytest
@@ -20,6 +22,7 @@ from qgl3.lattice import (
     linked,
     ordinary_orbit,
     pairing,
+    restricted_orbit,
 )
 from qgl3.translate import (
     local_target,
@@ -32,6 +35,8 @@ from qgl3.translate import (
 )
 
 from oracles import chi_l_expansion, off_wall_character
+
+_ALCOVES = (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE)
 
 
 def test_onto_wall_identity_translation():
@@ -180,7 +185,8 @@ def test_translated_character_identity():
         total, mirror = translated_character(lam, l)
         assert total == weyl_char(lam) + weyl_char(mirror)
         t = translate_factor_lists(lam, l)
-        assert (t.weyl_character(), t.mirror) == ({lam: 1, mirror: 1}, mirror)
+        assert t.mirror == mirror
+        assert weyl_sum(chi_l_weyl(w, l) for w in t.modules) == {lam: 1, mirror: 1}
         # the weight-basis route through the factor lists, as an oracle
         weight_basis = None
         for _, _, entries in t.rows:
@@ -188,6 +194,144 @@ def test_translated_character_identity():
                 ch = off_wall_character(entry, l)
                 weight_basis = ch if weight_basis is None else weight_basis + ch
         assert weight_basis == total
+
+
+@functools.cache
+def _swept(l, box):
+    """[(lam, t)] for each weight whose translate the suite checks at l,
+    classical box 0..box, with the suite's skips: the facets it leaves out,
+    the weights with no dominant wall point below and a non-dominant
+    mirror.  Built once per session, from the tables as they are."""
+    swept = []
+    for a, b, r, s in itertools.product(range(box + 1), range(box + 1), range(l), range(l)):
+        lam = Weight(l * a + r, l * b + s)
+        facet = facet_classify(lam, l)
+        if facet is FacetType.VERTEX or l >= 3 and facet not in _ALCOVES:
+            continue
+        if (a, b) == (0, 0) and facet in (FacetType.DOWN_ALCOVE, FacetType.HORIZONTAL_WALL):
+            continue
+        t = translate_factor_lists(lam, l)
+        if t.mirror.is_dominant():
+            swept.append((lam, t))
+    return swept
+
+
+def _onto_wall(lam, l):
+    """The image of lam onto the wall point (0, l-2) of the bottom alcove,
+    and the images of its surviving factors that survive; None where the
+    image of lam dies, which the suite does not check."""
+    rep, _ = fundamental_rep(lam, l)
+    wall = Weight(0, l - 2)
+    image = translate_onto_wall(lam, rep, wall, l)
+    if image is None:
+        return None
+    survivors = chi_decomposition(lam, l).surviving_factors()
+    images = (translate_onto_wall(f, rep, wall, l) for f in survivors)
+    return image, [x for x in images if x is not None]
+
+
+def test_translate_identities_by_chi_l_sums():
+    """The oracle of the translate suite's chi_l bookkeeping, on the
+    suite's own weights at l in {2,3,5,7}, classical box 0..3: the chi_l of
+    the modules of each translate sum, in the Weyl basis, to weyl(lam) +
+    weyl(mirror), and at l >= 3, where the image of lam survives, the
+    chi_l of the onto-wall images of its surviving factors sum to
+    weyl(image)."""
+    counts = {}
+    for l in (2, 3, 5, 7):
+        off = onto = 0
+        for lam, t in _swept(l, 3):
+            assert weyl_sum(chi_l_weyl(w, l) for w in t.modules) == {lam: 1, t.mirror: 1}, (l, lam)
+            off += 1
+            if l >= 3 and (found := _onto_wall(lam, l)) is not None:
+                image, images = found
+                assert weyl_sum(chi_l_weyl(x, l) for x in images) == {image: 1}, (l, lam)
+                onto += 1
+        counts[l] = (off, onto)
+    # the suite's case counts of the two identities at box 3
+    assert counts == {2: (39, 0), 3: (31, 15), 5: (186, 90), 7: (465, 225)}
+
+
+def _fails(got, induced, l):
+    """(the suite's chi_l bookkeeping fails, the chi_l sum in the Weyl
+    basis fails) on the identity sum of chi_l over got = sum of weyl(mu)
+    over induced."""
+    summed = weyl_sum(chi_l_weyl(w, l) for w in got) == {mu: 1 for mu in induced}
+    return verify._chi_l_keys(got, induced, l) != "ok", not summed
+
+
+def _corrupt_row(rows, key, rng):
+    """rows with one seeded row moved: its classical offset shifted by a
+    unit step, its orbit index moved, or the row dropped."""
+    rows = list(rows)
+    i = rng.randrange(len(rows))
+    da, db, k = rows[i]
+    kind = rng.choice(("shift", "orbit", "drop"))
+    if kind == "shift":
+        sa, sb = rng.choice(((1, 0), (-1, 0), (0, 1), (0, -1)))
+        rows[i] = (da + sa, db + sb, k)
+    elif kind == "orbit":
+        n = 6 if key[2] in _ALCOVES else 3
+        rows[i] = (da, db, (k + rng.randrange(1, n)) % n)
+    else:
+        del rows[i]
+    return tuple(rows)
+
+
+def test_chi_l_keys_fail_exactly_where_the_chi_l_sum_fails(monkeypatch):
+    """Seeded corruptions at l in {2,3,5}, box 3: a row of OFF_WALL_ROWS
+    moved or dropped, on a seeded sample of the weights whose translate
+    reads it, and some onto-wall images shifted by l*(1,0) or l*(0,1).
+    The suite's chi_l bookkeeping fails on exactly the cases where the
+    chi_l sum fails.  A shift raises the classical parts, so the shifted
+    images always fail both."""
+    rng = random.Random(35)
+    tally = {"rows": 0, "row cases": 0, "row failures": 0, "images": 0}
+    for l in (2, 3, 5):
+        readers = {}  # key -> the swept weights whose translate reads its rows
+        for lam, t in _swept(l, 3):
+            for nu, target, _ in t.rows:
+                src = restricted_orbit((nu[0] % l, nu[1] % l), l)[0]
+                readers.setdefault((l == 2, src, restricted_orbit(target, l)[0]), []).append(lam)
+        for _ in range(20):
+            key = rng.choice(sorted(readers, key=str))
+            corrupted = _corrupt_row(translate.OFF_WALL_ROWS[key], key, rng)
+            monkeypatch.setitem(translate.OFF_WALL_ROWS, key, corrupted)
+            lams = sorted(set(readers[key]))
+            failed = 0
+            for lam in rng.sample(lams, min(6, len(lams))):
+                t = translate_factor_lists(lam, l)
+                by_keys, by_sum = _fails(t.modules, (lam, t.mirror), l)
+                assert by_keys == by_sum, (l, key, corrupted, lam)
+                failed += by_sum
+                tally["row cases"] += 1
+            tally["rows"] += 1
+            tally["row failures"] += failed > 0
+            monkeypatch.undo()
+        onto = [found for lam, _ in _swept(l, 3) if l >= 3 and (found := _onto_wall(lam, l))]
+        for image, images in rng.sample(onto, min(10, len(onto))):
+            step = l * rng.choice((Weight(1, 0), Weight(0, 1)))
+            moved = rng.sample(range(len(images)), rng.randrange(1, len(images) + 1))
+            shifted = [x + step if i in moved else x for i, x in enumerate(images)]
+            assert _fails(shifted, (image,), l) == (True, True), (l, image, shifted)
+            tally["images"] += 1
+    # 56 of the 60 row corruptions fail somewhere in their sample
+    assert tally == {"rows": 60, "row cases": 360, "row failures": 56, "images": 20}, tally
+
+
+def test_translate_failure_names_chi_l_keys(monkeypatch):
+    """With the last right-wall row dropped, the translate sweep at l = 3,
+    box 2, fails where a repeated entry loses a copy, and names the chi_l
+    key with its wanted and its observed count."""
+    key = (False, FacetType.RIGHT_WALL, FacetType.DOWN_ALCOVE)
+    monkeypatch.setitem(translate.OFF_WALL_ROWS, key, translate.OFF_WALL_ROWS[key][:-1])
+    report = verify.run_suite("translate", [3], 2)
+    assert (report.cases_run, len(report.failures)) == (27, 14)
+    assert report.failures[0] == (
+        "l=3 lam=(1,4)",
+        "translate character = weyl(lam) + weyl(mirror)",
+        "(1,1): want 2 got 1",
+    )
 
 
 def test_off_wall_lists_against_character_oracle():

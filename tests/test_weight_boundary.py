@@ -12,7 +12,7 @@ import pytest
 
 from qgl3 import charring, lattice
 from qgl3.decomp import chi_decomposition, factor_family, zhat_factors
-from qgl3.charring import chi_l_weyl
+from qgl3.charring import chi_l_dimension, chi_l_weyl
 from qgl3.ext import ext1_g, ext1_g1b_general, ext_table
 from qgl3.homs import zhat_head_weight
 from qgl3.lattice import (
@@ -124,6 +124,7 @@ _SPLITTERS = {
     "chi_decomposition": lambda l: chi_decomposition(Weight(3, 3), l),
     "factor_family": lambda l: factor_family((-3, 3), l),
     "chi_l_weyl": lambda l: chi_l_weyl(Weight(3, 3), l),
+    "chi_l_dimension": lambda l: chi_l_dimension(Weight(3, 3), l),
     "ext1_g": lambda l: ext1_g(Weight(3, 3), Weight(1, 1), l),
     "ext1_g1b_general": lambda l: ext1_g1b_general(Weight(3, 3), Weight(1, 1), l),
 }
