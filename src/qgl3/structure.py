@@ -4,16 +4,15 @@ good-filtration graphs of induced modules.
 Nodes are composition factors (thickened-kernel simples) or twisted-tensor
 filtration factors; a directed edge upper -> lower records a nonsplit
 extension of the lower factor by the upper one.  The edge lists are the
-Ext tables of qgl3.ext.  The layers are transcribed from the known
-diagrams, except in the up alcove, whose layers are the dual image of the
-down-alcove ones (decomp.DUAL_POSITION).  The mixed congruence variants of
-the nine-factor filtrations interpolate the two printed extremes (deleting
-the edge named by the violated congruence and attaching the orphaned nodes
-one layer further) and are flagged as reconstructions.  Each graph is
+Ext tables of qgl3.ext, and the layers are read off the edges, once, at
+import: the longest path from a source, or in the up alcove the dual
+reading, top minus the longest path to a sink.  The mixed congruence
+variants of the nine-factor filtrations delete the edge named by the
+violated congruence, add the two that replace it, and keep the congruent
+diagram's layers; they are flagged as reconstructions.  Each graph is
 built by one call from one (edges, layers) table and the positions it
 keeps: all of the table's for a Borel-induced module, the surviving
-positions for a filtration, whose wall tables are renumbered into
-filtration order once, at import.  validate_graph reads no character, and
+positions for a filtration.  validate_graph reads no character, and
 checks duality on the dual weight's factor family and edge table, as int
 pairs, without building the dual graph.
 """
@@ -27,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from qgl3 import decomp
 from qgl3.charring import coeff_diff
-from qgl3.decomp import DUAL_POSITION, check_positions, chi_decomposition, factor_family, net_terms
+from qgl3.decomp import check_positions, chi_decomposition, factor_family, net_terms
 from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
 from qgl3.homs import hat_dual_pair
 from qgl3.lattice import FacetType, Weight
@@ -92,52 +91,70 @@ class ModuleGraph:
 # Edge and layer tables by factor position.  For Borel-induced modules the
 # positions index zhat_factors (socle first); for induced-module filtrations
 # they index chi_decomposition factors.  The edges are the Ext tables of
-# qgl3.ext.  The up-alcove layers are the down-alcove ones dualized: factor
-# i at layer k goes to factor DUAL_POSITION[i] at layer top - k.
-
-_WALL_CHAIN_LAYERS = {4: 0, 3: 1, 2: 2, 1: 3}
-_WALL_DIAMOND_LAYERS = {4: 0, 3: 1, 2: 1, 1: 2}
+# qgl3.ext, and each table's layers are read off its edges once, here: a
+# position's layer is its longest path from a source, or in the up alcove
+# top minus its longest path to a sink (the dual reading).
 
 
-def _dual_layers(layers: dict[int, int]) -> dict[int, int]:
-    top = max(layers.values())
-    return {DUAL_POSITION[i]: top - k for i, k in layers.items()}
+def _table(edges, dual: bool = False):
+    """(edges, layers) with the layers read off the edges; a table without
+    edges is the one-node table."""
+    if dual:
+        height = _table([(v, u) for u, v in edges])[1]
+        return tuple(edges), {i: max(height.values()) - h for i, h in height.items()}
+    layers = dict.fromkeys((p for edge in edges for p in edge), 0) or {1: 0}
+    for _ in layers:  # a longest path has fewer edges than the table has positions
+        for u, v in edges:
+            layers[v] = max(layers[v], layers[u] + 1)
+    return tuple(edges), layers
 
-
-_DOWN_LAYERS = {9: 0, 6: 1, 7: 1, 8: 1, 5: 2, 3: 2, 4: 3, 2: 3, 1: 4}
-_UP_LAYERS = _dual_layers(_DOWN_LAYERS)
-
-# Fully non-congruent variants of the nine-factor filtration diagrams.
-_DOWN_LAYERS_LOOSE = {9: 0, 5: 1, 6: 1, 7: 1, 8: 1, 3: 1, 4: 2, 2: 2, 1: 3}
-_UP_LAYERS_LOOSE = _dual_layers(_DOWN_LAYERS_LOOSE)
-
-# The edge edits of the non-congruent nine-factor filtrations: per classical
-# coordinate, the edge to drop and the two to add.  The up-alcove edits are
-# the dual images of the down-alcove ones; _UP_EDITS keeps the order of the
-# printed edge lists.
-_DOWN_EDITS = ((6, 5), ((9, 5), (6, 4)), (8, 3), ((9, 3), (8, 2)))
-_UP_EDITS = ((6, 5), ((9, 5), (6, 4)), (1, 7), ((2, 7), (1, 4)))
 
 # (edges, layers) of the Borel-induced structure graph, by facet.
 _ZHAT_TABLES = {
-    FacetType.VERTEX: ((), {1: 0}),
-    FacetType.RIGHT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
-    FacetType.LEFT_WALL: (WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS),
-    FacetType.HORIZONTAL_WALL: (WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS),
-    FacetType.DOWN_ALCOVE: (DOWN_EDGES, _DOWN_LAYERS),
-    FacetType.UP_ALCOVE: (UP_EDGES, _UP_LAYERS),
+    FacetType.VERTEX: _table(()),
+    FacetType.RIGHT_WALL: _table(WALL_CHAIN_EDGES),
+    FacetType.LEFT_WALL: _table(WALL_CHAIN_EDGES),
+    FacetType.HORIZONTAL_WALL: _table(WALL_DIAMOND_EDGES),
+    FacetType.DOWN_ALCOVE: _table(DOWN_EDGES),
+    FacetType.UP_ALCOVE: _table(UP_EDGES, dual=True),
 }
 
+# The wall filtrations: the wall tables renumbered into chi_decomposition
+# order, which lists the four wall factors the other way round.
+_NABLA_WALL_CHAIN = _table([(5 - u, 5 - v) for u, v in WALL_CHAIN_EDGES])
+_NABLA_WALL_DIAMOND = _table([(5 - u, 5 - v) for u, v in WALL_DIAMOND_EDGES])
 
-def _filtration_order(edges, layers: dict[int, int]):
-    """A wall table renumbered from zhat_factors order to chi_decomposition
-    order, which lists the four wall factors the other way round."""
-    return tuple((5 - u, 5 - v) for u, v in edges), {5 - i: layer for i, layer in layers.items()}
+# The down-alcove strips a == 0 and b == 0: three factors at most survive.
+_STRIP_A = _table(((3, 2), (2, 1)))
+_STRIP_B = _table(((5, 4), (4, 1)))
+
+# The edge edits of the non-congruent nine-factor filtrations: per classical
+# coordinate, the edge to drop and the two to add.  The up-alcove edits, the
+# dual images of the down-alcove ones, keep the printed edge lists' order.
+_DOWN_EDITS = ((6, 5), ((9, 5), (6, 4)), (8, 3), ((9, 3), (8, 2)))
+_UP_EDITS = ((6, 5), ((9, 5), (6, 4)), (1, 7), ((2, 7), (1, 4)))
 
 
-# (edges, layers) of the wall filtrations.
-_NABLA_WALL_CHAIN = _filtration_order(WALL_CHAIN_EDGES, _WALL_CHAIN_LAYERS)
-_NABLA_WALL_DIAMOND = _filtration_order(WALL_DIAMOND_EDGES, _WALL_DIAMOND_LAYERS)
+def _nine_factor_table(facet: FacetType, edits, ca: bool, cb: bool):
+    """The Borel-induced table of the alcove with the edits of each
+    classical coordinate not congruent to k mod l.  The mixed cases keep the
+    congruent table's layers; they are reconstructions."""
+    base, layers = _ZHAT_TABLES[facet]
+    drop_a, add_a, drop_b, add_b = edits
+    edges = [e for e in base if (ca or e != drop_a) and (cb or e != drop_b)]
+    edges += (() if ca else add_a) + (() if cb else add_b)
+    if ca or cb:
+        return tuple(edges), layers
+    return _table(edges, dual=facet is FacetType.UP_ALCOVE)
+
+
+# The nine-factor filtrations, by (alcove, a = k mod l, b = k mod l), with
+# k = 0 in the down alcove and k = l - 1 in the up alcove.
+_NINE_FACTOR_TABLES = {
+    (facet, ca, cb): _nine_factor_table(facet, edits, ca, cb)
+    for facet, edits in ((FacetType.DOWN_ALCOVE, _DOWN_EDITS), (FacetType.UP_ALCOVE, _UP_EDITS))
+    for ca in (True, False) for cb in (True, False)
+}
 
 
 _IDS = tuple(f"mu{i}" for i in range(10))
@@ -176,26 +193,15 @@ def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
     return _build(lam, l, G1B_SIMPLE, factors, edges, layers, tuple(layers))
 
 
-def _nine_factor_edges(base, congruent_a, congruent_b, drop_a, add_a, drop_b, add_b):
-    edges = list(base)
-    if not congruent_a:
-        edges.remove(drop_a)
-        edges.extend(add_a)
-    if not congruent_b:
-        edges.remove(drop_b)
-        edges.extend(add_b)
-    return tuple(edges)
-
-
 def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     """Layered graph of the good twisted-tensor filtration of the induced
     module of highest weight lam.
 
     Factors whose classical part is non-dominant or singular are omitted
-    together with their incident edges.  On the nine-factor cases the edge
-    set depends on the congruence class mod l of the classical coordinates;
-    the two mixed cases are reconstructions interpolating the printed
-    extreme diagrams.
+    together with their incident edges; a kept factor keeps its layer in
+    the full table.  On the nine-factor cases the edge set depends on the
+    congruence class mod l of the classical coordinates; the two mixed
+    cases are reconstructions.
     """
     if type(lam) is not Weight:
         lam = Weight(*lam)
@@ -206,23 +212,16 @@ def nabla_l_filtration(lam: Weight, l: int) -> ModuleGraph:
     facet = dec.facet
 
     if facet is FacetType.VERTEX or (facet is FacetType.DOWN_ALCOVE and a == b == 0):
-        edges, layers = (), {1: 0}
+        edges, layers = _ZHAT_TABLES[FacetType.VERTEX]
     elif facet in (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL):
         side = a if facet is FacetType.RIGHT_WALL else b
         is_chain = facet is not FacetType.HORIZONTAL_WALL and side % l == l - 1
         edges, layers = _NABLA_WALL_CHAIN if is_chain else _NABLA_WALL_DIAMOND
-    elif facet is FacetType.DOWN_ALCOVE and b == 0:
-        edges, layers = ((5, 4), (4, 1)), {5: 0, 4: 1, 1: 2}
-    elif facet is FacetType.DOWN_ALCOVE and a == 0:
-        edges, layers = ((3, 2), (2, 1)), {3: 0, 2: 1, 1: 2}
-    elif facet is FacetType.DOWN_ALCOVE:
-        ca, cb = a % l == 0, b % l == 0
-        edges = _nine_factor_edges(DOWN_EDGES, ca, cb, *_DOWN_EDITS)
-        layers = _DOWN_LAYERS if (ca or cb) else _DOWN_LAYERS_LOOSE
+    elif facet is FacetType.DOWN_ALCOVE and 0 in (a, b):
+        edges, layers = _STRIP_A if a == 0 else _STRIP_B
     else:
-        ca, cb = a % l == l - 1, b % l == l - 1
-        edges = _nine_factor_edges(UP_EDGES, ca, cb, *_UP_EDITS)
-        layers = _UP_LAYERS if (ca or cb) else _UP_LAYERS_LOOSE
+        k = 0 if facet is FacetType.DOWN_ALCOVE else l - 1
+        edges, layers = _NINE_FACTOR_TABLES[facet, a % l == k, b % l == k]
     return _build(lam, l, NABLA_L, dec.factors, edges, layers, dec.positions)
 
 

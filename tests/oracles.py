@@ -16,8 +16,9 @@ written-out alcove families, down_alcove_family and up_alcove_family, are
 kept here beside wall_family as their oracle, and so are the up-alcove
 mirror's closed form and the printed off-wall translation tables
 (off_wall_pairs), which the engine reads off the orbit too.  The engine
-derives the alcove Ext pairs from the graph edges and the up-alcove tables
-from the down-alcove ones by duality; the printed tables are kept here.
+derives the alcove Ext pairs from the graph edges, the up-alcove tables
+from the down-alcove ones by duality, and every diagram's layers from its
+edges; the printed tables are kept here.
 """
 
 import functools
@@ -222,7 +223,9 @@ def duality_diff(g) -> str:
 
 # The printed thickened-kernel Ext tables of the two alcoves, as (row,
 # column) = (upper, lower) factor positions, and the printed layers of the
-# up-alcove diagrams: congruent (PRINTED_UP_LAYERS) and fully non-congruent.
+# diagrams, which the engine reads off their edges: the walls, in
+# zhat_factors order, the two alcoves, congruent and fully non-congruent,
+# and the down-alcove strips a = 0 and b = 0.
 PRINTED_DOWN_PAIRS = {
     (2, 1), (2, 6),
     (3, 2),
@@ -244,8 +247,14 @@ PRINTED_UP_PAIRS = {
     (8, 4),
     (9, 6), (9, 7), (9, 8),
 }
+PRINTED_WALL_CHAIN_LAYERS = {4: 0, 3: 1, 2: 2, 1: 3}
+PRINTED_WALL_DIAMOND_LAYERS = {4: 0, 3: 1, 2: 1, 1: 2}
+PRINTED_DOWN_LAYERS = {9: 0, 6: 1, 7: 1, 8: 1, 5: 2, 3: 2, 4: 3, 2: 3, 1: 4}
+PRINTED_DOWN_LAYERS_LOOSE = {9: 0, 5: 1, 6: 1, 7: 1, 8: 1, 3: 1, 4: 2, 2: 2, 1: 3}
 PRINTED_UP_LAYERS = {3: 0, 2: 1, 9: 1, 1: 2, 6: 2, 7: 3, 8: 3, 5: 3, 4: 4}
 PRINTED_UP_LAYERS_LOOSE = {3: 0, 2: 1, 9: 1, 1: 2, 7: 2, 8: 2, 5: 2, 6: 2, 4: 3}
+PRINTED_STRIP_A_LAYERS = {3: 0, 2: 1, 1: 2}
+PRINTED_STRIP_B_LAYERS = {5: 0, 4: 1, 1: 2}
 
 
 # The printed socle table of L(1,0) tensor L(res), one row per restricted

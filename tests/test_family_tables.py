@@ -301,7 +301,8 @@ def test_tables_agree_on_their_positions():
         assert all(0 <= k < len(points) for _, _, k in rows), facet
     nine = set(range(1, 10))
     assert set(decomp.DUAL_POSITION) == set(decomp.DUAL_POSITION.values()) == nine
-    assert set(structure._DOWN_LAYERS_LOOSE) == set(structure._UP_LAYERS_LOOSE) == nine
+    for edges, layers in structure._NINE_FACTOR_TABLES.values():
+        assert set(layers) == nine and positions(edges) <= nine
     for drop, add, drop2, add2 in (structure._DOWN_EDITS, structure._UP_EDITS):
         assert positions((drop, drop2, *add, *add2)) <= nine
     four = set(range(1, len(decomp.FAMILY_ROWS[FacetType.RIGHT_WALL]) + 1))

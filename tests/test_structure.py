@@ -509,21 +509,88 @@ def _dual_image(edges) -> set:
 
 
 def test_up_alcove_tables_are_the_dual_images():
-    """The up-alcove layers are derived and equal the printed ones; the
-    up-alcove edge list and its congruence edits stay printed, for their
-    order, and as sets are the dual images of the down-alcove ones."""
-    assert structure._UP_LAYERS == oracles.PRINTED_UP_LAYERS
-    assert structure._UP_LAYERS_LOOSE == oracles.PRINTED_UP_LAYERS_LOOSE
+    """The up-alcove edge list and its congruence edits stay printed, for
+    their order, and as sets are the dual images of the down-alcove ones;
+    so is every built up-alcove table, edges and layers, in each of the
+    four congruence cases."""
     assert _dual_image(ext.DOWN_EDGES) == set(ext.UP_EDGES)
     assert len(ext.UP_EDGES) == len(set(ext.UP_EDGES)) == 13
     drop_a, add_a, drop_b, add_b = structure._DOWN_EDITS
     up_drop_a, up_add_a, up_drop_b, up_add_b = structure._UP_EDITS
     assert _dual_image([drop_a]) == {up_drop_a} and _dual_image(add_a) == set(up_add_a)
     assert _dual_image([drop_b]) == {up_drop_b} and _dual_image(add_b) == set(up_add_b)
+    sigma = decomp.DUAL_POSITION
     for ca, cb in itertools.product((False, True), repeat=2):
-        down = structure._nine_factor_edges(ext.DOWN_EDGES, ca, cb, *structure._DOWN_EDITS)
-        up = structure._nine_factor_edges(ext.UP_EDGES, ca, cb, *structure._UP_EDITS)
+        down, down_layers = structure._NINE_FACTOR_TABLES[FacetType.DOWN_ALCOVE, ca, cb]
+        up, up_layers = structure._NINE_FACTOR_TABLES[FacetType.UP_ALCOVE, ca, cb]
         assert _dual_image(down) == set(up), (ca, cb)
+        top = max(down_layers.values())
+        assert up_layers == {sigma[i]: top - k for i, k in down_layers.items()}, (ca, cb)
+
+
+def _filtration_order(layers: dict[int, int]) -> dict[int, int]:
+    """Printed wall layers renumbered from zhat_factors order into
+    chi_decomposition order."""
+    return {5 - i: k for i, k in layers.items()}
+
+
+def test_layers_equal_the_printed_ones():
+    """Every table's layers, read off its edges, are the printed ones: the
+    six Borel-induced facets, the two wall filtrations, the two strips, and
+    the four congruence cases of each alcove, where a mixed case keeps the
+    congruent layers."""
+    chain, diamond = oracles.PRINTED_WALL_CHAIN_LAYERS, oracles.PRINTED_WALL_DIAMOND_LAYERS
+    printed = {
+        FacetType.VERTEX: {1: 0},
+        FacetType.RIGHT_WALL: chain,
+        FacetType.LEFT_WALL: chain,
+        FacetType.HORIZONTAL_WALL: diamond,
+        FacetType.DOWN_ALCOVE: oracles.PRINTED_DOWN_LAYERS,
+        FacetType.UP_ALCOVE: oracles.PRINTED_UP_LAYERS,
+    }
+    for facet, layers in printed.items():
+        assert structure._ZHAT_TABLES[facet][1] == layers, facet
+    assert structure._NABLA_WALL_CHAIN[1] == _filtration_order(chain)
+    assert structure._NABLA_WALL_DIAMOND[1] == _filtration_order(diamond)
+    assert structure._STRIP_A[1] == oracles.PRINTED_STRIP_A_LAYERS
+    assert structure._STRIP_B[1] == oracles.PRINTED_STRIP_B_LAYERS
+    loose = {
+        FacetType.DOWN_ALCOVE: oracles.PRINTED_DOWN_LAYERS_LOOSE,
+        FacetType.UP_ALCOVE: oracles.PRINTED_UP_LAYERS_LOOSE,
+    }
+    for (facet, ca, cb), (_, layers) in structure._NINE_FACTOR_TABLES.items():
+        assert layers == (printed[facet] if ca or cb else loose[facet]), (facet, ca, cb)
+    assert len(structure._NINE_FACTOR_TABLES) == 8
+
+
+def _built_tables():
+    yield from structure._ZHAT_TABLES.values()
+    yield structure._NABLA_WALL_CHAIN
+    yield structure._NABLA_WALL_DIAMOND
+    yield structure._STRIP_A
+    yield structure._STRIP_B
+    yield from structure._NINE_FACTOR_TABLES.values()
+
+
+def test_every_edge_climbs_a_layer():
+    """On every built table, the mixed ones included, each edge goes from a
+    layer k to a layer above k, and every position an edge names has a
+    layer."""
+    for edges, layers in _built_tables():
+        assert all(layers[u] < layers[v] for u, v in edges), (edges, layers)
+
+
+def test_layers_read_off_edges():
+    """The one-node table, a diamond with a tail, and the dual reading,
+    which differs from the longest path from a source on a table with two
+    sources of unequal height."""
+    assert structure._table(()) == ((), {1: 0})
+    diamond = ((4, 3), (4, 2), (3, 1), (2, 1), (1, 0))
+    assert structure._table(diamond) == (diamond, {4: 0, 3: 1, 2: 1, 1: 2, 0: 3})
+    assert structure._table(diamond, dual=True)[1] == {4: 0, 3: 1, 2: 1, 1: 2, 0: 3}
+    skew = ((1, 2), (2, 3), (4, 3))
+    assert structure._table(skew)[1] == {1: 0, 2: 1, 3: 2, 4: 0}
+    assert structure._table(skew, dual=True) == (skew, {1: 0, 2: 1, 3: 2, 4: 1})
 
 
 def test_hat_dual_pair():
