@@ -24,10 +24,11 @@ characters, their numerators and the heads of the templates are all read
 off it.
 
 Induced and restricted simple characters are not memoized: each call
-builds its character afresh, though the tableau counts share their weight
-keys through kernels._key_lines.  The memos here are _bk_weights, the
-tableau counts of the classical parts and small tensor factors that the
-Brauer-Klimyk rule expands, _chi_l_templates and _chi_l_weyl_cache.
+builds its character afresh, though both routes to an induced character
+share their weight keys, and no count, through kernels._key_lines.  The
+memos here are _bk_weights, the tableau counts of the classical parts and
+small tensor factors that the Brauer-Klimyk rule expands, _chi_l_templates
+and _chi_l_weyl_cache.
 """
 
 from __future__ import annotations
@@ -52,16 +53,17 @@ from qgl3.lattice import (
 class FormalChar:
     """Sparse integer combination of basis elements e(weight).
 
-    coeffs maps int pairs (a, b) to nonzero ints.  The constructor copies
-    its input and drops zero coefficients, and no method mutates self, so
-    every instance is an immutable value.
+    coeffs maps int pairs (a, b) to nonzero ints.  The constructor keeps the
+    dict it is given (a copy without zeros if it stores one), which its
+    caller must not modify: every engine constructor passes a fresh dict.
+    No method mutates self, so every instance is an immutable value.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        # dict() copies in C; the filtering pass runs only when it has work
-        coeffs = dict(coeffs) if coeffs else {}
+        # kept without a copy; the filtering pass runs only when it has work
+        coeffs = {} if coeffs is None else coeffs
         if not all(coeffs.values()):
             coeffs = {w: c for w, c in coeffs.items() if c}
         self.coeffs = coeffs
@@ -209,19 +211,23 @@ def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
 
     A(rho) = e(rho)(1 - e(-alpha1))(1 - e(-alpha2))(1 - e(-theta)); dividing
     by 1 - e(-alpha) takes running sums down alpha-strings, finite only when
-    each string sums to 0.  Only the alpha1 pass reads keys; its running sums
-    are constant runs.  A run divides by 1 - e(-alpha2) to its value on the
-    half-strip below it: an alpha2-string (2a + b fixed) sums to the runs it
-    crosses, checked by a sorted sweep of run ends per coset mod 3, and a
-    theta-string (a - b = f, bounded by Newton polygons) meets a half-strip
-    in an interval, so the quotient is piecewise linear there, one
-    dict.update per piece.  An inexact division names a string that does not
-    sum to 0 by its lowest weight in the partial quotient and its root.
+    each string sums to 0.  The passes run on -s2(num), whose quotient is s2
+    of num's, as s2(a, b) = (a + b, -b) swaps alpha1 and theta and negates
+    A(rho).  Only the alpha1 pass reads keys; its running sums are constant
+    runs.  A run divides by 1 - e(-alpha2) to its value on the half-strip
+    below it: an alpha2-string (2a + b fixed) sums to the runs it crosses,
+    checked by a sorted sweep of run ends per coset mod 3, and a theta-string
+    (a - b = f, bounded by Newton polygons) meets a half-strip in an
+    interval, so the quotient is piecewise linear there, on the caller's
+    alpha1-line f: one dict.update per piece over a slice of its shared keys
+    (kernels.key_line).  An inexact division names a string of a partial
+    quotient of num * e(-alpha1) that does not sum to 0, in the caller's
+    weights, by its lowest weight and its root: theta, -alpha2 or alpha1.
     """
     inexact = "inexact division by the Weyl denominator: the string ({},{}) + N({},{}) sums to {}, not 0"
     strings: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), c in num.coeffs.items():  # keyed on x = num * e(-rho)
-        strings.setdefault(a + 2 * b - 3, []).append((a - 1, c))
+    for (a, b), c in num.coeffs.items():  # keyed on x = -s2(num) * e(-rho)
+        strings.setdefault(a - b - 3, []).append((a + b - 1, -c))
     runs = []  # (top a, top a - b, length, value)
     for h, string in strings.items():
         string.sort(reverse=True)
@@ -232,7 +238,7 @@ def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
                 runs.append((a, (3 * a - h) // 2, (a - a_next) // 2, total))
         a, c = string[-1]
         if total + c:
-            raise ValueError(inexact.format(a, (h - a) // 2, 2, -1, total + c))
+            raise ValueError(inexact.format((h + a) // 2, (a - h) // 2, 1, 1, -total - c))
 
     ends: dict[tuple[int, int], int] = {}  # (coset, 2a + b) -> change of the alpha2-string sums
     cosets: dict[int, list[tuple[int, int, int, int]]] = {}
@@ -246,7 +252,7 @@ def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
         if total:  # the string's lowest weight is its crossing with the largest a
             crossings = ((ta, n, *divmod(3 * ta - ft - g, 3)) for ta, ft, n, _ in runs)
             a = max(ta - 2 * j for ta, n, j, r in crossings if not r and 0 <= j < n)
-            raise ValueError(inexact.format(a, g - 2 * a, -1, 2, total))
+            raise ValueError(inexact.format(g - a, 2 * a - g, 1, -2, -total))
 
     out: dict[tuple[int, int], int] = {}
     for tops in cosets.values():
@@ -262,21 +268,25 @@ def divide_by_weyl_denominator(num: FormalChar) -> FormalChar:
             total = step = 0
             for (p, dv), (p_next, _) in zip(events, events[1:]):
                 step += dv
-                if p == p_next:
+                if p == p_next or not (step or total):
                     continue
+                # keys s2(a, a - f) = (2a - f, f - a), a = p .. p_next + 1, less a last 0
                 n = p - p_next
-                keys = zip(range(p, p_next, -1), range(p - f, p_next - f, -1))
+                end = total + n * step
+                stop = p_next + 1 if end else p_next + 2
+                y0, keys = kernels.key_line(f, p if p > f - stop else f - stop)
+                keys = keys[y0 - f + stop:y0 - f + p + 1]
                 if step:
-                    out.update(zip(keys, range(total + step, total + (n + 1) * step, step)))
+                    out.update(zip(keys, range(end if end else -step, total, -step)))
                     k, r = divmod(-total, step)
-                    if not r and 0 < k <= n:  # the running sum passes through 0
-                        del out[p + 1 - k, p + 1 - k - f]
-                    total += n * step
+                    if not r and 0 < k < n:  # the running sum passes through 0
+                        del out[2 * (p + 1 - k) - f, f - p - 1 + k]
+                    total = end
                     low = p_next + 1
-                elif total:
+                else:
                     out.update(zip(keys, repeat(total, n)))
             if total:
-                raise ValueError(inexact.format(low, low - f, 1, 1, total))
+                raise ValueError(inexact.format(2 * low - f, f - low, 2, -1, -total))
     return FormalChar(out)
 
 

@@ -4,11 +4,12 @@ They work on plain int pairs (a, b) and build no Weight.  charring calls
 them through this module (kernels.convolve), so a wrapper bound here, e.g.
 by a tracer, sees every call.
 
-The one memo here is _key_lines, the weight keys of ssyt_weight_counts: one
-shared tuple per weight, so a character built again over the same weights
-builds no new key.  It holds one line per value of h = x + 2y, the keys
-(h - 2y, y) for the longest range of y some call read on it, so it holds no
-key outside the hull of the weights built.
+The one memo here is _key_lines, the weight keys of ssyt_weight_counts and
+of charring.divide_by_weyl_denominator: one shared tuple per weight, so a
+character built again over the same weights, by either route, builds no new
+key.  It holds one line per value of h = x + 2y, the keys (h - 2y, y) for
+the longest range of y some call read on it, so it holds no key outside the
+hull of the weights built.
 """
 
 from itertools import chain, repeat
@@ -79,6 +80,15 @@ def brauer_klimyk(weights, heads, l):
 _key_lines: dict[int, tuple[int, list[tuple[int, int]]]] = {}
 
 
+def key_line(h, top):
+    """The line (y0, keys) of _key_lines at h with y0 >= top, the one growth
+    rule of both its readers: the keys of y in [lo, hi] need max(hi, h - lo)."""
+    line = _key_lines.get(h)
+    if line is None or line[0] < top:
+        line = _key_lines[h] = (top, [(h - 2 * y, y) for y in range(top, h - top - 1, -1)])
+    return line
+
+
 def ssyt_weight_counts(p, q):
     """Weight multiplicities of the two-row shape (p, q) in three letters,
     by counting Gelfand-Tsetlin patterns.
@@ -116,10 +126,7 @@ def ssyt_weight_counts(p, q):
         # one (end, hi]; lo <= cut <= end + 1 <= hi + 1
         h = 3 * s - 2 * n
         top = 2 * s - n - lo
-        line = _key_lines.get(h)
-        if line is None or line[0] < top:
-            line = _key_lines[h] = (top, [(h - 2 * y, y) for y in range(top, h - top - 1, -1)])
-        y0, keys = line
+        y0, keys = key_line(h, top)
         counts = chain(
             range(hi + 1 - s + lo, hi + 1 - s + cut),
             repeat(hi + 1 - base, end + 1 - cut),

@@ -30,7 +30,7 @@ from qgl3.charring import (
     weyl_char_alternating,
     weyl_dimension,
 )
-from qgl3.decomp import chi_decomposition
+from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.lattice import (
     RHO,
     FacetType,
@@ -210,15 +210,17 @@ def test_alternating_quotient_against_tableaux_large(lam):
 
 
 def test_divide_by_weyl_denominator_error_paths():
-    # e(0,0) shifted by -rho is the lone weight (-1,-1) on its alpha1-string
-    with pytest.raises(ValueError, match=r"^inexact .*string \(-1,-1\) \+ N\(2,-1\) sums to 1, not 0"):
+    # the strings are named in the partial quotients of num * e(-alpha1), by
+    # 1 - e(-theta), then 1 - e(alpha2), then 1 - e(-alpha1); e(0,0) times
+    # e(-alpha1) is the lone weight (-2,1) on its theta-string
+    with pytest.raises(ValueError, match=r"^inexact .*string \(-2,1\) \+ N\(1,1\) sums to 1, not 0"):
         divide_by_weyl_denominator(e(0, 0))
-    # the alpha1 quotient is e(2,2) alone, whose alpha2-string sums to 1
-    with pytest.raises(ValueError, match=r"^inexact .*string \(2,2\) \+ N\(-1,2\) sums to 1, not 0$"):
-        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (1, 4): -1}))
-    # the alpha2 quotient is e(2,2) alone on the theta-string a - b = 0
-    with pytest.raises(ValueError, match=r"^inexact .*string \(2,2\) \+ N\(1,1\) sums to 1, not 0$"):
-        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (1, 4): -1, (4, 1): -1, (2, 2): 1}))
+    # the theta quotient is e(1,4) alone, whose -alpha2-string sums to 1
+    with pytest.raises(ValueError, match=r"^inexact .*string \(1,4\) \+ N\(1,-2\) sums to 1, not 0$"):
+        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (2, 2): -1}))
+    # the alpha2 quotient is e(1,4) alone on the alpha1-line a + 2b = 9
+    with pytest.raises(ValueError, match=r"^inexact .*string \(1,4\) \+ N\(2,-1\) sums to 1, not 0$"):
+        divide_by_weyl_denominator(FormalChar({(3, 3): 1, (2, 2): -1, (2, 5): -1, (1, 4): 1}))
     num = alt_weyl_sum(Weight(3, 2) + RHO)
     assert divide_by_weyl_denominator(num) == weyl_char(Weight(3, 2))
     perturbed = dict(num.coeffs)
@@ -275,7 +277,9 @@ def test_induced_character_routes_are_independent(monkeypatch):
     """Neither route to the induced character calls the other, so each
     stays an oracle for the other: the quotient runs with the counting
     kernel broken, and the counting route with every division broken.
-    Neither memoizes, so each call below builds its character afresh."""
+    Neither memoizes a character, so each call below computes its
+    coefficients afresh; the two routes share key tuples, through
+    kernels.key_line, not counts."""
 
     def crossed(*args):
         raise AssertionError("one induced-character route called the other")
@@ -293,6 +297,51 @@ def test_induced_character_routes_are_independent(monkeypatch):
     assert [weyl_char(lam) for lam in weights] == quotients
     with pytest.raises(AssertionError, match="called the other"):
         weyl_char_alternating(weights[0])
+
+
+def test_induced_character_routes_share_key_tuples(monkeypatch):
+    """The quotient writes its keys through the key pool of the counting
+    kernel: after weyl_char_alternating(lam) on an empty pool, weyl_char(lam)
+    builds no line, and every key of its character is the very tuple the
+    quotient stored."""
+    for lam in (Weight(41, 3), Weight(2, 43), Weight(44, 44), Weight(0, 0)):
+        monkeypatch.setattr(kernels, "_key_lines", {})
+        quotient = weyl_char_alternating(lam).coeffs
+        lines = dict(kernels._key_lines)
+        counts = weyl_char(lam).coeffs
+        assert kernels._key_lines.keys() == lines.keys(), lam
+        assert all(kernels._key_lines[h] is line for h, line in lines.items()), lam
+        stored = {k: k for k in quotient}
+        assert counts == quotient and all(stored[k] is k for k in counts), lam
+
+
+def test_no_character_shares_a_memo_dict(monkeypatch):
+    """FormalChar keeps the dict it is given, so no engine constructor may
+    give it a dict that a memo holds.  On cold and on warm memos at l = 11,
+    the coeffs of the characters that weyl_char, weyl_char_alternating,
+    char_from_weyl, translated_character and zhat_char return are none of
+    the dicts held by a module-level value of qgl3, such as _bk_weights and
+    _chi_l_weyl_cache."""
+    l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
+    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
+    modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "qgl3"]
+    for _ in range(2):
+        total, mirror = translated_character(lam, l)
+        top = next(iter(charring._bk_weights))
+        chars = [
+            total,
+            weyl_char(lam),
+            weyl_char(top),
+            weyl_char_alternating(mirror),
+            char_from_weyl(chi_l_weyl(lam, l)),
+            char_from_weyl({top: 1}),
+            zhat_char(lam, l),
+        ]
+        seen = set()
+        held = {id(d) for m in modules for value in vars(m).values() for d in _held_dicts(value, seen)}
+        assert charring._bk_weights and charring._chi_l_weyl_cache
+        assert [ch for ch in chars if id(ch.coeffs) in held] == []
 
 
 def _holds_no_dict(obj) -> bool:
@@ -566,7 +615,13 @@ def test_serialization_roundtrip():
     assert FormalChar({(a, b): c for a, b, c in json.loads(x.to_json())}) == x
 
 
+def test_constructor_keeps_a_dict_without_zeros():
+    src = {(1, 0): 2, (-1, -1): -1}
+    assert FormalChar(src).coeffs is src
+
+
 def test_constructor_copies_and_drops_zeros():
+    # a dict that stores a zero is filtered into a new one
     src = {(1, 0): 2, (0, 1): 0, (-1, -1): -1}
     x = FormalChar(src)
     assert x.coeffs == {(1, 0): 2, (-1, -1): -1}

@@ -60,12 +60,13 @@ def test_ssyt_counts_dimension():
 def test_gelfand_tsetlin_counts_match_tableaux_grid(monkeypatch):
     """Every shape p < 40 gives the tableau counts, written by h = x + 2y
     and then by x, and the alternating quotient A(lam+rho)/A(rho); and the
-    state of the key pool changes no answer: built from an empty pool in
-    ascending, descending and shuffled order, each shape gives the same
-    items in the same order.  Ascending order rebuilds the lines as their
-    rows get longer, descending builds each at its full length first.  The
-    pool ends holding exactly the span of the weights built on each line,
-    so no key outside their hull."""
+    state of the key pool, which both routes write through, changes no
+    answer: built from an empty pool in ascending, descending and shuffled
+    order, the two routes taking turns at building first, each shape gives
+    the same counts and the same quotient, items and order.  Ascending order
+    rebuilds the lines as their rows get longer, descending builds each at
+    its full length first.  The pool ends holding exactly the span of the
+    weights built on each line, so no key outside their hull."""
     shapes = [(p, q) for p in range(40) for q in range(p + 1)]
     shuffled = shapes[:]
     random.Random(32).shuffle(shuffled)
@@ -73,26 +74,30 @@ def test_gelfand_tsetlin_counts_match_tableaux_grid(monkeypatch):
     span = {}
     for order in (shapes, shapes[::-1], shuffled):
         monkeypatch.setattr(kernels, "_key_lines", {})
-        for p, q in order:
-            got = ssyt_weight_counts(p, q)
-            if (p, q) in built:
-                assert got == built[p, q] and list(got) == list(built[p, q]), (p, q)
+        for i, (p, q) in enumerate(order):
+            num = alt_weyl_sum(Weight(p - q, q) + RHO)
+            if i % 2:
+                counts = ssyt_weight_counts(p, q)
+                quotient = divide_by_weyl_denominator(num).coeffs
             else:
-                built[p, q] = got
+                quotient = divide_by_weyl_denominator(num).coeffs
+                counts = ssyt_weight_counts(p, q)
+            for got, first in zip((counts, quotient), built.setdefault((p, q), (counts, quotient))):
+                assert got == first and list(got) == list(first), (p, q)
         if not span:
-            for x, y in set().union(*built.values()):
+            for x, y in set().union(*(counts for counts, _ in built.values())):
                 lo, hi = span.get(x + 2 * y, (y, y))
                 span[x + 2 * y] = (min(lo, y), max(hi, y))
         lines = kernels._key_lines
         assert {h: (y0 - len(keys) + 1, y0) for h, (y0, keys) in lines.items()} == span
         for h, (y0, keys) in lines.items():
             assert keys == [(h - 2 * y, y) for y in range(y0, y0 - len(keys), -1)]
-    for (p, q), got in built.items():
+    for (p, q), (got, quotient) in built.items():
         counts = _tableau_counts(p, q)
         assert got == counts, (p, q)
         order = [(x + 2 * y, x) for x, y in got]
         assert order == sorted(order), (p, q)
-        assert divide_by_weyl_denominator(alt_weyl_sum(Weight(p - q, q) + RHO)).coeffs == counts
+        assert quotient == counts, (p, q)
 
 
 @given(st.integers(0, 80).flatmap(lambda p: st.tuples(st.just(p), st.integers(0, p))))
