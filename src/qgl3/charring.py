@@ -18,10 +18,11 @@ weight-basis chi_l and decompose_into_weyl are kept as their independent
 oracles.  tensor_multiplicity, the tests' oracle of ext's Pieri table, makes
 one kernels.brauer_klimyk call each; chi_l_weyl makes one per template, a
 table of rows over lattice.restricted_orbit shared by the weights with the
-same dominantized classical part, facet and l.  The restricted simple characters are written
-once in the Weyl basis, by restricted_simple_weyl; their weight-basis
-characters, their numerators and the heads of the templates are all read
-off it.
+same dominantized classical part, facet and l; weyl_sum adds chi_l_weyl
+results into a copy of the largest one.  The restricted simple characters
+are written once in the Weyl basis, by restricted_simple_weyl; their
+weight-basis characters, their numerators and the heads of the templates
+are all read off it.
 
 Induced and restricted simple characters are not memoized: each call
 builds its character afresh, though both routes to an induced character
@@ -410,8 +411,12 @@ def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
 
 def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
     """Sum of {weight: int} combinations in either basis, zero coefficients
-    dropped."""
-    out: dict[Weight, int] = {}
+    dropped.  The sum starts from a copy of the largest part and adds the
+    others term by term; a part that appears more than once (chi_l_weyl
+    hands back the same memo dict for a repeated factor) is counted each
+    time, and no part is modified."""
+    parts = sorted(parts, key=len)
+    out = dict(parts.pop()) if parts else {}
     for part in parts:
         for w, c in part.items():
             out[w] = out.get(w, 0) + c
@@ -496,8 +501,11 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     the tests), so the sum is read off the template of (c', facet of r, l),
     built on the first weight that needs it: its rows (l*qa, l*qb, j, e) give
     sign * e * ch(l*q + points[j]) over points = restricted_orbit(r, l).
-    Memoized on (mu, l); the returned dict is shared and must not be
-    modified.
+    A 3 | l alcove centre, the only weight whose orbit row has points 0
+    and 2 equal (wall and vertex rows never do), keys its template by r
+    instead of its facet.  A miss with c dominant takes sign 1 and c' = c
+    without dominantize, as chi_l_dimension does.  Memoized on (mu, l);
+    the returned dict is shared and must not be modified.
     """
     key = (mu[0], mu[1], l)
     hit = _chi_l_weyl_cache.get(key)
@@ -506,16 +514,19 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
             raise ValueError(f"need l >= 2, got {l}")
         ca, ra = divmod(mu[0], l)
         cb, rb = divmod(mu[1], l)
-        sign, top = dominantize((ca, cb))
+        sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
         hit = {}
         if sign:
             facet, points = restricted_orbit((ra, rb), l)
-            shape = facet if len(set(points)) == len(points) else (ra, rb)
+            shape = (ra, rb) if len(points) == 6 and points[0] == points[2] else facet
             tkey = (top[0], top[1], shape, l)
             rows = _chi_l_templates.get(tkey)
             if rows is None:
                 rows = _chi_l_templates[tkey] = _chi_l_template(top, (ra, rb), l, points)
-            hit = {(qa + points[k][0], qb + points[k][1]): sign * c for qa, qb, k, c in rows}
+            if sign == 1:
+                hit = {(qa + points[k][0], qb + points[k][1]): c for qa, qb, k, c in rows}
+            else:
+                hit = {(qa + points[k][0], qb + points[k][1]): -c for qa, qb, k, c in rows}
         _chi_l_weyl_cache[key] = hit
     return hit
 

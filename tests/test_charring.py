@@ -29,6 +29,7 @@ from qgl3.charring import (
     weyl_char,
     weyl_char_alternating,
     weyl_dimension,
+    weyl_sum,
 )
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.lattice import (
@@ -262,6 +263,11 @@ def test_divide_by_weyl_denominator_stores_no_zeros(monkeypatch):
         {(3, 3): 1, (1, 1): -3, (4, 1): -1},
         {(5, 0): 2, (0, 5): -2, (2, 2): 3, (4, 1): -1, (1, 4): 1},
         {(9, 4): 1, (4, 9): -1, (6, 6): -1, (7, 5): 1, (0, 0): 5},
+        # a theta-string's running sum passes through 0 inside a linear
+        # piece, the one quotient zero the division deletes after writing
+        {(3, 3): 2, (4, 4): -1},
+        {(5, 2): 1, (2, 5): -1},
+        {(4, 5): 2, (5, 6): -1},
     ],
 )
 def test_divide_by_weyl_denominator_virtual_numerators(monkeypatch, combo):
@@ -630,6 +636,32 @@ def test_constructor_copies_and_drops_zeros():
     assert x.coeffs == {(1, 0): 2, (-1, -1): -1}
     assert not FormalChar({(0, 0): 0})
     assert FormalChar({(1, 0): 0, (0, 1): 0}) == FormalChar()
+
+
+def test_weyl_sum_counts_every_part_and_modifies_none():
+    """weyl_sum starts from a copy of its largest part: a dict listed twice
+    (chi_l_weyl hands back one memo dict for a repeated factor) counts
+    twice, the largest part too, and the sum drops zeros, is a new dict and
+    leaves every part as it was."""
+    big = {(0, 0): 1, (1, 0): 2, (0, 1): -1}
+    small = {(1, 0): -2, (2, 2): 3}
+    minus_big = {w: -c for w, c in big.items()}
+    cases = [
+        ([big, small, big], {(0, 0): 2, (1, 0): 2, (0, 1): -2, (2, 2): 3}),
+        ([small, small], {(1, 0): -4, (2, 2): 6}),
+        ([big], big),
+        ([small, big, minus_big], small),  # the largest part cancels
+        ([minus_big, big], {}),
+        ([], {}),
+    ]
+    for parts, want in cases:
+        before = [dict(p) for p in parts]
+        got = weyl_sum(parts)
+        assert got == want and 0 not in got.values(), parts
+        assert all(got is not p for p in parts)
+        assert parts == before
+    assert weyl_sum(p for p in (small, big, small)) == {(0, 0): 1, (1, 0): -2, (0, 1): -1, (2, 2): 6}
+    assert weyl_sum(iter(())) == {}
 
 
 def test_weight_and_tuple_keys_agree():
