@@ -12,9 +12,13 @@ violated congruence, add the two that replace it, and keep the congruent
 diagram's layers; they are flagged as reconstructions.  Each graph is
 built by one call from one (edges, layers) table and the positions it
 keeps: all of the table's for a Borel-induced module, the surviving
-positions for a filtration.  validate_graph reads no character, and
-checks duality on the dual weight's factor family and edge table, as int
-pairs, without building the dual graph.
+positions for a filtration.  What depends on the table and the kept
+positions alone (node ids, factor indices, layers, kept edges, the top
+position) is compiled once into a skeleton, memoized on the table's content
+and the kept positions, and each call fills it with the weight's factors.
+validate_graph reads no character, and checks duality on the dual weight's
+factor family and edge table, as int pairs, without building the dual
+graph.
 """
 
 from __future__ import annotations
@@ -159,6 +163,12 @@ _NINE_FACTOR_TABLES = {
 
 _IDS = tuple(f"mu{i}" for i in range(10))
 
+# The skeleton of each (table, kept positions) pair met, keyed by the
+# table's content and the kept positions: per kept position, in order, its
+# node id, factor index and layer, then the kept edges as id pairs and the
+# highest kept position.  At most one per table and survivor set.
+_skeletons: dict = {}
+
 
 def _build(
     lam: Weight,
@@ -169,19 +179,29 @@ def _build(
     layers: dict[int, int],
     keep: tuple[int, ...],
 ) -> ModuleGraph:
-    indices = sorted(keep)
-    kept = set(indices)
-    missing = sorted(kept - layers.keys())
-    if missing:
-        raise ValueError(f"{kind} graph of {lam} (l={l}): kept position {missing[0]} has no layer")
-    check_positions(lam, l, factors, max(kept, default=0))
-    nodes = tuple(
-        GraphNode(_IDS[i], factors[i - 1], kind, layers[i]) for i in indices
+    """The graph of the kept positions of one (edges, layers) table, its
+    nodes carrying the factors at those positions.  What depends on the
+    table and keep alone is read off their skeleton, compiled on first use;
+    a keep with a position that has no layer is a ValueError on every call
+    and is never stored, and the factor list is checked on every call."""
+    key = (edges, tuple(layers.items()), keep)
+    skeleton = _skeletons.get(key)
+    if skeleton is None:
+        indices = sorted(keep)
+        kept = set(indices)
+        missing = sorted(kept - layers.keys())
+        if missing:
+            raise ValueError(f"{kind} graph of {lam} (l={l}): kept position {missing[0]} has no layer")
+        skeleton = _skeletons[key] = (
+            tuple((_IDS[i], i - 1, layers[i]) for i in indices),
+            tuple((_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept),
+            max(kept, default=0),
+        )
+    nodes, edge_ids, top = skeleton
+    check_positions(lam, l, factors, top)
+    return ModuleGraph(
+        lam, l, kind, tuple(GraphNode(i, factors[j], kind, layer) for i, j, layer in nodes), edge_ids
     )
-    edge_ids = tuple(
-        (_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept
-    )
-    return ModuleGraph(lam, l, kind, nodes, edge_ids)
 
 
 def zhat_structure(lam: Weight, l: int) -> ModuleGraph:

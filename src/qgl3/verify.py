@@ -225,12 +225,12 @@ def suite_graphs(l: int, parts: list[Weight]) -> Iterator[Case]:
         for tag, build, identity in cases:
             case = f"l={l} lam={name} {tag}"
             try:
-                g = build(lam, l)
-                rep = validate_graph(g)
+                rep = validate_graph(build(lam, l))
             except ValueError as exc:  # a kept factor with no layer, a bad factor list
                 yield (case, identity, str(exc), False)
                 continue
-            yield (case, identity, "ok" if rep.ok else str(rep.failures()), rep.ok)
+            ok = rep.ok
+            yield (case, identity, "ok" if ok else str(rep.failures()), ok)
 
 
 def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:

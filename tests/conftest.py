@@ -70,12 +70,13 @@ def _container_sizes() -> dict[str, int]:
 # Run in a fresh interpreter, where every memo starts empty whatever the
 # tests before it filled: every module of qgl3 is imported first, so a
 # module loaded during the sweep does not count as growth.  It prints the
-# containers that grew and the keys of the restricted-orbit memo that are
-# triples of plain ints, with the memo's size.
+# containers that grew, the keys of the restricted-orbit memo that are
+# triples of plain ints, with the memo's size, and the number of graph
+# skeletons.
 _MEMO_SWEEP = f"""
 import importlib, json, pkgutil, sys
 import qgl3
-from qgl3 import lattice, verify
+from qgl3 import lattice, structure, verify
 for info in pkgutil.iter_modules(qgl3.__path__):
     importlib.import_module(f"qgl3.{{info.name}}")
 {inspect.getsource(_container_sizes)}
@@ -86,6 +87,7 @@ after = _container_sizes()
 print(json.dumps({{
     "grew": sorted(name for name, n in after.items() if n != before.get(name)),
     "orbit_rows": len(lattice._orbits),
+    "skeletons": len(structure._skeletons),
     "int_keys": [list(k) for k in lattice._orbits
                  if type(k) is tuple and len(k) == 3 and all(type(x) is int for x in k)],
 }}))

@@ -18,7 +18,9 @@ mirror's closed form and the printed off-wall translation tables
 (off_wall_pairs), which the engine reads off the orbit too.  The engine
 derives the alcove Ext pairs from the graph edges, the up-alcove tables
 from the down-alcove ones by duality, and every diagram's layers from its
-edges; the printed tables are kept here.
+edges; the printed tables are kept here.  The engine reads each graph's
+node ids, layers and kept edges off a skeleton compiled once per table and
+kept positions; direct_build derives them from the table on each call.
 """
 
 import functools
@@ -33,7 +35,8 @@ from qgl3.charring import (
 )
 from qgl3.homs import hat_dual_pair
 from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
-from qgl3.structure import G1B_SIMPLE, _want_got, zhat_structure
+from qgl3.decomp import check_positions
+from qgl3.structure import G1B_SIMPLE, GraphNode, ModuleGraph, _IDS, _want_got, zhat_structure
 
 
 @functools.cache
@@ -205,6 +208,20 @@ def off_wall_pairs(c, mu_res, target_res, l):
         mirror = up_alcove_mirror(target_res, l)
         return [(c, mirror), (c, target_res), (c, mirror)]
     return None
+
+
+def direct_build(lam, l, kind, factors, edges, layers, keep):
+    """structure._build without the skeleton memo: the kept positions,
+    their layers and the kept edges are read off the table on each call."""
+    indices = sorted(keep)
+    kept = set(indices)
+    missing = sorted(kept - layers.keys())
+    if missing:
+        raise ValueError(f"{kind} graph of {lam} (l={l}): kept position {missing[0]} has no layer")
+    check_positions(lam, l, factors, max(kept, default=0))
+    nodes = tuple(GraphNode(_IDS[i], factors[i - 1], kind, layers[i]) for i in indices)
+    edge_ids = tuple((_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept)
+    return ModuleGraph(lam, l, kind, nodes, edge_ids)
 
 
 def duality_diff(g) -> str:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgl3 import charring, decomp, kernels, lattice, verify
+from qgl3 import charring, decomp, kernels, lattice, structure, verify
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
@@ -422,7 +422,10 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
 
 
 # The engine's memos, each measured to pay for itself on the sweeps that
-# read it again.  A new one has to be named here.
+# read it again.  A new one has to be named here.  structure._skeletons holds
+# one graph skeleton per (table, kept positions) pair, at most tables times
+# survivor sets: 34 after the acceptance sweep, and no more after sweeps at
+# larger l and box (test_structure.SKELETONS).
 MEMOS = {
     (charring, "_bk_weights"),
     (charring, "_chi_l_templates"),
@@ -430,6 +433,7 @@ MEMOS = {
     (decomp, "_decompositions"),
     (kernels, "_key_lines"),
     (lattice, "_orbits"),
+    (structure, "_skeletons"),
 }
 
 
@@ -763,6 +767,25 @@ def test_chi_l_weyl_templates_in_any_order(l, monkeypatch):
         assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
     centres = {shape for _, _, shape, _ in charring._chi_l_templates if type(shape) is tuple}
     assert centres == ({(l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2} if l % 3 == 0 else set())
+
+
+@pytest.mark.parametrize("l", [6, 9])
+def test_chi_l_weyl_alcove_centre_first(l, monkeypatch):
+    """From empty memos, each 3 | l alcove centre is read before the other
+    weights of its facet, at a dominant and a non-dominant classical part:
+    the centre builds a template keyed by itself, the other weights build
+    the facet's, and each value is the weight-basis chi_l in the Weyl basis."""
+    for name in ("_chi_l_templates", "_chi_l_weyl_cache"):
+        monkeypatch.setattr(charring, name, {})
+    for centre in ((l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2):
+        facet = restricted_orbit(centre, l)[0]
+        others = [r for r in itertools.product(range(l), repeat=2)
+                  if r != centre and restricted_orbit(r, l)[0] is facet]
+        assert others
+        for ca, cb in ((1, 2), (-2, 1)):
+            for ra, rb in [centre, *others]:
+                mu = Weight(l * ca + ra, l * cb + rb)
+                assert chi_l_weyl(mu, l) == decompose_into_weyl(chi_l(mu, l)), mu
 
 
 def test_chi_l_weyl_keys_are_plain_tuples(monkeypatch):

@@ -593,6 +593,79 @@ def test_layers_read_off_edges():
     assert structure._table(skew, dual=True) == (skew, {1: 0, 2: 1, 3: 2, 4: 1})
 
 
+# The (table, kept positions) pairs the builders meet: one per Borel-induced
+# table content (the two side walls share theirs) and one per survivor set
+# of each filtration table.  The acceptance sweep meets them all, and sweeps
+# at l = 5, box 8, and l in {4, 6, 7, 9, 11}, box 5 or 6, meet no other.
+SKELETONS = 34
+
+
+def test_skeleton_builds_equal_the_direct_build(monkeypatch):
+    """Every graph built at l in {2, 3, 5, 7}, classical box 0..4, equals
+    the direct build from the same table and kept positions, and the memo
+    holds exactly one skeleton per (table, kept positions) pair met."""
+    monkeypatch.setattr(structure, "_skeletons", {})
+    build, met = structure._build, set()
+
+    def checked(lam, l, kind, factors, edges, layers, keep):
+        g = build(lam, l, kind, factors, edges, layers, keep)
+        assert g == oracles.direct_build(lam, l, kind, factors, edges, layers, keep), (lam, l, kind)
+        met.add((edges, tuple(layers.items()), keep))
+        return g
+
+    monkeypatch.setattr(structure, "_build", checked)
+    for l in (2, 3, 5, 7):
+        for a, b, r, s in itertools.product(range(5), range(5), range(l), range(l)):
+            lam = Weight(l * a + r, l * b + s)
+            zhat_structure(lam, l)
+            nabla_l_filtration(lam, l)
+    assert set(structure._skeletons) == met
+    assert len(met) == SKELETONS
+
+
+def test_skeleton_memo_after_the_acceptance_sweep(memo_sweep):
+    assert memo_sweep["skeletons"] == SKELETONS
+
+
+def test_build_errors_raise_on_every_call(monkeypatch):
+    """A kept position with no layer raises on every call and leaves no
+    skeleton; a short factor list raises on every call, before and after
+    the skeleton of its table and keep is stored."""
+    monkeypatch.setattr(structure, "_skeletons", {})
+    lam, l = Weight(4, 1), 3
+    facet, factors = decomp.factor_family(lam, l)
+    edges, layers = structure._ZHAT_TABLES[facet]
+    keep = tuple(layers)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"\(l=3\): kept position 5 has no layer$"):
+            structure._build(lam, l, structure.NABLA_L, factors, *structure._STRIP_A, (1, 2, 5))
+    assert not structure._skeletons
+
+    def build(factors):
+        return structure._build(lam, l, structure.G1B_SIMPLE, factors, edges, layers, keep)
+
+    with pytest.raises(ValueError, match=r"has no position 6 of 9"):
+        build(factors[:5])
+    assert build(factors) == zhat_structure(lam, l)
+    assert len(structure._skeletons) == 1
+    with pytest.raises(ValueError, match=r"has no position 6 of 9"):
+        build(factors[:5])
+
+
+def test_a_rebound_table_gets_its_own_skeleton(monkeypatch):
+    """The skeletons are keyed by the table's content: a table rebound to
+    other edges builds its own graph, and the original table's graph comes
+    back when it is bound again."""
+    lam, l = Weight(4, 1), 3
+    facet = decomp.factor_family(lam, l)[0]
+    edges, layers = structure._ZHAT_TABLES[facet]
+    g = zhat_structure(lam, l)
+    monkeypatch.setitem(structure._ZHAT_TABLES, facet, (edges[1:], layers))
+    assert zhat_structure(lam, l).edges == g.edges[1:]
+    monkeypatch.setitem(structure._ZHAT_TABLES, facet, (edges, layers))
+    assert zhat_structure(lam, l) == g
+
+
 def test_hat_dual_pair():
     assert hat_dual_pair(Weight(3, 3), 3) == Weight(0, 0) - 3 * Weight(1, 1)
     for l in (2, 3):
