@@ -251,31 +251,63 @@ def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
     entries and adding l*v for integer vectors v with entry sum divisible
     by 3.  Divmod each entry by l and raise the j smallest residues by l,
     with j the quotient sum mod 3: the result lies in the orbit and its
-    entries are at most l apart, so sorted decreasingly it is the orbit's
-    point of the closed fundamental alcove.  The representative is unique;
-    the element is unique up to the stabilizer of lam.
+    entries are at most l apart, so in decreasing order it is the orbit's
+    point of the closed fundamental alcove, and perm lists the entries in
+    that order.  The representative is unique; the element is unique up to
+    the stabilizer of lam and is fixed by the tie rule, that of stable
+    sorts: among equal residues the lower index counts as the smaller one
+    when raising, and among equal entries the lower index comes first in
+    perm.  Both orders are read off by comparisons on ints.
     """
-    x = (lam[0] + lam[1] + 2, lam[1] + 1, 0)
-    q0, r0 = divmod(x[0], l)
-    q1, r1 = divmod(x[1], l)
-    q2, r2 = divmod(x[2], l)
-    z = [r0, r1, r2]
-    for i in sorted(range(3), key=z.__getitem__)[: (q0 + q1 + q2) % 3]:
-        z[i] += l
-    perm = tuple(sorted(range(3), key=z.__getitem__, reverse=True))
-    y0, y1, y2 = z[perm[0]], z[perm[1]], z[perm[2]]
-    translation = (z[0] - x[0], z[1] - x[1], z[2] - x[2])
-    return Weight(y0 - y1 - 1, y1 - y2 - 1), AffineWeylElement(perm, translation)
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    a, b = lam
+    x0, x1 = a + b + 2, b + 1
+    q0, z0 = divmod(x0, l)
+    q1, z1 = divmod(x1, l)
+    z2 = 0  # the third entry, 0, has quotient 0 and residue 0
+    j = (q0 + q1) % 3
+    if j == 1:  # raise the smallest: z2 = 0, unless a lower residue is 0
+        if z0 == 0:
+            z0 = l
+        elif z1 == 0:
+            z1 = l
+        else:
+            z2 = l
+    elif j == 2:  # keep the largest (of equal ones the higher index), raise the others
+        if z0 > z1:
+            z1 += l
+            z2 = l
+        elif z1:
+            z0 += l
+            z2 = l
+        else:  # all three are 0
+            z0 = z1 = l
+    if z0 >= z1:
+        if z1 >= z2:
+            perm, y0, y1, y2 = (0, 1, 2), z0, z1, z2
+        elif z0 >= z2:
+            perm, y0, y1, y2 = (0, 2, 1), z0, z2, z1
+        else:
+            perm, y0, y1, y2 = (2, 0, 1), z2, z0, z1
+    elif z0 >= z2:
+        perm, y0, y1, y2 = (1, 0, 2), z1, z0, z2
+    elif z1 >= z2:
+        perm, y0, y1, y2 = (1, 2, 0), z1, z2, z0
+    else:
+        perm, y0, y1, y2 = (2, 1, 0), z2, z1, z0
+    return (Weight(y0 - y1 - 1, y1 - y2 - 1),
+            AffineWeylElement(perm, (z0 - x0, z1 - x1, z2)))
 
 
 def apply_inverse(w: AffineWeylElement, x: Weight) -> Weight:
     """w^-1 . x in O(1): if w sends nu to its representative, this maps
     representative-side data back to nu's side."""
-    y = (x[0] + x[1] + 2, x[1] + 1, 0)
+    (p0, p1, _), (t0, t1, t2) = w
     v = [0, 0, 0]
-    for k, i in enumerate(w.perm):
-        v[i] = y[k] - w.translation[i]
-    return Weight(v[0] - v[1] - 1, v[1] - v[2] - 1)
+    v[p0] = x[0] + x[1] + 2
+    v[p1] = x[1] + 1
+    return Weight(v[0] - v[1] - t0 + t1 - 1, v[1] - v[2] - t1 + t2 - 1)
 
 
 def linked(lam: Weight, mu: Weight, l: int) -> bool:
@@ -316,9 +348,17 @@ def dominance_key(w: Weight) -> tuple[int, int]:
 
 
 def facet_stabilizer_walls(lam: Weight, l: int) -> list[tuple[PositiveRoot, int]]:
-    """Walls through lam, as (root, wall value) reflection data."""
-    return [
-        (root, pairing(lam, root))
-        for root in POSITIVE_ROOTS
-        if pairing(lam, root) % l == 0
-    ]
+    """Walls through lam, as (root, wall value) reflection data in root
+    order: the roots whose pairing a+1, b+1 or a+b+2 is divisible by l."""
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+    p1, p2 = lam[0] + 1, lam[1] + 1
+    p3 = p1 + p2
+    walls = []
+    if p1 % l == 0:
+        walls.append((PositiveRoot.ALPHA1, p1))
+    if p2 % l == 0:
+        walls.append((PositiveRoot.ALPHA2, p2))
+    if p3 % l == 0:
+        walls.append((PositiveRoot.RHO, p3))
+    return walls

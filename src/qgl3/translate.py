@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from qgl3.charring import FormalChar, char_from_weyl, chi_l_weyl, weyl_sum
 from qgl3.decomp import chi_decomposition
 from qgl3.lattice import (
-    POSITIVE_ROOTS,
     FacetType,
     PositiveRoot,
     Weight,
@@ -69,13 +68,17 @@ def translate_onto_wall(
             f"{Weight(*nu)} is not in the orbit of {Weight(*lam_orbit)} "
             f"(representative {rep}, l={l})"
         )
-    if not all(0 <= pairing(mu_orbit, root) <= l for root in POSITIVE_ROOTS):
+    m1, m2 = mu_orbit[0] + 1, mu_orbit[1] + 1
+    if not (m1 >= 0 and m2 >= 0 and m1 + m2 <= l):
         raise ValueError(f"{Weight(*mu_orbit)} is not in the closed bottom alcove (l={l})")
     x = apply_inverse(w, mu_orbit)
-    for root in POSITIVE_ROOTS:
-        n = -(-pairing(nu, root) // l)
-        if not (n - 1) * l < pairing(x, root) <= n * l:
-            return None
+    # (n-1)l < p <= nl with n = ceil(q/l) says that the pairings p of x and
+    # q of nu have one ceiling over l, so p - 1 and q - 1 one floor: a, b
+    # and a + b + 1 for the three roots
+    a, b = x
+    c, d = nu
+    if a // l != c // l or b // l != d // l or (a + b + 1) // l != (c + d + 1) // l:
+        return None
     return x
 
 

@@ -20,7 +20,10 @@ derives the alcove Ext pairs from the graph edges, the up-alcove tables
 from the down-alcove ones by duality, and every diagram's layers from its
 edges; the printed tables are kept here.  The engine reads each graph's
 node ids, layers and kept edges off a skeleton compiled once per table and
-kept positions; direct_build derives them from the table on each call.
+kept positions; direct_build derives them from the table on each call.  The
+engine reduces a weight to the fundamental alcove by comparisons on ints;
+fundamental_rep_by_sorting and apply_inverse_by_loop are the sorted-index
+and per-entry transcriptions of that closed form.
 """
 
 import functools
@@ -34,7 +37,15 @@ from qgl3.charring import (
     restricted_simple_char,
 )
 from qgl3.homs import hat_dual_pair
-from qgl3.lattice import RHO, FacetType, Weight, classify_restricted, decompose, dual_weight
+from qgl3.lattice import (
+    RHO,
+    AffineWeylElement,
+    FacetType,
+    Weight,
+    classify_restricted,
+    decompose,
+    dual_weight,
+)
 from qgl3.decomp import check_positions
 from qgl3.structure import G1B_SIMPLE, GraphNode, ModuleGraph, _IDS, _want_got, zhat_structure
 
@@ -208,6 +219,34 @@ def off_wall_pairs(c, mu_res, target_res, l):
         mirror = up_alcove_mirror(target_res, l)
         return [(c, mirror), (c, target_res), (c, mirror)]
     return None
+
+
+def fundamental_rep_by_sorting(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
+    """lattice.fundamental_rep as its direct transcription: divmod the GL3
+    coordinates (a+b+2, b+1, 0) by l, raise the j smallest residues by l in
+    a stable sort (j the quotient sum mod 3), and list the entries by a
+    stable decreasing sort."""
+    x = (lam[0] + lam[1] + 2, lam[1] + 1, 0)
+    q0, r0 = divmod(x[0], l)
+    q1, r1 = divmod(x[1], l)
+    q2, r2 = divmod(x[2], l)
+    z = [r0, r1, r2]
+    for i in sorted(range(3), key=z.__getitem__)[: (q0 + q1 + q2) % 3]:
+        z[i] += l
+    perm = tuple(sorted(range(3), key=z.__getitem__, reverse=True))
+    y0, y1, y2 = z[perm[0]], z[perm[1]], z[perm[2]]
+    translation = (z[0] - x[0], z[1] - x[1], z[2] - x[2])
+    return Weight(y0 - y1 - 1, y1 - y2 - 1), AffineWeylElement(perm, translation)
+
+
+def apply_inverse_by_loop(w: AffineWeylElement, x: Weight) -> Weight:
+    """lattice.apply_inverse entry by entry: the k-th GL3 coordinate of x,
+    less the translation, goes back to position perm[k]."""
+    y = (x[0] + x[1] + 2, x[1] + 1, 0)
+    v = [0, 0, 0]
+    for k, i in enumerate(w.perm):
+        v[i] = y[k] - w.translation[i]
+    return Weight(v[0] - v[1] - 1, v[1] - v[2] - 1)
 
 
 def direct_build(lam, l, kind, factors, edges, layers, keep):

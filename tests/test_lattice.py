@@ -25,10 +25,12 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
+from qgl3.translate import local_target, translate_onto_wall
 from qgl3.verify import run_suite
 
 import test_family_tables
 import test_translate
+from oracles import apply_inverse_by_loop, fundamental_rep_by_sorting
 
 coords = st.integers(-30, 30)
 weights = st.builds(Weight, coords, coords)
@@ -316,6 +318,51 @@ def test_fundamental_rep_against_reflection_walk(lam, l):
     if not facet_stabilizer_walls(rep, l):
         for y in (Weight(0, 0), Weight(l, -2), Weight(-3, 2 * l)):
             assert apply_inverse(w, y) == _undo_reflections(moves, y)
+
+
+def test_fundamental_rep_equals_the_sorting_transcription():
+    """The representative and the element, perm and translation, equal
+    those of the stable sorts on every weight of [-2l, 4l)^2, l = 2..13,
+    walls included, where the reflection walk pins the element only up to
+    the stabilizer; apply_inverse equals the per-entry loop on the
+    representative and on (l, -2)."""
+    count = 0
+    for l in range(2, 14):
+        for a, b in itertools.product(range(-2 * l, 4 * l), repeat=2):
+            lam = Weight(a, b)
+            rep, w = fundamental_rep(lam, l)
+            assert (rep, w) == fundamental_rep_by_sorting(lam, l), (lam, l)
+            for y in (rep, Weight(l, -2)):
+                assert apply_inverse(w, y) == apply_inverse_by_loop(w, y), (lam, l, y)
+            count += 1
+    assert count == 29448
+
+
+def test_facet_stabilizer_walls_equal_the_per_root_pairings():
+    """The walls are the (root, pairing) of each positive root whose
+    pairing l divides, in root order, on every weight of [-2l, 4l)^2."""
+    for l in range(2, 14):
+        for a, b in itertools.product(range(-2 * l, 4 * l), repeat=2):
+            lam = Weight(a, b)
+            want = [(root, pairing(lam, root)) for root in POSITIVE_ROOTS
+                    if pairing(lam, root) % l == 0]
+            assert facet_stabilizer_walls(lam, l) == want, (lam, l)
+
+
+@pytest.mark.parametrize("l", [1, 0, -3])
+def test_affine_reductions_reject_l_below_2(l):
+    """fundamental_rep and facet_stabilizer_walls reject l < 2 as decompose
+    does, and linked, translate_onto_wall and local_target through them."""
+    calls = (
+        lambda: fundamental_rep(Weight(2, 2), l),
+        lambda: facet_stabilizer_walls(Weight(2, 2), l),
+        lambda: linked(Weight(0, 0), Weight(5, 3), l),
+        lambda: translate_onto_wall(Weight(1, 0), Weight(1, 0), Weight(1, 0), l),
+        lambda: local_target(Weight(1, 0), Weight(0, 0), l),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^need l >= 2, got {l}$"):
+            call()
 
 
 def test_orbit_near_candidates_against_reflection_word(monkeypatch):

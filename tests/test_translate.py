@@ -64,6 +64,28 @@ def test_onto_wall_rejects_bad_orbit():
             translate_onto_wall(nu, lam_orbit, mu_orbit, 3)
 
 
+@pytest.mark.parametrize("l", [3, 5])
+def test_onto_wall_closed_bottom_alcove_bounds(l):
+    """The closed bottom alcove is 0 <= <x+rho, alpha~> for both simple
+    roots and <x+rho, theta~> <= l, both bounds inclusive: a target with a
+    pairing of exactly 0 (alpha1, then alpha2) or exactly l (theta) is
+    taken, and one step outside each bound is rejected.  nu = (0, 0) is
+    regular and its own representative, so a target on the theta wall, in
+    the upper closure of nu's alcove, is its own image, and the translate
+    onto a simple-root wall, in the lower closure only, is zero."""
+    nu = Weight(0, 0)
+    for inside, outside, image in (
+        (Weight(-1, 0), Weight(-2, 0), None),  # alpha1: pairing 0, then -1
+        (Weight(0, -1), Weight(0, -2), None),  # alpha2: pairing 0, then -1
+        (Weight(l - 2, 0), Weight(l - 1, 0), Weight(l - 2, 0)),  # theta: l, then l + 1
+    ):
+        assert translate_onto_wall(nu, nu, inside, l) == image
+        assert _translate_onto_wall_by_search(nu, nu, inside, l) == image
+        message = rf"^{re.escape(str(outside))} is not in the closed bottom alcove"
+        with pytest.raises(ValueError, match=message):
+            translate_onto_wall(nu, nu, outside, l)
+
+
 def test_onto_wall_character_consistency():
     # translating every surviving filtration factor onto the wall recovers
     # the filtration of the translated module
