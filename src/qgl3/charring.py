@@ -29,7 +29,11 @@ builds its character afresh, though both routes to an induced character
 share their weight keys, and no count, through kernels._key_lines.  The
 memos here are _bk_weights, the tableau counts of the classical parts and
 small tensor factors that the Brauer-Klimyk rule expands, _chi_l_templates
-and _chi_l_weyl_cache.
+and _chi_l_weyl_cache.  Of the sweeps and CLI commands only the
+decomposition suite fills them, through chi_l_weyl; their other readers
+are the public chi_l_weyl and tensor_multiplicity.
+translate.translated_character reads chi_l keys instead
+(decomp.weyl_of_chi_l) and fills none of them.
 """
 
 from __future__ import annotations

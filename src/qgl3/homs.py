@@ -58,6 +58,8 @@ def witness_valid(lam: Weight, mu: Weight, w: HomWitness, l: int, p: int = 0) ->
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
     if affine_reflect(lam, w.beta, w.m, l) != (mu[0], mu[1]):
         return False
     lo = min(pairing(lam, w.beta), pairing(mu, w.beta))
@@ -76,6 +78,8 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
     if min(lam[0], lam[1], mu[0], mu[1]) < 0:
         raise ValueError(
             f"hom_exists_mirror needs dominant weights, got {Weight(*lam)}, {Weight(*mu)}"
@@ -105,6 +109,8 @@ def zhat_head_weight(lam: Weight, l: int) -> Weight:
     """Highest weight of the simple head of the Borel-induced module: the
     dual weight of 2(l-1)rho - lam.  For vertex weights this returns lam
     itself (the module is simple)."""
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
     a, b = lam
     top = 2 * (l - 1)
     return Weight(*hat_dual_pair((top - a, top - b), l))

@@ -190,12 +190,15 @@ def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, i
     Memoized in _orbits on (r, s, l) when all three are plain ints, so
     every int-path facet lookup reads the facet off the same row; any other
     argument, such as an affine form of the tests, is computed afresh and
-    never stored.  The returned row is shared and immutable."""
+    never stored.  An int miss rejects l < 2, so no row is stored for it.
+    The returned row is shared and immutable."""
     r, s = res
     if type(r) is int and type(s) is int and type(l) is int:
         key = (r, s, l)
         hit = _orbits.get(key)
         if hit is None:
+            if l < 2:
+                raise ValueError(f"need l >= 2, got {l}")
             hit = _orbits[key] = _orbit(r, s, l)
         return hit
     return _orbit(r, s, l)

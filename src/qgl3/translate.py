@@ -23,14 +23,20 @@ divmod.  A WallTranslate keeps those rows, and its modules (the one place
 the zero-module rule is written), factor count and generic flag are read
 off them; a Weight is built only where a value leaves: the wall weight,
 the mirror and the source factors of a WallTranslate.
+
+translated_character works on chi_l keys alone: net_terms collects the
+modules' chi_l, and decomp.weyl_of_chi_l reads the Weyl-basis form off
+those keys, so this module expands no chi_l (it imports neither chi_l_weyl
+nor weyl_sum) and reads no chi_l memo; only the weight-basis character of
+that form is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qgl3.charring import FormalChar, char_from_weyl, chi_l_weyl, weyl_sum
-from qgl3.decomp import chi_decomposition
+from qgl3.charring import FormalChar, char_from_weyl
+from qgl3.decomp import chi_decomposition, net_terms, weyl_of_chi_l
 from qgl3.lattice import (
     FacetType,
     PositiveRoot,
@@ -248,7 +254,10 @@ def translate_nabla_factor_count(lam: Weight, l: int) -> int:
 
 
 def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:
-    """Character of the full translate, chi_l_weyl summed over its modules,
-    and the mirror weight whose induced character it contains with lam's."""
+    """Character of the full translate and the mirror weight whose induced
+    character it contains with lam's.  The modules' chi_l are collected on
+    keys by net_terms, and decomp.weyl_of_chi_l reads their Weyl-basis form
+    off those keys (almost always {lam: 1, mirror: 1}); no chi_l is
+    expanded and no chi_l memo is read."""
     t = translate_factor_lists(lam, l)
-    return char_from_weyl(weyl_sum(chi_l_weyl(w, l) for w in t.modules)), t.mirror
+    return char_from_weyl(weyl_of_chi_l(net_terms(t.modules, l), l)), t.mirror

@@ -45,7 +45,7 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
-from qgl3.translate import translated_character
+from qgl3.translate import translate_factor_lists, translated_character
 
 from oracles import up_alcove_mirror
 
@@ -327,13 +327,16 @@ def test_no_character_shares_a_memo_dict(monkeypatch):
     the coeffs of the characters that weyl_char, weyl_char_alternating,
     char_from_weyl, translated_character and zhat_char return are none of
     the dicts held by a module-level value of qgl3, such as _bk_weights and
-    _chi_l_weyl_cache."""
+    _chi_l_weyl_cache.  translated_character reads no chi_l memo, so the
+    chi_l_weyl of the translate's modules fills them."""
     l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
     for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
         monkeypatch.setattr(charring, name, {})
     modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "qgl3"]
     for _ in range(2):
         total, mirror = translated_character(lam, l)
+        for w in translate_factor_lists(lam, l).modules:
+            chi_l_weyl(w, l)
         top = next(iter(charring._bk_weights))
         chars = [
             total,
@@ -395,16 +398,19 @@ def test_chi_l_dimension_against_chi_l_weyl():
 
 def test_no_memo_holds_an_induced_character(monkeypatch):
     """Induced characters are not memoized.  After building a large weight's
-    character both ways and its translate at l = 11, no module-level value
-    of qgl3 holds the weight-basis character of the weight or of its
-    mirror, and the Brauer-Klimyk memo holds exactly the dominantized
-    classical parts passed to chi_l_weyl."""
+    character both ways, its translate at l = 11 and the chi_l_weyl of the
+    translate's modules, no module-level value of qgl3 holds the
+    weight-basis character of the weight or of its mirror, and the
+    Brauer-Klimyk memo holds exactly the dominantized classical parts
+    passed to chi_l_weyl."""
     l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
     for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
         monkeypatch.setattr(charring, name, {})
     ch = weyl_char(lam)
     assert weyl_char_alternating(lam) == ch
     total, mirror = translated_character(lam, l)
+    for w in translate_factor_lists(lam, l).modules:
+        chi_l_weyl(w, l)
     assert total == ch + weyl_char(mirror)
     big = [ch.coeffs, weyl_char(mirror).coeffs]
     seen = set()

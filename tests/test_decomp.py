@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -226,6 +227,58 @@ def test_net_terms_against_chi_l_weyl():
             want = weyl_sum(chi_l_weyl(f, l) for f in factors)
             got = weyl_sum({w: n * c for w, c in chi_l_weyl(k, l).items()} for k, n in net.items())
             assert got == want, (l, lam)
+
+
+def test_weyl_of_chi_l_against_chi_l_weyl_on_random_combinations():
+    """weyl_of_chi_l, the peel by the decomposition identity, equals the
+    sum of n * chi_l_weyl(k) on seeded random integer combinations
+    {k: n} of dominant chi_l keys, n of either sign, at l in {2..7, 9}."""
+    rng = random.Random(41)
+    peeled = 0
+    for l in (2, 3, 4, 5, 6, 7, 9):
+        for _ in range(60):
+            net = {}
+            for _ in range(rng.randint(1, 5)):
+                k = (rng.randrange(4 * l), rng.randrange(4 * l))
+                net[k] = net.get(k, 0) + rng.choice((-3, -2, -1, 1, 2, 3))
+            want = weyl_sum({w: n * c for w, c in chi_l_weyl(k, l).items()} for k, n in net.items())
+            got = decomp.weyl_of_chi_l(net, l)
+            assert got == want, (l, net)
+            peeled += len(got) > len(net)
+    assert peeled > 300
+
+
+@pytest.mark.parametrize("edit, count", [("raise", 1), ("repeat", 2), ("drop", 0)])
+def test_weyl_of_chi_l_rejects_a_family_that_is_not_unitriangular(monkeypatch, edit, count):
+    """With factor 2 of the down-alcove family raised above lam or made a
+    second copy of lam, or with lam's row dropped, the peel of a
+    down-alcove key raises its ValueError naming the key and l at the
+    first key it takes; the raised row alone would send it up forever.  A
+    counter on family_pairs fails the test if the peel runs on instead."""
+    rows = decomp.FAMILY_ROWS[FacetType.DOWN_ALCOVE]
+    rows = {"raise": rows[:1] + ((1, 0, 1),) + rows[2:],
+            "repeat": rows[:1] + ((0, 0, 0),) + rows[2:],
+            "drop": rows[1:]}[edit]
+    monkeypatch.setitem(decomp.FAMILY_ROWS, FacetType.DOWN_ALCOVE, rows)
+    family, calls = decomp.family_pairs, []
+
+    def counted(lam, l):
+        calls.append(lam)
+        assert len(calls) < 100, "the peel did not stop"
+        return family(lam, l)
+
+    monkeypatch.setattr(decomp, "family_pairs", counted)
+    lam = 5 * Weight(2, 1) + Weight(1, 1)
+    assert decomp.net_terms(counted(lam, 5)[1], 5).get(lam, 0) == count
+    calls.clear()
+    with pytest.raises(ValueError, match=r"^the family of \(11,6\) \(l=5\) is not unitriangular"):
+        decomp.weyl_of_chi_l({lam: 2, Weight(0, 0): 1}, 5)
+    assert calls == [lam]
+
+
+def test_weyl_of_chi_l_rejects_a_non_dominant_key():
+    with pytest.raises(ValueError, match=r"needs dominant chi_l keys, got \(-1,4\) \(l=3\)"):
+        decomp.weyl_of_chi_l({(-1, 4): 1}, 3)
 
 
 def test_boundary_cancellation():

@@ -6,8 +6,9 @@ import re
 import pytest
 
 from qgl3 import translate, verify
-from qgl3.charring import chi_l, chi_l_weyl, simple_char_p0, weyl_char, weyl_sum
-from qgl3.decomp import chi_decomposition
+from qgl3 import charring
+from qgl3.charring import FormalChar, chi_l, chi_l_weyl, simple_char_p0, weyl_char, weyl_sum
+from qgl3.decomp import chi_decomposition, net_terms, weyl_of_chi_l
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     FacetType,
@@ -796,3 +797,62 @@ def test_generic_flag_against_the_definition(monkeypatch):
         tally[l] = (len(seen), len(counted))
     # at l = 5, 138 of the 186 weights are not generic
     assert tally == {2: (47, 18), 3: (31, 8), 5: (186, 48), 7: (465, 120)}
+
+
+def test_weyl_of_chi_l_against_the_chi_l_sums_on_translates():
+    """The Weyl-basis form translated_character reads off chi_l keys,
+    decomp.weyl_of_chi_l of the net_terms of the modules, equals the sum of
+    chi_l_weyl over the modules on every translate module list at l in
+    {2,3,5,7}, classical box 0..4, those with a non-dominant mirror
+    included."""
+    tally = {}
+    for l in (2, 3, 5, 7):
+        lists = nondominant = 0
+        for lam in itertools.product(range(5 * l), repeat=2):
+            try:
+                t = translate_factor_lists(Weight(*lam), l)
+            except ValueError:
+                continue
+            want = weyl_sum(chi_l_weyl(w, l) for w in t.modules)
+            assert weyl_of_chi_l(net_terms(t.modules, l), l) == want, (l, lam)
+            lists += 1
+            nondominant += not t.mirror.is_dominant()
+        tally[l] = (lists, nondominant)
+    assert tally == {2: (74, 10), 3: (49, 0), 5: (294, 0), 7: (735, 0)}
+
+
+def _translates(lam, l):
+    """translated_character(lam, l) answers.  With char_from_weyl replaced
+    by FormalChar its answer is the Weyl-basis form, {lam: 1, mirror: 1},
+    or {lam: 1} when the mirror is not dominant."""
+    try:
+        total, mirror = translated_character(lam, l)
+    except ValueError:
+        return False
+    assert total.coeffs == ({lam: 1, mirror: 1} if mirror.is_dominant() else {lam: 1}), (l, lam)
+    return True
+
+
+def test_translated_character_reads_no_chi_l_memo(monkeypatch):
+    """translated_character reads chi_l keys only: from empty chi_l memos,
+    over every translatable weight at l in {3,5,11}, classical box 0..3,
+    the Brauer-Klimyk weights, the templates and the chi_l_weyl memo stay
+    empty.  The weight-basis expansion of the Weyl form, which calls the
+    tableau kernel directly, runs on the last weight at each l; on the
+    others the Weyl form is kept as it is, to keep the sweep quick."""
+    memos = ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache")
+    for name in memos:
+        monkeypatch.setattr(charring, name, {})
+    expand = translate.char_from_weyl
+    tally = {}
+    for l in (3, 5, 11):
+        monkeypatch.setattr(translate, "char_from_weyl", FormalChar)
+        translated = [lam for lam in itertools.product(range(4 * l), repeat=2)
+                      if _translates(lam, l)]
+        monkeypatch.setattr(translate, "char_from_weyl", expand)
+        total, mirror = translated_character(translated[-1], l)
+        assert total == weyl_char(translated[-1]) + weyl_char(mirror)
+        tally[l] = len(translated)
+    assert {name: getattr(charring, name) for name in memos} == dict.fromkeys(memos, {})
+    assert tally == {3: 31, 5: 186, 11: 1395}
+

@@ -11,12 +11,13 @@ import itertools
 import pytest
 
 from qgl3 import charring, lattice
-from qgl3.decomp import chi_decomposition, factor_family, zhat_factors
+from qgl3.decomp import chi_decomposition, factor_family, zhat_char, zhat_factors, zhat_numerator
 from qgl3.charring import chi_l_dimension, chi_l_weyl
-from qgl3.ext import ext1_g, ext1_g1b_general, ext_table
-from qgl3.homs import zhat_head_weight
+from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
+from qgl3.homs import HomWitness, hom_exists_mirror, witness_valid, zhat_head_weight
 from qgl3.lattice import (
     FacetType,
+    PositiveRoot,
     RestrictedDecomposition,
     Weight,
     classify_restricted,
@@ -136,3 +137,28 @@ def test_the_level_is_checked_where_divmod_splits(name):
     for l in (1, 0, -2):
         with pytest.raises(ValueError, match=r"^need l >= 2"):
             _SPLITTERS[name](l)
+
+
+# The public entry points that answered at l < 2 before they were guarded:
+# a mirror witness at l = 1, a head weight and a zhat character of some
+# dimension, or a ZeroDivisionError at l = 0.
+_LEVEL_ENTRY_POINTS = {
+    "hom_exists_mirror": lambda l: hom_exists_mirror(Weight(3, 0), Weight(0, 0), l),
+    "witness_valid": lambda l: witness_valid(
+        Weight(3, 0), Weight(0, 0), HomWitness(PositiveRoot.ALPHA1, 1), l),
+    "zhat_head_weight": lambda l: zhat_head_weight(Weight(3, 3), l),
+    "zhat_char": lambda l: zhat_char(Weight(0, 0), l),
+    "zhat_numerator": lambda l: zhat_numerator(Weight(0, 0), l),
+    "ext1_g1": lambda l: ext1_g1(Weight(0, 0), Weight(0, 0), l),
+    "restricted_simple_weyl": lambda l: charring.restricted_simple_weyl(Weight(0, 0), l),
+}
+
+
+@pytest.mark.parametrize("l", [1, 0, -3])
+def test_public_entry_points_reject_a_level_below_2(l):
+    """Each public entry point raises the ValueError that ext_table and
+    chi_l raise at l < 2, and restricted_orbit stores no row for it."""
+    for name, call in _LEVEL_ENTRY_POINTS.items():
+        with pytest.raises(ValueError, match=rf"^need l >= 2, got {l}$"):
+            call(l)
+    assert all(key[2] >= 2 for key in lattice._orbits)
