@@ -9,7 +9,12 @@ factored Weyl denominator, in runs along root strings (divide_by_weyl_denominato
 
 FormalChar.coeffs is keyed by int pairs (a, b): the engine builds plain
 tuples, which hash and compare equal to Weight, and uses Weight only where a
-weight leaves as a value (arguments, the keys of the peel results).
+weight leaves as a value (arguments, error texts).
+
+peel_dominant is the one peel in a unitriangular basis, on {int pair: int}
+dicts: decompose_into_weyl peels by the tableau counts, the oracle route to
+the Weyl basis, and decomp.weyl_of_chi_l by the induced characters on chi_l
+keys, the engine's route.
 
 W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
@@ -32,13 +37,14 @@ small tensor factors that the Brauer-Klimyk rule expands, _chi_l_templates
 and _chi_l_weyl_cache.  Of the sweeps and CLI commands only the
 decomposition suite fills them, through chi_l_weyl; their other readers
 are the public chi_l_weyl and tensor_multiplicity.
-translate.translated_character reads chi_l keys instead
+translate.translated_character peels chi_l keys instead
 (decomp.weyl_of_chi_l) and fills none of them.
 """
 
 from __future__ import annotations
 
 import json
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, repeat
 from typing import Callable, Iterable
 
@@ -47,6 +53,7 @@ from qgl3.lattice import (
     RHO,
     FacetType,
     Weight,
+    check_level,
     decompose,
     dominance_key,
     dominantize,
@@ -367,29 +374,41 @@ def simple_char_p0(lam: Weight, l: int) -> FormalChar:
     return chi_l(lam, l)
 
 
-def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[Weight, int]:
-    """Coefficients of x in a basis where basis(k) is e(k) plus weights below
-    k in the dominance order, peeling the dominance-leading weight off one
-    remainder dict in place; ValueError when that weight is not dominant.
+def peel_dominant(
+    x: dict[tuple[int, int], int], basis: Callable[[tuple[int, int]], dict[tuple[int, int], int]]
+) -> dict[tuple[int, int], int]:
+    """Coefficients of x in a unitriangular basis, all three {int pair: int}:
+    basis(k) holds k at count 1 and every other key at a smaller a + b.
+    The engine's one peel, behind decompose_into_weyl (the tableau counts),
+    decomp.weyl_of_chi_l (nabla on chi_l keys) and the tests' chi_l and
+    simple-character expansions.
 
-    Leads come off a heap of negated dominance_keys, skipping keys whose
-    weight has left the remainder; each step removes the lead and adds only
-    lower weights, so the leads strictly decrease and the loop ends.
+    Leads come off a heap of negated dominance_keys, skipping keys that have
+    left the remainder; each lead's count goes to the result, and that count
+    times the rest of its basis element comes off the remainder.  ValueError,
+    naming the lead, when it is not dominant or basis(lead) breaks that
+    shape, naming its terms too; so each step removes a dominant lead and
+    adds only keys of smaller a + b, the leads strictly decrease among the
+    finitely many dominant weights below the first, and the loop ends.
     """
-    from heapq import heapify, heappop, heappush  # on first use: only the oracles peel
-    rem = dict(x.coeffs)
+    rem = {k: n for k, n in x.items() if n}
     heap = [(-a - b, -a) for a, b in rem]
     heapify(heap)
-    out: dict[Weight, int] = {}
+    out: dict[tuple[int, int], int] = {}
     while rem:
         s, a = heappop(heap)
-        if (-a, a - s) not in rem:
+        top = (-a, a - s)
+        c = rem.get(top)
+        if c is None:
             continue
-        top = Weight(-a, a - s)
-        if not top.is_dominant():
-            raise ValueError(f"not expandable: leading weight {top} is not dominant")
-        c = out[top] = rem[top]
-        for w, m in basis(top).coeffs.items():
+        if top[0] < 0 or top[1] < 0:
+            raise ValueError(f"not expandable: leading weight {Weight(*top)} is not dominant")
+        terms = basis(top)
+        if terms.get(top) != 1 or any(u + v >= -s for u, v in terms if (u, v) != top):
+            raise ValueError(f"not expandable: the basis element of {Weight(*top)} is not "
+                             f"unitriangular: {sorted(terms.items())}")
+        out[top] = c
+        for w, m in terms.items():
             n = rem.get(w)
             if n is None:
                 rem[w] = -c * m
@@ -401,9 +420,10 @@ def peel_dominant(x: FormalChar, basis: Callable[[Weight], FormalChar]) -> dict[
     return out
 
 
-def decompose_into_weyl(x: FormalChar) -> dict[Weight, int]:
-    """Write a W-invariant character as an integer combination of weyl_chars."""
-    return peel_dominant(x, weyl_char)
+def decompose_into_weyl(x: FormalChar) -> dict[tuple[int, int], int]:
+    """Write a W-invariant character as an integer combination of weyl_chars,
+    keyed by int pairs: peel_dominant over the tableau counts."""
+    return peel_dominant(x.coeffs, lambda k: kernels.ssyt_weight_counts(k[0] + k[1], k[1]))
 
 
 # Weyl basis: {dominant weight: int}, as decompose_into_weyl returns.
@@ -514,8 +534,7 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     key = (mu[0], mu[1], l)
     hit = _chi_l_weyl_cache.get(key)
     if hit is None:
-        if l < 2:
-            raise ValueError(f"need l >= 2, got {l}")
+        check_level(l)
         ca, ra = divmod(mu[0], l)
         cb, rb = divmod(mu[1], l)
         sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
@@ -539,8 +558,7 @@ def chi_l_dimension(mu: Weight, l: int) -> int:
     """The dimension of chi_l(mu, l), sum of c * weyl_dimension(k) over
     chi_l_weyl(mu, l), in closed form: sign * dim nabla(c') * dim L(r) for
     mu = l*c + r and dominantize(c) = (sign, c'); zero when c is singular."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     (ca, ra), (cb, rb) = divmod(mu[0], l), divmod(mu[1], l)
     sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
     simple = sum(c * weyl_dimension(k) for k, c in restricted_simple_weyl((ra, rb), l).items())

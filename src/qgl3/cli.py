@@ -20,6 +20,7 @@ from qgl3.homs import hom_exists_mirror
 from qgl3.lattice import (
     POSITIVE_ROOTS,
     Weight,
+    check_level,
     decompose,
     facet_classify,
     pairing,
@@ -266,8 +267,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command != "verify":  # verify reads a list of l values
-            if args.l < 2:
-                raise ValueError(f"need l >= 2, got {args.l}")
+            check_level(args.l)
             graph = args.command == "lfilt" or args.command == "zhat" and args.structure
             if args.format == "dot" and not graph:
                 raise ValueError("--format dot is only valid for graph outputs")

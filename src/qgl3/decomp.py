@@ -14,12 +14,12 @@ factor).  The surviving terms need no second sum: the chi_l(l*d + r) with
 d dominant are linearly independent, so the survivors sum to the induced
 character exactly when they are, with multiplicity, the nonzero net_terms
 of the family (validate_graph's survivors-net, and the translate suite).
-weyl_of_chi_l inverts the decomposition identity on those keys: the net
-terms of the family of k hold k at count 1 and every other key at a
-smaller a + b, so peeling a key of largest a + b at a time turns any
-{k: n} on chi_l keys into its Weyl-basis form, which is how
+nabla_terms writes weyl(k) on those keys, the net terms of k's family:
+k at count 1 and every other key at a smaller a + b.  So the identity is
+unitriangular, and weyl_of_chi_l inverts it by charring.peel_dominant,
+turning any {k: n} on chi_l keys into its Weyl-basis form; that is how
 translate.translated_character gets its character without expanding a
-chi_l.
+chi_l, and verify's translate suite reads nabla_terms as it is.
 
 Both lists are read off one factor family per (lam, l), and family_pairs
 is its one builder: FAMILY_ROWS writes each facet's family as rows over
@@ -53,11 +53,13 @@ from qgl3.charring import (
     char_sum,
     chi_l,
     chi_l_dimension,
+    peel_dominant,
 )
 from qgl3.lattice import (
     FacetType,
     POSITIVE_ROOTS,
     Weight,
+    check_level,
     dominantize,
     restricted_orbit,
 )
@@ -148,6 +150,7 @@ def net_terms(factors: tuple[tuple[int, int], ...], l: int) -> dict[tuple[int, i
     pairs to zero with a root), as nearly all are, before dominantize
     builds a Weight; else it goes to l*c' + r with the sign s of
     dominantize(c) = (s, c').  Every key is dominant."""
+    check_level(l)
     net: dict[tuple[int, int], int] = {}
     for f in factors:
         sign, key = 1, f
@@ -162,39 +165,22 @@ def net_terms(factors: tuple[tuple[int, int], ...], l: int) -> dict[tuple[int, i
     return {k: n for k, n in net.items() if n}
 
 
+def nabla_terms(mu: tuple[int, int], l: int) -> dict[tuple[int, int], int]:
+    """The induced character of a dominant mu on chi_l keys, weyl(mu) = the
+    sum of n * chi_l(k) over this {k: n}: the net_terms of mu's family,
+    read off family_pairs looked up at call time.  The identity holds since
+    D(r) = 0; it is unitriangular, mu at count 1 and every other key at a
+    smaller a + b, which peel_dominant checks on each key it peels."""
+    return net_terms(family_pairs(mu, l)[1], l)
+
+
 def weyl_of_chi_l(net: dict[tuple[int, int], int], l: int) -> dict[tuple[int, int], int]:
     """The Weyl-basis form, keyed by int pairs, of the sum of n * chi_l(k)
-    over net = {k: n} on dominant chi_l keys: the inverse of the
-    decomposition identity weyl(k) = sum of m * chi_l(j) over
-    net_terms(family_pairs(k, l)[1], l), which holds since D(r) = 0.
-
-    The identity is unitriangular: its net terms hold k at count 1 and
-    every other key at a smaller a + b.  So a key k of largest a + b takes
-    its count n into the result, and n times the other net terms of its
-    family come off the remainder.  ValueError, naming k and l, when a
-    family breaks that shape or k is not dominant: each step then removes
-    a key of the largest a + b and adds only dominant keys below it, so the
-    loop ends."""
-    rem = {k: n for k, n in net.items() if n}
-    out: dict[tuple[int, int], int] = {}
-    while rem:
-        k = max(rem, key=sum)
-        n = out[k] = rem.pop(k)
-        if k[0] < 0 or k[1] < 0:
-            raise ValueError(f"weyl_of_chi_l needs dominant chi_l keys, got {Weight(*k)} (l={l})")
-        terms = net_terms(family_pairs(k, l)[1], l)
-        s = k[0] + k[1]
-        if terms.get(k) != 1 or any(a + b >= s for a, b in terms if (a, b) != k):
-            raise ValueError(f"the family of {Weight(*k)} (l={l}) is not unitriangular "
-                             f"on chi_l keys: {sorted(terms.items())}")
-        for j, m in terms.items():
-            if j != k:
-                c = rem.get(j, 0) - n * m
-                if c:
-                    rem[j] = c
-                else:
-                    del rem[j]
-    return out
+    over net = {k: n} on dominant chi_l keys: charring.peel_dominant in the
+    basis nabla_terms, the inverse of the decomposition identity.  A
+    non-dominant key, or a family that is not unitriangular on chi_l keys,
+    is peel_dominant's ValueError naming the key."""
+    return peel_dominant(net, lambda k: nabla_terms(k, l))
 
 
 def factor_family(lam: Weight, l: int) -> tuple[FacetType, tuple[Weight, ...]]:
@@ -217,8 +203,7 @@ def family_pairs(lam: tuple[int, int], l: int) -> tuple[FacetType, tuple[tuple[i
     """The one builder of the factor families: the facet of lam's restricted
     part and the rows of that facet evaluated on the restricted orbit, each
     factor an int pair.  Its readers look it up here at call time."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     a, r = divmod(lam[0], l)
     b, s = divmod(lam[1], l)
     facet, points = restricted_orbit((r, s), l)
@@ -289,8 +274,7 @@ def zhat_char(lam: Weight, l: int) -> FormalChar:
     """Character e(lam) * prod over positive roots of (1 + e(-root) + ... +
     e(-(l-1) root)); total dimension l^3, summed term by term over the
     exponents (i, j, k) in [0, l)^3 on each call."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     (a1, b1), (a2, b2), (a3, b3) = _ROOT_VECTORS
     a, b = lam
     out: dict[tuple[int, int], int] = {}
@@ -307,8 +291,7 @@ def zhat_numerator(lam: Weight, l: int) -> FormalChar:
 
     The product is expanded term by term, eight terms of which two cancel.
     """
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     a, b = lam
     out = {(a + 1, b + 1): 1}  # e(lam + rho)
     for da, db in _ROOT_VECTORS:

@@ -21,6 +21,7 @@ from qgl3.decomp import DUAL_POSITION, check_positions, factor_family
 from qgl3.lattice import (
     FacetType,
     Weight,
+    check_level,
     decompose,
     dual_weight,
     restricted_orbit,
@@ -117,8 +118,7 @@ def ext1_g(mu: Weight, lam: Weight, l: int) -> int:
     """
     if min(mu[0], mu[1], lam[0], lam[1]) < 0:
         raise ValueError(f"ext1_g needs dominant weights, got {Weight(*mu)}, {Weight(*lam)}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     mca, mra = divmod(mu[0], l)
     mcb, mrb = divmod(mu[1], l)
     lca, lra = divmod(lam[0], l)
@@ -146,8 +146,7 @@ def ext1_g1b_general(lam: Weight, mu: Weight, l: int) -> int:
     Non-dominant difference: exactly the pairs with equal restricted parts
     differing by -l^i times a simple root extend, one-dimensionally.
     """
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     lca, lra = divmod(lam[0], l)
     lcb, lrb = divmod(lam[1], l)
     mca, mra = divmod(mu[0], l)
@@ -195,18 +194,22 @@ UP_EDGES = (
     (1, 7), (6, 5),
     (7, 4), (8, 4), (5, 4),
 )
+# The edge table of each facet's Borel-induced module: the one facet -> edges
+# map, off which the Ext pairs below and the graph tables of qgl3.structure
+# are read.
+ZHAT_EDGES = {
+    FacetType.VERTEX: (),
+    FacetType.RIGHT_WALL: WALL_CHAIN_EDGES,
+    FacetType.LEFT_WALL: WALL_CHAIN_EDGES,
+    FacetType.HORIZONTAL_WALL: WALL_DIAMOND_EDGES,
+    FacetType.DOWN_ALCOVE: DOWN_EDGES,
+    FacetType.UP_ALCOVE: UP_EDGES,
+}
 _DOWN_PAIRS = frozenset(DOWN_EDGES) | {(2, 6), (4, 8), (7, 9)}
 _UP_PAIRS = frozenset((DUAL_POSITION[v], DUAL_POSITION[u]) for u, v in _DOWN_PAIRS)
-
-_PAIRS_BY_FACET = {
-    FacetType.VERTEX: frozenset(),
-    FacetType.RIGHT_WALL: frozenset(WALL_CHAIN_EDGES),
-    FacetType.LEFT_WALL: frozenset(WALL_CHAIN_EDGES),
-    FacetType.HORIZONTAL_WALL: frozenset(WALL_DIAMOND_EDGES),
-    FacetType.DOWN_ALCOVE: _DOWN_PAIRS,
-    FacetType.UP_ALCOVE: _UP_PAIRS,
-}
-_TOP = {facet: max(map(max, pairs), default=0) for facet, pairs in _PAIRS_BY_FACET.items()}
+_PAIRS_BY_FACET = {**{facet: frozenset(edges) for facet, edges in ZHAT_EDGES.items()},
+                   FacetType.DOWN_ALCOVE: _DOWN_PAIRS, FacetType.UP_ALCOVE: _UP_PAIRS}
+_TOP = {facet: max(map(max, edges), default=0) for facet, edges in ZHAT_EDGES.items()}
 
 
 def ext_table(

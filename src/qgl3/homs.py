@@ -8,9 +8,11 @@ nabla(0,10) (ext1_g((2,0), (0,10), 5) is 0) and (2,0) is in the bottom
 alcove, so Hom(nabla(0,10), nabla(2,0)) is nonzero, yet (0,10) - (2,0) is
 not a multiple of one root and no witness exists.
 
-hat_dual_pair is the one dual map of thickened-kernel simples, on int
-pairs; zhat_head_weight builds a Weight from it, and validate_graph reads
-the head and the duality check's nodes as int pairs.
+hat_dual_pair is the one dual map of thickened-kernel simples, and
+dual_module_weight the one dual weight 2(l-1)rho - lam of a Borel-induced
+module, both on int pairs; zhat_head_weight builds a Weight from them, and
+validate_graph reads the head, the dual weight and the duality check's
+nodes as int pairs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from qgl3.lattice import (
     PositiveRoot,
     Weight,
     affine_reflect,
+    check_level,
     pairing,
 )
 
@@ -58,8 +61,7 @@ def witness_valid(lam: Weight, mu: Weight, w: HomWitness, l: int, p: int = 0) ->
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     if affine_reflect(lam, w.beta, w.m, l) != (mu[0], mu[1]):
         return False
     lo = min(pairing(lam, w.beta), pairing(mu, w.beta))
@@ -78,8 +80,7 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
     is kept because the benchmark passes it.
     """
     _characteristic_zero(p)
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     if min(lam[0], lam[1], mu[0], mu[1]) < 0:
         raise ValueError(
             f"hom_exists_mirror needs dominant weights, got {Weight(*lam)}, {Weight(*mu)}"
@@ -100,17 +101,22 @@ def hat_dual_pair(nu: tuple[int, int], l: int) -> tuple[int, int]:
     the restricted part, negate the classical part.  The one definition of
     the dual map; the duality check and the head check of validate_graph
     read it on int pairs."""
+    check_level(l)
     a, b = nu
     ra, rb = a % l, b % l
     return rb - (a - ra), ra - (b - rb)
+
+
+def dual_module_weight(lam: tuple[int, int], l: int) -> tuple[int, int]:
+    """2(l-1)rho - lam as an int pair: the weight of the dual of the
+    Borel-induced module of weight lam.  The one place it is computed."""
+    check_level(l)
+    top = 2 * (l - 1)
+    return top - lam[0], top - lam[1]
 
 
 def zhat_head_weight(lam: Weight, l: int) -> Weight:
     """Highest weight of the simple head of the Borel-induced module: the
     dual weight of 2(l-1)rho - lam.  For vertex weights this returns lam
     itself (the module is simple)."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
-    a, b = lam
-    top = 2 * (l - 1)
-    return Weight(*hat_dual_pair((top - a, top - b), l))
+    return Weight(*hat_dual_pair(dual_module_weight(lam, l), l))

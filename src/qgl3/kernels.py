@@ -34,9 +34,9 @@ def convolve(a, b):
     return out
 
 
-def brauer_klimyk(weights, heads, l):
+def brauer_klimyk(weights, heads, scale):
     """Brauer-Klimyk sum over heads (h, c) of c * sum over kappa of
-    m(kappa) * euler(h + l*kappa), for weights = {kappa: m(kappa)}, as
+    m(kappa) * euler(h + scale*kappa), for weights = {kappa: m(kappa)}, as
     {(a, b): int} in the basis of induced characters, zero coefficients
     dropped.
 
@@ -45,9 +45,10 @@ def brauer_klimyk(weights, heads, l):
     nu + rho is (a+b+2, b+1, 0): it is singular when two entries tie, and
     sorting the entries decreasingly, one sign flip per transposition,
     gives the dominant weight (x - y - 1, y - z - 1).  Each kappa is scaled
-    to its GL3 offset (l*(ka+kb), l*kb) once per call.
+    to its GL3 offset (scale*(ka+kb), scale*kb) once per call: chi_l_weyl
+    passes l, a Frobenius twist, and tensor_multiplicity 1.
     """
-    offsets = [(l * (ka + kb), l * kb, m) for (ka, kb), m in weights.items()]
+    offsets = [(scale * (ka + kb), scale * kb, m) for (ka, kb), m in weights.items()]
     out = {}
     for (ha, hb), c in heads:
         hx, hy = ha + hb + 2, hb + 1

@@ -54,6 +54,14 @@ class Weight(NamedTuple):
 RHO = Weight(1, 1)
 
 
+def check_level(l: int) -> None:
+    """ValueError unless l >= 2: the one place the level rule is written.
+    Every public function that takes a level calls it, itself or through
+    the first function it hands l to, before it divides by l or answers."""
+    if l < 2:
+        raise ValueError(f"need l >= 2, got {l}")
+
+
 class PositiveRoot(Enum):
     ALPHA1 = 1
     ALPHA2 = 2
@@ -109,8 +117,7 @@ def decompose(lam: Weight, l: int) -> RestrictedDecomposition:
     residue.  The engine's per-factor paths take divmod on int pairs and
     build no RestrictedDecomposition; this is the split at the API boundary.
     """
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     ca, ra = divmod(lam[0], l)
     cb, rb = divmod(lam[1], l)
     return RestrictedDecomposition(Weight(ca, cb), Weight(ra, rb))
@@ -154,6 +161,7 @@ def dominantize(lam: Weight) -> tuple[int, Weight]:
 
 def classify_restricted(res: Weight, l: int) -> FacetType:
     """Facet type read off a restricted weight in [0, l-1]^2."""
+    check_level(l)
     r, s = res
     if not (0 <= r <= l - 1 and 0 <= s <= l - 1):
         raise ValueError(f"{Weight(r, s)} is not restricted for l={l}")
@@ -190,15 +198,14 @@ def restricted_orbit(res: Weight, l: int) -> tuple[FacetType, tuple[tuple[int, i
     Memoized in _orbits on (r, s, l) when all three are plain ints, so
     every int-path facet lookup reads the facet off the same row; any other
     argument, such as an affine form of the tests, is computed afresh and
-    never stored.  An int miss rejects l < 2, so no row is stored for it.
+    never stored.  An int miss with l < 2 raises in classify_restricted, so
+    no row is stored for it.
     The returned row is shared and immutable."""
     r, s = res
     if type(r) is int and type(s) is int and type(l) is int:
         key = (r, s, l)
         hit = _orbits.get(key)
         if hit is None:
-            if l < 2:
-                raise ValueError(f"need l >= 2, got {l}")
             hit = _orbits[key] = _orbit(r, s, l)
         return hit
     return _orbit(r, s, l)
@@ -228,8 +235,7 @@ def facet_classify(lam: Weight, l: int) -> FacetType:
     a, b = lam
     if a < 0 or b < 0:
         raise ValueError(f"facet_classify needs a dominant weight, got {Weight(a, b)}")
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     return restricted_orbit((a % l, b % l), l)[0]
 
 
@@ -262,8 +268,7 @@ def fundamental_rep(lam: Weight, l: int) -> tuple[Weight, AffineWeylElement]:
     when raising, and among equal entries the lower index comes first in
     perm.  Both orders are read off by comparisons on ints.
     """
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     a, b = lam
     x0, x1 = a + b + 2, b + 1
     q0, z0 = divmod(x0, l)
@@ -353,8 +358,7 @@ def dominance_key(w: Weight) -> tuple[int, int]:
 def facet_stabilizer_walls(lam: Weight, l: int) -> list[tuple[PositiveRoot, int]]:
     """Walls through lam, as (root, wall value) reflection data in root
     order: the roots whose pairing a+1, b+1 or a+b+2 is divisible by l."""
-    if l < 2:
-        raise ValueError(f"need l >= 2, got {l}")
+    check_level(l)
     p1, p2 = lam[0] + 1, lam[1] + 1
     p3 = p1 + p2
     walls = []

@@ -31,8 +31,8 @@ from typing import Callable, NamedTuple
 from qgl3 import decomp
 from qgl3.charring import coeff_diff
 from qgl3.decomp import check_positions, chi_decomposition, factor_family, net_terms
-from qgl3.ext import DOWN_EDGES, UP_EDGES, WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ext_table
-from qgl3.homs import hat_dual_pair
+from qgl3.ext import WALL_CHAIN_EDGES, WALL_DIAMOND_EDGES, ZHAT_EDGES, ext_table
+from qgl3.homs import dual_module_weight, hat_dual_pair
 from qgl3.lattice import FacetType, Weight
 
 G1B_SIMPLE = "G1BSimple"
@@ -114,14 +114,7 @@ def _table(edges, dual: bool = False):
 
 
 # (edges, layers) of the Borel-induced structure graph, by facet.
-_ZHAT_TABLES = {
-    FacetType.VERTEX: _table(()),
-    FacetType.RIGHT_WALL: _table(WALL_CHAIN_EDGES),
-    FacetType.LEFT_WALL: _table(WALL_CHAIN_EDGES),
-    FacetType.HORIZONTAL_WALL: _table(WALL_DIAMOND_EDGES),
-    FacetType.DOWN_ALCOVE: _table(DOWN_EDGES),
-    FacetType.UP_ALCOVE: _table(UP_EDGES, dual=True),
-}
+_ZHAT_TABLES = {f: _table(e, dual=f is FacetType.UP_ALCOVE) for f, e in ZHAT_EDGES.items()}
 
 # The wall filtrations: the wall tables renumbered into chi_decomposition
 # order, which lists the four wall factors the other way round.
@@ -286,7 +279,7 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
         ok = len(sinks) == 1 and sinks[0].weight == g.lam
         report.add("unique-sink", ok, lambda: f"sinks: {[tuple(n.weight) for n in sinks]}")
         sources = g.sources()
-        head = hat_dual_pair(_dual_lam(g), g.l)  # zhat_head_weight as an int pair
+        head = hat_dual_pair(dual_module_weight(g.lam, g.l), g.l)  # zhat_head_weight as an int pair
         report.add(
             "unique-source",
             len(sources) == 1 and sources[0].weight == head,
@@ -318,12 +311,6 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     return report
 
 
-def _dual_lam(g: ModuleGraph) -> tuple[int, int]:
-    """2(l-1)rho - lam, the weight of the dual Borel-induced module."""
-    top = 2 * (g.l - 1)
-    return top - g.lam[0], top - g.lam[1]
-
-
 def _duality_diff(g: ModuleGraph) -> str:
     """Compare g with the graph of the dual module, read off the family and
     edge table of 2(l-1)rho - lam: its nodes must be the dual weights of g's
@@ -333,7 +320,7 @@ def _duality_diff(g: ModuleGraph) -> str:
     Returns "" when they match, else the first dual node weights or
     reversed edges that differ."""
     l = g.l
-    dual_lam = _dual_lam(g)
+    dual_lam = dual_module_weight(g.lam, l)
     facet, got = decomp.family_pairs(dual_lam, l)
     edges, layers = _ZHAT_TABLES[facet]
     check_positions(dual_lam, l, got, len(layers))

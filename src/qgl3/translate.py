@@ -25,10 +25,11 @@ off them; a Weight is built only where a value leaves: the wall weight,
 the mirror and the source factors of a WallTranslate.
 
 translated_character works on chi_l keys alone: net_terms collects the
-modules' chi_l, and decomp.weyl_of_chi_l reads the Weyl-basis form off
-those keys, so this module expands no chi_l (it imports neither chi_l_weyl
-nor weyl_sum) and reads no chi_l memo; only the weight-basis character of
-that form is built.
+modules' chi_l, and decomp.weyl_of_chi_l peels the Weyl-basis form off
+those keys with charring.peel_dominant, the engine's one peel, so this
+module expands no chi_l (it imports neither chi_l_weyl nor weyl_sum) and
+reads no chi_l memo; only the weight-basis character of that form is
+built.
 """
 
 from __future__ import annotations

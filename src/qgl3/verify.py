@@ -39,6 +39,7 @@ from qgl3.lattice import (
     FacetType,
     PositiveRoot,
     Weight,
+    check_level,
     facet_classify,
     fundamental_rep,
 )
@@ -160,9 +161,9 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
 def _chi_l_keys(got, induced, l: int) -> str:
     """sum of chi_l over the dominant weights got = sum of weyl(mu) over
     induced, checked on chi_l keys: weyl(mu) is the sum of n * chi_l(k)
-    over net_terms(family_pairs(mu)), by D(r) = 0 (decomp), and the
-    chi_l(l*d + r) with d dominant are linearly independent."""
-    want = weyl_sum(decomp.net_terms(decomp.family_pairs(mu, l)[1], l) for mu in induced)
+    over decomp.nabla_terms(mu, l), by D(r) = 0, and the chi_l(l*d + r)
+    with d dominant are linearly independent."""
+    want = weyl_sum(decomp.nabla_terms(mu, l) for mu in induced)
     return coeff_diff(decomp.net_terms(tuple(got), l), want)
 
 
@@ -375,8 +376,7 @@ def check_sweep(name: str, l_values: list[int], box: int, jobs: int = 1) -> None
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     for i, l in enumerate(l_values):
-        if l < 2:
-            raise ValueError(f"need l >= 2, got {l}")
+        check_level(l)
         if l in l_values[:i]:
             raise ValueError(f"l={l} is given twice")
 

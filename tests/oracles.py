@@ -84,8 +84,10 @@ def hat_simple_char(nu: Weight, l: int) -> FormalChar:
 def chi_l_expansion(x: FormalChar, l: int) -> list[tuple[Weight, int]]:
     """Expand a W-invariant character in the chi_l basis by peel_dominant;
     valid for characters of modules with a good twisted-tensor filtration
-    and their virtual combinations.  Terms come out leading weight first."""
-    return list(peel_dominant(x, lambda k: chi_l(k, l)).items())
+    and their virtual combinations.  Terms come out leading weight first,
+    each weight a Weight."""
+    terms = peel_dominant(x.coeffs, lambda k: chi_l(k, l).coeffs)
+    return [(Weight(*k), c) for k, c in terms.items()]
 
 
 def graph_character(g) -> FormalChar:

@@ -22,6 +22,7 @@ from qgl3.charring import (
     divide_exact,
     euler_char,
     frobenius_twist,
+    peel_dominant,
     restricted_simple_char,
     restricted_simple_weyl,
     simple_char_p0,
@@ -466,6 +467,33 @@ def test_decompose_into_weyl_rejects_non_invariant():
     # peeling weyl(1,0) off e(1,0) leaves -e(-1,1) - e(0,-1), led by (-1,1)
     with pytest.raises(ValueError, match=r"leading weight \(-1,1\) is not dominant"):
         decompose_into_weyl(e(1, 0))
+
+
+# Bases that break unitriangularity, each met at the first lead (2,1): a
+# key above the lead (which would send the peel up forever), the lead at
+# count 2 (which would leave it in the remainder), a key beside the lead at
+# the same a + b; and a remainder led by a non-dominant weight.
+_BAD_BASES = {
+    "key above": ({(2, 1): 1}, lambda k: {k: 1, (k[0] + 1, k[1] + 1): 1},
+                  r"^not expandable: the basis element of \(2,1\) is not unitriangular: "
+                  r"\[\(\(2, 1\), 1\), \(\(3, 2\), 1\)\]$"),
+    "count 2": ({(2, 1): 3}, lambda k: {k: 2},
+                r"^not expandable: the basis element of \(2,1\) is not unitriangular: "
+                r"\[\(\(2, 1\), 2\)\]$"),
+    "key beside": ({(2, 1): 1}, lambda k: {k: 1, (k[0] - 1, k[1] + 1): 1},
+                   r"^not expandable: the basis element of \(2,1\) is not unitriangular"),
+    "not dominant": ({(2, 1): 1, (-1, 5): 1}, lambda k: {k: 1},
+                     r"^not expandable: leading weight \(-1,5\) is not dominant$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BASES))
+def test_peel_dominant_rejects_a_basis_that_is_not_unitriangular(case):
+    """peel_dominant raises a ValueError naming the lead, and for a bad
+    basis element its terms, instead of running on or failing elsewhere."""
+    x, basis, message = _BAD_BASES[case]
+    with pytest.raises(ValueError, match=message):
+        peel_dominant(x, basis)
 
 
 def test_euler_char():

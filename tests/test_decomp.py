@@ -252,7 +252,7 @@ def test_weyl_of_chi_l_against_chi_l_weyl_on_random_combinations():
 def test_weyl_of_chi_l_rejects_a_family_that_is_not_unitriangular(monkeypatch, edit, count):
     """With factor 2 of the down-alcove family raised above lam or made a
     second copy of lam, or with lam's row dropped, the peel of a
-    down-alcove key raises its ValueError naming the key and l at the
+    down-alcove key raises peel_dominant's ValueError naming the key at the
     first key it takes; the raised row alone would send it up forever.  A
     counter on family_pairs fails the test if the peel runs on instead."""
     rows = decomp.FAMILY_ROWS[FacetType.DOWN_ALCOVE]
@@ -271,13 +271,13 @@ def test_weyl_of_chi_l_rejects_a_family_that_is_not_unitriangular(monkeypatch, e
     lam = 5 * Weight(2, 1) + Weight(1, 1)
     assert decomp.net_terms(counted(lam, 5)[1], 5).get(lam, 0) == count
     calls.clear()
-    with pytest.raises(ValueError, match=r"^the family of \(11,6\) \(l=5\) is not unitriangular"):
+    with pytest.raises(ValueError, match=r"^not expandable: the basis element of \(11,6\) is not unitriangular"):
         decomp.weyl_of_chi_l({lam: 2, Weight(0, 0): 1}, 5)
     assert calls == [lam]
 
 
 def test_weyl_of_chi_l_rejects_a_non_dominant_key():
-    with pytest.raises(ValueError, match=r"needs dominant chi_l keys, got \(-1,4\) \(l=3\)"):
+    with pytest.raises(ValueError, match=r"^not expandable: leading weight \(-1,4\) is not dominant$"):
         decomp.weyl_of_chi_l({(-1, 4): 1}, 3)
 
 

@@ -6,15 +6,19 @@ compares and hashes equal to a Weight but prints "(a, b)" where a Weight
 prints "(a,b)", so only a type check catches an int pair that leaks out.
 """
 
+import importlib
+import inspect
 import itertools
+import pkgutil
+from pathlib import Path
 
 import pytest
 
+import qgl3
 from qgl3 import charring, lattice
-from qgl3.decomp import chi_decomposition, factor_family, zhat_char, zhat_factors, zhat_numerator
-from qgl3.charring import chi_l_dimension, chi_l_weyl
-from qgl3.ext import ext1_g, ext1_g1, ext1_g1b_general, ext_table
-from qgl3.homs import HomWitness, hom_exists_mirror, witness_valid, zhat_head_weight
+from qgl3.decomp import chi_decomposition, factor_family, zhat_factors
+from qgl3.ext import ext_table
+from qgl3.homs import HomWitness, zhat_head_weight
 from qgl3.lattice import (
     FacetType,
     PositiveRoot,
@@ -23,7 +27,6 @@ from qgl3.lattice import (
     classify_restricted,
     decompose,
     dominantize,
-    facet_classify,
 )
 from qgl3.structure import nabla_l_filtration, zhat_structure
 from qgl3.translate import translate_factor_lists
@@ -118,47 +121,94 @@ def test_sweeps_build_weights_only_at_the_boundary(monkeypatch, fresh_memo, suit
     assert built[Weight] <= CEILINGS[suite] * report.cases_run, built[Weight] / report.cases_run
 
 
-# The public paths that split by divmod, each asked at a level l.
-_SPLITTERS = {
-    "facet_classify": lambda l: facet_classify(Weight(3, 3), l),
-    "zhat_factors": lambda l: zhat_factors(Weight(3, 3), l),
-    "chi_decomposition": lambda l: chi_decomposition(Weight(3, 3), l),
-    "factor_family": lambda l: factor_family((-3, 3), l),
-    "chi_l_weyl": lambda l: chi_l_weyl(Weight(3, 3), l),
-    "chi_l_dimension": lambda l: chi_l_dimension(Weight(3, 3), l),
-    "ext1_g": lambda l: ext1_g(Weight(3, 3), Weight(1, 1), l),
-    "ext1_g1b_general": lambda l: ext1_g1b_general(Weight(3, 3), Weight(1, 1), l),
+# The arguments other than l of every public function of src/qgl3 that
+# takes a level l, by module and name.  None answers at l < 2: each raises
+# lattice.check_level's ValueError, most before they divide by l, the rest
+# through the first function they hand l to.  Three are exempt, and only
+# these: frobenius_twist, where l is a scaling, check_positions, where l
+# only names the message, and the verify suites, which check_sweep guards.
+_LEVEL_ARGS = {
+    "charring.chi_l": ((3, 3),),
+    "charring.chi_l_dimension": ((3, 3),),
+    "charring.chi_l_weyl": ((3, 3),),
+    "charring.restricted_simple_char": ((0, 0),),
+    "charring.restricted_simple_numerator": ((0, 0),),
+    "charring.restricted_simple_weyl": ((0, 0),),
+    "charring.simple_char_p0": ((3, 3),),
+    "decomp.chi_decomposition": ((3, 3),),
+    "decomp.factor_family": ((-3, 3),),
+    "decomp.family_pairs": ((3, 3),),
+    "decomp.nabla_terms": ((3, 3),),
+    "decomp.net_terms": (((-1, 0), (3, 3)),),
+    "decomp.weyl_of_chi_l": ({(3, 3): 1},),
+    "decomp.zhat_char": ((0, 0),),
+    "decomp.zhat_factors": ((3, 3),),
+    "decomp.zhat_numerator": ((0, 0),),
+    "ext.ext1_g": ((3, 3), (1, 1)),
+    "ext.ext1_g1": ((0, 0), (0, 0)),
+    "ext.ext1_g1b": ((3, 3), (3, 3), (3, 3)),
+    "ext.ext1_g1b_general": ((3, 3), (1, 1)),
+    "ext.ext_table": ((3, 3),),
+    "ext.socle_fundamental_tensor": ((3, 3),),
+    "homs.dual_module_weight": ((3, 3),),
+    "homs.hat_dual_pair": ((3, 3),),
+    "homs.hom_exists_mirror": ((3, 0), (0, 0)),
+    "homs.witness_valid": ((3, 0), (0, 0), HomWitness(PositiveRoot.ALPHA1, 1)),
+    "homs.zhat_head_weight": ((3, 3),),
+    "lattice.check_level": (),
+    "lattice.classify_restricted": ((0, 0),),
+    "lattice.decompose": ((3, 3),),
+    "lattice.facet_classify": ((3, 3),),
+    "lattice.facet_stabilizer_walls": ((2, 2),),
+    "lattice.fundamental_rep": ((2, 2),),
+    "lattice.linked": ((0, 0), (5, 3)),
+    "lattice.restricted_orbit": ((0, 0),),
+    "structure.nabla_l_filtration": ((3, 3),),
+    "structure.zhat_structure": ((3, 3),),
+    "translate.local_target": ((1, 0), (0, 0)),
+    "translate.off_wall_pairs": ((1, 0), (0, 0), (0, 0)),
+    "translate.translate_factor_lists": ((3, 3),),
+    "translate.translate_nabla_factor_count": ((3, 3),),
+    "translate.translate_onto_wall": ((1, 0), (1, 0), (1, 0)),
+    "translate.translated_character": ((3, 3),),
+    "translate.wall_weight_below": ((3, 3),),
 }
 
 
-@pytest.mark.parametrize("name", sorted(_SPLITTERS))
-def test_the_level_is_checked_where_divmod_splits(name):
-    """The paths that split by divmod reject l < 2 as decompose does."""
-    for l in (1, 0, -2):
-        with pytest.raises(ValueError, match=r"^need l >= 2"):
-            _SPLITTERS[name](l)
+def _exempt(name: str) -> bool:
+    return name in ("charring.frobenius_twist", "decomp.check_positions") or name.startswith(
+        "verify.suite_")
 
 
-# The public entry points that answered at l < 2 before they were guarded:
-# a mirror witness at l = 1, a head weight and a zhat character of some
-# dimension, or a ZeroDivisionError at l = 0.
-_LEVEL_ENTRY_POINTS = {
-    "hom_exists_mirror": lambda l: hom_exists_mirror(Weight(3, 0), Weight(0, 0), l),
-    "witness_valid": lambda l: witness_valid(
-        Weight(3, 0), Weight(0, 0), HomWitness(PositiveRoot.ALPHA1, 1), l),
-    "zhat_head_weight": lambda l: zhat_head_weight(Weight(3, 3), l),
-    "zhat_char": lambda l: zhat_char(Weight(0, 0), l),
-    "zhat_numerator": lambda l: zhat_numerator(Weight(0, 0), l),
-    "ext1_g1": lambda l: ext1_g1(Weight(0, 0), Weight(0, 0), l),
-    "restricted_simple_weyl": lambda l: charring.restricted_simple_weyl(Weight(0, 0), l),
-}
+def _level_functions() -> dict:
+    """Every module-level function of src/qgl3, defined there, with no
+    leading underscore and a parameter named l, by module and name."""
+    found = {}
+    for info in pkgutil.iter_modules(qgl3.__path__):
+        module = importlib.import_module(f"qgl3.{info.name}")
+        for name, f in vars(module).items():
+            if (inspect.isfunction(f) and f.__module__ == module.__name__
+                    and not name.startswith("_") and "l" in inspect.signature(f).parameters):
+                found[f"{info.name}.{name}"] = f
+    return found
 
 
 @pytest.mark.parametrize("l", [1, 0, -3])
 def test_public_entry_points_reject_a_level_below_2(l):
-    """Each public entry point raises the ValueError that ext_table and
-    chi_l raise at l < 2, and restricted_orbit stores no row for it."""
-    for name, call in _LEVEL_ENTRY_POINTS.items():
+    """Every public function that takes l, found by name, raises
+    check_level's ValueError at l < 2 on its _LEVEL_ARGS row, and
+    restricted_orbit stores no row for it.  A function that takes l and
+    has no row, or a row with no such function, fails the test."""
+    found = {name: f for name, f in _level_functions().items() if not _exempt(name)}
+    assert sorted(found) == sorted(_LEVEL_ARGS)
+    for name, f in found.items():
         with pytest.raises(ValueError, match=rf"^need l >= 2, got {l}$"):
-            call(l)
+            f(*_LEVEL_ARGS[name], l=l)
     assert all(key[2] >= 2 for key in lattice._orbits)
+
+
+def test_the_level_rule_is_written_once():
+    """The text of the level rule occurs once under src/qgl3, in
+    lattice.check_level."""
+    src = Path(qgl3.__file__).parent
+    assert sum(path.read_text().count("need l >= 2") for path in src.glob("*.py")) == 1
