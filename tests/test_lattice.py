@@ -25,6 +25,7 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
+from qgl3.translate import local_target, translate_onto_wall
 from qgl3.verify import run_suite
 
 import test_family_tables
@@ -346,6 +347,22 @@ def test_facet_stabilizer_walls_equal_the_per_root_pairings():
             want = [(root, pairing(lam, root)) for root in POSITIVE_ROOTS
                     if pairing(lam, root) % l == 0]
             assert facet_stabilizer_walls(lam, l) == want, (lam, l)
+
+
+@pytest.mark.parametrize("l", [1, 0, -3])
+def test_affine_reductions_reject_l_below_2(l):
+    """fundamental_rep and facet_stabilizer_walls reject l < 2 as decompose
+    does, and linked, translate_onto_wall and local_target through them."""
+    calls = (
+        lambda: fundamental_rep(Weight(2, 2), l),
+        lambda: facet_stabilizer_walls(Weight(2, 2), l),
+        lambda: linked(Weight(0, 0), Weight(5, 3), l),
+        lambda: translate_onto_wall(Weight(1, 0), Weight(1, 0), Weight(1, 0), l),
+        lambda: local_target(Weight(1, 0), Weight(0, 0), l),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=rf"^need l >= 2, got {l}$"):
+            call()
 
 
 def test_orbit_near_candidates_against_reflection_word(monkeypatch):
