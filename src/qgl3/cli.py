@@ -98,9 +98,9 @@ def cmd_decomp(args) -> int:
         print(dec.to_json())
     else:
         print(f"{lam} (l={args.l}): case {dec.case_id} [{dec.facet.value}]")
-        for f, alive in zip(dec.factors, dec.nonzero_flags()):
-            note = "" if alive else "  (vanishes)"
-            print(f"  {f}  chi_l dim {chi_l_dimension(f, args.l)}{note}")
+        for f in dec.factors:
+            dim = chi_l_dimension(f, args.l)
+            print(f"  {f}  chi_l dim {dim}{'' if dim else '  (vanishes)'}")
     return 0
 
 

@@ -26,18 +26,22 @@ is its one builder: FAMILY_ROWS writes each facet's family as rows over
 lattice.restricted_orbit(r, l), so the family of l*c + r is l*c plus the
 family of r, the one assumption under which the zhat identity at c = 0
 gives the decomposition identity for every classical part
-(tests/test_family_tables.py proves it formally).  family_pairs returns the
-factors as int pairs; a Weight is built only where a list leaves the
-engine: chi_decomposition wraps each factor once, into the DecompResult it
+(tests/test_family_tables.py proves it formally).  DUAL_POSITION renumbers
+an alcove family under duality; test_dual_position_on_the_rows and
+test_dual_position_reverses_the_edges there prove, for every facet and
+l >= 4, that the dual module's graph is the reverse of lam's, so
+validate_graph does not check duality.  family_pairs returns the factors
+as int pairs; a Weight is built only where a list leaves the engine:
+chi_decomposition wraps each factor once, into the DecompResult it
 memoizes, zhat_factors wraps a list of its own, and factor_family wraps the
-list of a non-dominant weight.  The decomposition and zhat suites and the
-duality check of validate_graph read the int pairs of family_pairs,
-without the memo, looking it up in this module at call time.  One
-in-process memo keyed on (a, b, l) holds chi_decomposition's DecompResult,
-which carries the Borel-induced list that factor_family returns for a
-dominant weight and the surviving positions, bookkeeping on the factors
-done when the result is built; so the structure graphs, the translation
-tables and the Ext tables of a weight share one copy.  The memoized values
+list of a non-dominant weight.  The decomposition and zhat suites read the
+int pairs of family_pairs, without the memo, looking it up in this module
+at call time.  One in-process memo keyed on (a, b, l) holds
+chi_decomposition's DecompResult, which carries the Borel-induced list that
+factor_family returns for a dominant weight and the surviving positions,
+bookkeeping on the factors done when the result is built; so the structure
+graphs, the translation tables and the Ext tables of a weight share one
+copy.  The memoized values
 (a frozen DecompResult and its tuples) are shared and immutable; the memo
 only grows, and nothing persists between runs.
 """
@@ -99,7 +103,8 @@ FAMILY_ROWS = {
 
 # Dualizing the Borel-induced module of lam sends factor i of either alcove
 # family of lam, by homs.hat_dual_pair, to factor DUAL_POSITION[i] of the
-# family of 2(l-1)rho - lam, which lies in the other alcove.  An involution.
+# family of 2(l-1)rho - lam, which lies in the other alcove.  An involution,
+# proven on the rows in tier-1 and not rechecked per graph.
 DUAL_POSITION = {1: 3, 2: 2, 3: 1, 4: 9, 5: 6, 6: 5, 7: 8, 8: 7, 9: 4}
 
 

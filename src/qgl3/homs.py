@@ -11,8 +11,7 @@ not a multiple of one root and no witness exists.
 hat_dual_pair is the one dual map of thickened-kernel simples, and
 dual_module_weight the one dual weight 2(l-1)rho - lam of a Borel-induced
 module, both on int pairs; zhat_head_weight builds a Weight from them, and
-validate_graph reads the head, the dual weight and the duality check's
-nodes as int pairs.
+validate_graph reads the head as an int pair.
 """
 
 from __future__ import annotations
@@ -99,8 +98,7 @@ def hom_exists_mirror(lam: Weight, mu: Weight, l: int, p: int = 0) -> HomWitness
 def hat_dual_pair(nu: tuple[int, int], l: int) -> tuple[int, int]:
     """Weight of the dual of a thickened-kernel simple, as an int pair: swap
     the restricted part, negate the classical part.  The one definition of
-    the dual map; the duality check and the head check of validate_graph
-    read it on int pairs."""
+    the dual map; the head check of validate_graph reads it on int pairs."""
     check_level(l)
     a, b = nu
     ra, rb = a % l, b % l

@@ -21,6 +21,7 @@ for arguments that are not ints, which are computed afresh.
 from __future__ import annotations
 
 from enum import Enum
+from numbers import Integral, Number
 from typing import NamedTuple
 
 
@@ -55,9 +56,14 @@ RHO = Weight(1, 1)
 
 
 def check_level(l: int) -> None:
-    """ValueError unless l >= 2: the one place the level rule is written.
-    Every public function that takes a level calls it, itself or through
-    the first function it hands l to, before it divides by l or answers."""
+    """ValueError unless l is an integer >= 2: the one place the level rule
+    is written.  Every public function that takes a level calls it, itself
+    or through the first function it hands l to, before it divides by l or
+    answers.  A Number that is not Integral (2.5, Fraction(7, 2)) is
+    refused; other objects, such as the tests' affine forms in l, pass to
+    the comparison."""
+    if type(l) is not int and isinstance(l, Number) and not isinstance(l, Integral):
+        raise ValueError(f"need an integer l, got {l}")
     if l < 2:
         raise ValueError(f"need l >= 2, got {l}")
 

@@ -8,10 +8,11 @@ character and each chi_l many times, so restricted_simple and chi_l are
 memoized here, not in the engine; no test patches what either reads
 (lattice.decompose, the charring constructors, the kernels) and then calls
 an oracle here, so a memoized value is always the clean one.  The engine
-builds the wall factor families by int arithmetic and checks duality
-without building the dual graph; wall_family and
-duality_diff are the Weight-arithmetic and built-graph routes.  The engine
-evaluates every factor family as rows over the restricted orbit; the
+builds the wall factor families by int arithmetic; wall_family is the
+Weight-arithmetic route.  The engine does not check duality per graph, as
+tier-1 proves it on the tables; duality_diff checks it on built graphs.
+The engine evaluates every factor family as rows over the restricted
+orbit; the
 written-out alcove families, down_alcove_family and up_alcove_family, are
 kept here beside wall_family as their oracle, and so are the up-alcove
 mirror's closed form and the printed off-wall translation tables
@@ -27,6 +28,7 @@ and per-entry transcriptions of that closed form.
 """
 
 import functools
+from collections import Counter
 
 from qgl3.charring import (
     FormalChar,
@@ -47,7 +49,7 @@ from qgl3.lattice import (
     dual_weight,
 )
 from qgl3.decomp import check_positions
-from qgl3.structure import G1B_SIMPLE, GraphNode, ModuleGraph, _IDS, _want_got, zhat_structure
+from qgl3.structure import G1B_SIMPLE, GraphNode, ModuleGraph, _IDS, zhat_structure
 
 
 @functools.cache
@@ -265,9 +267,28 @@ def direct_build(lam, l, kind, factors, edges, layers, keep):
     return ModuleGraph(lam, l, kind, nodes, edge_ids)
 
 
+def _want_got(what: str, want, got, fmt) -> str:
+    """"" when the two collections agree as multisets, else the first four
+    entries, formatted by fmt, that only one of them holds."""
+    want, got = sorted(want), sorted(got)
+    if want == got:
+        return ""
+    only_want = list((Counter(want) - Counter(got)).elements())[:4]
+    only_got = list((Counter(got) - Counter(want)).elements())[:4]
+    return (
+        f"{what}: want {' '.join(map(fmt, only_want)) or '-'}"
+        f" got {' '.join(map(fmt, only_got)) or '-'}"
+    )
+
+
 def duality_diff(g) -> str:
-    """structure._duality_diff by building the dual module's graph,
-    zhat_structure(2(l-1)rho - lam), and reading its nodes and edges back."""
+    """Compare a Borel-induced graph with the graph of its dual module,
+    built as zhat_structure(2(l-1)rho - lam): its nodes must be the dual
+    weights of g's nodes and its edges g's edges reversed.  Returns "" when
+    they match, else the first dual node weights or reversed edges that
+    differ.  test_family_tables proves the same identity on the tables for
+    every l >= 4; this sweep of built graphs is its oracle, and the only
+    check at l = 2 and 3."""
     gd = zhat_structure(2 * (g.l - 1) * RHO - g.lam, g.l)
     dual = {n.id: Weight(*hat_dual_pair(n.weight, g.l)) for n in g.nodes}
     got = {n.id: n.weight for n in gd.nodes}

@@ -19,9 +19,12 @@ Z-hat identity times A(rho) cancels formally,
 with N(r) = A(rho) ch L(r) the numerator of restricted_simple_numerator
 (ROADMAP Findings: D = 0 gives the decomposition identity for every
 classical part), and below L0 it is checked on every restricted weight;
-DUAL_POSITION and the wall swap hold on the rows; the translation rows
-give the printed off-wall tables of tests/oracles.py, and below L0 they
-are checked against those tables case by case.
+duality holds on every facet's rows and edge table, so the dual module's
+graph is the reverse of lam's (validate_graph leaves this to tier-1, and
+oracles.duality_diff sweeps the built graphs, l = 2 and 3 included); the
+wall swap holds on the rows; the translation rows give the printed
+off-wall tables of tests/oracles.py, and below L0 they are checked against
+those tables case by case.
 """
 
 import itertools
@@ -213,16 +216,64 @@ def test_zhat_identity_cancels_below_l0(l):
         assert not _zhat_defect(res, l, int), res
 
 
-@pytest.mark.parametrize("facet, l, res", FACETS[-2:], ids=IDS[-2:])
-def test_dual_position_on_the_rows(facet, l, res):
+# Dualizing the Borel-induced module of lam, whose restricted part lies in
+# facet f, gives the module of 2(l-1)rho - lam, in facet DUALS[f][0], and
+# sends factor i of lam's family to factor sigma(i) of the dual family,
+# sigma = DUALS[f][1]: each wall and the vertex are self-dual, the walls
+# reversing their socle-first order, and the alcoves are each other's dual
+# by decomp.DUAL_POSITION.
+DUALS = {
+    FacetType.VERTEX: (FacetType.VERTEX, {1: 1}),
+    **{wall: (wall, {i: 5 - i for i in range(1, 5)}) for wall in WALLS},
+    FacetType.DOWN_ALCOVE: (FacetType.UP_ALCOVE, decomp.DUAL_POSITION),
+    FacetType.UP_ALCOVE: (FacetType.DOWN_ALCOVE, decomp.DUAL_POSITION),
+}
+
+
+def _dual_rows_hold(facet, l, res, sigma):
     """hat_dual_pair(l*c + (x, y)) = -l*c + (y, x) sends factor i of lam's
-    family to factor DUAL_POSITION[i] of the family of 2(l-1)rho - lam."""
+    family to factor sigma[i] of the family of 2(l-1)rho - lam, whose
+    restricted part lies in the dual facet."""
     _, family = _family((0, 0), res, l)
     (ca, ra), (cb, rb) = (_split(2 * l - 2 - x, l) for x in res)
     dual_facet, dual = _family((ca, cb), (ra, rb), l)
-    assert {facet, dual_facet} == set(ALCOVES)
-    for i, ((a, b), (x, y)) in enumerate(family, start=1):
-        assert dual[decomp.DUAL_POSITION[i] - 1] == ((-a, -b), (y, x)), i
+    assert dual_facet is DUALS[facet][0]
+    return all(
+        dual[sigma[i] - 1] == ((-a, -b), (y, x))
+        for i, ((a, b), (x, y)) in enumerate(family, start=1)
+    )
+
+
+def _dual_edges_hold(facet, sigma):
+    """Dualizing reverses the extensions: the edges of the dual facet's
+    table are the edges of facet's table, reversed and renumbered by sigma."""
+    reversed_edges = {(sigma[v], sigma[u]) for u, v in ext.ZHAT_EDGES[facet]}
+    return reversed_edges == set(ext.ZHAT_EDGES[DUALS[facet][0]])
+
+
+@pytest.mark.parametrize("facet, l, res", FACETS, ids=IDS)
+def test_dual_position_on_the_rows(facet, l, res):
+    """For every l >= L0 and every restricted weight of the facet, the dual
+    map sends factor i of lam's family to factor sigma(i) of the dual
+    family: with test_dual_position_reverses_the_edges, the dual module's
+    graph is the reverse of lam's, which validate_graph does not check per
+    graph; oracles.duality_diff sweeps the built graphs, l = 2 and 3 too."""
+    assert _dual_rows_hold(facet, l, res, DUALS[facet][1])
+
+
+@pytest.mark.parametrize("facet", list(DUALS), ids=[facet.value for facet in DUALS])
+def test_dual_position_reverses_the_edges(facet):
+    assert _dual_edges_hold(facet, DUALS[facet][1])
+
+
+@pytest.mark.parametrize("facet, l, res", FACETS[1:4], ids=IDS[1:4])
+def test_a_wrong_wall_sigma_fails_the_duality_checks(facet, l, res):
+    """The row check is not vacuous on the walls: sigma = id, or 5 - i with
+    the two middle factors left in place, fails it (on the horizontal wall
+    the latter keeps the diamond's edges)."""
+    for sigma in ({i: i for i in range(1, 5)}, {1: 4, 2: 2, 3: 3, 4: 1}):
+        assert not _dual_rows_hold(facet, l, res, sigma)
+    assert not _dual_edges_hold(facet, {i: i for i in range(1, 5)})
 
 
 @pytest.mark.parametrize("facet, l, res", FACETS[1:3], ids=IDS[1:3])

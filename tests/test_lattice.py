@@ -25,12 +25,13 @@ from qgl3.lattice import (
     pairing,
     restricted_orbit,
 )
+from qgl3.structure import zhat_structure
 from qgl3.translate import local_target, translate_onto_wall
 from qgl3.verify import run_suite
 
 import test_family_tables
 import test_translate
-from oracles import apply_inverse_by_loop, fundamental_rep_by_sorting
+from oracles import apply_inverse_by_loop, duality_diff, fundamental_rep_by_sorting
 
 coords = st.integers(-30, 30)
 weights = st.builds(Weight, coords, coords)
@@ -271,16 +272,22 @@ def test_orbit_memo_stores_no_form(monkeypatch):
 
 def test_a_wrong_orbit_row_fails_the_sweeps(monkeypatch, fresh_memo):
     """With the memo's row of (1, 1) at l = 5 replaced by its orbit with
-    points 1 and 2 swapped, every suite that reads the rows reports failed
-    cases.  The memos built from the wrong row are dropped and the row is
-    restored."""
+    points 1 and 2 swapped, the suites that compare the rows with an
+    independent route report failed cases.  The graphs suite is not one of
+    them: a graph, its Ext table and its head read the same family, so the
+    swap moves them together.  Duality ties the row to the dual weight's
+    row; it is proven on the true rows in test_family_tables, and its
+    oracle on built graphs sees the swap.  The memos built from the wrong
+    row are dropped and the row is restored."""
     facet, points = restricted_orbit((1, 1), 5)
     wrong = (facet, (points[0], points[2], points[1]) + points[3:])
     monkeypatch.setattr(lattice, "_orbits", {(1, 1, 5): wrong})
     for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
         monkeypatch.setattr(charring, name, {})
-    for suite in ("decomposition", "zhat", "graphs", "ext-lemmas", "translate"):
+    for suite in ("decomposition", "zhat", "ext-lemmas", "translate"):
         assert run_suite(suite, [5], 1).failures, suite
+    # (1, 1) reads the row itself, and (2, 2) through its dual weight (6, 6)
+    assert all(duality_diff(zhat_structure(Weight(*lam), 5)) for lam in [(1, 1), (2, 2)])
     monkeypatch.undo()
     assert restricted_orbit((1, 1), 5) == (facet, points)
 

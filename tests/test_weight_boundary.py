@@ -10,6 +10,8 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -193,18 +195,20 @@ def _level_functions() -> dict:
     return found
 
 
-@pytest.mark.parametrize("l", [1, 0, -3])
+@pytest.mark.parametrize("l", [1, 0, -3, 2.5, Fraction(7, 2)], ids=str)
 def test_public_entry_points_reject_a_level_below_2(l):
     """Every public function that takes l, found by name, raises
-    check_level's ValueError at l < 2 on its _LEVEL_ARGS row, and
-    restricted_orbit stores no row for it.  A function that takes l and
-    has no row, or a row with no such function, fails the test."""
+    check_level's ValueError at l < 2, or at a non-integral l, on its
+    _LEVEL_ARGS row, and restricted_orbit stores no row for it.  A function
+    that takes l and has no row, or a row with no such function, fails the
+    test."""
     found = {name: f for name, f in _level_functions().items() if not _exempt(name)}
     assert sorted(found) == sorted(_LEVEL_ARGS)
+    text = f"need l >= 2, got {l}" if type(l) is int else f"need an integer l, got {l}"
     for name, f in found.items():
-        with pytest.raises(ValueError, match=rf"^need l >= 2, got {l}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
             f(*_LEVEL_ARGS[name], l=l)
-    assert all(key[2] >= 2 for key in lattice._orbits)
+    assert all(type(key[2]) is int and key[2] >= 2 for key in lattice._orbits)
 
 
 def test_the_level_rule_is_written_once():
