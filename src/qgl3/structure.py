@@ -19,13 +19,15 @@ and the kept positions, and each call fills it with the weight's factors.
 validate_graph reads no character.  It gives a Borel-induced graph four
 checks (nodes, sink, source, Ext edges) and a filtration two; duality, the
 dual module's graph being the reverse of this one, is not checked per
-graph: tier-1 proves it on the tables (tests/test_family_tables.py).
+graph: tier-1 proves it on the tables (tests/test_family_tables.py).  The
+node checks compare multisets as sorted weight tuples and as plain
+{weight: count} dicts, whose == runs in C, and coeff_diff formats the
+want/got text of a node check only when it fails.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -190,11 +192,11 @@ def _build(
             tuple((_IDS[u], _IDS[v]) for u, v in edges if u in kept and v in kept),
             max(kept, default=0),
         )
-    nodes, edge_ids, top = skeleton
+    rows, edge_ids, top = skeleton
     check_positions(lam, l, factors, top)
-    return ModuleGraph(
-        lam, l, kind, tuple(GraphNode(i, factors[j], kind, layer) for i, j, layer in nodes), edge_ids
-    )
+    new = tuple.__new__  # GraphNode's own __new__ is a Python call per node
+    nodes = tuple([new(GraphNode, (i, factors[j], kind, layer)) for i, j, layer in rows])
+    return ModuleGraph(lam, l, kind, nodes, edge_ids)
 
 
 def zhat_structure(lam: Weight, l: int) -> ModuleGraph:
@@ -268,16 +270,24 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
     test_family_tables.py proves it for every facet and l >= 4
     (test_dual_position_on_the_rows, test_dual_position_reverses_the_edges),
     and test_structure.py sweeps the built dual graphs at l in {2, 3, 5, 7}
-    (test_duality_check_against_the_built_dual_graph).  A filtration's nodes must be the decomp.net_terms of its
-    factors (survivors-net, see decomp) and its surviving factors.  A node
-    check names each differing weight with its want and got counts.
+    (test_duality_check_against_the_built_dual_graph).  A filtration's
+    nodes must be the decomp.net_terms of its factors (survivors-net, see
+    decomp) and its surviving factors.  nodes-match-factors compares the
+    sorted node weights with the sorted factors; the filtration checks
+    compare a plain {weight: count} dict of the nodes with net_terms and
+    with the count dict of the surviving factors.  Only a failing node
+    check calls coeff_diff, on count dicts, to name each differing weight
+    with its want and got counts.
     """
     report = ValidationReport()
-    nodes = Counter(g.node_weights())
+    weights = g.node_weights()
     if g.kind == G1B_SIMPLE:
         factors, pairs = ext_table(g.lam, g.l)
-        diff = coeff_diff(nodes, Counter(factors))
-        report.add("nodes-match-factors", diff == "ok", lambda: f"nodes must be the factors: {diff}")
+        report.add(
+            "nodes-match-factors",
+            sorted(weights) == sorted(factors),
+            lambda: f"nodes must be the factors: {coeff_diff(_counts(weights), _counts(factors))}",
+        )
         sinks = g.sinks()
         ok = len(sinks) == 1 and sinks[0].weight == g.lam
         report.add("unique-sink", ok, lambda: f"sinks: {[tuple(n.weight) for n in sinks]}")
@@ -297,16 +307,15 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
         report.add("edges-ext-consistent", not bad_edges, lambda: f"bad edges: {bad_edges}")
     else:
         dec = chi_decomposition(g.lam, g.l)
-        diff = coeff_diff(nodes, net_terms(dec.factors, g.l))
-        report.add(
-            "survivors-net",
-            diff == "ok",
-            lambda: f"nodes must be the net chi_l terms of the factors: {diff}",
-        )
-        kept = coeff_diff(nodes, Counter(dec.surviving_factors()))
-        report.add(
-            "nodes-match-decomposition",
-            kept == "ok",
-            lambda: f"nodes must be the surviving factors: {kept}",
-        )
+        got, kept = _counts(weights), _counts(dec.surviving_factors())
+        for name, want, what in (
+            ("survivors-net", net_terms(dec.factors, g.l), "the net chi_l terms of the factors"),
+            ("nodes-match-decomposition", kept, "the surviving factors"),
+        ):
+            report.add(name, got == want, lambda: f"nodes must be {what}: {coeff_diff(got, want)}")
     return report
+
+
+def _counts(weights) -> dict:
+    """{weight: multiplicity} of a list or tuple of weights, a plain dict."""
+    return {w: weights.count(w) for w in weights}

@@ -342,6 +342,29 @@ def test_verify_zero_cases_fails(capsys):
     assert "homs: 0 cases" in out and "ok" not in out
 
 
+def test_homs_suite_records_a_value_error(capsys, monkeypatch):
+    """A ValueError from the head weight or the witness search fails the
+    weight's three cases with its text, so the case count stays the serial
+    one and verify goes on to the later suites."""
+    from qgl3 import verify
+
+    serial = run_suite("homs", [2, 3], 3).cases_run
+    monkeypatch.setattr(verify, "zhat_head_weight", lambda lam, l: Weight(-1, 0))
+    report = run_suite("homs", [2, 3], 3)
+    assert serial and report.cases_run == serial and len(report.failures) == serial
+    case, identity, got = report.failures[0]
+    assert (case, identity) == ("l=3 lam=(3,3)", "rho witness onto the head weight")
+    assert got == "hom_exists_mirror needs dominant weights, got (3,3), (-1,0)"
+    assert [f[1] for f in report.failures[:3]] == [
+        "rho witness onto the head weight",
+        "antisymmetric",
+        "no witness on the diagonal",
+    ]
+    code, out, err = run(capsys, "verify", "--suites", "homs,dimension", "--l", "2,3", "--box", "3")
+    assert code == 1 and "error:" not in err
+    assert out.splitlines() == [f"homs: {serial} cases, {serial} failures", "dimension: 32 cases, ok"]
+
+
 def test_verify_pool_sized_by_task_count(monkeypatch):
     import concurrent.futures
 

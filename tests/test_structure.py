@@ -271,6 +271,26 @@ def test_forced_failure_texts():
     ]
 
 
+def test_node_checks_compare_multisets():
+    """The node checks compare multisets: a node moved onto another node's
+    weight, or a node given twice, fails with each differing weight and its
+    want/got counts, though the node weights as a set may be unchanged."""
+    g = zhat_structure(Weight(3, 3), 3)
+    first, second = g.nodes[:2]
+    assert (first.weight, second.weight) == (Weight(3, 3), Weight(4, 1))
+    moved = replace(g, nodes=(first._replace(weight=second.weight),) + g.nodes[1:])
+    assert dict(validate_graph(moved).failures())["nodes-match-factors"] == (
+        "nodes must be the factors: (3,3): want 1 got 0; (4,1): want 1 got 2"
+    )
+    f = nabla_l_filtration(Weight(7, 7), 3)
+    twice = replace(f, nodes=f.nodes + (f.nodes[0]._replace(id="mu0"),))
+    assert {n.weight for n in twice.nodes} == {n.weight for n in f.nodes}
+    assert validate_graph(twice).failures() == [
+        ("survivors-net", "nodes must be the net chi_l terms of the factors: (3,9): want 1 got 2"),
+        ("nodes-match-decomposition", "nodes must be the surviving factors: (3,9): want 1 got 2"),
+    ]
+
+
 def test_filtration_survivors_net_names_weights():
     lam = Weight(7, 7)
     g = nabla_l_filtration(lam, 3)
