@@ -18,27 +18,16 @@ keys, the engine's route.
 
 W-invariant characters also have a Weyl-basis form, {dominant weight: int}
 in the basis of induced characters.  chi_l_weyl and tensor_multiplicity
-work there by the Brauer-Klimyk rule, whose keys are plain int pairs; the
-weight-basis chi_l and decompose_into_weyl are kept as their independent
-oracles.  tensor_multiplicity, the tests' oracle of ext's Pieri table, makes
-one kernels.brauer_klimyk call each; chi_l_weyl makes one per template, a
-table of rows over lattice.restricted_orbit shared by the weights with the
-same dominantized classical part, facet and l; weyl_sum adds chi_l_weyl
-results into a copy of the largest one.  The restricted simple characters
-are written once in the Weyl basis, by restricted_simple_weyl; their
-weight-basis characters, their numerators and the heads of the templates
-are all read off it.
+work there, each by one kernels.brauer_klimyk call; no sweep, CLI command
+or benchmark query calls either, and the weight-basis chi_l and
+decompose_into_weyl are kept as their oracles.  The restricted simple
+characters are written once in the Weyl basis, by restricted_simple_weyl;
+their weight-basis characters, their numerators and the heads of
+chi_l_weyl are all read off it.
 
-Induced and restricted simple characters are not memoized: each call
-builds its character afresh, though both routes to an induced character
-share their weight keys, and no count, through kernels._key_lines.  The
-memos here are _bk_weights, the tableau counts of the classical parts and
-small tensor factors that the Brauer-Klimyk rule expands, _chi_l_templates
-and _chi_l_weyl_cache.  Of the sweeps and CLI commands only the
-decomposition suite fills them, through chi_l_weyl; their other readers
-are the public chi_l_weyl and tensor_multiplicity.
-translate.translated_character peels chi_l keys instead
-(decomp.weyl_of_chi_l) and fills none of them.
+Nothing here is memoized: each call builds its character afresh, though
+both routes to an induced character share their weight keys, and no
+count, through kernels._key_lines.
 """
 
 from __future__ import annotations
@@ -140,24 +129,6 @@ def weyl_char(lam: Weight) -> FormalChar:
     if not lam.is_dominant():
         raise ValueError(f"weyl_char needs a dominant weight, got {lam}")
     return FormalChar(kernels.ssyt_weight_counts(lam.a + lam.b, lam.b))
-
-
-# Weight multiplicities of the induced characters that the Brauer-Klimyk
-# rule expands, keyed by dominant weight: the only ones read again and again,
-# and small (chi_l_weyl's classical parts, the engine's only reads, and the
-# smaller factor of a tensor_multiplicity).
-_bk_weights: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-
-
-def _weights_of(lam: tuple[int, int]) -> dict[tuple[int, int], int]:
-    """The weight multiplicities of weyl_char(lam) for a dominant lam,
-    memoized in _bk_weights; the returned dict is shared and must not be
-    modified."""
-    key = (lam[0], lam[1])
-    hit = _bk_weights.get(key)
-    if hit is None:
-        hit = _bk_weights[key] = kernels.ssyt_weight_counts(key[0] + key[1], key[1])
-    return hit
 
 
 def weyl_dimension(lam: Weight) -> int:
@@ -436,9 +407,8 @@ def decompose_into_weyl(x: FormalChar) -> dict[tuple[int, int], int]:
 def weyl_sum(parts: Iterable[dict[Weight, int]]) -> dict[Weight, int]:
     """Sum of {weight: int} combinations in either basis, zero coefficients
     dropped.  The sum starts from a copy of the largest part and adds the
-    others term by term; a part that appears more than once (chi_l_weyl
-    hands back the same memo dict for a repeated factor) is counted each
-    time, and no part is modified."""
+    others term by term; a part that appears more than once (the same dict
+    passed twice) is counted each time, and no part is modified."""
     parts = sorted(parts, key=len)
     out = dict(parts.pop()) if parts else {}
     for part in parts:
@@ -483,33 +453,6 @@ def char_from_weyl(x: dict[Weight, int]) -> FormalChar:
     return FormalChar(out)
 
 
-# Brauer-Klimyk templates of chi_l_weyl, keyed on (dominantized classical
-# part, facet of the restricted part, l): rows (l*qa, l*qb, k, c) over the
-# restricted orbit, each standing for c times the induced character of
-# l*q + points[k], before the sign of the classical part.  A weight whose
-# orbit points coincide, a 3 | l alcove centre, keys its own template by
-# its restricted part instead of its facet.
-_chi_l_templates: dict[tuple[int, int, FacetType | tuple[int, int], int],
-                        tuple[tuple[int, int, int, int], ...]] = {}
-_chi_l_weyl_cache: dict[tuple[int, int, int], dict[tuple[int, int], int]] = {}
-
-
-def _chi_l_template(top: tuple[int, int], res: tuple[int, int], l: int,
-                    points: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """chi_l_weyl(l*top + res, l) for a dominant top, as rows
-    (l*qa, l*qb, k, c) over points = restricted_orbit(res, l), one
-    kernels.brauer_klimyk call: each output weight is linked to res, so its
-    restricted part is points[k] for exactly one k when the points are
-    pairwise distinct."""
-    index = {p: k for k, p in enumerate(points)}
-    heads = restricted_simple_weyl(res, l).items()
-    rows = []
-    for (a, b), c in kernels.brauer_klimyk(_weights_of(top), heads, l).items():
-        pa, pb = a % l, b % l
-        rows.append((a - pa, b - pb, index[pa, pb], c))
-    return tuple(rows)
-
-
 def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     """chi_l(mu, l) in the basis of induced characters, keyed by int pairs.
 
@@ -518,40 +461,20 @@ def chi_l_weyl(mu: Weight, l: int) -> dict[tuple[int, int], int]:
     d * ch(k) over restricted_simple_weyl(r, l), the Brauer-Klimyk rule gives
 
         chi_l(mu) = sign * sum over kappa in wt(c') and (k, d) of
-                    m(kappa) * d * euler(k + l*kappa).
+                    m(kappa) * d * euler(k + l*kappa),
 
-    Every term is linked to r, and which alcove or wall l*kappa + k falls in
-    does not move while r stays in its facet (checked weight by weight in
-    the tests), so the sum is read off the template of (c', facet of r, l),
-    built on the first weight that needs it: its rows (l*qa, l*qb, j, e) give
-    sign * e * ch(l*q + points[j]) over points = restricted_orbit(r, l).
-    A 3 | l alcove centre, the only weight whose orbit row has points 0
-    and 2 equal (wall and vertex rows never do), keys its template by r
-    instead of its facet.  A miss with c dominant takes sign 1 and c' = c
-    without dominantize, as chi_l_dimension does.  Memoized on (mu, l);
-    the returned dict is shared and must not be modified.
+    one kernels.brauer_klimyk call on the tableau counts of c', built afresh
+    on each call and not memoized.  A dominant c takes sign 1 and c' = c
+    without dominantize, as chi_l_dimension does.
     """
-    key = (mu[0], mu[1], l)
-    hit = _chi_l_weyl_cache.get(key)
-    if hit is None:
-        check_level(l)
-        ca, ra = divmod(mu[0], l)
-        cb, rb = divmod(mu[1], l)
-        sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
-        hit = {}
-        if sign:
-            facet, points = restricted_orbit((ra, rb), l)
-            shape = (ra, rb) if len(points) == 6 and points[0] == points[2] else facet
-            tkey = (top[0], top[1], shape, l)
-            rows = _chi_l_templates.get(tkey)
-            if rows is None:
-                rows = _chi_l_templates[tkey] = _chi_l_template(top, (ra, rb), l, points)
-            if sign == 1:
-                hit = {(qa + points[k][0], qb + points[k][1]): c for qa, qb, k, c in rows}
-            else:
-                hit = {(qa + points[k][0], qb + points[k][1]): -c for qa, qb, k, c in rows}
-        _chi_l_weyl_cache[key] = hit
-    return hit
+    check_level(l)
+    (ca, ra), (cb, rb) = divmod(mu[0], l), divmod(mu[1], l)
+    sign, top = (1, (ca, cb)) if ca >= 0 and cb >= 0 else dominantize((ca, cb))
+    if not sign:
+        return {}
+    weights = kernels.ssyt_weight_counts(top[0] + top[1], top[1])
+    heads = [(k, sign * d) for k, d in restricted_simple_weyl((ra, rb), l).items()]
+    return kernels.brauer_klimyk(weights, heads, l)
 
 
 def chi_l_dimension(mu: Weight, l: int) -> int:
@@ -574,4 +497,5 @@ def tensor_multiplicity(target: Weight, x: Weight, y: Weight) -> int:
         raise ValueError(f"tensor_multiplicity needs dominant weights, got {x}, {y}")
     if weyl_dimension(x) < weyl_dimension(y):
         x, y = y, x
-    return kernels.brauer_klimyk(_weights_of(y), [(x, 1)], 1).get(target, 0)
+    weights = kernels.ssyt_weight_counts(y[0] + y[1], y[1])
+    return kernels.brauer_klimyk(weights, [(x, 1)], 1).get(target, 0)

@@ -7,10 +7,12 @@ modules among them.
 zhat_factors gives the composition factors of the modules induced from the
 Borel to the first-kernel thickening, zhat_char their l^3-dimensional
 character, summed afresh on each call, and zhat_numerator is zhat_char
-times the Weyl denominator A(rho).  Each identity has one check: the
-decomposition suite (sum of chi_l terms) and the zhat suite (sum of
-simples, multiplied by A(rho): a sum of numerators, at most 12 terms per
-factor).  The surviving terms need no second sum: the chi_l(l*d + r) with
+times the Weyl denominator A(rho).  Both identities rest on one
+numerator identity per residue r, D(r) = 0: the zhat suite checks the sum
+of simples times A(rho), a sum of numerators, at most 12 terms per factor,
+and the decomposition suite proves the sum of chi_l terms of l*c + r from
+D(r) = 0 and the shift of r's family by l*c, expanding no chi_l.  The
+surviving terms need no second sum: the chi_l(l*d + r) with
 d dominant are linearly independent, so the survivors sum to the induced
 character exactly when they are, with multiplicity, the nonzero net_terms
 of the family (validate_graph's survivors-net, and the translate suite).

@@ -212,22 +212,19 @@ _PAIRS_BY_FACET = {**{facet: frozenset(edges) for facet, edges in ZHAT_EDGES.ite
 _TOP = {facet: max(map(max, edges), default=0) for facet, edges in ZHAT_EDGES.items()}
 
 
-def ext_table(
-    mu: Weight, l: int
-) -> tuple[tuple[Weight, ...], frozenset[tuple[Weight, Weight]]]:
+def ext_table(mu: Weight, l: int) -> tuple[tuple[Weight, ...], frozenset[tuple[int, int]]]:
     """The composition-factor weights of the Borel-induced module of weight
     mu, as factor_family lists them (a shared tuple), and the (upper, lower)
-    pairs of them between which Ext^1 is nonzero.  A caller checks its
-    weights against the list the table was read on."""
+    position pairs, 1-based in that list, between which Ext^1 is nonzero:
+    the facet's shared pair set.  A caller checks its weights against the
+    list the table was read on."""
     facet, factors = factor_family(mu, l)
     check_positions(mu, l, factors, _TOP[facet])
     if len(set(factors)) != len(factors):
         raise ValueError(
             f"degenerate factor list for {Weight(*mu)} (l={l}): {[tuple(f) for f in factors]}"
         )
-    return factors, frozenset(
-        (factors[u - 1], factors[v - 1]) for u, v in _PAIRS_BY_FACET[facet]
-    )
+    return factors, _PAIRS_BY_FACET[facet]
 
 
 def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
@@ -241,7 +238,7 @@ def ext1_g1b(mu: Weight, lam: Weight, eta: Weight, l: int) -> int:
             f"{missing[0]} is not a composition factor of the induced module of "
             f"weight {mu} (l={l}); factors are {[tuple(f) for f in factors]}"
         )
-    return int((lam, eta) in pairs)
+    return int((factors.index(lam) + 1, factors.index(eta) + 1) in pairs)
 
 
 # The socle of L(1,0) tensor L(r, s), for restricted (r, s), is a set of

@@ -299,10 +299,12 @@ def validate_graph(g: ModuleGraph) -> ValidationReport:
             lambda: f"sources: {[tuple(n.weight) for n in sources]}, head {tuple(head)}",
         )
         weight = {n.id: n.weight for n in g.nodes}
+        index = {f: i for i, f in enumerate(factors, start=1)}
+        position = {n.id: index.get(n.weight) for n in g.nodes}  # None off the factors
         bad_edges = [
             (tuple(weight[u]), tuple(weight[v]))
             for u, v in g.edges
-            if (weight[u], weight[v]) not in pairs
+            if (position[u], position[v]) not in pairs
         ]
         report.add("edges-ext-consistent", not bad_edges, lambda: f"bad edges: {bad_edges}")
     else:

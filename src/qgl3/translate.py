@@ -27,9 +27,8 @@ the mirror and the source factors of a WallTranslate.
 translated_character works on chi_l keys alone: net_terms collects the
 modules' chi_l, and decomp.weyl_of_chi_l peels the Weyl-basis form off
 those keys with charring.peel_dominant, the engine's one peel, so this
-module expands no chi_l (it imports neither chi_l_weyl nor weyl_sum) and
-reads no chi_l memo; only the weight-basis character of that form is
-built.
+module expands no chi_l (it imports neither chi_l_weyl nor weyl_sum);
+only the weight-basis character of that form is built.
 """
 
 from __future__ import annotations
@@ -259,6 +258,6 @@ def translated_character(lam: Weight, l: int) -> tuple[FormalChar, Weight]:
     character it contains with lam's.  The modules' chi_l are collected on
     keys by net_terms, and decomp.weyl_of_chi_l reads their Weyl-basis form
     off those keys (almost always {lam: 1, mirror: 1}); no chi_l is
-    expanded and no chi_l memo is read."""
+    expanded."""
     t = translate_factor_lists(lam, l)
     return char_from_weyl(weyl_of_chi_l(net_terms(t.modules, l), l)), t.mirror

@@ -5,9 +5,9 @@ parts, mostly on the weights l*cls + r with r restricted, and yields
 (case, identity, observed, ok) tuples; a VerifyReport aggregates them.
 run_suite builds a suite's parts once from the box (_DOMAINS): a serial
 sweep hands the suite all of them, --jobs one slice per task.  No suite
-builds a per-l table of characters: the zhat suite reads the numerator of
-a restricted simple when a factor first uses it, so a chunk builds only
-what its slice needs, and only the decomposition suite reads chi_l_weyl.
+builds a per-l table of characters or expands a chi_l: _numerator_sum reads
+the numerator of a restricted simple when a factor first uses it, so a
+chunk builds only what its slice needs.
 A suite visits each weight as an int pair and names its case from the
 ints, as str(Weight) prints them.  All checks are exact integer identities.
 """
@@ -22,7 +22,6 @@ from qgl3 import decomp
 from qgl3.charring import (
     alt_weyl_sum,
     chi_l_dimension,
-    chi_l_weyl,
     coeff_diff,
     divide_by_weyl_denominator,
     restricted_simple_numerator,
@@ -90,15 +89,60 @@ def suite_dimension(l: int, parts: list[Weight]) -> Iterator[Case]:
         yield (f"lam={lam}", f"dim = {want}", str(d), d == want)
 
 
+def _numerator_sum(factors, l: int, numerators: dict, dims: dict) -> tuple[dict, int]:
+    """The sum of e(f - r) * N(r) over the factors f = l*c + r, N(r) the
+    numerator of L(r), zeros dropped, and the sum of dim L(r); N(r) and
+    dim L(r) are read into numerators and dims when a factor first uses r."""
+    acc: dict[tuple[int, int], int] = {}
+    get = acc.get
+    dim = 0
+    for a, b in factors:
+        r = (a % l, b % l)
+        if r not in numerators:
+            numerators[r] = restricted_simple_numerator(r, l).coeffs
+            dims[r] = chi_l_dimension(r, l)
+        ta, tb = a - r[0], b - r[1]
+        for (x, y), m in numerators[r].items():
+            k = (x + ta, y + tb)
+            acc[k] = get(k, 0) + m
+        dim += dims[r]
+    return {k: c for k, c in acc.items() if c}, dim
+
+
+def _shift_diff(family, base, la: int, lb: int) -> str:
+    """"" when the (facet, factors) family is the base family shifted by
+    (la, lb), else the first thing that breaks the shift."""
+    if family[0] is not base[0] or len(family[1]) != len(base[1]):
+        return f"{family[0].name} of {len(family[1])} factors, r has {base[0].name} of {len(base[1])}"
+    for i, ((a, b), (x, y)) in enumerate(zip(family[1], base[1]), start=1):
+        if (a - la, b - lb) != (x, y):
+            return f"factor {i} {Weight(a, b)} != l*c + {Weight(x, y)}"
+    return ""
+
+
 def suite_decomposition(l: int, parts: list[Weight]) -> Iterator[Case]:
-    """The identity sum of chi_l over the filtration factors of lam =
-    {lam: 1}, in the basis of induced characters.  The factors are those of
-    zhat_factors(lam), the list of chi_decomposition(lam) reversed on the
-    walls, read as int pairs off decomp.family_pairs without the memo: a
-    sweep reads each weight once."""
-    for _, lam, name in _weights(l, parts):
-        total = weyl_sum(chi_l_weyl(f, l) for f in decomp.family_pairs(lam, l)[1])
-        observed = coeff_diff(total, {lam: 1})
+    """The identity sum of chi_l over the family of lam = l*c + r = weyl(lam),
+    proven from r: times A(rho)*A(l*rho) its defect is the sum over the Weyl
+    group of w(e(l*c) * D(r)), D(r) = e(l*rho) * (the _numerator_sum of the
+    family of r - zhat_numerator(r)).  A case passes when lam's family is
+    r's shifted by l*c (a failure names the first factor that breaks it)
+    and D(r) = 0, checked once per r (a failure names r and the first
+    differing terms).  Families are read off decomp.family_pairs at call
+    time, without the memo."""
+    numerators: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
+    dims: dict[tuple[int, int], int] = {}
+    residues: dict[tuple[int, int], tuple] = {}  # r -> (family of r, D(r) text)
+    for cls, lam, name in _weights(l, parts):
+        la, lb = l * cls[0], l * cls[1]
+        r = (lam[0] - la, lam[1] - lb)
+        if r not in residues:
+            base = decomp.family_pairs(r, l)
+            observed = coeff_diff(_numerator_sum(base[1], l, numerators, dims)[0],
+                                  zhat_numerator(r, l).coeffs)
+            residues[r] = (base, "" if observed == "ok" else f"D(r) at r={Weight(*r)}: {observed}")
+        base, residue = residues[r]
+        shift = _shift_diff(decomp.family_pairs(lam, l), base, la, lb)
+        observed = "; ".join(d for d in (shift, residue) if d) or "ok"
         yield (
             f"l={l} lam={name}",
             "sum of chi_l factors = weyl character",
@@ -111,12 +155,11 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     """The identity sum of ch L^(nu) over zhat_factors(lam) = zhat_char(lam),
     multiplied by A(rho), which is injective on ZX.  A factor nu = l*c + r
     then contributes e(l*c) times the numerator of L(r), at most 12 terms,
-    and the right side is zhat_numerator(lam).  The numerator and the
-    dimension of L(r), chi_l_dimension(r), are read the first time a factor
-    uses r; once per l, zhat_numerator(0) divided by A(rho) must be
-    zhat_char(0), and an inexact division fails with its message.  A case
-    fails with every part that differs: its own sum, the check of zhat_char
-    and the dimension count."""
+    and the right side is zhat_numerator(lam) (_numerator_sum, with the
+    dimension count).  Once per l, zhat_numerator(0) divided by A(rho) must
+    be zhat_char(0), and an inexact division fails with its message.  A
+    case fails with every part that differs: its own sum, the check of
+    zhat_char and the dimension count."""
     numerators: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
     dims: dict[tuple[int, int], int] = {}
     zero = Weight(0, 0)
@@ -131,20 +174,7 @@ def suite_zhat(l: int, parts: list[Weight]) -> Iterator[Case]:
     if zc.dimension != l**3:
         shared.append(f"zhat_char dim {zc.dimension}")
     for _, lam, name in _weights(l, parts):
-        acc: dict[tuple[int, int], int] = {}
-        get = acc.get
-        dim = 0
-        for a, b in decomp.family_pairs(lam, l)[1]:
-            r = (a % l, b % l)
-            if r not in numerators:
-                numerators[r] = restricted_simple_numerator(r, l).coeffs
-                dims[r] = chi_l_dimension(r, l)
-            ta, tb = a - r[0], b - r[1]
-            for (x, y), m in numerators[r].items():
-                k = (x + ta, y + tb)
-                acc[k] = get(k, 0) + m
-            dim += dims[r]
-        got = {k: c for k, c in acc.items() if c}
+        got, dim = _numerator_sum(decomp.family_pairs(lam, l)[1], l, numerators, dims)
         observed = coeff_diff(got, zhat_numerator(lam, l).coeffs)
         diffs = [] if observed == "ok" else [f"times A(rho): {observed}"]
         diffs += shared
@@ -301,9 +331,9 @@ def suite_ext_lemmas(l: int, parts: list[Weight]) -> Iterator[Case]:
         except ValueError as exc:  # a degenerate factor list
             yield (f"l={l} table mu={name}", "table entry = general rule", str(exc), False)
             continue
-        for a in factors:
-            for b in factors:
-                t = int((a, b) in pairs)
+        for i, a in enumerate(factors, start=1):
+            for j, b in enumerate(factors, start=1):
+                t = int((i, j) in pairs)
                 g = ext1_g1b_general(a, b, l)
                 yield (
                     f"l={l} table mu={name} {a}->{b}",

@@ -128,6 +128,23 @@ def memo_sweep(pytestconfig):
 
 
 @pytest.fixture
+def no_chi_l(monkeypatch):
+    """Make charring.chi_l_weyl, in every module of qgl3 that binds it, and
+    kernels.brauer_klimyk raise, so that a test can show that what it runs
+    expands no chi_l in the basis of induced characters."""
+    from qgl3 import charring, kernels
+
+    def unread(*args):
+        raise AssertionError(f"chi_l read: {args}")
+
+    chi_l_weyl = charring.chi_l_weyl
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qgl3" and getattr(module, "chi_l_weyl", None) is chi_l_weyl:
+            monkeypatch.setattr(module, "chi_l_weyl", unread)
+    monkeypatch.setattr(kernels, "brauer_klimyk", unread)
+
+
+@pytest.fixture
 def fresh_memo():
     """Empty the decomposition memo, which also holds the factor families
     of dominant weights, before and after the test, so that a test which

@@ -1,11 +1,14 @@
 """The slow routes the tests compare the engine's fast ones against.
 
-The engine checks its character identities in the basis of induced
-characters (chi_l_weyl) or times the Weyl denominator (the zhat suite); the
-functions here build the same characters weight by weight, as independent
-oracles, and the engine never takes them.  They read each restricted simple
-character and each chi_l many times, so restricted_simple and chi_l are
-memoized here, not in the engine; no test patches what either reads
+The engine checks its character identities on chi_l keys or times the
+Weyl denominator (the zhat and decomposition suites); the functions here
+build the same characters weight by weight, as independent oracles, and
+the engine never takes them.  The decomposition suite proves each case
+from its residue's numerator identity D(r) = 0; residue_defect and
+weyl_symmetrize give the weight-basis identity behind that proof.  The
+tests read each restricted simple character, each chi_l and each
+chi_l_weyl many times, so restricted_simple, chi_l and chi_l_weyl are
+memoized here, not in the engine; no test patches what they read
 (lattice.decompose, the charring constructors, the kernels) and then calls
 an oracle here, so a memoized value is always the clean one.  The engine
 builds the wall factor families by int arithmetic; wall_family is the
@@ -30,8 +33,10 @@ and per-entry transcriptions of that closed form.
 import functools
 from collections import Counter
 
+from qgl3 import charring, decomp
 from qgl3.charring import (
     FormalChar,
+    alt_weyl_sum,
     char_sum,
     euler_char,
     frobenius_twist,
@@ -47,9 +52,18 @@ from qgl3.lattice import (
     classify_restricted,
     decompose,
     dual_weight,
+    ordinary_orbit,
 )
-from qgl3.decomp import check_positions
+from qgl3.decomp import check_positions, zhat_char
 from qgl3.structure import G1B_SIMPLE, GraphNode, ModuleGraph, _IDS, zhat_structure
+
+
+@functools.cache
+def chi_l_weyl(mu, l: int) -> dict[tuple[int, int], int]:
+    """charring.chi_l_weyl, built once per (mu, l) for the tests that sum
+    it as an oracle: the engine memoizes nothing there.  The returned dict
+    is shared and must not be modified."""
+    return charring.chi_l_weyl(mu, l)
 
 
 @functools.cache
@@ -81,6 +95,26 @@ def hat_simple_char(nu: Weight, l: int) -> FormalChar:
     restricted simple character shifted by the twisted classical part."""
     cls, res = decompose(nu, l)
     return shift(restricted_simple(res, l), l * cls)
+
+
+def residue_defect(res, l: int) -> FormalChar:
+    """D(r) = e(l*rho) * (the sum of the simple characters over the family
+    of r - zhat_char(r)) * A(rho), in the weight basis; the family is read
+    off decomp.family_pairs at call time, so a corrupted family reaches it.
+    For lam = l*c + r, (sum of chi_l over the family of lam - euler_char(lam))
+    * A(rho) * A(l*rho) = weyl_symmetrize(D(r) * e(l*c)) when the family of
+    lam is that of r shifted by l*c."""
+    simples = char_sum(hat_simple_char(Weight(*f), l) for f in decomp.family_pairs(res, l)[1])
+    return shift((simples - zhat_char(Weight(*res), l)) * alt_weyl_sum(RHO), l * RHO)
+
+
+def weyl_symmetrize(x: FormalChar) -> FormalChar:
+    """The sum of w(x) over the Weyl group, under the linear action."""
+    out: dict = {}
+    for k, m in x.coeffs.items():
+        for _, w in ordinary_orbit(k):
+            out[w] = out.get(w, 0) + m
+    return FormalChar(out)
 
 
 def chi_l_expansion(x: FormalChar, l: int) -> list[tuple[Weight, int]]:

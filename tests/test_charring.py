@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -322,23 +323,18 @@ def test_induced_character_routes_share_key_tuples(monkeypatch):
         assert counts == quotient and all(stored[k] is k for k in counts), lam
 
 
-def test_no_character_shares_a_memo_dict(monkeypatch):
+def test_no_character_shares_a_memo_dict():
     """FormalChar keeps the dict it is given, so no engine constructor may
-    give it a dict that a memo holds.  On cold and on warm memos at l = 11,
-    the coeffs of the characters that weyl_char, weyl_char_alternating,
-    char_from_weyl, translated_character and zhat_char return are none of
-    the dicts held by a module-level value of qgl3, such as _bk_weights and
-    _chi_l_weyl_cache.  translated_character reads no chi_l memo, so the
-    chi_l_weyl of the translate's modules fills them."""
+    give it a dict that a memo holds.  Twice over at l = 11, the coeffs of
+    the characters that weyl_char, weyl_char_alternating, char_from_weyl,
+    translated_character and zhat_char return are none of the dicts held
+    by a module-level value of qgl3, such as decomp._decompositions and
+    kernels._key_lines."""
     l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
-    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
-        monkeypatch.setattr(charring, name, {})
+    top = Weight(4, 3)  # the classical part of lam
     modules = [m for name, m in sorted(sys.modules.items()) if name.split(".")[0] == "qgl3"]
     for _ in range(2):
         total, mirror = translated_character(lam, l)
-        for w in translate_factor_lists(lam, l).modules:
-            chi_l_weyl(w, l)
-        top = next(iter(charring._bk_weights))
         chars = [
             total,
             weyl_char(lam),
@@ -350,7 +346,6 @@ def test_no_character_shares_a_memo_dict(monkeypatch):
         ]
         seen = set()
         held = {id(d) for m in modules for value in vars(m).values() for d in _held_dicts(value, seen)}
-        assert charring._bk_weights and charring._chi_l_weyl_cache
         assert [ch for ch in chars if id(ch.coeffs) in held] == []
 
 
@@ -397,16 +392,13 @@ def test_chi_l_dimension_against_chi_l_weyl():
     assert signs == {-1, 0, 1}
 
 
-def test_no_memo_holds_an_induced_character(monkeypatch):
+def test_no_memo_holds_an_induced_character():
     """Induced characters are not memoized.  After building a large weight's
     character both ways, its translate at l = 11 and the chi_l_weyl of the
     translate's modules, no module-level value of qgl3 holds the
-    weight-basis character of the weight or of its mirror, and the
-    Brauer-Klimyk memo holds exactly the dominantized classical parts
-    passed to chi_l_weyl."""
+    weight-basis character of the weight or of its mirror, and charring
+    holds no module-level container at all: chi_l_weyl memoizes nothing."""
     l, lam = 11, 11 * Weight(4, 3) + Weight(2, 5)
-    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
-        monkeypatch.setattr(charring, name, {})
     ch = weyl_char(lam)
     assert weyl_char_alternating(lam) == ch
     total, mirror = translated_character(lam, l)
@@ -420,12 +412,9 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
         for name, value in vars(module).items():
             for held in _held_dicts(value, seen):
                 assert all(held != x for x in big), f"{module.__name__}.{name}"
-    tops = set()
-    for a, b, _ in charring._chi_l_weyl_cache:
-        sign, top = dominantize(decompose(Weight(a, b), l).classical)
-        if sign:
-            tops.add(top)
-    assert tops and set(charring._bk_weights) == tops
+    containers = [name for name, value in vars(charring).items()
+                  if isinstance(value, (dict, list, set)) and not name.startswith("__")]
+    assert containers == []
 
 
 # The engine's memos, each measured to pay for itself on the sweeps that
@@ -434,9 +423,6 @@ def test_no_memo_holds_an_induced_character(monkeypatch):
 # survivor sets: 34 after the acceptance sweep, and no more after sweeps at
 # larger l and box (test_structure.SKELETONS).
 MEMOS = {
-    (charring, "_bk_weights"),
-    (charring, "_chi_l_templates"),
-    (charring, "_chi_l_weyl_cache"),
     (decomp, "_decompositions"),
     (kernels, "_key_lines"),
     (lattice, "_orbits"),
@@ -589,8 +575,6 @@ def test_suites_catch_a_simple_without_its_mirror(monkeypatch):
     the factors catches it; the decomposition identity catches it too."""
     for name in ("zhat", "decomposition"):
         assert verify.run_suite(name, [3], 1).passed, name
-    monkeypatch.setattr(charring, "_chi_l_templates", {})
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
     monkeypatch.setattr(charring, "restricted_simple_weyl", lambda r, l: {(r[0], r[1]): 1})
     for name in ("zhat", "decomposition"):
         report = verify.run_suite(name, [3], 1)
@@ -678,9 +662,8 @@ def test_constructor_copies_and_drops_zeros():
 
 def test_weyl_sum_counts_every_part_and_modifies_none():
     """weyl_sum starts from a copy of its largest part: a dict listed twice
-    (chi_l_weyl hands back one memo dict for a repeated factor) counts
-    twice, the largest part too, and the sum drops zeros, is a new dict and
-    leaves every part as it was."""
+    counts twice, the largest part too, and the sum drops zeros, is a new
+    dict and leaves every part as it was."""
     big = {(0, 0): 1, (1, 0): 2, (0, 1): -1}
     small = {(1, 0): -2, (2, 2): 3}
     minus_big = {w: -c for w, c in big.items()}
@@ -764,6 +747,12 @@ def _brauer_klimyk_reference(weights, heads, l):
     return {w: c for w, c in acc.items() if c}
 
 
+@functools.cache
+def _induced_weights(top: Weight) -> dict:
+    """weyl_char(top).coeffs, built once per top for the references."""
+    return weyl_char(top).coeffs
+
+
 def _chi_l_weyl_reference(mu, l):
     cls, res = decompose(mu, l)
     sign, top = dominantize(cls)
@@ -772,59 +761,58 @@ def _chi_l_weyl_reference(mu, l):
     heads = [(res, sign)]
     if classify_restricted(res, l) is FacetType.UP_ALCOVE:
         heads.append((up_alcove_mirror(res, l), -sign))
-    return _brauer_klimyk_reference(weyl_char(top).coeffs, heads, l)
+    return _brauer_klimyk_reference(_induced_weights(top), heads, l)
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5, 7])
-def test_chi_l_weyl_against_dominantize_loop(l, monkeypatch):
-    # classical parts in [-3, 6)^2: dominant, regular non-dominant and
-    # singular, each with every restricted part (walls, vertex, up alcove)
-    monkeypatch.setattr(charring, "_chi_l_templates", {})
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
-    for mu in itertools.product(range(-3 * l, 6 * l), repeat=2):
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 7, 11, 12])
+def test_chi_l_weyl_against_dominantize_loop(l):
+    # classical parts in [-3, 6)^2, or [-2, 5)^2 at l = 11, 12: dominant,
+    # regular non-dominant and singular, each with every restricted part
+    # (walls, vertex, up alcove, and at l = 12 the alcove centres, whose
+    # orbit points coincide)
+    lo, hi = (-2, 5) if l in (11, 12) else (-3, 6)
+    for mu in itertools.product(range(lo * l, hi * l), repeat=2):
         assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
 
 
-@pytest.mark.parametrize("l", [6, 9, 11, 12])
+@pytest.mark.parametrize("l", [6, 9])
 def test_chi_l_weyl_templates_in_any_order(l, monkeypatch):
-    """A template is built by the first weight of its classical part and
-    facet that chi_l_weyl meets, and read by the others; in a shuffled order
-    every weight can come first.  Classical parts in [-2, 4]^2 and every
-    restricted part, with the 3 | l alcove centres, whose orbit points
-    coincide."""
-    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
-        monkeypatch.setattr(charring, name, {})
+    """chi_l_weyl memoizes nothing, and the orbit memo it reads through
+    restricted_simple_weyl is filled by whichever weight of a restricted
+    part comes first; in a shuffled order from an empty orbit memo, every
+    weight can come first.  Classical parts in [-2, 4]^2 and every
+    restricted part, with the 3 | l alcove centres, the only restricted
+    weights whose orbit points coincide."""
     monkeypatch.setattr(lattice, "_orbits", {})
     mus = list(itertools.product(range(-2 * l, 5 * l), repeat=2))
     random.Random(l).shuffle(mus)
     for mu in mus:
         assert chi_l_weyl(mu, l) == _chi_l_weyl_reference(mu, l), mu
-    centres = {shape for _, _, shape, _ in charring._chi_l_templates if type(shape) is tuple}
-    assert centres == ({(l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2} if l % 3 == 0 else set())
+    centres = {(r, s) for (r, s, _), (_, points) in lattice._orbits.items()
+               if len(set(points)) < len(points)}
+    assert centres == {(l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2}
 
 
 @pytest.mark.parametrize("l", [6, 9])
 def test_chi_l_weyl_alcove_centre_first(l, monkeypatch):
-    """From empty memos, each 3 | l alcove centre is read before the other
-    weights of its facet, at a dominant and a non-dominant classical part:
-    the centre builds a template keyed by itself, the other weights build
-    the facet's, and each value is the weight-basis chi_l in the Weyl basis."""
-    for name in ("_chi_l_templates", "_chi_l_weyl_cache"):
-        monkeypatch.setattr(charring, name, {})
+    """From an empty orbit memo, each 3 | l alcove centre is read before the
+    other weights of its facet, at a dominant and a non-dominant classical
+    part, and each value is the weight-basis chi_l in the Weyl basis."""
+    monkeypatch.setattr(lattice, "_orbits", {})
     for centre in ((l // 3 - 1,) * 2, (2 * l // 3 - 1,) * 2):
         facet = restricted_orbit(centre, l)[0]
         others = [r for r in itertools.product(range(l), repeat=2)
                   if r != centre and restricted_orbit(r, l)[0] is facet]
         assert others
+        monkeypatch.setattr(lattice, "_orbits", {})
         for ca, cb in ((1, 2), (-2, 1)):
             for ra, rb in [centre, *others]:
                 mu = Weight(l * ca + ra, l * cb + rb)
                 assert chi_l_weyl(mu, l) == decompose_into_weyl(chi_l(mu, l)), mu
 
 
-def test_chi_l_weyl_keys_are_plain_tuples(monkeypatch):
+def test_chi_l_weyl_keys_are_plain_tuples():
     # a Weight is a tuple subclass, which the collector never untracks
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
     results = [chi_l_weyl(mu, 5) for mu in itertools.product(range(-5, 20), repeat=2)]
     keys = [k for x in results for k in x]
     assert keys and all(type(k) is tuple for k in keys)

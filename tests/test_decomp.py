@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from qgl3 import decomp, kernels
 from qgl3.charring import (
     FormalChar,
     alt_weyl_sum,
+    char_sum,
     chi_l,
-    chi_l_weyl,
+    euler_char,
     frobenius_twist,
     restricted_simple_char,
     restricted_simple_numerator,
@@ -33,7 +35,7 @@ from qgl3.lattice import (
 from qgl3.verify import run_suite, suite_decomposition
 
 import oracles
-from oracles import chi_l_expansion, hat_simple_char, restricted_simple, wall_family
+from oracles import chi_l_expansion, chi_l_weyl, hat_simple_char, restricted_simple, wall_family
 
 
 def test_worked_instance_down_alcove():
@@ -111,32 +113,101 @@ def test_filtration_factors_are_the_borel_induced_list(fresh_memo):
 
 
 def test_decomposition_sweep_leaves_the_memo_empty(fresh_memo):
-    # l = 6 sweeps the two 3 | l alcove centres, whose chi_l templates are
-    # keyed by restricted part, beside the other weights of their facets
-    # (at l = 3 every alcove weight is a centre).  A sweep meets those
-    # weights first, and their template read at a centre has given the
-    # centre's value, so a centre keyed by its facet is caught only by
-    # test_chi_l_weyl_templates_in_any_order, where a centre can come first.
+    # l = 6 sweeps the two 3 | l alcove centres, whose restricted orbits
+    # have coinciding points, beside the other weights of their facets (at
+    # l = 3 every alcove weight is a centre)
     report = run_suite("decomposition", [3, 5, 6], 2)
     assert report.passed and report.cases_run == 9 * (9 + 25 + 36)
     assert not decomp._decompositions
 
 
+def _chi_l_sum(lam, l: int) -> FormalChar:
+    """The weight-basis sum of chi_l over the family of lam, off
+    decomp.family_pairs, from the memoized oracles.chi_l."""
+    return char_sum(oracles.chi_l(Weight(*f), l) for f in decomp.family_pairs(lam, l)[1])
+
+
+def _weyl_basis_failures(l: int, lams) -> set[str]:
+    """The Weyl-basis sweep the decomposition suite used to run: the case
+    names of the dominant weights lam for which the sum of chi_l_weyl over
+    the family of lam, off decomp.family_pairs, is not {lam: 1}."""
+    failures = set()
+    for lam in lams:
+        total = weyl_sum(chi_l_weyl(f, l) for f in decomp.family_pairs(lam, l)[1])
+        if total != {tuple(lam): 1}:
+            failures.add(f"l={l} lam={Weight(*lam)}")
+    return failures
+
+
 def test_corrupted_family_fails_in_both_bases(corrupt_down_alcove):
-    # The decomposition suite checks the identity in the Weyl basis; it must
-    # reject a corrupted factor family on exactly the weights where the
-    # weight-basis identity fails.
-    for l, box in ((3, 3), (5, 2)):
+    """On a corrupted factor family the Weyl-basis sweep fails exactly where
+    the weight-basis identity fails.  The decomposition suite, which proves
+    each case from its residue, fails exactly on the weights whose residue r
+    has D(r) != 0 (oracles.residue_defect): a superset, since a corrupted
+    factor whose chi_l vanishes before and after the corruption still
+    breaks D(r)."""
+    for l, box, counts in ((3, 3, (12, 16)), (5, 2, (36, 54))):
         parts = [Weight(a, b) for a, b in itertools.product(range(box + 1), repeat=2)]
-        weyl_failures = {name for name, _, _, ok in suite_decomposition(l, parts) if not ok}
-        weight_failures = set()
-        for cls in parts:
-            for r, s in itertools.product(range(l), repeat=2):
-                lam = l * cls + Weight(r, s)
-                if chi_decomposition(lam, l).character() != weyl_char(lam):
-                    weight_failures.add(f"l={l} lam={lam}")
-        assert weight_failures
-        assert weyl_failures == weight_failures
+        residues = [Weight(*r) for r in itertools.product(range(l), repeat=2)]
+        lams = [l * cls + r for cls in parts for r in residues]
+        weight_failures = {f"l={l} lam={lam}" for lam in lams if _chi_l_sum(lam, l) != weyl_char(lam)}
+        assert _weyl_basis_failures(l, lams) == weight_failures
+        suite_failures = {name for name, _, _, ok in suite_decomposition(l, parts) if not ok}
+        defects = {r for r in residues if oracles.residue_defect(r, l)}
+        assert suite_failures == {
+            f"l={l} lam={lam}" for lam in lams if decompose(lam, l).restricted in defects
+        }
+        assert suite_failures >= weight_failures
+        assert (len(weight_failures), len(suite_failures)) == counts
+
+
+def test_defect_identity_on_a_corrupted_family(corrupt_down_alcove):
+    """The identity behind the decomposition suite's proof, on a corrupted
+    down-alcove family, in the weight basis: for lam = l*c + r,
+    (sum of chi_l over the family of lam - euler_char(lam)) * A(rho) *
+    A(l*rho) = the sum over the Weyl group of w(e(l*c) * D(r)), at l in
+    {3, 5} and c in [-2, 3]^2, every r; on some weights both sides are
+    nonzero."""
+    nonzero = 0
+    a_rho = alt_weyl_sum(RHO)
+    for l in (3, 5):
+        a_lrho = alt_weyl_sum(l * RHO)
+        residues = [Weight(*r) for r in itertools.product(range(l), repeat=2)]
+        defects = {r: oracles.residue_defect(r, l) for r in residues}
+        assert any(defects.values())
+        for c in itertools.starmap(Weight, itertools.product(range(-2, 4), repeat=2)):
+            for r in residues:
+                lam = l * c + r
+                lhs = (_chi_l_sum(lam, l) - euler_char(lam)) * a_rho * a_lrho
+                assert lhs == oracles.weyl_symmetrize(oracles.shift(defects[r], l * c)), (l, lam)
+                nonzero += bool(lhs)
+    assert nonzero
+
+
+def test_a_defect_at_one_classical_part_fails_the_shift_check(monkeypatch, fresh_memo):
+    """A factor family corrupted at the one classical part c = (3, 1), where
+    every residue check still holds, fails the decomposition suite exactly
+    on the weights l*(3, 1) + r, each naming the factor that breaks the
+    shift by l*c."""
+    family = decomp.family_pairs
+
+    def wrapped(lam, l):
+        facet, factors = family(lam, l)
+        if (lam[0] // l, lam[1] // l) == (3, 1):
+            a, b = factors[-1]
+            factors = factors[:-1] + ((a + 1, b),)
+        return facet, factors
+
+    monkeypatch.setattr(decomp, "family_pairs", wrapped)
+    for l in (3, 5):
+        report = run_suite("decomposition", [l], 3)
+        assert report.cases_run == 16 * l * l
+        residues = itertools.product(range(l), repeat=2)
+        want = {f"l={l} lam={l * Weight(3, 1) + Weight(*r)}" for r in residues}
+        assert {case for case, _, _ in report.failures} == want
+        for _, _, observed in report.failures:
+            text = r"factor \d \(\d+,\d+\) != l\*c \+ \(-?\d+,-?\d+\)"
+            assert re.fullmatch(text, observed), observed
 
 
 _WALLS = (FacetType.RIGHT_WALL, FacetType.LEFT_WALL, FacetType.HORIZONTAL_WALL)
@@ -218,7 +289,10 @@ def test_net_terms_against_chi_l_weyl():
     dominant, its counts nonzero, and the counted keys sum, in the Weyl
     basis, to the factors' chi_l, on the family of every weight of
     [-2l, 2l)^2; off the dominant chamber the classical parts are singular
-    and regular of either sign."""
+    and regular of either sign.  The Weyl-basis sweep the decomposition
+    suite used to run holds too, as the Brauer-Klimyk cross-check of the
+    families: the chi_l_weyl of the family of every dominant weight of the
+    classical box 0..4 at l in {2, 3, 5, 7} sum to {lam: 1}."""
     for l in (2, 3, 5):
         for lam in itertools.product(range(-2 * l, 2 * l), repeat=2):
             factors = decomp.family_pairs(lam, l)[1]
@@ -227,6 +301,8 @@ def test_net_terms_against_chi_l_weyl():
             want = weyl_sum(chi_l_weyl(f, l) for f in factors)
             got = weyl_sum({w: n * c for w, c in chi_l_weyl(k, l).items()} for k, n in net.items())
             assert got == want, (l, lam)
+    for l in (2, 3, 5, 7):
+        assert _weyl_basis_failures(l, itertools.product(range(5 * l), repeat=2)) == set()
 
 
 def test_weyl_of_chi_l_against_chi_l_weyl_on_random_combinations():

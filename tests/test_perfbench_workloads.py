@@ -23,3 +23,13 @@ def test_smoke_point_queries_are_answered(perfbench):
     assert {q.kind for q in queries} == set(workloads.QUERIES_PER_PART)
     failed = [q for q in queries if not workloads.answer(q)]
     assert not failed, failed[:3]
+
+
+def test_point_queries_read_no_chi_l(perfbench, no_chi_l):
+    """A seeded point-query stream expands no chi_l in the basis of induced
+    characters: with chi_l_weyl and the Brauer-Klimyk kernel raising, every
+    query of the smoke stream is answered."""
+    workloads = perfbench("workloads")
+    queries = workloads.make_queries(workloads.WORKLOADS["smoke"]["point-queries"], 1)
+    failed = [q for q in queries if not workloads.answer(q)]
+    assert not failed, failed[:3]

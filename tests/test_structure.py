@@ -2,14 +2,13 @@ import itertools
 import json
 import random
 import re
-import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from qgl3 import charring, cli, decomp, ext, kernels, structure, verify
-from qgl3.charring import chi_l_weyl, weyl_char, weyl_sum
+from qgl3.charring import weyl_char, weyl_sum
 from qgl3.decomp import chi_decomposition, zhat_char
 from qgl3.homs import hat_dual_pair, zhat_head_weight
 from qgl3.lattice import FacetType, Weight, classify_restricted, decompose
@@ -23,7 +22,7 @@ from qgl3.structure import (
 from qgl3.verify import run_suite
 
 import oracles
-from oracles import duality_diff, graph_character
+from oracles import chi_l_weyl, duality_diff, graph_character
 
 
 def test_zhat_vertex_single_node():
@@ -329,31 +328,19 @@ def test_graph_sweeps_call_no_convolution(monkeypatch):
         assert not calls
 
 
-def test_graph_and_translate_checks_read_no_chi_l(monkeypatch, capsys):
-    """The graphs and translate suites, qgl3 lfilt and qgl3 decomp read no
-    chi_l, no template and no Brauer-Klimyk sum: with chi_l_weyl raising in
-    every module that binds it, and the kernel raising too, they pass from
-    empty chi_l memos and leave them empty."""
-
-    def unread(*args):
-        raise AssertionError(f"chi_l read: {args}")
-
-    chi_l_weyl = charring.chi_l_weyl
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qgl3" and getattr(module, "chi_l_weyl", None) is chi_l_weyl:
-            monkeypatch.setattr(module, "chi_l_weyl", unread)
-    monkeypatch.setattr(kernels, "brauer_klimyk", unread)
-    monkeypatch.setattr(charring, "_chi_l_weyl_cache", {})
-    monkeypatch.setattr(charring, "_chi_l_templates", {})
-    assert run_suite("graphs", [3, 5], 2).passed
-    assert run_suite("translate", [3, 5], 3).passed
+def test_graph_and_translate_checks_read_no_chi_l(no_chi_l, capsys):
+    """Every verify suite, qgl3 lfilt and qgl3 decomp read no chi_l in the
+    basis of induced characters and no Brauer-Klimyk sum: with chi_l_weyl
+    raising in every module that binds it, and the kernel raising too, all
+    eight suites pass, the decomposition and zhat suites among them."""
+    for suite in verify.SUITES:
+        assert run_suite(suite, [3, 5], 3 if suite == "translate" else 2).passed, suite
     for l, lam in ((2, "3,2"), (3, "7,7"), (5, "12,9"), (7, "20,3")):
         assert cli.main(["lfilt", lam, "--l", str(l)]) == 0
         assert capsys.readouterr().out.endswith("  checks: ok\n"), (lam, l)
     for l, lam in ((2, "3,2"), (3, "1,1"), (5, "12,9"), (7, "20,3")):
         assert cli.main(["decomp", lam, "--l", str(l)]) == 0
         assert " chi_l dim " in capsys.readouterr().out, (lam, l)
-    assert not charring._chi_l_weyl_cache and not charring._chi_l_templates
 
 
 @pytest.mark.parametrize("l, box", [(2, 4), (3, 4), (4, 4), (5, 4), (7, 3)])

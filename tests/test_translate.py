@@ -6,8 +6,7 @@ import re
 import pytest
 
 from qgl3 import translate, verify
-from qgl3 import charring
-from qgl3.charring import FormalChar, chi_l, chi_l_weyl, simple_char_p0, weyl_char, weyl_sum
+from qgl3.charring import FormalChar, chi_l, simple_char_p0, weyl_char, weyl_sum
 from qgl3.decomp import chi_decomposition, net_terms, weyl_of_chi_l
 from qgl3.lattice import (
     POSITIVE_ROOTS,
@@ -35,7 +34,7 @@ from qgl3.translate import (
     wall_weight_below,
 )
 
-from oracles import chi_l_expansion, off_wall_character
+from oracles import chi_l_expansion, chi_l_weyl, off_wall_character
 
 _ALCOVES = (FacetType.DOWN_ALCOVE, FacetType.UP_ALCOVE)
 
@@ -833,16 +832,13 @@ def _translates(lam, l):
     return True
 
 
-def test_translated_character_reads_no_chi_l_memo(monkeypatch):
-    """translated_character reads chi_l keys only: from empty chi_l memos,
-    over every translatable weight at l in {3,5,11}, classical box 0..3,
-    the Brauer-Klimyk weights, the templates and the chi_l_weyl memo stay
-    empty.  The weight-basis expansion of the Weyl form, which calls the
-    tableau kernel directly, runs on the last weight at each l; on the
-    others the Weyl form is kept as it is, to keep the sweep quick."""
-    memos = ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache")
-    for name in memos:
-        monkeypatch.setattr(charring, name, {})
+def test_translated_character_reads_no_chi_l_memo(monkeypatch, no_chi_l):
+    """translated_character reads chi_l keys only: with chi_l_weyl and the
+    Brauer-Klimyk kernel raising, it answers on every translatable weight
+    at l in {3,5,11}, classical box 0..3.  The weight-basis expansion of
+    the Weyl form, which calls the tableau kernel directly, runs on the
+    last weight at each l; on the others the Weyl form is kept as it is,
+    to keep the sweep quick."""
     expand = translate.char_from_weyl
     tally = {}
     for l in (3, 5, 11):
@@ -853,6 +849,5 @@ def test_translated_character_reads_no_chi_l_memo(monkeypatch):
         total, mirror = translated_character(translated[-1], l)
         assert total == weyl_char(translated[-1]) + weyl_char(mirror)
         tally[l] = len(translated)
-    assert {name: getattr(charring, name) for name in memos} == dict.fromkeys(memos, {})
     assert tally == {3: 31, 5: 186, 11: 1395}
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qgl3
-from qgl3 import charring, lattice
+from qgl3 import lattice
 from qgl3.decomp import chi_decomposition, factor_family, zhat_factors
 from qgl3.ext import ext_table
 from qgl3.homs import HomWitness, zhat_head_weight
@@ -101,8 +101,6 @@ CEILINGS = {"decomposition": 2.6, "zhat": 2.4, "graphs": 3.0, "translate": 20.3}
 
 @pytest.mark.parametrize("suite", sorted(CEILINGS))
 def test_sweeps_build_weights_only_at_the_boundary(monkeypatch, fresh_memo, suite):
-    for name in ("_bk_weights", "_chi_l_templates", "_chi_l_weyl_cache"):
-        monkeypatch.setattr(charring, name, {})
     monkeypatch.setattr(lattice, "_orbits", {})
     built = {Weight: 0, RestrictedDecomposition: 0}
 
